@@ -8,25 +8,24 @@ from training data via permutation tests.
 """
 
 from .core import (
+    Augment,
     PredictionRegion,
     PValueVector,
+    Remove,
+    Replace,
     StructuralError,
     TrainingSet,
     region_from_pvalues,
     validate_training_set,
 )
 from .estimators import (
-    Augment,
     DegenerateFitError,
     KnnCaches,
     LogisticFit,
     PooledGaussianFit,
-    Remove,
-    Replace,
     default_k,
     fit_logistic,
     fit_pooled_gaussian,
-    gaussian_plugin_statistic,
     gaussian_update,
     knn_augmented_counts,
     knn_fit,
@@ -63,13 +62,7 @@ from .oracle import (
     risk_alpha,
     typicality_known,
 )
-from .permutation import (
-    PermutationMethod,
-    naive_pvalue,
-    permutation_pvalue,
-    pvalue_vector,
-    valid_shortcut_pvalue,
-)
+from .permutation import PermutationMethod, pvalue, pvalue_vector
 from .simulation import (
     ExperimentConfig,
     RegionMap,

@@ -30,6 +30,7 @@ from .numerics import SingularMatrixError
 from .permutation import MODES, STATISTICS, PermutationMethod, pvalue_vector, warn_small_groups
 from .simulation import (
     ExperimentConfig,
+    code_members,
     convergence_experiment,
     example22_model,
     region_map,
@@ -84,9 +85,11 @@ def read_table(path: str, label_column: str | None):
         feature_names = [h for j, h in enumerate(header) if j != label_idx]
         features: list[list[float]] = []
         labels: list[str] = []
+        linenos: list[int] = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            linenos.append(lineno)
             if len(row) != len(header):
                 raise CsvFormatError(
                     f"{path}: line {lineno}: expected {len(header)} fields, found {len(row)}"
@@ -106,6 +109,12 @@ def read_table(path: str, label_column: str | None):
         if not features:
             raise CsvFormatError(f"{path}: no data rows")
     matrix = np.array(features, dtype=float)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        r, c = bad[0]
+        raise CsvFormatError(
+            f"{path}: line {linenos[r]}: column {feature_names[c]!r}: {matrix[r, c]} is not finite"
+        )
     return matrix, (labels if label_idx is not None else None), feature_names
 
 
@@ -124,13 +133,17 @@ def _region_text(d: TrainingSet, members) -> str:
     return "+".join(d.label_names[theta - 1] for theta in sorted(members))
 
 
+def _code_text(code: int, n_classes: int) -> str:
+    return "+".join(str(t) for t in code_members(code, n_classes)) or "-"
+
+
 def _alpha_tag(alpha: float) -> str:
     return format(alpha, "g")
 
 
 def _method_from(args) -> PermutationMethod:
     return PermutationMethod(
-        statistic=args.method,
+        statistic=args.method or "plugin",
         mode=args.mode,
         k=args.k,
         scale_features=bool(args.scale_features),
@@ -210,8 +223,7 @@ def cmd_crossval(args) -> int:
         "group_sizes": {d.label_names[t - 1]: int(d.group_sizes[t - 1]) for t in range(1, d.n_classes + 1)},
         "pvalue_grid_step": {
             d.label_names[b - 1]: {
-                d.label_names[t - 1]: 1.0 / (int(d.group_sizes[t - 1]) - (1 if t == b else 0) + 1)
-                for t in range(1, d.n_classes + 1)
+                d.label_names[t - 1]: cv.grid_step(int(cv.group(b)[0]), t) for t in range(1, d.n_classes + 1)
             }
             for b in range(1, d.n_classes + 1)
         },
@@ -363,18 +375,13 @@ def cmd_simulate(args) -> int:
         for alpha in args.alpha:
             tag = _alpha_tag(alpha)
             codes = rmap.subsets(alpha)
-            rows = []
-            for iy in range(ys.size):
-                for ix in range(xs.size):
-                    members = [
-                        t for t in range(1, rmap.n_classes + 1) if codes[iy, ix] & (1 << (t - 1))
-                    ]
-                    rows.append([_num(xs[ix]), _num(ys[iy]), "+".join(str(t) for t in members) or "-"])
+            rows = [
+                [_num(xs[ix]), _num(ys[iy]), _code_text(int(codes[iy, ix]), rmap.n_classes)]
+                for iy in range(ys.size)
+                for ix in range(xs.size)
+            ]
             _write_csv(out / f"region_map_alpha{tag}.csv", ["x", "y", "region"], rows)
-            patterns_present[tag] = sorted(
-                "+".join(str(t) for t in range(1, rmap.n_classes + 1) if code & (1 << (t - 1))) or "-"
-                for code in rmap.codes_present(alpha)
-            )
+            patterns_present[tag] = sorted(_code_text(code, rmap.n_classes) for code in rmap.codes_present(alpha))
             if "svg" in args.format:
                 _write_text(out / f"region_map_alpha{tag}.svg", svgmod.region_map_svg(rmap, alpha))
         if "json" in args.format:
@@ -410,7 +417,7 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
 
 
 _DEFAULTS = {
-    "method": "plugin",
+    "method": None,  # plugin, except that simulate validity runs its battery
     "mode": "valid-shortcut",
     "alpha": [0.05],
     "k": None,

@@ -14,10 +14,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 __all__ = [
+    "Augment",
     "PredictionRegion",
     "PValueVector",
+    "Remove",
+    "Replace",
     "StructuralError",
     "TrainingSet",
+    "rank_pvalue",
     "region_from_pvalues",
     "validate_training_set",
 ]
@@ -25,6 +29,26 @@ __all__ = [
 
 class StructuralError(ValueError):
     """The data violates a structural requirement (empty class, shape mismatch, bad file)."""
+
+
+# Single-point edits, applied to training sets and to fitted statistics alike.
+
+
+@dataclass(frozen=True)
+class Remove:
+    index: int
+
+
+@dataclass(frozen=True, eq=False)
+class Replace:
+    index: int
+    point: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Augment:
+    point: np.ndarray
+    label: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,6 +115,15 @@ class TrainingSet:
 
     # Single-point edits used by permutation tests and cross-validation.
 
+    def edit(self, edit: Remove | Replace | Augment) -> "TrainingSet":
+        if isinstance(edit, Remove):
+            return self.remove(edit.index)
+        if isinstance(edit, Replace):
+            return self.replace(edit.index, edit.point)
+        if isinstance(edit, Augment):
+            return self.augment(edit.point, edit.label)
+        raise TypeError(f"unknown edit {edit!r}")
+
     def remove(self, i: int) -> "TrainingSet":
         keep = np.ones(self.n, dtype=bool)
         keep[i] = False
@@ -103,23 +136,30 @@ class TrainingSet:
 
     def replace(self, i: int, x: np.ndarray) -> "TrainingSet":
         features = np.array(self.features, copy=True)
-        features[i] = _check_point(x, self.q)
+        features[i] = check_point(x, self.q)
         return TrainingSet(features, self.labels, self.n_classes, self.label_names)
 
     def augment(self, x: np.ndarray, theta: int) -> "TrainingSet":
         check_label(theta, self.n_classes)
-        features = np.vstack([self.features, _check_point(x, self.q)[None, :]])
+        features = np.vstack([self.features, check_point(x, self.q)[None, :]])
         labels = np.append(self.labels, np.int64(theta))
         return TrainingSet(features, labels, self.n_classes, self.label_names)
 
 
-def _check_point(x: np.ndarray, q: int) -> np.ndarray:
+def check_point(x: np.ndarray, q: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (q,):
         raise ValueError(f"feature vector has shape {x.shape}, expected ({q},)")
     if not np.all(np.isfinite(x)):
         raise ValueError("feature vector contains non-finite values")
     return x
+
+
+def rank_pvalue(values: np.ndarray, reference: float) -> float:
+    """(#{values >= reference} + 1) / (len(values) + 1): the rank p-value of
+    every permutation and Monte Carlo path."""
+    count = int(np.count_nonzero(values >= reference))
+    return (count + 1) / (values.size + 1)
 
 
 def check_label(theta: int, n_classes: int) -> int:
@@ -181,7 +221,7 @@ class PValueVector:
             raise ValueError("p-values must form a 1-D array")
         if values.size < 2:
             raise ValueError("need one entry per class, at least two classes")
-        if np.any(values < 0.0) or np.any(values > 1.0):
+        if not np.all((values >= 0.0) & (values <= 1.0)):  # NaN fails too
             raise ValueError(f"p-values outside [0, 1]: {values}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)

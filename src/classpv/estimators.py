@@ -1,5 +1,6 @@
-"""Fitted test-statistic families for the permutation engine, with incremental
-single-point refits (remove / replace / augment).
+"""Fitted test-statistic families for the permutation engine. Each fitted
+statistic takes a single-point edit (``Remove``, ``Replace`` or ``Augment``)
+through one ``edit`` method; the pooled Gaussian fit applies it incrementally.
 
 Every fit computes its sums over a canonical row ordering, so the fitted
 statistic is exactly symmetric in each class's training rows: shuffling the
@@ -12,31 +13,26 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import TrainingSet, check_label
+from .core import Augment, Remove, Replace, TrainingSet, check_label
 from .numerics import SingularMatrixError, SpdMatrix, f_cdf, mahalanobis_sq
 from .oracle import log_weighted_lr
 
 __all__ = [
-    "Augment",
     "DegenerateFitError",
+    "GaussianStatistic",
     "KnnCaches",
     "KnnStatistic",
     "LogisticFit",
     "LogisticStatistic",
-    "PluginStatistic",
     "PooledGaussianFit",
-    "Remove",
-    "Replace",
-    "TypicalityStatistic",
     "default_k",
     "fit_logistic",
     "fit_pooled_gaussian",
-    "gaussian_plugin_statistic",
     "gaussian_update",
     "knn_augmented_counts",
     "knn_fit",
@@ -116,23 +112,6 @@ def fit_pooled_gaussian(d: TrainingSet) -> PooledGaussianFit:
     return PooledGaussianFit(data=d, means=means, sigma=sigma, group_sizes=d.group_sizes)
 
 
-@dataclass(frozen=True)
-class Remove:
-    index: int
-
-
-@dataclass(frozen=True, eq=False)
-class Replace:
-    index: int
-    point: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class Augment:
-    point: np.ndarray
-    label: int
-
-
 def gaussian_update(fit: PooledGaussianFit, edit: Remove | Replace | Augment) -> PooledGaussianFit:
     """Apply a single-point edit to a pooled Gaussian fit in O(q^2).
 
@@ -158,7 +137,6 @@ def gaussian_update(fit: PooledGaussianFit, edit: Remove | Replace | Augment) ->
         scatter = scatter - (big_n / (big_n - 1.0)) * np.outer(dev, dev)
         means[theta - 1] = means[theta - 1] - dev / (big_n - 1.0)
         sizes[theta - 1] -= 1
-        new_data = d.remove(i)
     elif isinstance(edit, Replace):
         i = edit.index
         theta = int(d.labels[i])
@@ -171,7 +149,6 @@ def gaussian_update(fit: PooledGaussianFit, edit: Remove | Replace | Augment) ->
             dev_old = x_i - mean_wo
             scatter = scatter + (1.0 - 1.0 / big_n) * (np.outer(dev_new, dev_new) - np.outer(dev_old, dev_old))
         means[theta - 1] = means[theta - 1] + (x - x_i) / big_n
-        new_data = d.replace(i, x)
     elif isinstance(edit, Augment):
         theta = check_label(edit.label, n_classes)
         x = np.asarray(edit.point, dtype=float)
@@ -180,9 +157,9 @@ def gaussian_update(fit: PooledGaussianFit, edit: Remove | Replace | Augment) ->
         scatter = scatter + np.outer(dev, dev) / (1.0 + 1.0 / big_n)
         means[theta - 1] = means[theta - 1] + dev / (big_n + 1.0)
         sizes[theta - 1] += 1
-        new_data = d.augment(x, theta)
     else:
         raise TypeError(f"unknown edit {edit!r}")
+    new_data = d.edit(edit)
 
     new_n = int(sizes.sum())
     if new_n <= n_classes:
@@ -201,11 +178,6 @@ def log_plugin_statistic(fit: PooledGaussianFit, theta: int, x: np.ndarray) -> n
     check_label(theta, fit.n_classes)
     covs = tuple(fit.sigma for _ in range(fit.n_classes))
     return log_weighted_lr(fit.class_weights, fit.means, covs, theta, x)
-
-
-def gaussian_plugin_statistic(fit: PooledGaussianFit, theta: int, x: np.ndarray) -> float:
-    """Known-model statistic with (N_c/n, fitted means, pooled covariance) plugged in."""
-    return math.exp(log_plugin_statistic(fit, theta, np.asarray(x, dtype=float)))
 
 
 def typicality_index(fit: PooledGaussianFit, theta: int, x: np.ndarray) -> np.ndarray | float:
@@ -497,15 +469,17 @@ def fit_logistic(d: TrainingSet) -> LogisticFit:
 
 
 @dataclass(frozen=True, eq=False)
-class PluginStatistic:
-    """Gaussian plug-in statistic: larger means class theta is less plausible."""
+class GaussianStatistic:
+    """Statistic on the pooled Gaussian fit.
+
+    As the plug-in statistic it evaluates the log weighted likelihood ratio at
+    the fitted parameters: larger means class theta is less plausible. With
+    ``typicality`` set it gives direct F-pivot p-values instead and is not a
+    permutation statistic.
+    """
 
     fit: PooledGaussianFit
-    kind: str = field(default="plugin", init=False)
-
-    @staticmethod
-    def from_data(d: TrainingSet) -> "PluginStatistic":
-        return PluginStatistic(fit_pooled_gaussian(d))
+    typicality: bool = False
 
     @property
     def data(self) -> TrainingSet:
@@ -518,14 +492,11 @@ class PluginStatistic:
     def evaluate_batch(self, theta: int, pts: np.ndarray) -> np.ndarray:
         return np.atleast_1d(log_plugin_statistic(self.fit, theta, np.atleast_2d(pts)))
 
-    def remove(self, i: int) -> "PluginStatistic":
-        return PluginStatistic(gaussian_update(self.fit, Remove(i)))
+    def pvalue(self, theta: int, x: np.ndarray) -> float:
+        return float(typicality_index(self.fit, theta, np.asarray(x, dtype=float)))
 
-    def replace(self, i: int, x: np.ndarray) -> "PluginStatistic":
-        return PluginStatistic(gaussian_update(self.fit, Replace(i, x)))
-
-    def augment(self, x: np.ndarray, theta: int) -> "PluginStatistic":
-        return PluginStatistic(gaussian_update(self.fit, Augment(x, theta)))
+    def edit(self, edit: Remove | Replace | Augment) -> "GaussianStatistic":
+        return GaussianStatistic(gaussian_update(self.fit, edit), self.typicality)
 
 
 @dataclass(frozen=True, eq=False)
@@ -540,16 +511,6 @@ class KnnStatistic:
     k: int
     scaling: str = "none"
     class_weights: tuple[float, ...] | None = None
-    kind: str = field(default="knn", init=False)
-
-    @staticmethod
-    def from_data(
-        d: TrainingSet,
-        k: int | None = None,
-        scaling: str = "none",
-        class_weights: tuple[float, ...] | None = None,
-    ) -> "KnnStatistic":
-        return KnnStatistic(d, k if k is not None else default_k(d.n), scaling, class_weights)
 
     @cached_property
     def caches(self) -> KnnCaches:
@@ -574,17 +535,8 @@ class KnnStatistic:
         check_label(theta, self.data.n_classes)
         return -_knn_weight(self.data, self.k, self.scales, theta, np.atleast_2d(pts), self._weights)
 
-    def _edited(self, d: TrainingSet) -> "KnnStatistic":
-        return KnnStatistic(d, self.k, self.scaling, self.class_weights)
-
-    def remove(self, i: int) -> "KnnStatistic":
-        return self._edited(self.data.remove(i))
-
-    def replace(self, i: int, x: np.ndarray) -> "KnnStatistic":
-        return self._edited(self.data.replace(i, x))
-
-    def augment(self, x: np.ndarray, theta: int) -> "KnnStatistic":
-        return self._edited(self.data.augment(x, theta))
+    def edit(self, edit: Remove | Replace | Augment) -> "KnnStatistic":
+        return KnnStatistic(self.data.edit(edit), self.k, self.scaling, self.class_weights)
 
     def valid_shortcut_values(self, theta: int, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Statistic at x and at every group-theta point, all under the data
@@ -623,11 +575,6 @@ class LogisticStatistic:
     """Signed logistic score: the class-2 logit tests class 1 and vice versa."""
 
     fit: LogisticFit
-    kind: str = field(default="logistic", init=False)
-
-    @staticmethod
-    def from_data(d: TrainingSet) -> "LogisticStatistic":
-        return LogisticStatistic(fit_logistic(d))
 
     @property
     def data(self) -> TrainingSet:
@@ -643,39 +590,5 @@ class LogisticStatistic:
         scores = self.fit.intercept + np.atleast_2d(pts) @ self.fit.coefficients
         return scores if theta == 1 else -scores
 
-    def remove(self, i: int) -> "LogisticStatistic":
-        return LogisticStatistic(fit_logistic(self.data.remove(i)))
-
-    def replace(self, i: int, x: np.ndarray) -> "LogisticStatistic":
-        return LogisticStatistic(fit_logistic(self.data.replace(i, x)))
-
-    def augment(self, x: np.ndarray, theta: int) -> "LogisticStatistic":
-        return LogisticStatistic(fit_logistic(self.data.augment(x, theta)))
-
-
-@dataclass(frozen=True, eq=False)
-class TypicalityStatistic:
-    """Direct F-pivot p-values; not a permutation statistic."""
-
-    fit: PooledGaussianFit
-    kind: str = field(default="typicality", init=False)
-
-    @staticmethod
-    def from_data(d: TrainingSet) -> "TypicalityStatistic":
-        return TypicalityStatistic(fit_pooled_gaussian(d))
-
-    @property
-    def data(self) -> TrainingSet:
-        return self.fit.data
-
-    def pvalue(self, theta: int, x: np.ndarray) -> float:
-        return float(typicality_index(self.fit, theta, np.asarray(x, dtype=float)))
-
-    def remove(self, i: int) -> "TypicalityStatistic":
-        return TypicalityStatistic(gaussian_update(self.fit, Remove(i)))
-
-    def replace(self, i: int, x: np.ndarray) -> "TypicalityStatistic":
-        return TypicalityStatistic(gaussian_update(self.fit, Replace(i, x)))
-
-    def augment(self, x: np.ndarray, theta: int) -> "TypicalityStatistic":
-        return TypicalityStatistic(gaussian_update(self.fit, Augment(x, theta)))
+    def edit(self, edit: Remove | Replace | Augment) -> "LogisticStatistic":
+        return LogisticStatistic(fit_logistic(self.data.edit(edit)))

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StructuralError, TrainingSet, check_label
-from .permutation import PermutationMethod, _pvalue_from_fitted
+from .core import Remove, StructuralError, TrainingSet, check_label
+from .permutation import PermutationMethod, pvalue
 
 __all__ = [
     "CrossValMatrix",
@@ -63,7 +63,7 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
     """Treat each training row in turn as a future observation.
 
     Row i of the result holds the p-values of X_i computed on the training set
-    without row i (via the statistic's remove edit). Requires every class to
+    without row i (via the statistic's ``Remove`` edit). Requires every class to
     keep at least one member after removal.
     """
     if np.any(d.group_sizes < 2):
@@ -74,10 +74,10 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
     base = method.fit(d)
     out = np.empty((d.n, d.n_classes))
     for i in range(d.n):
-        reduced = base.remove(i)
+        reduced = base.edit(Remove(i))
         x = d.features[i]
         for theta in range(1, d.n_classes + 1):
-            out[i, theta - 1] = _pvalue_from_fitted(reduced, method.mode, theta, x)
+            out[i, theta - 1] = pvalue(reduced, method.mode, theta, x)
     return CrossValMatrix(pvalues=out, labels=np.array(d.labels), group_sizes=d.group_sizes, method=method)
 
 

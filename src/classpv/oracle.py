@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import check_label
+from .core import check_label, rank_pvalue
 from .numerics import (
     SpdMatrix,
     chisq_cdf,
@@ -149,9 +149,22 @@ def _log_statistic_batch(model: GaussianMixtureModel, theta: int, pts: np.ndarra
     )
 
 
-def _mc_pvalue(sample_stats: np.ndarray, threshold: float) -> float:
-    count = int(np.count_nonzero(sample_stats >= threshold))
-    return (count + 1) / (sample_stats.size + 1)
+def _mc_pvalue(
+    model: GaussianMixtureModel,
+    theta: int,
+    x: np.ndarray,
+    log_stat: Callable[[np.ndarray], np.ndarray],
+    mc_samples: int,
+    seed: int,
+) -> float:
+    """Rank p-value of log_stat at x among mc_samples seeded class-theta draws.
+
+    log_stat maps an (m, q) batch to m values, larger meaning less plausible.
+    """
+    if mc_samples < 1:
+        raise ValueError("mc_samples must be positive")
+    draws = model.sample(theta, mc_samples, np.random.default_rng(seed))
+    return rank_pvalue(log_stat(draws), float(log_stat(np.asarray(x, dtype=float)[None, :])[0]))
 
 
 def optimal_pvalue_mc(
@@ -168,13 +181,7 @@ def optimal_pvalue_mc(
     keeps the estimate a valid p-value. Deterministic given the seed.
     """
     check_label(theta, model.n_classes)
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be positive")
-    rng = np.random.default_rng(seed)
-    draws = model.sample(theta, mc_samples, rng)
-    stats = _log_statistic_batch(model, theta, draws)
-    threshold = float(log_weighted_lr(model.weights, model.means, model.covariances, theta, x))
-    return _mc_pvalue(stats, threshold)
+    return _mc_pvalue(model, theta, x, lambda pts: _log_statistic_batch(model, theta, pts), mc_samples, seed)
 
 
 class OptimalMonteCarlo:
@@ -269,23 +276,16 @@ def compromise_pvalue(
     check_label(theta, model.n_classes)
     if w0 <= 0.0:
         raise ValueError(f"background weight must be positive, got {w0}")
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be positive")
-    rng = np.random.default_rng(seed)
-    draws = model.sample(theta, mc_samples, rng)
 
-    def score(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
+    def neg_score(pts: np.ndarray) -> np.ndarray:
+        # the score is low where x looks atypical for theta relative to the
+        # padded mixture; negated so that larger means less plausible
         log_dens = np.stack([np.atleast_1d(model.log_density(b, pts)) for b in range(1, model.n_classes + 1)])
         terms = np.vstack([np.log(model.weights)[:, None] + log_dens, np.full((1, pts.shape[0]), math.log(w0))])
         log_mix = np.atleast_1d(log_sum_exp(terms, axis=0))
-        return log_dens[theta - 1] - log_mix
+        return -(log_dens[theta - 1] - log_mix)
 
-    # low score means x looks atypical for theta relative to the padded mixture
-    sample_scores = score(draws)
-    threshold = float(score(np.asarray(x, dtype=float))[0])
-    count = int(np.count_nonzero(sample_scores <= threshold))
-    return (count + 1) / (mc_samples + 1)
+    return _mc_pvalue(model, theta, x, neg_score, mc_samples, seed)
 
 
 def inflated_pvalue(
@@ -304,13 +304,7 @@ def inflated_pvalue(
         raise ValueError(f"inflation factor must exceed 1, got {c}")
     if not model.has_common_covariance():
         raise ValueError("covariance inflation is defined for a common covariance matrix")
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be positive")
-    rng = np.random.default_rng(seed)
-    draws = model.sample(theta, mc_samples, rng)
-    sample_stats = log_inflated_statistic(model, c, theta, draws)
-    threshold = float(log_inflated_statistic(model, c, theta, np.asarray(x, dtype=float)[None, :])[0])
-    return _mc_pvalue(sample_stats, threshold)
+    return _mc_pvalue(model, theta, x, lambda pts: log_inflated_statistic(model, c, theta, pts), mc_samples, seed)
 
 
 def log_inflated_statistic(model: GaussianMixtureModel, c: float, theta: int, pts: np.ndarray) -> np.ndarray:

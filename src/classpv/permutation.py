@@ -27,23 +27,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PValueVector, TrainingSet, check_label
+from .core import Augment, PValueVector, Replace, TrainingSet, check_label, check_point, rank_pvalue
 from .estimators import (
     DegenerateFitError,
+    GaussianStatistic,
     KnnStatistic,
     LogisticStatistic,
-    PluginStatistic,
-    TypicalityStatistic,
+    default_k,
+    fit_logistic,
+    fit_pooled_gaussian,
 )
 
 __all__ = [
     "MODES",
     "PermutationMethod",
     "STATISTICS",
-    "naive_pvalue",
-    "permutation_pvalue",
+    "pvalue",
     "pvalue_vector",
-    "valid_shortcut_pvalue",
 ]
 
 STATISTICS = ("plugin", "knn", "logistic", "typicality")
@@ -74,110 +74,53 @@ class PermutationMethod:
 
     def fit(self, d: TrainingSet):
         """Fit the configured statistic on d."""
-        if self.statistic == "plugin":
-            return PluginStatistic.from_data(d)
         if self.statistic == "knn":
+            k = self.k if self.k is not None else default_k(d.n)
             scaling = "per-feature-sd" if self.scale_features else "none"
-            return KnnStatistic.from_data(d, k=self.k, scaling=scaling, class_weights=self.class_weights)
+            return KnnStatistic(d, k, scaling, self.class_weights)
         if self.statistic == "logistic":
-            return LogisticStatistic.from_data(d)
-        return TypicalityStatistic.from_data(d)
+            return LogisticStatistic(fit_logistic(d))
+        return GaussianStatistic(fit_pooled_gaussian(d), typicality=self.statistic == "typicality")
 
 
-def _count_pvalue(swap_values: np.ndarray, reference: float) -> float:
-    count = int(np.count_nonzero(swap_values >= reference))
-    return (count + 1) / (swap_values.size + 1)
+def pvalue(fitted, mode: str, theta: int, x: np.ndarray) -> float:
+    """P-value for class theta at x from a statistic fitted on the training set.
 
-
-def _exact_swap(fitted, theta: int, x: np.ndarray) -> float:
+    ``exact-swap`` refits once per group member, with that member replaced by
+    x, and evaluates the refit at the member; a degenerate swapped fit aborts
+    the whole p-value (skipping an index would break exchangeability) and the
+    offending swap index rides on the error. ``valid-shortcut`` refits once on
+    the data augmented with (x, theta). ``naive`` compares against the
+    unswapped training statistics. Pass one fit (``PermutationMethod.fit``) to
+    many calls to reuse it across queries.
+    """
     d = fitted.data
+    check_label(theta, d.n_classes)
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if getattr(fitted, "typicality", False):
+        return fitted.pvalue(theta, x)
     group = d.group(theta)
+    if mode == "valid-shortcut":
+        if hasattr(fitted, "valid_shortcut_values"):
+            reference, values = fitted.valid_shortcut_values(theta, x)
+        else:
+            augmented = fitted.edit(Augment(x, theta))
+            reference = augmented.evaluate(theta, x)
+            values = augmented.evaluate_batch(theta, d.features[group])
+        return rank_pvalue(np.asarray(values), reference)
     reference = fitted.evaluate(theta, x)
+    if mode == "naive":
+        return rank_pvalue(np.asarray(fitted.evaluate_batch(theta, d.features[group])), reference)
     values = np.empty(group.size)
     for j, i in enumerate(group):
         try:
-            swapped = fitted.replace(int(i), x)
+            swapped = fitted.edit(Replace(int(i), x))
         except DegenerateFitError as err:
             err.swap_index = int(i)
             raise
         values[j] = swapped.evaluate(theta, d.features[i])
-    return _count_pvalue(values, reference)
-
-
-def _valid_shortcut(fitted, theta: int, x: np.ndarray) -> float:
-    d = fitted.data
-    group = d.group(theta)
-    if hasattr(fitted, "valid_shortcut_values"):
-        reference, values = fitted.valid_shortcut_values(theta, x)
-    else:
-        augmented = fitted.augment(x, theta)
-        reference = augmented.evaluate(theta, x)
-        values = augmented.evaluate_batch(theta, d.features[group])
-    return _count_pvalue(np.asarray(values), reference)
-
-
-def _naive(fitted, theta: int, x: np.ndarray) -> float:
-    d = fitted.data
-    group = d.group(theta)
-    reference = fitted.evaluate(theta, x)
-    values = fitted.evaluate_batch(theta, d.features[group])
-    return _count_pvalue(np.asarray(values), reference)
-
-
-def _pvalue_from_fitted(fitted, mode: str, theta: int, x: np.ndarray) -> float:
-    if isinstance(fitted, TypicalityStatistic):
-        return fitted.pvalue(theta, x)
-    if mode == "exact-swap":
-        return _exact_swap(fitted, theta, x)
-    if mode == "valid-shortcut":
-        return _valid_shortcut(fitted, theta, x)
-    return _naive(fitted, theta, x)
-
-
-def permutation_pvalue(method: PermutationMethod, d: TrainingSet, theta: int, x: np.ndarray) -> float:
-    """Exact-swap permutation p-value for class theta at x.
-
-    For each group member, the statistic is refit on the data with that member
-    replaced by x and evaluated at the member; the count of swapped statistics
-    reaching the statistic of x on the unmodified data gives the p-value. A
-    degenerate swapped fit aborts the whole p-value (skipping an index would
-    break exchangeability); the offending swap index rides on the error.
-    """
-    check_label(theta, d.n_classes)
-    x = np.asarray(x, dtype=float)
-    fitted = method.fit(d)
-    if isinstance(fitted, TypicalityStatistic):
-        return fitted.pvalue(theta, x)
-    return _exact_swap(fitted, theta, x)
-
-
-def valid_shortcut_pvalue(method: PermutationMethod, d: TrainingSet, theta: int, x: np.ndarray) -> float:
-    """Permutation p-value from a single fit on the data augmented with (x, theta).
-
-    Statistically valid at every sample size, like the exact swap, but needs
-    one refit per query instead of one per group member; for the k-NN
-    statistic the whole call is O(n) thanks to the cached-count update rule.
-    """
-    check_label(theta, d.n_classes)
-    x = np.asarray(x, dtype=float)
-    fitted = method.fit(d)
-    if isinstance(fitted, TypicalityStatistic):
-        return fitted.pvalue(theta, x)
-    return _valid_shortcut(fitted, theta, x)
-
-
-def naive_pvalue(method: PermutationMethod, d: TrainingSet, theta: int, x: np.ndarray) -> float:
-    """Shortcut comparing against unswapped training statistics.
-
-    One fit on d serves every comparison. Asymptotically equivalent to the
-    exact swap but NOT guaranteed valid in finite samples.
-    """
-    check_label(theta, d.n_classes)
-    x = np.asarray(x, dtype=float)
-    fitted = method.fit(d)
-    if isinstance(fitted, TypicalityStatistic):
-        return fitted.pvalue(theta, x)
-    return _naive(fitted, theta, x)
+    return rank_pvalue(values, reference)
 
 
 def warn_small_groups(d: TrainingSet, alphas: Sequence[float]) -> None:
@@ -207,12 +150,9 @@ def pvalue_vector(
     queries. With ``alphas`` given, emits a usability warning for groups too
     small to ever be excluded at those levels.
     """
-    x = np.asarray(x, dtype=float)
+    x = check_point(x, d.q)
     if alphas:
         warn_small_groups(d, alphas)
     if fitted is None:
         fitted = method.fit(d)
-    values = np.array(
-        [_pvalue_from_fitted(fitted, method.mode, theta, x) for theta in range(1, d.n_classes + 1)]
-    )
-    return PValueVector(values)
+    return PValueVector(np.array([pvalue(fitted, method.mode, theta, x) for theta in range(1, d.n_classes + 1)]))

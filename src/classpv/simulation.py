@@ -22,7 +22,7 @@ from .oracle import (
     OptimalMonteCarlo,
     optimal_pvalues_2class_closed,
 )
-from .permutation import PermutationMethod, _pvalue_from_fitted
+from .permutation import PermutationMethod, pvalue
 from .estimators import default_k
 
 __all__ = [
@@ -150,7 +150,7 @@ def validity_experiment(cfg: ExperimentConfig) -> ValidityResult:
         for method in cfg.methods:
             fitted = method.fit(d)
             for theta in range(1, model.n_classes + 1):
-                samples[(method.statistic, method.mode, theta)][r] = _pvalue_from_fitted(
+                samples[(method.statistic, method.mode, theta)][r] = pvalue(
                     fitted, method.mode, theta, queries[theta - 1]
                 )
     cells = []
@@ -251,8 +251,8 @@ def convergence_experiment(
         for theta in range(1, model.n_classes + 1):
             star = np.asarray(oracle(theta, queries))
             for j in range(n_queries):
-                gaps_knn.append(abs(_pvalue_from_fitted(knn_fitted, "valid-shortcut", theta, queries[j]) - star[j]))
-                gaps_plugin.append(abs(_pvalue_from_fitted(plugin_fitted, "valid-shortcut", theta, queries[j]) - star[j]))
+                gaps_knn.append(abs(pvalue(knn_fitted, "valid-shortcut", theta, queries[j]) - star[j]))
+                gaps_plugin.append(abs(pvalue(plugin_fitted, "valid-shortcut", theta, queries[j]) - star[j]))
         rows.append(
             ConvergenceRow(
                 n=int(n_total),
@@ -355,5 +355,5 @@ def region_map(
     cube = np.empty((grid.shape[0], training.n_classes))
     for j, point in enumerate(grid):
         for theta in range(1, training.n_classes + 1):
-            cube[j, theta - 1] = _pvalue_from_fitted(fitted, method.mode, theta, point)
+            cube[j, theta - 1] = pvalue(fitted, method.mode, theta, point)
     return RegionMap(xs=xs, ys=ys, pvalues=cube.reshape(ys.size, xs.size, training.n_classes))

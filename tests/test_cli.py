@@ -82,6 +82,33 @@ class TestClassify:
         err = capsys.readouterr().err
         assert "line 3" in err and "f1" in err
 
+    @pytest.mark.parametrize("mode", ["exact-swap", "valid-shortcut", "naive"])
+    @pytest.mark.parametrize("method", ["plugin", "knn", "logistic", "typicality"])
+    def test_nan_query_exit_2_in_every_mode(self, tmp_path, train_csv, capsys, method, mode):
+        train_path, _ = train_csv
+        query = tmp_path / "nan.csv"
+        query.write_text("f1,f2\n0.0,0.0\n0.5,nan\n")
+        rc = main([
+            "classify", "--train", str(train_path), "--label", "label", "--query", str(query),
+            "--method", method, "--mode", mode, "--seed", "1", "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "nan.csv" in err and "line 3" in err and "'f2'" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_training_cell_exit_2(self, tmp_path, capsys):
+        train = tmp_path / "inf.csv"
+        train.write_text("f1,f2,label\n0.0,1.0,a\n\n2.0,-inf,b\n")
+        q = _query_csv(tmp_path, [(0.0, 0.0)])
+        rc = main([
+            "classify", "--train", str(train), "--label", "label", "--query", str(q),
+            "--seed", "1", "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "inf.csv" in err and "line 4" in err and "'f2'" in err
+
     def test_degenerate_training_exit_4(self, tmp_path):
         const = tmp_path / "const.csv"
         const.write_text("f1,f2,label\n1.0,5.0,a\n2.0,5.0,a\n3.0,5.0,b\n4.0,5.0,b\n")
@@ -183,6 +210,18 @@ class TestSimulateAndDeterminism:
         assert rc == 0
         rows = _read_csv(out / "validity.csv")
         assert {r["statistic"] for r in rows} == {"knn"}
+
+    def test_validity_without_method_runs_battery(self, tmp_path):
+        out = tmp_path / "battery"
+        rc = main([
+            "simulate", "validity", "--replications", "3", "--sizes", "6", "6",
+            "--alpha", "0.1", "--seed", "7", "--out", str(out),
+        ])
+        assert rc == 0
+        rows = _read_csv(out / "validity.csv")
+        assert {(r["statistic"], r["mode"]) for r in rows} == {
+            (s, m) for s in ("plugin", "knn", "logistic") for m in ("exact-swap", "valid-shortcut")
+        }
 
     def test_convergence_runs(self, tmp_path):
         out = tmp_path / "conv"

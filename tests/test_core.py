@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from classpv.core import (
+    Augment,
     PValueVector,
+    Remove,
+    Replace,
     StructuralError,
     region_from_pvalues,
     validate_training_set,
@@ -114,6 +117,17 @@ class TestTrainingSet:
         with pytest.raises(ValueError):
             d.augment(np.array([9.0, 9.0]), 5)
 
+    def test_edit_dispatch(self):
+        d = self._small()
+        x = np.array([9.0, 9.0])
+        pairs = ((Remove(0), d.remove(0)), (Replace(1, x), d.replace(1, x)), (Augment(x, 2), d.augment(x, 2)))
+        for edit, expected in pairs:
+            got = d.edit(edit)
+            assert np.array_equal(got.features, expected.features)
+            assert np.array_equal(got.labels, expected.labels)
+        with pytest.raises(TypeError):
+            d.edit(0)
+
 
 class TestPValueVector:
     def test_bounds_checked(self):
@@ -121,6 +135,8 @@ class TestPValueVector:
             PValueVector(np.array([0.5, 1.2]))
         with pytest.raises(ValueError):
             PValueVector(np.array([-0.01, 0.5]))
+        with pytest.raises(ValueError):
+            PValueVector(np.array([0.5, np.nan]))
 
     def test_indexing(self):
         pv = PValueVector(np.array([0.1, 0.9]))

@@ -7,12 +7,12 @@ from classpv import (
     Augment,
     DegenerateFitError,
     GaussianMixtureModel,
+    PermutationMethod,
     Remove,
     Replace,
     SpdMatrix,
     fit_logistic,
     fit_pooled_gaussian,
-    gaussian_plugin_statistic,
     gaussian_update,
     knn_augmented_counts,
     knn_fit,
@@ -24,9 +24,9 @@ from classpv import (
 )
 from classpv.core import TrainingSet
 from classpv.estimators import (
+    GaussianStatistic,
     KnnStatistic,
     LogisticStatistic,
-    PluginStatistic,
     PooledGaussianFit,
     _knn_query_augmented_counts,
     default_k,
@@ -73,7 +73,7 @@ class TestPluginStatistic:
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = rng.normal(size=2) * 2
-            assert gaussian_plugin_statistic(fit, 1, x) == optimal_statistic(model, 1, x)
+            assert math.exp(GaussianStatistic(fit).evaluate(1, x)) == optimal_statistic(model, 1, x)
 
     def test_equidistant_point_gives_one(self):
         d = validate_training_set(
@@ -82,12 +82,12 @@ class TestPluginStatistic:
         fit = fit_pooled_gaussian(d)
         # x on the perpendicular bisector of the two fitted means (diagonal pooled cov)
         assert np.array_equal(fit.means, [[0.5, 1.0], [3.5, 1.0]])
-        assert abs(gaussian_plugin_statistic(fit, 1, np.array([2.0, 1.0])) - 1.0) < 1e-12
-        assert abs(gaussian_plugin_statistic(fit, 2, np.array([2.0, 1.0])) - 1.0) < 1e-12
+        assert abs(math.exp(GaussianStatistic(fit).evaluate(1, np.array([2.0, 1.0]))) - 1.0) < 1e-12
+        assert abs(math.exp(GaussianStatistic(fit).evaluate(2, np.array([2.0, 1.0]))) - 1.0) < 1e-12
 
     def test_group_shuffle_invariance(self, train2):
-        stat = PluginStatistic.from_data(train2)
-        stat_shuffled = PluginStatistic.from_data(_shuffle_group(train2, 2, 9))
+        stat = PermutationMethod("plugin").fit(train2)
+        stat_shuffled = PermutationMethod("plugin").fit(_shuffle_group(train2, 2, 9))
         x = np.array([0.3, 0.4])
         assert stat.evaluate(1, x) == stat_shuffled.evaluate(1, x)
         assert stat.evaluate(2, x) == stat_shuffled.evaluate(2, x)
@@ -335,15 +335,15 @@ class TestLogistic:
             fit_logistic(d)
 
     def test_antisymmetry_exact(self, train2):
-        stat = LogisticStatistic.from_data(train2)
+        stat = PermutationMethod("logistic").fit(train2)
         rng = np.random.default_rng(7)
         for _ in range(10):
             x = rng.normal(size=2)
             assert stat.evaluate(1, x) == -stat.evaluate(2, x)
 
     def test_group_shuffle_invariance(self, train2):
-        a = LogisticStatistic.from_data(train2)
-        b = LogisticStatistic.from_data(_shuffle_group(train2, 1, 13))
+        a = PermutationMethod("logistic").fit(train2)
+        b = PermutationMethod("logistic").fit(_shuffle_group(train2, 1, 13))
         x = np.array([1.0, -0.5])
         assert a.evaluate(1, x) == b.evaluate(1, x)
 
@@ -376,14 +376,14 @@ class TestLogistic:
 
 class TestKnnStatisticSymmetry:
     def test_group_shuffle_invariance_with_scaling(self, train2):
-        a = KnnStatistic.from_data(train2, k=7, scaling="per-feature-sd")
-        b = KnnStatistic.from_data(_shuffle_group(train2, 1, 31), k=7, scaling="per-feature-sd")
+        a = KnnStatistic(train2, 7, "per-feature-sd")
+        b = KnnStatistic(_shuffle_group(train2, 1, 31), 7, "per-feature-sd")
         x = np.array([0.2, 0.6])
         assert a.evaluate(1, x) == b.evaluate(1, x)
         assert a.evaluate(2, x) == b.evaluate(2, x)
 
     def test_query_on_training_point_is_legal(self, train2):
-        stat = KnnStatistic.from_data(train2, k=5)
+        stat = KnnStatistic(train2, 5)
         x = train2.features[4]
         val = stat.evaluate(1, x)
         assert -1.0 <= val <= 0.0

@@ -7,7 +7,7 @@ from classpv import (
     empirical_inclusion,
     empirical_pattern,
     empirical_risk,
-    permutation_pvalue,
+    pvalue_vector,
     roc_curve,
     roc_sup_distance,
     sample_gaussian_mixture,
@@ -35,7 +35,7 @@ class TestCrossval:
         for i in range(d.n):
             reduced = d.remove(i)
             for theta in (1, 2):
-                assert cv.pvalues[i, theta - 1] == permutation_pvalue(method, reduced, theta, d.features[i])
+                assert cv.pvalues[i, theta - 1] == pvalue_vector(method, reduced, d.features[i])[theta]
 
     def test_duplicate_points_same_rows(self, model2):
         d = sample_gaussian_mixture(model2, [6, 6], seed=37)

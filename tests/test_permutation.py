@@ -7,16 +7,15 @@ import pytest
 from classpv import (
     DegenerateFitError,
     PermutationMethod,
+    Replace,
     fit_pooled_gaussian,
-    permutation_pvalue,
+    pvalue,
     pvalue_vector,
     sample_gaussian_mixture,
-    valid_shortcut_pvalue,
     validate_training_set,
 )
 from classpv.core import TrainingSet
 from classpv.estimators import KnnStatistic
-from classpv.permutation import _exact_swap, _naive, _valid_shortcut
 from classpv.oracle import log_weighted_lr
 
 
@@ -26,7 +25,7 @@ class StubStatistic:
 
     data: TrainingSet
     values: dict           # point tuple -> value under the base fit
-    swapped_values: dict = field(default_factory=dict)  # (i, point) -> value after replace(i, ...)
+    swapped_values: dict = field(default_factory=dict)  # (i, point) -> value after Replace(i, ...)
     _swap: tuple = None
 
     def evaluate(self, theta, x):
@@ -38,13 +37,12 @@ class StubStatistic:
     def evaluate_batch(self, theta, pts):
         return np.array([self.evaluate(theta, p) for p in np.atleast_2d(pts)])
 
-    def replace(self, i, x):
+    def edit(self, edit):
+        if not isinstance(edit, Replace):
+            return self
         out = StubStatistic(self.data, self.values, self.swapped_values)
-        out._swap = i
+        out._swap = edit.index
         return out
-
-    def augment(self, x, theta):
-        return self
 
 
 def _stub_data():
@@ -60,31 +58,31 @@ class TestHandCounts:
         values = {(1.0,): 0.0, (2.0,): 0.0, (3.0,): 0.0, (99.0,): 5.0}
         swapped = {(0, (1.0,)): 7.0, (1, (2.0,)): 3.0, (2, (3.0,)): 5.0}
         stub = StubStatistic(d, values, swapped)
-        assert _exact_swap(stub, 1, query) == 0.75
+        assert pvalue(stub, "exact-swap", 1, query) == 0.75
 
     def test_naive_hand_case(self):
         d = _stub_data()
         query = np.array([99.0])
         values = {(1.0,): 7.0, (2.0,): 3.0, (3.0,): 5.0, (99.0,): 5.0}
         stub = StubStatistic(d, values)
-        assert _naive(stub, 1, query) == 0.75
+        assert pvalue(stub, "naive", 1, query) == 0.75
 
     def test_all_equal_gives_one(self):
         d = _stub_data()
         query = np.array([99.0])
         values = {(1.0,): 2.0, (2.0,): 2.0, (3.0,): 2.0, (99.0,): 2.0}
         stub = StubStatistic(d, values)
-        assert _exact_swap(stub, 1, query) == 1.0
-        assert _naive(stub, 1, query) == 1.0
-        assert _valid_shortcut(stub, 1, query) == 1.0
+        assert pvalue(stub, "exact-swap", 1, query) == 1.0
+        assert pvalue(stub, "naive", 1, query) == 1.0
+        assert pvalue(stub, "valid-shortcut", 1, query) == 1.0
 
     def test_strict_maximum_gives_floor(self):
         d = _stub_data()
         query = np.array([99.0])
         values = {(1.0,): 1.0, (2.0,): 2.0, (3.0,): 3.0, (99.0,): 9.0}
         stub = StubStatistic(d, values)
-        assert _naive(stub, 1, query) == 0.25
-        assert _exact_swap(stub, 1, query) == 0.25
+        assert pvalue(stub, "naive", 1, query) == 0.25
+        assert pvalue(stub, "exact-swap", 1, query) == 0.25
 
     def test_fit_insensitive_statistic_naive_equals_swap(self):
         rng = np.random.default_rng(0)
@@ -95,8 +93,8 @@ class TestHandCounts:
                 (1.0,): rng.normal(), (2.0,): rng.normal(), (3.0,): rng.normal(),
                 (99.0,): rng.normal(),
             }
-            stub = StubStatistic(d, values)  # replace() does not alter values
-            assert _naive(stub, 1, query) == _exact_swap(stub, 1, query)
+            stub = StubStatistic(d, values)  # a Replace edit does not alter values
+            assert pvalue(stub, "naive", 1, query) == pvalue(stub, "exact-swap", 1, query)
 
 
 class TestAgainstScratchImplementations:
@@ -106,7 +104,7 @@ class TestAgainstScratchImplementations:
         for _ in range(10):
             x = rng.normal(size=2) * 1.5
             for theta in (1, 2):
-                got = valid_shortcut_pvalue(method, train2, theta, x)
+                got = pvalue_vector(method, train2, x)[theta]
                 # from scratch: fit the augmented data fresh, no update formulas
                 aug = train2.augment(x, theta)
                 fit = fit_pooled_gaussian(aug)
@@ -119,7 +117,7 @@ class TestAgainstScratchImplementations:
                 assert got == expected
 
     def test_knn_shortcut_matches_direct_augmented_evaluation(self, train2):
-        stat = KnnStatistic.from_data(train2, k=9)
+        stat = KnnStatistic(train2, 9)
         rng = np.random.default_rng(5)
         for _ in range(10):
             x = rng.normal(size=2) * 1.5
@@ -142,7 +140,7 @@ class TestAgainstScratchImplementations:
         method = PermutationMethod("plugin", "exact-swap")
         x = np.array([0.8, -0.2])
         theta = 1
-        got = permutation_pvalue(method, train2, theta, x)
+        got = pvalue_vector(method, train2, x)[theta]
         base = fit_pooled_gaussian(train2)
         ref = log_weighted_lr(base.class_weights, base.means, (base.sigma, base.sigma), theta, x)
         count = 0
@@ -233,7 +231,7 @@ class TestValidityQuick:
             rng = np.random.default_rng(children[r])
             d = sample_gaussian_mixture(model2, [15, 15], seed=int(rng.integers(2**31)))
             x = model2.sample(1, 1, rng)[0]
-            hits += valid_shortcut_pvalue(method, d, 1, x) <= alpha
+            hits += pvalue(method.fit(d), method.mode, 1, x) <= alpha
         rate = hits / reps
         assert rate <= alpha + 4.0 * math.sqrt(alpha * (1 - alpha) / reps)
 
@@ -244,8 +242,26 @@ class TestDegenerateSwap:
         method = PermutationMethod("plugin", "exact-swap")
         # swapping x = 0 into the position of the point at 1 flattens class 1
         with pytest.raises(DegenerateFitError) as info:
-            permutation_pvalue(method, d, 1, np.array([0.0]))
+            pvalue_vector(method, d, np.array([0.0]))
         assert info.value.swap_index in (0, 1)
+
+
+def test_non_finite_query_rejected_in_every_mode(train2):
+    for statistic in ("plugin", "knn", "logistic", "typicality"):
+        for mode in ("exact-swap", "valid-shortcut", "naive"):
+            with pytest.raises(ValueError, match="non-finite"):
+                pvalue_vector(PermutationMethod(statistic, mode, k=5), train2, np.array([0.5, np.nan]))
+
+
+def test_pvalue_reuses_fit_and_checks_arguments(train2):
+    method = PermutationMethod("plugin", "exact-swap")
+    fitted = method.fit(train2)
+    x = np.array([0.3, -0.4])
+    assert [pvalue(fitted, method.mode, theta, x) for theta in (1, 2)] == list(pvalue_vector(method, train2, x).values)
+    with pytest.raises(ValueError):
+        pvalue(fitted, "fast", 1, x)
+    with pytest.raises(ValueError):
+        pvalue(fitted, method.mode, 3, x)
 
 
 def test_method_validation():
