@@ -234,9 +234,6 @@ class PValueVector:
         check_label(theta, self.n_classes)
         return float(self.values[theta - 1])
 
-    def as_dict(self) -> dict[int, float]:
-        return {theta: float(v) for theta, v in enumerate(self.values, start=1)}
-
     @staticmethod
     def from_mapping(values: Mapping[int, float]) -> "PValueVector":
         n = len(values)
@@ -260,9 +257,6 @@ class PredictionRegion:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
 
 
 def region_from_pvalues(pvals: PValueVector, alpha: float) -> PredictionRegion:

@@ -1,6 +1,9 @@
 """Fitted test-statistic families for the permutation engine. Each fitted
-statistic takes a single-point edit (``Remove``, ``Replace`` or ``Augment``)
-through one ``edit`` method; the pooled Gaussian fit applies it incrementally.
+statistic scores an (m, q) batch through one ``evaluate(theta, pts)`` and
+takes a single-point edit (``Remove``, ``Replace`` or ``Augment``) through one
+``edit`` method; the pooled Gaussian fit applies it incrementally. Identical
+rows of one ``evaluate`` call get identical bits, because the rank count
+scores the query together with its class and needs their ties exact.
 
 Every fit computes its sums over a canonical row ordering, so the fitted
 statistic is exactly symmetric in each class's training rows: shuffling the
@@ -247,44 +250,33 @@ class KnnCaches:
 
     data: TrainingSet
     k: int
-    scales: np.ndarray          # (q,), 1.0 everywhere when scaling is off
     radius_sq: np.ndarray       # (n,), squared k-th-neighbor radius per point
     radius_km1_sq: np.ndarray   # (n,), squared (k-1)-th radius, 0 for k = 1
     counts_km1: np.ndarray      # (n, L), class counts within the (k-1)-radius
     counts_k: np.ndarray        # (n, L), class counts within the k-radius
 
     def __post_init__(self):
-        for name in ("scales", "radius_sq", "radius_km1_sq", "counts_km1", "counts_k"):
+        for name in ("radius_sq", "radius_km1_sq", "counts_km1", "counts_k"):
             getattr(self, name).setflags(write=False)
 
-    def scaled_features(self) -> np.ndarray:
-        return self.data.features / self.scales
 
-
-def knn_fit(d: TrainingSet, k: int | None = None, scaling: str = "none") -> KnnCaches:
-    """Build the n(1 + 2L) cached numbers driving the O(n) augmented-data rule.
-
-    scaling is "none" or "per-feature-sd"; the latter divides each feature by
-    its sample standard deviation over the full training set.
-    """
+def knn_fit(d: TrainingSet, k: int | None = None) -> KnnCaches:
+    """Build the n(1 + 2L) cached numbers driving the O(n) augmented-data rule,
+    in the unscaled metric."""
     if k is None:
         k = default_k(d.n)
     if not 1 <= k <= d.n:
         raise ValueError(f"k must lie in 1..n={d.n}, got {k}")
-    if scaling not in ("none", "per-feature-sd"):
-        raise ValueError(f"unknown scaling {scaling!r}")
-    scales = _feature_scales(d) if scaling == "per-feature-sd" else np.ones(d.q)
-    scaled = d.features / scales
-    dsq = _sq_dists(scaled, scaled)
+    dsq = _sq_dists(d.features, d.features)
     part = np.partition(dsq, k - 1, axis=1)
     radius_sq = part[:, k - 1]
-    radius_km1_sq = part[:, k - 2] if k >= 2 else np.zeros(d.n)
+    # partition puts the k - 1 smallest entries first, in no particular order
+    radius_km1_sq = part[:, : k - 1].max(axis=1) if k >= 2 else np.zeros(d.n)
     counts_km1 = _ball_counts(dsq, radius_km1_sq, d.labels, d.n_classes)
     counts_k = _ball_counts(dsq, radius_sq, d.labels, d.n_classes)
     return KnnCaches(
         data=d,
         k=k,
-        scales=scales,
         radius_sq=radius_sq,
         radius_km1_sq=radius_km1_sq,
         counts_km1=counts_km1,
@@ -300,38 +292,26 @@ def _ball_counts(dsq: np.ndarray, radius_sq: np.ndarray, labels: np.ndarray, n_c
     return counts
 
 
-def _posterior_from_counts(
-    counts: np.ndarray,
+def _knn_weight(
+    d: TrainingSet,
+    features: np.ndarray,
+    k: int,
     theta: int,
-    group_sizes: np.ndarray,
-    class_weights: np.ndarray | None,
+    pts: np.ndarray,
+    class_weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Posterior weight of class theta from per-class ball counts.
+    """k-NN posterior weight of class theta at each row of pts, with d's rows
+    placed at ``features`` in the same metric; O(n q) per row.
 
     With no explicit class weights this is the plain count ratio; explicit
     weights go through the weighted empirical-measure form.
     """
-    counts = np.atleast_2d(counts)
-    if class_weights is None:
-        return counts[:, theta - 1] / counts.sum(axis=1)
-    rates = class_weights[None, :] * counts / group_sizes[None, :]
-    return rates[:, theta - 1] / rates.sum(axis=1)
-
-
-def _knn_weight(
-    d: TrainingSet,
-    k: int,
-    scales: np.ndarray,
-    theta: int,
-    x: np.ndarray,
-    class_weights: np.ndarray | None,
-) -> np.ndarray:
-    """k-NN posterior weight of class theta at each row of x; O(n q) per row."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float)) / scales
-    dsq = _sq_dists(pts, d.features / scales)
+    dsq = _sq_dists(pts, features)
     radius = np.partition(dsq, k - 1, axis=1)[:, k - 1]
     counts = _ball_counts(dsq, radius, d.labels, d.n_classes)
-    return _posterior_from_counts(counts, theta, d.group_sizes, class_weights)
+    if class_weights is not None:
+        counts = class_weights[None, :] * counts / d.group_sizes[None, :]
+    return counts[:, theta - 1] / counts.sum(axis=1)
 
 
 def knn_posterior(
@@ -345,8 +325,10 @@ def knn_posterior(
     The ball is closed, so distance ties at the boundary radius are all
     included and the neighborhood may hold more than k points.
     """
-    check_label(theta, caches.data.n_classes)
-    out = _knn_weight(caches.data, caches.k, caches.scales, theta, x, class_weights)
+    d = caches.data
+    check_label(theta, d.n_classes)
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    out = _knn_weight(d, d.features, caches.k, theta, pts, class_weights)
     return float(out[0]) if np.asarray(x).ndim == 1 else out
 
 
@@ -357,12 +339,10 @@ def knn_augmented_counts(caches: KnnCaches, x: np.ndarray, theta: int) -> np.nda
     point's cached k-th radius: strictly inside shrinks the ball to the
     (k-1)-radius, an exact tie keeps the k-radius, strictly outside leaves the
     counts untouched; the added point contributes to its own class whenever it
-    is inside. O(n) per new point. Assumes the metric (the cached scales) is
-    held fixed.
+    is inside. O(n) per new point. Assumes the metric is held fixed.
     """
     check_label(theta, caches.data.n_classes)
-    pts = np.asarray(x, dtype=float)[None, :] / caches.scales
-    dsq = _sq_dists(pts, caches.scaled_features())[0]
+    dsq = _sq_dists(np.asarray(x, dtype=float)[None, :], caches.data.features)[0]
     counts = np.array(caches.counts_k, copy=True)
     inside = dsq < caches.radius_sq
     tie = dsq == caches.radius_sq
@@ -373,8 +353,7 @@ def knn_augmented_counts(caches: KnnCaches, x: np.ndarray, theta: int) -> np.nda
 
 def _knn_query_augmented_counts(caches: KnnCaches, x: np.ndarray, theta: int) -> np.ndarray:
     """Class counts in the k-ball of the query x itself within the augmented data."""
-    pts = np.asarray(x, dtype=float)[None, :] / caches.scales
-    dsq = _sq_dists(pts, caches.scaled_features())[0]
+    dsq = _sq_dists(np.asarray(x, dtype=float)[None, :], caches.data.features)[0]
     with_self = np.append(dsq, 0.0)
     radius = np.partition(with_self, caches.k - 1)[caches.k - 1]
     in_ball = dsq <= radius
@@ -485,12 +464,9 @@ class GaussianStatistic:
     def data(self) -> TrainingSet:
         return self.fit.data
 
-    def evaluate(self, theta: int, x: np.ndarray) -> float:
+    def evaluate(self, theta: int, pts: np.ndarray) -> np.ndarray:
         # log scale; only the ordering enters the permutation count
-        return float(log_plugin_statistic(self.fit, theta, np.asarray(x, dtype=float)))
-
-    def evaluate_batch(self, theta: int, pts: np.ndarray) -> np.ndarray:
-        return np.atleast_1d(log_plugin_statistic(self.fit, theta, np.atleast_2d(pts)))
+        return log_plugin_statistic(self.fit, theta, np.atleast_2d(pts))
 
     def pvalue(self, theta: int, x: np.ndarray) -> float:
         return float(typicality_index(self.fit, theta, np.asarray(x, dtype=float)))
@@ -503,71 +479,53 @@ class GaussianStatistic:
 class KnnStatistic:
     """Negative k-NN posterior weight of the hypothesized class.
 
-    Caches are built lazily: plain evaluations need only distances from the
-    query, while the valid-shortcut path uses the cached radii and counts.
+    With ``scale_features`` each feature is divided by its sample standard
+    deviation over the training set. Caches are built lazily: plain
+    evaluations need only distances from the query, while the fixed-metric
+    valid-shortcut path uses the cached radii and counts.
     """
 
     data: TrainingSet
     k: int
-    scaling: str = "none"
-    class_weights: tuple[float, ...] | None = None
+    scale_features: bool = False
 
     @cached_property
     def caches(self) -> KnnCaches:
         # only the valid-shortcut path needs the O(n^2) cache build
-        return knn_fit(self.data, self.k, self.scaling)
+        return knn_fit(self.data, self.k)
 
     @cached_property
     def scales(self) -> np.ndarray:
-        if self.scaling == "per-feature-sd":
-            return _feature_scales(self.data)
-        return np.ones(self.data.q)
+        return _feature_scales(self.data) if self.scale_features else np.ones(self.data.q)
 
-    @property
-    def _weights(self) -> np.ndarray | None:
-        return None if self.class_weights is None else np.asarray(self.class_weights, dtype=float)
-
-    def evaluate(self, theta: int, x: np.ndarray) -> float:
+    def evaluate(self, theta: int, pts: np.ndarray) -> np.ndarray:
         check_label(theta, self.data.n_classes)
-        return -float(_knn_weight(self.data, self.k, self.scales, theta, np.asarray(x, dtype=float), self._weights)[0])
-
-    def evaluate_batch(self, theta: int, pts: np.ndarray) -> np.ndarray:
-        check_label(theta, self.data.n_classes)
-        return -_knn_weight(self.data, self.k, self.scales, theta, np.atleast_2d(pts), self._weights)
+        scaled = np.atleast_2d(pts) / self.scales
+        return -_knn_weight(self.data, self.data.features / self.scales, self.k, theta, scaled)
 
     def edit(self, edit: Remove | Replace | Augment) -> "KnnStatistic":
-        return KnnStatistic(self.data.edit(edit), self.k, self.scaling, self.class_weights)
+        return KnnStatistic(self.data.edit(edit), self.k, self.scale_features)
 
     def valid_shortcut_values(self, theta: int, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Statistic at x and at every group-theta point, all under the data
         augmented with (x, theta).
 
-        With a fixed metric this runs off the cached counts in O(n); with
-        data-driven scaling the scales must be recomputed on the augmented
-        data, so the evaluations are done directly there instead.
+        With a fixed metric this runs off the cached counts in O(n). With
+        feature scaling the scales move with the augmented data, so this is
+        the generic augmented refit instead.
         """
         x = np.asarray(x, dtype=float)
         d = self.data
         group = d.group(theta)
-        aug_sizes = np.array(d.group_sizes, copy=True)
-        aug_sizes[theta - 1] += 1
-        weights = self._weights
-        if self.scaling == "none":
-            caches = self.caches
-            ref_counts = _knn_query_augmented_counts(caches, x, theta)
-            swap_counts = knn_augmented_counts(caches, x, theta)[group]
-            ref = -float(_posterior_from_counts(ref_counts, theta, aug_sizes, weights)[0])
-            swaps = -_posterior_from_counts(swap_counts, theta, aug_sizes, weights)
-            return ref, swaps
-        aug = self.data.augment(x, theta)
-        scales = _feature_scales(aug)
-        scaled = aug.features / scales
-        queries = np.vstack([x[None, :], d.features[group]]) / scales
-        dsq = _sq_dists(queries, scaled)
-        radius = np.partition(dsq, self.k - 1, axis=1)[:, self.k - 1]
-        counts = _ball_counts(dsq, radius, aug.labels, aug.n_classes)
-        vals = -_posterior_from_counts(counts, theta, aug_sizes, weights)
-        return float(vals[0]), vals[1:]
+        if self.scale_features:
+            values = self.edit(Augment(x, theta)).evaluate(theta, np.vstack([x, d.features[group]]))
+            return float(values[0]), values[1:]
+        counts = np.vstack([
+            _knn_query_augmented_counts(self.caches, x, theta),
+            knn_augmented_counts(self.caches, x, theta)[group],
+        ])
+        values = -(counts[:, theta - 1] / counts.sum(axis=1))
+        return float(values[0]), values[1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -580,14 +538,11 @@ class LogisticStatistic:
     def data(self) -> TrainingSet:
         return self.fit.data
 
-    def evaluate(self, theta: int, x: np.ndarray) -> float:
+    def evaluate(self, theta: int, pts: np.ndarray) -> np.ndarray:
         check_label(theta, 2)
-        score = self.fit.intercept + float(self.fit.coefficients @ np.asarray(x, dtype=float))
-        return score if theta == 1 else -score
-
-    def evaluate_batch(self, theta: int, pts: np.ndarray) -> np.ndarray:
-        check_label(theta, 2)
-        scores = self.fit.intercept + np.atleast_2d(pts) @ self.fit.coefficients
+        # an elementwise row sum, not a matrix product: BLAS may round identical
+        # rows of one batch differently, and the rank count needs them equal
+        scores = self.fit.intercept + np.sum(np.atleast_2d(pts) * self.fit.coefficients, axis=1)
         return scores if theta == 1 else -scores
 
     def edit(self, edit: Remove | Replace | Augment) -> "LogisticStatistic":

@@ -127,7 +127,6 @@ class RocCurve:
 
     breakpoints: np.ndarray  # sorted distinct p-values
     values: np.ndarray       # curve value at each breakpoint
-    n_points: int
 
     def __post_init__(self):
         self.breakpoints.setflags(write=False)
@@ -144,7 +143,7 @@ class RocCurve:
         pvalues = np.sort(np.asarray(pvalues, dtype=float))
         breakpoints, last_index = np.unique(pvalues, return_index=True)
         counts = np.append(last_index[1:], pvalues.size)
-        return RocCurve(breakpoints=breakpoints, values=counts / pvalues.size, n_points=pvalues.size)
+        return RocCurve(breakpoints=breakpoints, values=counts / pvalues.size)
 
 
 def roc_curve(cv: CrossValMatrix, b: int, theta: int) -> RocCurve:

@@ -143,12 +143,6 @@ def optimal_statistic(model: GaussianMixtureModel, theta: int, x: np.ndarray) ->
     )
 
 
-def _log_statistic_batch(model: GaussianMixtureModel, theta: int, pts: np.ndarray) -> np.ndarray:
-    return np.atleast_1d(
-        log_weighted_lr(model.weights, model.means, model.covariances, theta, pts)
-    )
-
-
 def _mc_pvalue(
     model: GaussianMixtureModel,
     theta: int,
@@ -181,7 +175,11 @@ def optimal_pvalue_mc(
     keeps the estimate a valid p-value. Deterministic given the seed.
     """
     check_label(theta, model.n_classes)
-    return _mc_pvalue(model, theta, x, lambda pts: _log_statistic_batch(model, theta, pts), mc_samples, seed)
+    return _mc_pvalue(
+        model, theta, x,
+        lambda pts: log_weighted_lr(model.weights, model.means, model.covariances, theta, pts),
+        mc_samples, seed,
+    )
 
 
 class OptimalMonteCarlo:
@@ -209,27 +207,26 @@ class OptimalMonteCarlo:
         for theta in range(1, model.n_classes + 1):
             rng = np.random.default_rng(children[theta - 1])
             draws = model.sample(theta, mc_samples, rng)
-            self._sorted_stats.append(np.sort(_log_statistic_batch(model, theta, draws)))
+            self._sorted_stats.append(
+                np.sort(log_weighted_lr(model.weights, model.means, model.covariances, theta, draws))
+            )
 
-    def pvalue(self, theta: int, x: np.ndarray) -> float:
-        return float(self.pvalues(theta, np.asarray(x, dtype=float)[None, :])[0])
-
-    def pvalues(self, theta: int, x: np.ndarray) -> np.ndarray:
-        """Optimal p-values for class theta at each row of x."""
+    def pvalues(self, theta: int, x: np.ndarray) -> np.ndarray | float:
+        """Optimal p-values for class theta at x, a single point (q,) or each
+        row of a batch (m, q)."""
         check_label(theta, self.model.n_classes)
         stats = self._sorted_stats[theta - 1]
-        thresholds = _log_statistic_batch(self.model, theta, np.asarray(x, dtype=float))
+        model = self.model
+        thresholds = log_weighted_lr(model.weights, model.means, model.covariances, theta, x)
         below = np.searchsorted(stats, thresholds, side="left")
         return (stats.size - below + 1.0) / (stats.size + 1.0)
 
 
-def optimal_pvalue_2class_closed(model: GaussianMixtureModel, theta: int, x: np.ndarray) -> float:
-    """Closed-form optimal p-value for two classes with a common covariance."""
-    pv = optimal_pvalues_2class_closed(model, theta, np.asarray(x, dtype=float)[None, :])
-    return float(pv[0])
+def optimal_pvalue_2class_closed(model: GaussianMixtureModel, theta: int, x: np.ndarray) -> np.ndarray | float:
+    """Closed-form optimal p-value for two classes with a common covariance.
 
-
-def optimal_pvalues_2class_closed(model: GaussianMixtureModel, theta: int, x: np.ndarray) -> np.ndarray:
+    x may be a single point (q,) or a batch (m, q).
+    """
     if model.n_classes != 2:
         raise ValueError("closed form requires exactly two classes")
     check_label(theta, 2)
@@ -241,14 +238,16 @@ def optimal_pvalues_2class_closed(model: GaussianMixtureModel, theta: int, x: np
     if delta_sq <= 0.0:
         raise ValueError("class means coincide; the discriminant direction is undefined")
     delta = math.sqrt(delta_sq)
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(x)
     midpoint = 0.5 * (mu1 + mu2)
     # z(x) = (x - midpoint)^T Sigma^{-1} (mu2 - mu1) / delta via two triangular solves
     y_dir = solve_lower(cov.chol_lower, mu2 - mu1)
     y_pts = solve_lower(cov.chol_lower, (pts - midpoint).T)
     z = (y_dir @ y_pts) / delta
     sign = -1.0 if theta == 1 else 1.0
-    return np.array([std_normal_cdf(sign * zi - 0.5 * delta) for zi in np.atleast_1d(z)])
+    out = np.array([std_normal_cdf(sign * zi - 0.5 * delta) for zi in z])
+    return float(out[0]) if x.ndim == 1 else out
 
 
 def typicality_known(model: GaussianMixtureModel, theta: int, x: np.ndarray) -> float:

@@ -64,7 +64,6 @@ class PermutationMethod:
     mode: str = "valid-shortcut"
     k: int | None = None
     scale_features: bool = False
-    class_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.statistic not in STATISTICS:
@@ -76,8 +75,7 @@ class PermutationMethod:
         """Fit the configured statistic on d."""
         if self.statistic == "knn":
             k = self.k if self.k is not None else default_k(d.n)
-            scaling = "per-feature-sd" if self.scale_features else "none"
-            return KnnStatistic(d, k, scaling, self.class_weights)
+            return KnnStatistic(d, k, self.scale_features)
         if self.statistic == "logistic":
             return LogisticStatistic(fit_logistic(d))
         return GaussianStatistic(fit_pooled_gaussian(d), typicality=self.statistic == "typicality")
@@ -93,6 +91,12 @@ def pvalue(fitted, mode: str, theta: int, x: np.ndarray) -> float:
     the data augmented with (x, theta). ``naive`` compares against the
     unswapped training statistics. Pass one fit (``PermutationMethod.fit``) to
     many calls to reuse it across queries.
+
+    The fitted statistic's ``evaluate(theta, pts)`` maps an (m, q) batch to m
+    values, larger meaning class theta is less plausible. It must be symmetric
+    in the class's training rows and give identical rows of one call
+    identical bits: outside exact-swap, x and the class-theta rows are scored
+    in one call, so a member equal to x ties with it in the ``>=`` count.
     """
     d = fitted.data
     check_label(theta, d.n_classes)
@@ -100,27 +104,26 @@ def pvalue(fitted, mode: str, theta: int, x: np.ndarray) -> float:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if getattr(fitted, "typicality", False):
         return fitted.pvalue(theta, x)
+    x = np.asarray(x, dtype=float)
     group = d.group(theta)
+    if mode == "exact-swap":
+        reference = fitted.evaluate(theta, x[None, :])[0]
+        values = np.empty(group.size)
+        for j, i in enumerate(group):
+            try:
+                swapped = fitted.edit(Replace(int(i), x))
+            except DegenerateFitError as err:
+                err.swap_index = int(i)
+                raise
+            values[j] = swapped.evaluate(theta, d.features[i][None, :])[0]
+        return rank_pvalue(values, reference)
     if mode == "valid-shortcut":
         if hasattr(fitted, "valid_shortcut_values"):
             reference, values = fitted.valid_shortcut_values(theta, x)
-        else:
-            augmented = fitted.edit(Augment(x, theta))
-            reference = augmented.evaluate(theta, x)
-            values = augmented.evaluate_batch(theta, d.features[group])
-        return rank_pvalue(np.asarray(values), reference)
-    reference = fitted.evaluate(theta, x)
-    if mode == "naive":
-        return rank_pvalue(np.asarray(fitted.evaluate_batch(theta, d.features[group])), reference)
-    values = np.empty(group.size)
-    for j, i in enumerate(group):
-        try:
-            swapped = fitted.edit(Replace(int(i), x))
-        except DegenerateFitError as err:
-            err.swap_index = int(i)
-            raise
-        values[j] = swapped.evaluate(theta, d.features[i])
-    return rank_pvalue(values, reference)
+            return rank_pvalue(values, reference)
+        fitted = fitted.edit(Augment(x, theta))
+    values = fitted.evaluate(theta, np.vstack([x, d.features[group]]))
+    return rank_pvalue(values[1:], values[0])
 
 
 def warn_small_groups(d: TrainingSet, alphas: Sequence[float]) -> None:
@@ -141,18 +144,14 @@ def pvalue_vector(
     method: PermutationMethod,
     d: TrainingSet,
     x: np.ndarray,
-    alphas: Sequence[float] | None = None,
     fitted=None,
 ) -> PValueVector:
     """P-values for every class at the query point x, per the method's mode.
 
     Pass ``fitted`` (from ``method.fit(d)``) to reuse one fit across many
-    queries. With ``alphas`` given, emits a usability warning for groups too
-    small to ever be excluded at those levels.
+    queries.
     """
     x = check_point(x, d.q)
-    if alphas:
-        warn_small_groups(d, alphas)
     if fitted is None:
         fitted = method.fit(d)
     return PValueVector(np.array([pvalue(fitted, method.mode, theta, x) for theta in range(1, d.n_classes + 1)]))

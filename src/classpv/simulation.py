@@ -20,7 +20,7 @@ from .numerics import SpdMatrix
 from .oracle import (
     GaussianMixtureModel,
     OptimalMonteCarlo,
-    optimal_pvalues_2class_closed,
+    optimal_pvalue_2class_closed,
 )
 from .permutation import PermutationMethod, pvalue
 from .estimators import default_k
@@ -205,7 +205,7 @@ class ConvergenceRow:
 
 def _oracle_evaluator(model: GaussianMixtureModel, mc_samples: int, seed: int | np.random.SeedSequence):
     if model.n_classes == 2 and model.has_common_covariance():
-        return lambda theta, pts: optimal_pvalues_2class_closed(model, theta, pts)
+        return lambda theta, pts: optimal_pvalue_2class_closed(model, theta, pts)
     shared = OptimalMonteCarlo(model, mc_samples=mc_samples, seed=seed)
     return shared.pvalues
 

@@ -73,7 +73,7 @@ class TestPluginStatistic:
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = rng.normal(size=2) * 2
-            assert math.exp(GaussianStatistic(fit).evaluate(1, x)) == optimal_statistic(model, 1, x)
+            assert math.exp(GaussianStatistic(fit).evaluate(1, [x])[0]) == optimal_statistic(model, 1, x)
 
     def test_equidistant_point_gives_one(self):
         d = validate_training_set(
@@ -82,15 +82,15 @@ class TestPluginStatistic:
         fit = fit_pooled_gaussian(d)
         # x on the perpendicular bisector of the two fitted means (diagonal pooled cov)
         assert np.array_equal(fit.means, [[0.5, 1.0], [3.5, 1.0]])
-        assert abs(math.exp(GaussianStatistic(fit).evaluate(1, np.array([2.0, 1.0]))) - 1.0) < 1e-12
-        assert abs(math.exp(GaussianStatistic(fit).evaluate(2, np.array([2.0, 1.0]))) - 1.0) < 1e-12
+        assert abs(math.exp(GaussianStatistic(fit).evaluate(1, [[2.0, 1.0]])[0]) - 1.0) < 1e-12
+        assert abs(math.exp(GaussianStatistic(fit).evaluate(2, [[2.0, 1.0]])[0]) - 1.0) < 1e-12
 
     def test_group_shuffle_invariance(self, train2):
         stat = PermutationMethod("plugin").fit(train2)
         stat_shuffled = PermutationMethod("plugin").fit(_shuffle_group(train2, 2, 9))
         x = np.array([0.3, 0.4])
-        assert stat.evaluate(1, x) == stat_shuffled.evaluate(1, x)
-        assert stat.evaluate(2, x) == stat_shuffled.evaluate(2, x)
+        assert stat.evaluate(1, [x])[0] == stat_shuffled.evaluate(1, [x])[0]
+        assert stat.evaluate(2, [x])[0] == stat_shuffled.evaluate(2, [x])[0]
 
 
 class TestTypicalityIndex:
@@ -200,21 +200,23 @@ class TestKnnFit:
 
     def test_caches_match_brute_force(self):
         rng = np.random.default_rng(23)
-        feats = rng.normal(size=(50, 3))
         labels = rng.integers(1, 4, size=50)
         labels[:3] = [1, 2, 3]
-        d = TrainingSet(feats, labels, 3, ("1", "2", "3"))
-        k = 7
-        caches = knn_fit(d, k=k)
-        for i in range(d.n):
-            dsq = np.sum((feats - feats[i]) ** 2, axis=1)
-            order = np.sort(dsq)
-            assert caches.radius_sq[i] == order[k - 1]
-            assert caches.radius_km1_sq[i] == order[k - 2]
-            for b in (1, 2, 3):
-                assert caches.counts_k[i, b - 1] == np.sum((dsq <= order[k - 1]) & (labels == b))
-                assert caches.counts_km1[i, b - 1] == np.sum((dsq <= order[k - 2]) & (labels == b))
-        assert np.all(caches.counts_k.sum(axis=1) >= k)
+        small = TrainingSet(rng.normal(size=(50, 3)), labels, 3, ("1", "2", "3"))
+        # large enough for np.partition to leave the (k-1)-th slot unsorted in some row
+        alternating = np.arange(400) % 2 + 1
+        big = TrainingSet(np.random.default_rng(2).standard_normal((400, 2)), alternating, 2, ("1", "2"))
+        for d, k in ((small, 7), (big, default_k(400))):
+            caches = knn_fit(d, k=k)
+            for i in range(d.n):
+                dsq = np.sum((d.features - d.features[i]) ** 2, axis=1)
+                order = np.sort(dsq)
+                assert caches.radius_sq[i] == order[k - 1]
+                assert caches.radius_km1_sq[i] == order[k - 2]
+                for b in range(1, d.n_classes + 1):
+                    assert caches.counts_k[i, b - 1] == np.sum((dsq <= order[k - 1]) & (d.labels == b))
+                    assert caches.counts_km1[i, b - 1] == np.sum((dsq <= order[k - 2]) & (d.labels == b))
+            assert np.all(caches.counts_k.sum(axis=1) >= k)
 
     def test_k_out_of_range(self, train2):
         with pytest.raises(ValueError):
@@ -226,8 +228,8 @@ class TestKnnFit:
         feats = np.column_stack([np.arange(6.0), np.full(6, 3.0)])
         d = TrainingSet(feats, np.array([1, 1, 1, 2, 2, 2]), 2, ("1", "2"))
         with pytest.warns(UserWarning, match="zero variance"):
-            caches = knn_fit(d, k=2, scaling="per-feature-sd")
-        assert caches.scales[1] == 1.0
+            scales = KnnStatistic(d, 2, scale_features=True).scales
+        assert scales[1] == 1.0
 
     def test_default_k_rule(self):
         assert default_k(1000) == math.ceil(1000 ** (2 / 3))
@@ -327,7 +329,7 @@ class TestLogistic:
         fit = fit_logistic(d)
         assert fit.separated
         stat = LogisticStatistic(fit)
-        assert stat.evaluate(1, np.array([1.5])) > stat.evaluate(1, np.array([-1.5]))
+        assert stat.evaluate(1, [[1.5]])[0] > stat.evaluate(1, [[-1.5]])[0]
 
     def test_requires_two_classes(self, model22):
         d = sample_gaussian_mixture(model22, [5, 5, 5], seed=2)
@@ -339,13 +341,13 @@ class TestLogistic:
         rng = np.random.default_rng(7)
         for _ in range(10):
             x = rng.normal(size=2)
-            assert stat.evaluate(1, x) == -stat.evaluate(2, x)
+            assert stat.evaluate(1, [x])[0] == -stat.evaluate(2, [x])[0]
 
     def test_group_shuffle_invariance(self, train2):
         a = PermutationMethod("logistic").fit(train2)
         b = PermutationMethod("logistic").fit(_shuffle_group(train2, 1, 13))
         x = np.array([1.0, -0.5])
-        assert a.evaluate(1, x) == b.evaluate(1, x)
+        assert a.evaluate(1, [x])[0] == b.evaluate(1, [x])[0]
 
     def test_ridge_fallback_on_collinear_design(self):
         # duplicated feature column makes the weighted normal equations singular
@@ -376,14 +378,39 @@ class TestLogistic:
 
 class TestKnnStatisticSymmetry:
     def test_group_shuffle_invariance_with_scaling(self, train2):
-        a = KnnStatistic(train2, 7, "per-feature-sd")
-        b = KnnStatistic(_shuffle_group(train2, 1, 31), 7, "per-feature-sd")
+        a = KnnStatistic(train2, 7, scale_features=True)
+        b = KnnStatistic(_shuffle_group(train2, 1, 31), 7, scale_features=True)
         x = np.array([0.2, 0.6])
-        assert a.evaluate(1, x) == b.evaluate(1, x)
-        assert a.evaluate(2, x) == b.evaluate(2, x)
+        assert a.evaluate(1, [x])[0] == b.evaluate(1, [x])[0]
+        assert a.evaluate(2, [x])[0] == b.evaluate(2, [x])[0]
 
     def test_query_on_training_point_is_legal(self, train2):
         stat = KnnStatistic(train2, 5)
         x = train2.features[4]
-        val = stat.evaluate(1, x)
+        val = stat.evaluate(1, [x])[0]
         assert -1.0 <= val <= 0.0
+
+
+@pytest.mark.parametrize("statistic", ["plugin", "logistic", "knn", "knn-scaled"])
+def test_identical_rows_in_one_call_get_identical_bits(statistic):
+    # the rank count scores the query with its class in one evaluate call, so a
+    # training row equal to the query must tie with it exactly
+    rng = np.random.default_rng(41)
+    for m in (7, 33, 101):
+        for q in (2, 4, 8):
+            for _ in range(5):
+                scale = 10.0 ** rng.uniform(-2, 2, size=q)
+                feats = rng.normal(size=(40, q)) * scale
+                d = TrainingSet(feats, np.array([1] * 20 + [2] * 20), 2, ("1", "2"))
+                if statistic == "plugin":
+                    stat = GaussianStatistic(fit_pooled_gaussian(d))
+                elif statistic == "logistic":
+                    stat = LogisticStatistic(fit_logistic(d))
+                else:
+                    stat = KnnStatistic(d, 5, scale_features=statistic == "knn-scaled")
+                distinct = rng.normal(size=(5, q)) * scale
+                which = rng.integers(0, 5, size=m)
+                for theta in (1, 2):
+                    values = stat.evaluate(theta, distinct[which])
+                    for r in range(5):
+                        assert np.unique(values[which == r].view(np.uint64)).size <= 1, (m, q, r)

@@ -106,9 +106,7 @@ class TestOptimalPvalueMc:
         m = 20_000
         rng = np.random.default_rng(23)
         draws = model2.sample(1, m, rng)
-        from classpv.oracle import optimal_pvalues_2class_closed
-
-        pvs = optimal_pvalues_2class_closed(model2, 1, draws)
+        pvs = optimal_pvalue_2class_closed(model2, 1, draws)
         for alpha in (0.05, 0.25, 0.5):
             rate = float(np.mean(pvs <= alpha))
             assert abs(rate - alpha) <= 3.0 * math.sqrt(alpha * (1 - alpha) / m)
@@ -264,7 +262,7 @@ class TestRisk:
     def test_optimal_beats_typicality(self, model22):
         m = 1500
         shared = OptimalMonteCarlo(model22, mc_samples=20_000, seed=77)
-        r_opt = risk_alpha(shared.pvalue, model22, 0.05, mc_samples=m, seed=55)
+        r_opt = risk_alpha(shared.pvalues, model22, 0.05, mc_samples=m, seed=55)
         r_typ = risk_alpha(lambda t, x: typicality_known(model22, t, x), model22, 0.05, mc_samples=m, seed=55)
         two_se = 2.0 * math.sqrt(3.0) * math.sqrt(0.25 / m)
         assert r_opt.total <= r_typ.total + two_se
@@ -278,7 +276,7 @@ class TestSharedSampleEvaluator:
             for _ in range(5):
                 x = model2.sample(theta, 1, rng)[0]
                 closed = optimal_pvalue_2class_closed(model2, theta, x)
-                assert abs(shared.pvalue(theta, x) - closed) <= 3.0 * math.sqrt(
+                assert abs(shared.pvalues(theta, x) - closed) <= 3.0 * math.sqrt(
                     closed * (1 - closed) / 20_000
                 ) + 2.0 / 20_000
 
@@ -287,7 +285,7 @@ class TestSharedSampleEvaluator:
         pts = np.random.default_rng(5).normal(size=(6, 2))
         batch = shared.pvalues(2, pts)
         for j in range(6):
-            assert batch[j] == shared.pvalue(2, pts[j])
+            assert batch[j] == shared.pvalues(2, pts[j])
 
 
 def test_model_validation():

@@ -17,6 +17,7 @@ from classpv import (
 from classpv.core import TrainingSet
 from classpv.estimators import KnnStatistic
 from classpv.oracle import log_weighted_lr
+from classpv.permutation import warn_small_groups
 
 
 @dataclass(eq=False)
@@ -28,14 +29,9 @@ class StubStatistic:
     swapped_values: dict = field(default_factory=dict)  # (i, point) -> value after Replace(i, ...)
     _swap: tuple = None
 
-    def evaluate(self, theta, x):
-        key = tuple(np.asarray(x, dtype=float))
-        if self._swap is not None and (self._swap, key) in self.swapped_values:
-            return self.swapped_values[(self._swap, key)]
-        return self.values[key]
-
-    def evaluate_batch(self, theta, pts):
-        return np.array([self.evaluate(theta, p) for p in np.atleast_2d(pts)])
+    def evaluate(self, theta, pts):
+        keys = [tuple(p) for p in np.atleast_2d(np.asarray(pts, dtype=float))]
+        return np.array([self.swapped_values.get((self._swap, key), self.values[key]) for key in keys])
 
     def edit(self, edit):
         if not isinstance(edit, Replace):
@@ -207,7 +203,7 @@ class TestPvalueVector:
     def test_small_group_warning(self, train2):
         method = PermutationMethod("plugin", "naive")
         with pytest.warns(UserWarning, match="never"):
-            pvalue_vector(method, train2, np.zeros(2), alphas=[0.01])
+            warn_small_groups(train2, [0.01])
 
     def test_typicality_dispatch(self, train2):
         method = PermutationMethod("typicality")
@@ -216,6 +212,22 @@ class TestPvalueVector:
         from classpv import typicality_index
 
         assert pv[1] == typicality_index(fit, 1, train2.features[0])
+
+
+@pytest.mark.parametrize("statistic", ["plugin", "knn", "logistic"])
+@pytest.mark.parametrize("mode", ["valid-shortcut", "naive"])
+def test_training_row_as_query_ties_with_itself(statistic, mode):
+    # a query equal to a class-theta row reaches that row's statistic, so it
+    # never gets the floor p-value 1/(N+1)
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        q = 3 + seed % 4
+        feats = rng.normal(size=(30, q)) * 10.0 ** rng.uniform(-2, 2, size=q)
+        d = TrainingSet(feats, np.array([1] * 15 + [2] * 15), 2, ("1", "2"))
+        fitted = PermutationMethod(statistic, mode, k=5).fit(d)
+        for i in range(d.n):
+            theta = int(d.labels[i])
+            assert pvalue(fitted, mode, theta, feats[i]) >= 2 / 16, (seed, i)
 
 
 class TestValidityQuick:

@@ -10,7 +10,7 @@ from classpv import (
     sample_gaussian_mixture,
     validity_experiment,
 )
-from classpv.oracle import optimal_pvalues_2class_closed
+from classpv.oracle import optimal_pvalue_2class_closed
 from classpv.simulation import (
     REGION_COLORS_3,
     code_members,
@@ -137,7 +137,7 @@ class TestRegionMap:
         assert rmap.pvalues.shape == (5, 7, 2)
         grid = np.array([[x, y] for y in ys for x in xs])
         for theta in (1, 2):
-            closed = optimal_pvalues_2class_closed(model2, theta, grid).reshape(5, 7)
+            closed = optimal_pvalue_2class_closed(model2, theta, grid).reshape(5, 7)
             assert np.array_equal(rmap.pvalues[:, :, theta - 1], closed)
 
     def test_monotone_nesting(self, model22):
