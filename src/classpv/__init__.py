@@ -11,6 +11,7 @@ from .core import (
     Augment,
     PredictionRegion,
     PValueVector,
+    Relabel,
     Remove,
     Replace,
     StructuralError,

@@ -205,7 +205,7 @@ def cmd_crossval(args) -> int:
     d, _ = _load_training(args)
     method = _method_from(args)
     alphas = args.alpha
-    warn_small_groups(d, alphas)
+    warn_small_groups(d, alphas, left_out=1)
     cv = crossval_pvalues(d, method)
     out = Path(args.out)
 

@@ -17,6 +17,7 @@ __all__ = [
     "Augment",
     "PredictionRegion",
     "PValueVector",
+    "Relabel",
     "Remove",
     "Replace",
     "StructuralError",
@@ -48,6 +49,15 @@ class Replace:
 @dataclass(frozen=True, eq=False)
 class Augment:
     point: np.ndarray
+    label: int
+
+
+@dataclass(frozen=True)
+class Relabel:
+    """Give row ``index`` the label ``label``. Removing row i and adding
+    (X_i, theta) gives the same multiset, D with y_i := theta."""
+
+    index: int
     label: int
 
 
@@ -115,13 +125,15 @@ class TrainingSet:
 
     # Single-point edits used by permutation tests and cross-validation.
 
-    def edit(self, edit: Remove | Replace | Augment) -> "TrainingSet":
+    def edit(self, edit: Remove | Replace | Augment | Relabel) -> "TrainingSet":
         if isinstance(edit, Remove):
             return self.remove(edit.index)
         if isinstance(edit, Replace):
             return self.replace(edit.index, edit.point)
         if isinstance(edit, Augment):
             return self.augment(edit.point, edit.label)
+        if isinstance(edit, Relabel):
+            return self.relabel(edit.index, edit.label)
         raise TypeError(f"unknown edit {edit!r}")
 
     def remove(self, i: int) -> "TrainingSet":
@@ -144,6 +156,21 @@ class TrainingSet:
         features = np.vstack([self.features, check_point(x, self.q)[None, :]])
         labels = np.append(self.labels, np.int64(theta))
         return TrainingSet(features, labels, self.n_classes, self.label_names)
+
+    def relabel(self, i: int, theta: int) -> "TrainingSet":
+        """Row i moved to class theta; the read-only features are shared, only
+        the labels are copied."""
+        check_label(theta, self.n_classes)
+        old = int(self.labels[i])
+        if old == theta:
+            raise ValueError(f"row {i} already has label {theta}")
+        if self.group(old).size == 1:
+            raise StructuralError(
+                f"relabelling row {i} would empty class {self.name_of(old)!r}"
+            )
+        labels = np.array(self.labels, copy=True)
+        labels[i] = theta
+        return TrainingSet(self.features, labels, self.n_classes, self.label_names)
 
 
 def check_point(x: np.ndarray, q: int) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Fitted test-statistic families for the permutation engine. Each fitted
-statistic scores an (m, q) batch through one ``evaluate(theta, pts)`` and
-takes a single-point edit (``Remove``, ``Replace`` or ``Augment``) through one
-``edit`` method; the pooled Gaussian fit applies it incrementally. Identical
-rows of one ``evaluate`` call get identical bits, because the rank count
-scores the query together with its class and needs their ties exact.
+statistic scores an (m, q) batch through one ``evaluate(theta, pts)``, scores
+its own training rows through ``evaluate_rows(theta, rows)``, and takes a
+single-point edit (``Remove``, ``Replace``, ``Augment`` or ``Relabel``)
+through one ``edit`` method; the pooled Gaussian fit applies it
+incrementally, and the k-NN caches carry over a relabel. Identical rows of
+one ``evaluate`` call get identical bits, because the rank count scores the
+query together with its class and needs their ties exact.
 
 Every fit computes its sums over a canonical row ordering, so the fitted
 statistic is exactly symmetric in each class's training rows: shuffling the
@@ -16,12 +18,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .core import Augment, Remove, Replace, TrainingSet, check_label
+from .core import Augment, Relabel, Remove, Replace, TrainingSet, check_label
 from .numerics import SingularMatrixError, SpdMatrix, f_cdf, mahalanobis_sq
 from .oracle import log_weighted_lr
 
@@ -115,7 +117,7 @@ def fit_pooled_gaussian(d: TrainingSet) -> PooledGaussianFit:
     return PooledGaussianFit(data=d, means=means, sigma=sigma, group_sizes=d.group_sizes)
 
 
-def gaussian_update(fit: PooledGaussianFit, edit: Remove | Replace | Augment) -> PooledGaussianFit:
+def gaussian_update(fit: PooledGaussianFit, edit: Remove | Replace | Augment | Relabel) -> PooledGaussianFit:
     """Apply a single-point edit to a pooled Gaussian fit in O(q^2).
 
     The result matches a from-scratch refit of the edited data to within
@@ -124,6 +126,7 @@ def gaussian_update(fit: PooledGaussianFit, edit: Remove | Replace | Augment) ->
     DegenerateFitError.
     """
     d = fit.data
+    new_data = d.edit(edit)  # validates the edit
     n, n_classes = fit.n, fit.n_classes
     scatter = (n - n_classes) * fit.sigma.matrix
     means = np.array(fit.means, copy=True)
@@ -133,8 +136,6 @@ def gaussian_update(fit: PooledGaussianFit, edit: Remove | Replace | Augment) ->
         i = edit.index
         theta = int(d.labels[i])
         big_n = int(sizes[theta - 1])
-        if big_n < 2:
-            raise ValueError(f"cannot remove row {i}: class {theta} would become empty")
         x_i = d.features[i]
         dev = x_i - means[theta - 1]
         scatter = scatter - (big_n / (big_n - 1.0)) * np.outer(dev, dev)
@@ -160,9 +161,25 @@ def gaussian_update(fit: PooledGaussianFit, edit: Remove | Replace | Augment) ->
         scatter = scatter + np.outer(dev, dev) / (1.0 + 1.0 / big_n)
         means[theta - 1] = means[theta - 1] + dev / (big_n + 1.0)
         sizes[theta - 1] += 1
+    elif isinstance(edit, Relabel):
+        # the Remove and Augment terms in one scatter update; n is unchanged
+        i = edit.index
+        old, theta = int(d.labels[i]), int(edit.label)
+        n_old, n_new = int(sizes[old - 1]), int(sizes[theta - 1])
+        x_i = d.features[i]
+        dev_old = x_i - means[old - 1]
+        dev_new = x_i - means[theta - 1]
+        scatter = (
+            scatter
+            + np.outer(dev_new, dev_new) / (1.0 + 1.0 / n_new)
+            - (n_old / (n_old - 1.0)) * np.outer(dev_old, dev_old)
+        )
+        means[old - 1] = means[old - 1] - dev_old / (n_old - 1.0)
+        means[theta - 1] = means[theta - 1] + dev_new / (n_new + 1.0)
+        sizes[old - 1] -= 1
+        sizes[theta - 1] += 1
     else:
         raise TypeError(f"unknown edit {edit!r}")
-    new_data = d.edit(edit)
 
     new_n = int(sizes.sum())
     if new_n <= n_classes:
@@ -282,6 +299,22 @@ def knn_fit(d: TrainingSet, k: int | None = None) -> KnnCaches:
         counts_km1=counts_km1,
         counts_k=counts_k,
     )
+
+
+def _relabel_caches(caches: KnnCaches, data: TrainingSet, i: int) -> KnnCaches:
+    """The caches of ``data``, which is ``caches.data`` with row i relabelled,
+    in O(n q): the radii do not depend on labels, and a point whose (k-1)- or
+    k-ball holds row i moves one count between the two class columns."""
+    old, new = int(caches.data.labels[i]), int(data.labels[i])
+    dsq = _sq_dists(data.features[i][None, :], data.features)[0]
+    moved = []
+    for counts, radius_sq in ((caches.counts_km1, caches.radius_km1_sq), (caches.counts_k, caches.radius_sq)):
+        counts = np.array(counts, copy=True)
+        holds_i = dsq <= radius_sq
+        counts[holds_i, old - 1] -= 1
+        counts[holds_i, new - 1] += 1
+        moved.append(counts)
+    return replace(caches, data=data, counts_km1=moved[0], counts_k=moved[1])
 
 
 def _ball_counts(dsq: np.ndarray, radius_sq: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -468,10 +501,13 @@ class GaussianStatistic:
         # log scale; only the ordering enters the permutation count
         return log_plugin_statistic(self.fit, theta, np.atleast_2d(pts))
 
+    def evaluate_rows(self, theta: int, rows: np.ndarray) -> np.ndarray:
+        return self.evaluate(theta, self.data.features[rows])
+
     def pvalue(self, theta: int, x: np.ndarray) -> float:
         return float(typicality_index(self.fit, theta, np.asarray(x, dtype=float)))
 
-    def edit(self, edit: Remove | Replace | Augment) -> "GaussianStatistic":
+    def edit(self, edit: Remove | Replace | Augment | Relabel) -> "GaussianStatistic":
         return GaussianStatistic(gaussian_update(self.fit, edit), self.typicality)
 
 
@@ -482,7 +518,8 @@ class KnnStatistic:
     With ``scale_features`` each feature is divided by its sample standard
     deviation over the training set. Caches are built lazily: plain
     evaluations need only distances from the query, while the fixed-metric
-    valid-shortcut path uses the cached radii and counts.
+    valid-shortcut path and ``evaluate_rows`` use the cached radii and
+    counts, which a ``Relabel`` edit carries over.
     """
 
     data: TrainingSet
@@ -503,8 +540,21 @@ class KnnStatistic:
         scaled = np.atleast_2d(pts) / self.scales
         return -_knn_weight(self.data, self.data.features / self.scales, self.k, theta, scaled)
 
-    def edit(self, edit: Remove | Replace | Augment) -> "KnnStatistic":
-        return KnnStatistic(self.data.edit(edit), self.k, self.scale_features)
+    def evaluate_rows(self, theta: int, rows: np.ndarray) -> np.ndarray:
+        """The statistic at training rows of its own data. A row's k-ball
+        holds the row itself, so with a fixed metric these are the cached
+        counts: the same bits as ``evaluate`` at those rows."""
+        if self.scale_features:
+            return self.evaluate(theta, self.data.features[rows])
+        counts = self.caches.counts_k[rows]
+        return -(counts[:, theta - 1] / counts.sum(axis=1))
+
+    def edit(self, edit: Remove | Replace | Augment | Relabel) -> "KnnStatistic":
+        edited = KnnStatistic(self.data.edit(edit), self.k, self.scale_features)
+        if isinstance(edit, Relabel) and not self.scale_features:
+            # seed the lazy caches: a relabel keeps every distance
+            edited.__dict__["caches"] = _relabel_caches(self.caches, edited.data, edit.index)
+        return edited
 
     def valid_shortcut_values(self, theta: int, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Statistic at x and at every group-theta point, all under the data
@@ -545,5 +595,8 @@ class LogisticStatistic:
         scores = self.fit.intercept + np.sum(np.atleast_2d(pts) * self.fit.coefficients, axis=1)
         return scores if theta == 1 else -scores
 
-    def edit(self, edit: Remove | Replace | Augment) -> "LogisticStatistic":
+    def evaluate_rows(self, theta: int, rows: np.ndarray) -> np.ndarray:
+        return self.evaluate(theta, self.data.features[rows])
+
+    def edit(self, edit: Remove | Replace | Augment | Relabel) -> "LogisticStatistic":
         return LogisticStatistic(fit_logistic(self.data.edit(edit)))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Remove, StructuralError, TrainingSet, check_label
+from .core import Relabel, Remove, StructuralError, TrainingSet, check_label, rank_pvalue
 from .permutation import PermutationMethod, pvalue
 
 __all__ = [
@@ -63,8 +63,14 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
     """Treat each training row in turn as a future observation.
 
     Row i of the result holds the p-values of X_i computed on the training set
-    without row i (via the statistic's ``Remove`` edit). Requires every class to
-    keep at least one member after removal.
+    without row i. Requires every class to keep at least one member after
+    removal.
+
+    In ``valid-shortcut`` mode the data without row i, augmented with
+    (X_i, theta), is D with y_i := theta, so no row is removed: for
+    theta = y_i it is D itself, scored once per class by the full fit, and
+    for every other theta it is one ``Relabel`` edit of the full fit. The
+    other modes, and typicality, apply the statistic's ``Remove`` edit.
     """
     if np.any(d.group_sizes < 2):
         bad = int(np.argmin(d.group_sizes))
@@ -73,12 +79,32 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
         )
     base = method.fit(d)
     out = np.empty((d.n, d.n_classes))
-    for i in range(d.n):
-        reduced = base.edit(Remove(i))
-        x = d.features[i]
+    if method.mode == "valid-shortcut" and method.statistic != "typicality":
         for theta in range(1, d.n_classes + 1):
-            out[i, theta - 1] = pvalue(reduced, method.mode, theta, x)
+            group = d.group(theta)
+            values = base.evaluate_rows(theta, group)
+            for pos, i in enumerate(group):
+                out[i, theta - 1] = _rank_in_group(values, pos)
+        for i in range(d.n):
+            for theta in range(1, d.n_classes + 1):
+                if theta == d.labels[i]:
+                    continue
+                relabelled = base.edit(Relabel(i, theta))
+                group = relabelled.data.group(theta)
+                values = relabelled.evaluate_rows(theta, group)
+                out[i, theta - 1] = _rank_in_group(values, int(np.searchsorted(group, i)))
+    else:
+        for i in range(d.n):
+            reduced = base.edit(Remove(i))
+            x = d.features[i]
+            for theta in range(1, d.n_classes + 1):
+                out[i, theta - 1] = pvalue(reduced, method.mode, theta, x)
     return CrossValMatrix(pvalues=out, labels=np.array(d.labels), group_sizes=d.group_sizes, method=method)
+
+
+def _rank_in_group(values: np.ndarray, pos: int) -> float:
+    """Rank p-value of entry pos against the other entries of its class."""
+    return rank_pvalue(np.delete(values, pos), values[pos])
 
 
 def empirical_inclusion(cv: CrossValMatrix, alpha: float, b: int, theta: int) -> float:

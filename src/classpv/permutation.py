@@ -126,16 +126,24 @@ def pvalue(fitted, mode: str, theta: int, x: np.ndarray) -> float:
     return rank_pvalue(values[1:], values[0])
 
 
-def warn_small_groups(d: TrainingSet, alphas: Sequence[float]) -> None:
-    """Warn when some group is too small for its p-value ever to drop below alpha."""
-    sizes = d.group_sizes
+def warn_small_groups(d: TrainingSet, alphas: Sequence[float], left_out: int = 0) -> None:
+    """Warn when some group is too small for its p-value ever to drop below alpha.
+
+    ``left_out`` rows of a group are set aside before its p-value is computed:
+    1 for ``crossval``, where a row's own-class p-value lies on {j/N}.
+    """
+    sizes = d.group_sizes - left_out
     for alpha in alphas:
         too_small = np.flatnonzero(sizes + 1 < 1.0 / alpha)
         for idx in too_small:
+            points = f"{int(d.group_sizes[idx])} training points"
+            if left_out:
+                points += f", {int(sizes[idx])} once {left_out} is left out"
             warnings.warn(
-                f"class {d.label_names[idx]!r} has {int(sizes[idx])} training points, so its "
+                f"class {d.label_names[idx]!r} has {points}, so its "
                 f"permutation p-value is never below 1/{int(sizes[idx]) + 1} and the class can "
-                f"never be excluded at level alpha={alpha} (need group size >= {int(np.ceil(1.0 / alpha)) - 1})",
+                f"never be excluded at level alpha={alpha} "
+                f"(need group size >= {int(np.ceil(1.0 / alpha)) - 1 + left_out})",
                 stacklevel=3,
             )
 

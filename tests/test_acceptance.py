@@ -75,6 +75,7 @@ def validity_run():
     return validity_experiment(cfg)
 
 
+@pytest.mark.slow
 def test_criterion_1_finite_sample_validity(validity_run):
     """Exceedance of the class's own p-value stays below alpha + 3 SE for every
     statistic, both validity-carrying modes, both classes, three levels."""
@@ -90,6 +91,7 @@ def test_criterion_1_finite_sample_validity(validity_run):
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_rank_uniformity(validity_run):
     """Tie-free statistic: p-values uniform on {1/20, ..., 1}; chi-square below
     the 0.999 quantile of chi-square(19) = 43.82."""
@@ -266,6 +268,7 @@ def test_criterion_7_convergence():
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_roc_closeness():
     """Plug-in ROC curves on three-class data (N=100 per class, model is
     deliberately wrong for it) against the N-point rank reference at every

@@ -176,6 +176,34 @@ class TestCrossval:
             area = float(rect.get("width")) * float(rect.get("height"))
             assert abs(area - side_full**2 * p) <= 0.005 * side_full**2
 
+    def test_warns_from_leave_one_out_group_sizes(self, tmp_path, model2):
+        # 19 per class: the full grid reaches 1/20 = alpha, but a row's own
+        # class has 18 points once the row is left out, so its floor is 1/19
+        d = sample_gaussian_mixture(model2, [19, 19], seed=3)
+        path = tmp_path / "train19.csv"
+        path.write_text("f1,f2,label\n" + "".join(
+            f"{float(d.features[i, 0])!r},{float(d.features[i, 1])!r},c{d.labels[i]}\n" for i in range(d.n)
+        ))
+        out = tmp_path / "o"
+        with pytest.warns(UserWarning, match="never below 1/19") as record:
+            rc = main([
+                "crossval", "--train", str(path), "--label", "label", "--alpha", "0.05",
+                "--seed", "1", "--out", str(out),
+            ])
+        assert rc == 0
+        assert len([w for w in record if "never below" in str(w.message)]) == 2
+        rows = _read_csv(out / "crossval_pvalues.csv")
+        assert all(float(r[f"p_{r['label']}"]) >= 1.0 / 19 > 0.05 for r in rows)
+
+    def test_relabel_to_singular_covariance_exit_4(self, tmp_path):
+        path = tmp_path / "move.csv"
+        path.write_text("f1,f2,label\n0.0,0.0,a\n1.0,0.0,a\n2.0,3.0,a\n5.0,3.0,b\n6.0,3.0,b\n")
+        rc = main([
+            "crossval", "--train", str(path), "--label", "label", "--method", "plugin",
+            "--seed", "1", "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 4
+
     def test_singleton_class_exit_3(self, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("f1,label\n0.0,a\n1.0,a\n2.0,a\n3.0,b\n")

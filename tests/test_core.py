@@ -4,6 +4,7 @@ import pytest
 from classpv.core import (
     Augment,
     PValueVector,
+    Relabel,
     Remove,
     Replace,
     StructuralError,
@@ -117,10 +118,26 @@ class TestTrainingSet:
         with pytest.raises(ValueError):
             d.augment(np.array([9.0, 9.0]), 5)
 
+    def test_relabel(self):
+        d = self._small()
+        moved = d.relabel(0, 2)
+        assert moved.features is d.features  # shared, read-only
+        assert list(moved.labels) == [2, 1, 2, 2] and list(d.labels) == [1, 1, 2, 2]
+        assert list(moved.group_sizes) == [1, 3]
+        with pytest.raises(ValueError):
+            d.relabel(0, 1)
+        with pytest.raises(StructuralError):
+            moved.relabel(1, 2)
+
     def test_edit_dispatch(self):
         d = self._small()
         x = np.array([9.0, 9.0])
-        pairs = ((Remove(0), d.remove(0)), (Replace(1, x), d.replace(1, x)), (Augment(x, 2), d.augment(x, 2)))
+        pairs = (
+            (Remove(0), d.remove(0)),
+            (Replace(1, x), d.replace(1, x)),
+            (Augment(x, 2), d.augment(x, 2)),
+            (Relabel(0, 2), d.relabel(0, 2)),
+        )
         for edit, expected in pairs:
             got = d.edit(edit)
             assert np.array_equal(got.features, expected.features)

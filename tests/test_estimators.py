@@ -8,6 +8,7 @@ from classpv import (
     DegenerateFitError,
     GaussianMixtureModel,
     PermutationMethod,
+    Relabel,
     Remove,
     Replace,
     SpdMatrix,
@@ -179,6 +180,42 @@ class TestGaussianUpdate:
             assert np.allclose(updated.means, scratch.means, rtol=1e-9, atol=1e-12)
             assert np.allclose(updated.sigma.matrix, scratch.sigma.matrix, rtol=1e-9, atol=1e-12)
 
+    def test_relabel_matches_scratch(self):
+        rng = np.random.default_rng(19)
+        for _ in range(60):
+            big_l = int(rng.integers(2, 4))
+            q = int(rng.integers(1, 5))
+            sizes = rng.integers(2, 11, size=big_l)
+            labels = np.concatenate([[b + 1] * s for b, s in enumerate(sizes)])
+            feats = rng.normal(size=(labels.size, q)) * 10.0 ** rng.uniform(-2, 2, size=q)
+            d = TrainingSet(feats, labels, big_l, tuple(str(b + 1) for b in range(big_l)))
+            if d.n <= big_l + q:
+                continue
+            i = int(rng.integers(d.n))
+            theta = int(rng.choice([b for b in range(1, big_l + 1) if b != d.labels[i]]))
+            updated = gaussian_update(fit_pooled_gaussian(d), Relabel(i, theta))
+            scratch = fit_pooled_gaussian(d.relabel(i, theta))
+            assert np.array_equal(updated.group_sizes, scratch.group_sizes)
+            assert np.array_equal(updated.data.labels, scratch.data.labels)
+            assert np.allclose(updated.means, scratch.means, rtol=1e-9, atol=1e-12)
+            assert np.allclose(updated.sigma.matrix, scratch.sigma.matrix, rtol=1e-9, atol=1e-12)
+
+    def test_relabel_to_singular_covariance_raises_with_pivot(self):
+        # moving row 2 leaves every class constant in f2
+        d = validate_training_set([[0.0, 0.0], [1.0, 0.0], [2.0, 3.0], [5.0, 3.0], [6.0, 3.0]], [1, 1, 1, 2, 2])
+        fit = fit_pooled_gaussian(d)
+        with pytest.raises(DegenerateFitError) as err:
+            gaussian_update(fit, Relabel(2, 2))
+        assert err.value.pivot_index == 1
+
+    def test_relabel_rejects_no_move_and_emptied_class(self):
+        d = validate_training_set([[0.0], [1.0], [3.0], [4.0]], [1, 1, 1, 2])
+        fit = fit_pooled_gaussian(d)
+        with pytest.raises(ValueError):
+            gaussian_update(fit, Relabel(0, 1))
+        with pytest.raises(ValueError):
+            gaussian_update(fit, Relabel(3, 1))
+
     def test_remove_from_singleton_rejected(self):
         d = validate_training_set([[0.0], [1.0], [3.0]], [1, 1, 2])
         fit = fit_pooled_gaussian(d)
@@ -217,6 +254,25 @@ class TestKnnFit:
                     assert caches.counts_k[i, b - 1] == np.sum((dsq <= order[k - 1]) & (d.labels == b))
                     assert caches.counts_km1[i, b - 1] == np.sum((dsq <= order[k - 2]) & (d.labels == b))
             assert np.all(caches.counts_k.sum(axis=1) >= k)
+
+    def test_relabel_carries_caches_exactly(self):
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            big_l = int(rng.integers(2, 4))
+            n = int(rng.integers(12, 40))
+            labels = np.concatenate([np.arange(1, big_l + 1), rng.integers(1, big_l + 1, size=n - big_l)])
+            # a small integer lattice: duplicate rows and distance ties at every radius
+            feats = rng.integers(-2, 3, size=(n, 2)).astype(float)
+            d = TrainingSet(feats, labels, big_l, tuple(str(b + 1) for b in range(big_l)))
+            k = int(rng.integers(1, 10))
+            i = int(rng.choice([r for r in range(n) if d.group(int(d.labels[r])).size > 1]))
+            theta = int(rng.choice([b for b in range(1, big_l + 1) if b != d.labels[i]]))
+            relabelled = KnnStatistic(d, k).edit(Relabel(i, theta))
+            scratch = knn_fit(d.relabel(i, theta), k)
+            for name in ("radius_sq", "radius_km1_sq", "counts_km1", "counts_k"):
+                assert np.array_equal(getattr(relabelled.caches, name), getattr(scratch, name)), name
+            rows = relabelled.data.group(theta)
+            assert np.array_equal(relabelled.evaluate_rows(theta, rows), relabelled.evaluate(theta, feats[rows]))
 
     def test_k_out_of_range(self, train2):
         with pytest.raises(ValueError):

@@ -4,13 +4,16 @@ import pytest
 from classpv import (
     PermutationMethod,
     crossval_pvalues,
+    default_k,
     empirical_inclusion,
     empirical_pattern,
     empirical_risk,
     pvalue_vector,
     roc_curve,
     roc_sup_distance,
+    example22_model,
     sample_gaussian_mixture,
+    standard_2class_model,
     validate_training_set,
 )
 from classpv.core import StructuralError, TrainingSet
@@ -36,6 +39,35 @@ class TestCrossval:
             reduced = d.remove(i)
             for theta in (1, 2):
                 assert cv.pvalues[i, theta - 1] == pvalue_vector(method, reduced, d.features[i])[theta]
+
+    @pytest.mark.parametrize("mode", ("exact-swap", "valid-shortcut", "naive"))
+    @pytest.mark.parametrize("statistic, kwargs, n_classes", [
+        (statistic, kwargs, n_classes)
+        for statistic, kwargs in (
+            ("plugin", {}),
+            ("knn", {"k": 5}),
+            ("knn", {}),
+            ("knn", {"k": 5, "scale_features": True}),
+            ("logistic", {}),
+        )
+        for n_classes in ((2,) if statistic == "logistic" else (2, 3))
+    ])
+    def test_every_statistic_and_mode_matches_per_row_oracle(self, statistic, kwargs, n_classes, mode):
+        if n_classes == 2:
+            d = sample_gaussian_mixture(standard_2class_model(), [10, 11], seed=71)
+        else:
+            d = sample_gaussian_mixture(example22_model(), [8, 7, 8], seed=73)
+        feats = np.array(d.features, copy=True)
+        g1, g2 = d.group(1), d.group(2)
+        feats[g1[1]] = feats[g1[0]]  # duplicated within class 1
+        feats[g2[0]] = feats[g1[2]]  # duplicated across classes 1 and 2
+        d = TrainingSet(feats, d.labels, d.n_classes, d.label_names)
+        cv = crossval_pvalues(d, PermutationMethod(statistic, mode, **kwargs))
+        # the fit of the full data fixes k, so the oracle gets the same k
+        oracle = PermutationMethod(statistic, mode, **{"k": default_k(d.n), **kwargs})
+        for i in range(d.n):
+            expected = pvalue_vector(oracle, d.remove(i), d.features[i]).values
+            assert np.array_equal(cv.pvalues[i], expected), (i, cv.pvalues[i], expected)
 
     def test_duplicate_points_same_rows(self, model2):
         d = sample_gaussian_mixture(model2, [6, 6], seed=37)
