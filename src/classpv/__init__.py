@@ -63,7 +63,7 @@ from .oracle import (
     risk_alpha,
     typicality_known,
 )
-from .permutation import PermutationMethod, pvalue, pvalue_vector
+from .permutation import PermutationMethod, pvalue, pvalue_vector, pvalues
 from .simulation import (
     ExperimentConfig,
     RegionMap,

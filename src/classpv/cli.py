@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import StructuralError, TrainingSet, region_from_pvalues, validate_training_set
+from .core import PValueVector, StructuralError, TrainingSet, region_from_pvalues, validate_training_set
 from .estimators import DegenerateFitError
 from .evaluation import (
     crossval_pvalues,
@@ -27,7 +27,7 @@ from .evaluation import (
     roc_curve,
 )
 from .numerics import SingularMatrixError
-from .permutation import MODES, STATISTICS, PermutationMethod, pvalue_vector, warn_small_groups
+from .permutation import MODES, STATISTICS, PermutationMethod, pvalues, warn_small_groups
 from .simulation import (
     ExperimentConfig,
     code_members,
@@ -172,10 +172,11 @@ def cmd_classify(args) -> int:
         + [f"p_{name}" for name in d.label_names]
         + [f"region_{_alpha_tag(a)}" for a in alphas]
     )
+    table = np.column_stack([pvalues(fitted, method.mode, theta, query) for theta in range(1, d.n_classes + 1)])
     rows = []
     records = []
     for i in range(query.shape[0]):
-        pv = pvalue_vector(method, d, query[i], fitted=fitted)
+        pv = PValueVector(table[i])
         regions = [region_from_pvalues(pv, a) for a in alphas]
         rows.append(
             [str(i)]

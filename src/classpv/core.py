@@ -182,11 +182,17 @@ def check_point(x: np.ndarray, q: int) -> np.ndarray:
     return x
 
 
-def rank_pvalue(values: np.ndarray, reference: float) -> float:
+def rank_pvalue(values: np.ndarray, reference: float | np.ndarray) -> float | np.ndarray:
     """(#{values >= reference} + 1) / (len(values) + 1): the rank p-value of
-    every permutation and Monte Carlo path."""
-    count = int(np.count_nonzero(values >= reference))
-    return (count + 1) / (values.size + 1)
+    every permutation and Monte Carlo path.
+
+    A batch of m references takes (N,) values shared by all of them or (m, N)
+    values, one row each, and gives m p-values.
+    """
+    if np.ndim(reference) == 0:
+        return (int(np.count_nonzero(values >= reference)) + 1) / (values.size + 1)
+    count = np.sum(values >= reference[:, None], axis=-1)
+    return (count + 1) / (values.shape[-1] + 1)
 
 
 def check_label(theta: int, n_classes: int) -> int:

@@ -3,9 +3,11 @@ statistic scores an (m, q) batch through one ``evaluate(theta, pts)``, scores
 its own training rows through ``evaluate_rows(theta, rows)``, and takes a
 single-point edit (``Remove``, ``Replace``, ``Augment`` or ``Relabel``)
 through one ``edit`` method; the pooled Gaussian fit applies it
-incrementally, and the k-NN caches carry over a relabel. Identical rows of
-one ``evaluate`` call get identical bits, because the rank count scores the
-query together with its class and needs their ties exact.
+incrementally, and the k-NN caches carry over a relabel. The plug-in and
+fixed-metric k-NN statistics also score a batch of queries under each
+query's augmented data through ``augmented_values``, without an edit.
+Identical rows of one ``evaluate`` call get identical bits, because the rank
+count scores the query together with its class and needs their ties exact.
 
 Every fit computes its sums over a canonical row ordering, so the fitted
 statistic is exactly symmetric in each class's training rows: shuffling the
@@ -24,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import Augment, Relabel, Remove, Replace, TrainingSet, check_label
-from .numerics import SingularMatrixError, SpdMatrix, f_cdf, mahalanobis_sq
+from .numerics import SingularMatrixError, SpdMatrix, f_cdf, whiten_rows
 from .oracle import log_weighted_lr
 
 __all__ = [
@@ -204,7 +206,8 @@ def typicality_index(fit: PooledGaussianFit, theta: int, x: np.ndarray) -> np.nd
     """Exact-pivot p-value from the scaled squared Mahalanobis distance to class theta.
 
     The scaling constant turns the distance into an F-distributed pivot, so the
-    index is an exact p-value under a homoscedastic Gaussian model.
+    index is an exact p-value under a homoscedastic Gaussian model. x may be
+    (q,) or (m, q); each row gets the same bits in any batch.
     """
     check_label(theta, fit.n_classes)
     n, n_classes, q = fit.n, fit.n_classes, fit.q
@@ -212,10 +215,10 @@ def typicality_index(fit: PooledGaussianFit, theta: int, x: np.ndarray) -> np.nd
         raise ValueError(f"typicality needs n >= L + q, got n={n}, L={n_classes}, q={q}")
     d2 = n - n_classes - q + 1
     c_theta = d2 / (q * (n - n_classes) * (1.0 + 1.0 / fit.group_sizes[theta - 1]))
-    msq = mahalanobis_sq(np.asarray(x, dtype=float), fit.means[theta - 1], fit.sigma)
-    if np.ndim(msq) == 0:
-        return 1.0 - f_cdf(c_theta * float(msq), q, d2)
-    return np.array([1.0 - f_cdf(c_theta * float(v), q, d2) for v in msq])
+    x = np.asarray(x, dtype=float)
+    y = whiten_rows(fit.sigma.chol_lower, np.atleast_2d(x) - fit.means[theta - 1])
+    out = np.array([1.0 - f_cdf(c_theta * float(v), q, d2) for v in np.sum(y * y, axis=1)])
+    return float(out[0]) if x.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +237,20 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Computed as explicit difference-square-sums so that distances between the
     same pair of points are bit-identical no matter which matrix they sit in;
     the tie cases in the augmented-count rule rely on exact comparisons.
+    Fewer than 8 components are added one at a time, in order, which is also
+    how ``np.sum`` adds so few terms; from 8 on ``np.sum`` adds pairwise, and
+    it is used.
     """
+    q = a.shape[1]
+    if q < 8:
+        out = np.zeros((a.shape[0], b.shape[0]))
+        for k in range(q):
+            diff = a[:, k, None] - b[:, k]
+            diff *= diff
+            out += diff
+        return out
     out = np.empty((a.shape[0], b.shape[0]))
-    chunk = max(1, int(2**22 / max(1, b.shape[0] * max(1, a.shape[1]))))
+    chunk = max(1, int(2**22 / max(1, b.shape[0] * q)))
     for start in range(0, a.shape[0], chunk):
         stop = min(start + chunk, a.shape[0])
         diff = a[start:stop, None, :] - b[None, :, :]
@@ -368,33 +382,36 @@ def knn_posterior(
 def knn_augmented_counts(caches: KnnCaches, x: np.ndarray, theta: int) -> np.ndarray:
     """Class counts N_{k,b} at every training point after adding (x, theta).
 
-    Case split on the distance from each training point to x versus that
-    point's cached k-th radius: strictly inside shrinks the ball to the
-    (k-1)-radius, an exact tie keeps the k-radius, strictly outside leaves the
-    counts untouched; the added point contributes to its own class whenever it
-    is inside. O(n) per new point. Assumes the metric is held fixed.
+    x is one point (q,), giving (n, L) counts, or a batch (m, q), giving
+    (m, n, L): one augmented data set per query. Case split on the distance
+    from each training point to x versus that point's cached k-th radius:
+    strictly inside shrinks the ball to the (k-1)-radius, an exact tie keeps
+    the k-radius, strictly outside leaves the counts untouched; the added
+    point contributes to its own class whenever it is inside. O(n) per new
+    point. Assumes the metric is held fixed.
     """
     check_label(theta, caches.data.n_classes)
-    dsq = _sq_dists(np.asarray(x, dtype=float)[None, :], caches.data.features)[0]
-    counts = np.array(caches.counts_k, copy=True)
-    inside = dsq < caches.radius_sq
-    tie = dsq == caches.radius_sq
-    counts[inside] = caches.counts_km1[inside]
-    counts[inside | tie, theta - 1] += 1
+    x = np.asarray(x, dtype=float)
+    dsq = _sq_dists(np.atleast_2d(x), caches.data.features)
+    counts = _augmented_counts(caches, dsq, np.arange(caches.data.n), theta)
+    return counts[0] if x.ndim == 1 else counts
+
+
+def _augmented_counts(caches: KnnCaches, dsq: np.ndarray, rows: np.ndarray, theta: int) -> np.ndarray:
+    """(m, len(rows), L) counts at the training rows ``rows``, given their
+    (m, len(rows)) squared distances to each query."""
+    radius_sq = caches.radius_sq[rows]
+    inside = dsq < radius_sq
+    counts = np.where(inside[:, :, None], caches.counts_km1[rows], caches.counts_k[rows])
+    counts[:, :, theta - 1] += inside | (dsq == radius_sq)
     return counts
 
 
-def _knn_query_augmented_counts(caches: KnnCaches, x: np.ndarray, theta: int) -> np.ndarray:
-    """Class counts in the k-ball of the query x itself within the augmented data."""
-    dsq = _sq_dists(np.asarray(x, dtype=float)[None, :], caches.data.features)[0]
-    with_self = np.append(dsq, 0.0)
-    radius = np.partition(with_self, caches.k - 1)[caches.k - 1]
-    in_ball = dsq <= radius
-    counts = np.empty(caches.data.n_classes, dtype=np.int64)
-    for b in range(1, caches.data.n_classes + 1):
-        counts[b - 1] = np.count_nonzero(in_ball & (caches.data.labels == b))
-    counts[theta - 1] += 1  # the added point sits at distance 0 of itself
-    return counts
+def _refit_values(stat, theta: int, x: np.ndarray) -> np.ndarray:
+    """The statistic at x, then at the class-theta rows, refitted on the data
+    augmented with (x, theta): the generic valid-shortcut path, (N + 1,)."""
+    d = stat.data
+    return stat.edit(Augment(x, theta)).evaluate(theta, np.vstack([x, d.features[d.group(theta)]]))
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +497,12 @@ def fit_logistic(d: TrainingSet) -> LogisticFit:
 # ---------------------------------------------------------------------------
 
 
+# Sherman-Morrison turns the augmented Mahalanobis form into a difference of
+# two terms; beyond this value of a'|w_u|^2 that difference cancels badly, so
+# the query takes the refit, which raises when the augmented fit is singular.
+_FAR_QUERY = 1e4
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianStatistic:
     """Statistic on the pooled Gaussian fit.
@@ -497,6 +520,13 @@ class GaussianStatistic:
     def data(self) -> TrainingSet:
         return self.fit.data
 
+    @cached_property
+    def _whitened(self) -> tuple[np.ndarray, np.ndarray]:
+        """The training rows and the class means in the coordinates where the
+        pooled covariance is the identity."""
+        lower = self.fit.sigma.chol_lower
+        return whiten_rows(lower, self.data.features), whiten_rows(lower, self.fit.means)
+
     def evaluate(self, theta: int, pts: np.ndarray) -> np.ndarray:
         # log scale; only the ordering enters the permutation count
         return log_plugin_statistic(self.fit, theta, np.atleast_2d(pts))
@@ -504,11 +534,67 @@ class GaussianStatistic:
     def evaluate_rows(self, theta: int, rows: np.ndarray) -> np.ndarray:
         return self.evaluate(theta, self.data.features[rows])
 
-    def pvalue(self, theta: int, x: np.ndarray) -> float:
-        return float(typicality_index(self.fit, theta, np.asarray(x, dtype=float)))
-
     def edit(self, edit: Remove | Replace | Augment | Relabel) -> "GaussianStatistic":
         return GaussianStatistic(gaussian_update(self.fit, edit), self.typicality)
+
+    def augmented_values(self, theta: int, X: np.ndarray) -> np.ndarray:
+        """(m, N + 1): for each query x, the statistic at x and at the
+        class-theta rows under the fit augmented with (x, theta), in closed
+        form.
+
+        Augmenting adds (N/(N+1)) u u^T to the scatter, u = x - mu_theta, and
+        moves mu_theta by u/(N+1). In coordinates whitened by the pooled
+        Cholesky factor each augmented Mahalanobis form is, by
+        Sherman-Morrison, c (|y|^2 - a' (y.w_u)^2 / (1 + a'|w_u|^2)) with
+        a' = (N/(N+1))/(n-L) and c = (n+1-L)/(n-L). The competitor weights and
+        the log determinant cancel from the statistic's ordering, so no edit,
+        Cholesky factorization or row copy is needed. Queries and rows are
+        whitened row by row and then share every operation, so a row equal to
+        a query gets its bits.
+        """
+        fit = self.fit
+        n, n_classes = fit.n, fit.n_classes
+        big_n = int(fit.group_sizes[theta - 1])
+        a = big_n / (big_n + 1.0) / (n - n_classes)
+        c = (n + 1.0 - n_classes) / (n - n_classes)
+        features_w, means_w = self._whitened
+        group_w = features_w[self.data.group(theta)]
+        wx = whiten_rows(fit.sigma.chol_lower, X)
+        wu = wx - means_w[theta - 1]
+        shift = wu / (big_n + 1.0)
+        m, q = wx.shape
+        # one (m, N + 1) array per component, the query in column 0; sums over
+        # components run elementwise in a fixed order, so equal rows stay equal
+        points = [np.concatenate([wx[:, k, None], np.broadcast_to(group_w[:, k], (m, group_w.shape[0]))], axis=1)
+                  for k in range(q)]
+        spread = np.zeros(m)
+        for k in range(q):
+            spread += wu[:, k] * wu[:, k]
+        spread *= a
+        maha = []
+        for b in range(n_classes):
+            sq = np.zeros((m, group_w.shape[0] + 1))
+            proj = np.zeros_like(sq)
+            for k in range(q):
+                y = points[k] - means_w[b, k]
+                if b == theta - 1:
+                    y -= shift[:, k, None]
+                sq += y * y
+                proj += y * wu[:, k, None]
+            maha.append(c * (sq - a * proj * proj / (1.0 + spread)[:, None]))
+        # log sum_{b != theta} w_b exp(-(maha_b - maha_theta) / 2), max-shifted
+        weights = fit.group_sizes / fit.group_sizes[np.arange(n_classes) != theta - 1].sum()
+        terms = [np.log(weights[b]) - 0.5 * (maha[b] - maha[theta - 1]) for b in range(n_classes) if b != theta - 1]
+        top = terms[0]
+        for term in terms[1:]:
+            top = np.maximum(top, term)
+        total = np.zeros_like(top)
+        for term in terms:
+            total += np.exp(term - top)
+        values = np.log(total) + top
+        for i in np.flatnonzero(spread > _FAR_QUERY):
+            values[i] = _refit_values(self, theta, X[i])
+        return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -556,26 +642,28 @@ class KnnStatistic:
             edited.__dict__["caches"] = _relabel_caches(self.caches, edited.data, edit.index)
         return edited
 
-    def valid_shortcut_values(self, theta: int, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Statistic at x and at every group-theta point, all under the data
-        augmented with (x, theta).
+    def augmented_values(self, theta: int, X: np.ndarray) -> np.ndarray:
+        """(m, N + 1): for each query x, the statistic at x and at the
+        class-theta rows under the data augmented with (x, theta).
 
-        With a fixed metric this runs off the cached counts in O(n). With
-        feature scaling the scales move with the augmented data, so this is
-        the generic augmented refit instead.
+        With a fixed metric this reads the cached counts through one (m, n)
+        block of distances: the query's own ball reaches its (k-1)-th nearest
+        training point, since x itself sits at distance 0, and the rows take
+        ``knn_augmented_counts``'s case split. With feature scaling the scales
+        move with the augmented data, so each query takes the refit instead.
         """
-        x = np.asarray(x, dtype=float)
-        d = self.data
-        group = d.group(theta)
         if self.scale_features:
-            values = self.edit(Augment(x, theta)).evaluate(theta, np.vstack([x, d.features[group]]))
-            return float(values[0]), values[1:]
-        counts = np.vstack([
-            _knn_query_augmented_counts(self.caches, x, theta),
-            knn_augmented_counts(self.caches, x, theta)[group],
-        ])
-        values = -(counts[:, theta - 1] / counts.sum(axis=1))
-        return float(values[0]), values[1:]
+            return np.array([_refit_values(self, theta, x) for x in X])
+        caches, group = self.caches, self.data.group(theta)
+        dsq = _sq_dists(X, self.data.features)
+        radius_sq = np.partition(dsq, self.k - 2, axis=1)[:, self.k - 2] if self.k >= 2 else np.zeros(X.shape[0])
+        in_ball = dsq <= radius_sq[:, None]
+        values = np.empty((X.shape[0], group.size + 1))
+        # the added point counts in its own ball and class
+        values[:, 0] = -((in_ball[:, group].sum(axis=1) + 1) / (in_ball.sum(axis=1) + 1))
+        counts = _augmented_counts(caches, dsq[:, group], group, theta)
+        values[:, 1:] = -(counts[:, :, theta - 1] / counts.sum(axis=2))
+        return values
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,6 +23,7 @@ __all__ = [
     "mahalanobis_sq",
     "solve_lower",
     "std_normal_cdf",
+    "whiten_rows",
 ]
 
 _MAX_ITER = 500
@@ -214,6 +215,25 @@ def solve_lower(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             y[j] -= lower[j, :j] @ y[:j]
         y[j] /= lower[j, j]
     return y[:, 0] if vec else y
+
+
+def whiten_rows(lower: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Forward substitution L y = r for each row r of an (m, q) batch; returns (m, q).
+
+    Each row's substitution is a chain of per-row dot products, the very
+    operations ``solve_lower`` performs on a single right-hand side. So a row
+    gets the same bits whatever else the batch holds and however wide it is,
+    and the same bits as ``solve_lower`` of that row alone; ``solve_lower``
+    on a block does not promise either.
+    """
+    y = np.array(rows, dtype=float, copy=True)
+    if y.ndim != 2 or y.shape[1] != lower.shape[0]:
+        raise ValueError(f"dimension mismatch: factor is {lower.shape[0]}x{lower.shape[0]}, rows have shape {y.shape}")
+    for j in range(lower.shape[0]):
+        if j > 0:
+            y[:, j] -= np.matmul(y[:, None, :j], lower[j, :j, None])[:, 0, 0]
+        y[:, j] /= lower[j, j]
+    return y
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,9 +10,9 @@ Modes:
 
 * ``exact-swap``   - reference implementation: one refit per group member,
                      each on the data with that member swapped for the query.
-* ``valid-shortcut`` - default: a single refit on the data augmented with
-                     (query, theta); keeps the finite-sample guarantee at a
-                     fraction of the cost.
+* ``valid-shortcut`` - default: a single fit of the data augmented with
+                     (query, theta), or its closed form; keeps the
+                     finite-sample guarantee at a fraction of the cost.
 * ``naive``        - compares against the unswapped training statistics; the
                      cheapest, asymptotically equivalent, but without the
                      finite-sample guarantee. Retained because many packages'
@@ -27,15 +27,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Augment, PValueVector, Replace, TrainingSet, check_label, check_point, rank_pvalue
+from .core import PValueVector, Replace, TrainingSet, check_label, check_point, rank_pvalue
 from .estimators import (
     DegenerateFitError,
     GaussianStatistic,
     KnnStatistic,
     LogisticStatistic,
+    _refit_values,
     default_k,
     fit_logistic,
     fit_pooled_gaussian,
+    typicality_index,
 )
 
 __all__ = [
@@ -44,6 +46,7 @@ __all__ = [
     "STATISTICS",
     "pvalue",
     "pvalue_vector",
+    "pvalues",
 ]
 
 STATISTICS = ("plugin", "knn", "logistic", "typicality")
@@ -81,49 +84,88 @@ class PermutationMethod:
         return GaussianStatistic(fit_pooled_gaussian(d), typicality=self.statistic == "typicality")
 
 
-def pvalue(fitted, mode: str, theta: int, x: np.ndarray) -> float:
-    """P-value for class theta at x from a statistic fitted on the training set.
+# elements of the largest temporary block one chunk of queries may build
+_BLOCK_ELEMENTS = 2**20
+
+
+def pvalues(fitted, mode: str, theta: int, X: np.ndarray) -> np.ndarray:
+    """P-values for class theta at each row of the (m, q) batch X, from a
+    statistic fitted on the training set; returns (m,).
 
     ``exact-swap`` refits once per group member, with that member replaced by
-    x, and evaluates the refit at the member; a degenerate swapped fit aborts
-    the whole p-value (skipping an index would break exchangeability) and the
-    offending swap index rides on the error. ``valid-shortcut`` refits once on
-    the data augmented with (x, theta). ``naive`` compares against the
-    unswapped training statistics. Pass one fit (``PermutationMethod.fit``) to
-    many calls to reuse it across queries.
+    the query, and evaluates the refit at the member; a degenerate swapped fit
+    aborts the whole p-value (skipping an index would break exchangeability)
+    and the offending swap index rides on the error. ``valid-shortcut``
+    scores the query and the class under the fit augmented with (query,
+    theta): in closed form for the plug-in statistic, from the cached ball
+    counts for k-NN in a fixed metric, and by refitting otherwise. ``naive``
+    compares against the unswapped training statistics, all queries in one
+    evaluation. Typicality is an exact pivot, evaluated directly in every
+    mode. Pass one fit (``PermutationMethod.fit``) to many calls to reuse it.
 
     The fitted statistic's ``evaluate(theta, pts)`` maps an (m, q) batch to m
     values, larger meaning class theta is less plausible. It must be symmetric
     in the class's training rows and give identical rows of one call
-    identical bits: outside exact-swap, x and the class-theta rows are scored
-    in one call, so a member equal to x ties with it in the ``>=`` count.
+    identical bits: outside exact-swap, queries and the class-theta rows are
+    scored in one call, so a member equal to a query ties with it in the
+    ``>=`` count. Every query's p-value is the same in any batch, and so at
+    any batch width.
     """
     d = fitted.data
     check_label(theta, d.n_classes)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if getattr(fitted, "typicality", False):
-        return fitted.pvalue(theta, x)
-    x = np.asarray(x, dtype=float)
-    group = d.group(theta)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != d.q:
+        raise ValueError(f"query batch has shape {X.shape}, expected (m, {d.q})")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("feature vector contains non-finite values")
+    if isinstance(fitted, GaussianStatistic) and fitted.typicality:
+        return typicality_index(fitted.fit, theta, X)
     if mode == "exact-swap":
-        reference = fitted.evaluate(theta, x[None, :])[0]
-        values = np.empty(group.size)
-        for j, i in enumerate(group):
-            try:
-                swapped = fitted.edit(Replace(int(i), x))
-            except DegenerateFitError as err:
-                err.swap_index = int(i)
-                raise
-            values[j] = swapped.evaluate(theta, d.features[i][None, :])[0]
-        return rank_pvalue(values, reference)
-    if mode == "valid-shortcut":
-        if hasattr(fitted, "valid_shortcut_values"):
-            reference, values = fitted.valid_shortcut_values(theta, x)
-            return rank_pvalue(values, reference)
-        fitted = fitted.edit(Augment(x, theta))
-    values = fitted.evaluate(theta, np.vstack([x, d.features[group]]))
-    return rank_pvalue(values[1:], values[0])
+        return np.array([_exact_swap_pvalue(fitted, theta, x) for x in X])
+    per_query = max(d.n, (d.group(theta).size + 1) * d.n_classes) * max(1, d.q)
+    step = max(1, _BLOCK_ELEMENTS // per_query)
+    out = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], step):
+        reference, values = _scores(fitted, mode, theta, X[start : start + step])
+        out[start : start + step] = rank_pvalue(values, reference)
+    return out
+
+
+def _scores(fitted, mode: str, theta: int, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The statistic at the m queries, and at the class-theta rows: (N,)
+    under the unedited fit in ``naive`` mode, else (m, N), one row under each
+    query's augmented fit."""
+    if mode == "naive":
+        d = fitted.data
+        values = fitted.evaluate(theta, np.vstack([X, d.features[d.group(theta)]]))
+        return values[: X.shape[0]], values[X.shape[0] :]
+    if isinstance(fitted, (GaussianStatistic, KnnStatistic)):
+        values = fitted.augmented_values(theta, X)
+    else:
+        values = np.array([_refit_values(fitted, theta, x) for x in X])
+    return values[:, 0], values[:, 1:]
+
+
+def _exact_swap_pvalue(fitted, theta: int, x: np.ndarray) -> float:
+    d = fitted.data
+    group = d.group(theta)
+    reference = fitted.evaluate(theta, x[None, :])[0]
+    values = np.empty(group.size)
+    for j, i in enumerate(group):
+        try:
+            swapped = fitted.edit(Replace(int(i), x))
+        except DegenerateFitError as err:
+            err.swap_index = int(i)
+            raise
+        values[j] = swapped.evaluate(theta, d.features[i][None, :])[0]
+    return rank_pvalue(values, reference)
+
+
+def pvalue(fitted, mode: str, theta: int, x: np.ndarray) -> float:
+    """The p-value for class theta at the single point x: ``pvalues`` at m = 1."""
+    return float(pvalues(fitted, mode, theta, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def warn_small_groups(d: TrainingSet, alphas: Sequence[float], left_out: int = 0) -> None:

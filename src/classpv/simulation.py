@@ -22,7 +22,7 @@ from .oracle import (
     OptimalMonteCarlo,
     optimal_pvalue_2class_closed,
 )
-from .permutation import PermutationMethod, pvalue
+from .permutation import PermutationMethod, pvalue, pvalues
 from .estimators import default_k
 
 __all__ = [
@@ -250,9 +250,8 @@ def convergence_experiment(
         gaps_plugin = []
         for theta in range(1, model.n_classes + 1):
             star = np.asarray(oracle(theta, queries))
-            for j in range(n_queries):
-                gaps_knn.append(abs(pvalue(knn_fitted, "valid-shortcut", theta, queries[j]) - star[j]))
-                gaps_plugin.append(abs(pvalue(plugin_fitted, "valid-shortcut", theta, queries[j]) - star[j]))
+            gaps_knn.extend(np.abs(pvalues(knn_fitted, "valid-shortcut", theta, queries) - star))
+            gaps_plugin.extend(np.abs(pvalues(plugin_fitted, "valid-shortcut", theta, queries) - star))
         rows.append(
             ConvergenceRow(
                 n=int(n_total),
@@ -352,8 +351,5 @@ def region_map(
     if training.q != 2:
         raise ValueError(f"region maps need 2-D features, data has q={training.q}")
     fitted = method.fit(training)
-    cube = np.empty((grid.shape[0], training.n_classes))
-    for j, point in enumerate(grid):
-        for theta in range(1, training.n_classes + 1):
-            cube[j, theta - 1] = pvalue(fitted, method.mode, theta, point)
+    cube = np.column_stack([pvalues(fitted, method.mode, theta, grid) for theta in range(1, training.n_classes + 1)])
     return RegionMap(xs=xs, ys=ys, pvalues=cube.reshape(ys.size, xs.size, training.n_classes))

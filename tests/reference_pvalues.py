@@ -8,6 +8,9 @@ Carlo engine in ``classpv.oracle``.
   p-value that an N-point class sample would give with the *true* statistic.
   This is what a valid N-point permutation p-value can at best reach, as
   opposed to the continuous CDF of the known-model p-value.
+* ``refit_pvalue``: one query's permutation p-value by the plain edit
+  protocol, refitting where the mode says so, for checking the batch kernel
+  ``classpv.pvalues`` and its closed forms.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ import math
 
 import numpy as np
 
-from classpv import GaussianMixtureModel
+from classpv import Augment, GaussianMixtureModel, Replace
+from classpv.core import rank_pvalue
+from classpv.numerics import f_cdf, mahalanobis_sq
 from classpv.oracle import log_weighted_lr
 
 _CHUNK_POINTS = 250_000
@@ -83,3 +88,31 @@ def rank_pvalue_cdf(star: np.ndarray, n: int) -> np.ndarray:
         log_miss = np.where(k < n, (n - k) * np.log1p(-u), 0.0)
     pmf = np.exp(log_choose[None, :] + log_hit + log_miss)
     return np.mean(np.cumsum(pmf, axis=1), axis=0)
+
+
+def refit_pvalue(fitted, mode: str, theta: int, x: np.ndarray) -> float:
+    """P-value for class theta at one point x, with no shortcut.
+
+    ``valid-shortcut`` applies the statistic's ``Augment(x, theta)`` edit and
+    scores x with the class-theta rows in one ``evaluate``; ``naive`` does
+    the same on the unedited fit; ``exact-swap`` refits once per member with
+    ``Replace``. Typicality is the F tail of the scaled squared Mahalanobis
+    distance, one point at a time through ``mahalanobis_sq``.
+    """
+    d = fitted.data
+    x = np.asarray(x, dtype=float)
+    group = d.group(theta)
+    if getattr(fitted, "typicality", False):
+        fit = fitted.fit
+        n, n_classes, q = fit.n, fit.n_classes, fit.q
+        d2 = n - n_classes - q + 1
+        c_theta = d2 / (q * (n - n_classes) * (1.0 + 1.0 / fit.group_sizes[theta - 1]))
+        return 1.0 - f_cdf(c_theta * mahalanobis_sq(x, fit.means[theta - 1], fit.sigma), q, d2)
+    if mode == "exact-swap":
+        reference = fitted.evaluate(theta, x[None, :])[0]
+        values = [fitted.edit(Replace(int(i), x)).evaluate(theta, d.features[i][None, :])[0] for i in group]
+        return rank_pvalue(np.array(values), reference)
+    if mode == "valid-shortcut":
+        fitted = fitted.edit(Augment(x, theta))
+    values = fitted.evaluate(theta, np.vstack([x, d.features[group]]))
+    return rank_pvalue(values[1:], values[0])

@@ -44,7 +44,7 @@ from classpv import (
 )
 from classpv.core import TrainingSet
 from classpv.estimators import Augment, Remove, Replace, gaussian_update
-from classpv.permutation import pvalue
+from classpv.permutation import pvalues
 from classpv.simulation import rank_uniformity_chisq
 
 from reference_pvalues import quadrature_pvalues, rank_pvalue_cdf
@@ -301,7 +301,7 @@ def test_criterion_8_roc_closeness():
             x = model.sample(b, n_per_set, rng)
             draws[b].append(x)
             for theta in (1, 2, 3):
-                plug = np.sort([pvalue(fitted, "valid-shortcut", theta, xj) for xj in x])
+                plug = np.sort(pvalues(fitted, "valid-shortcut", theta, x))
                 set_cdfs[(b, theta)][r] = np.searchsorted(plug, levels, side="right") / n_per_set
     worst = worst_continuous = worst_se = 0.0
     worst_pair = None

@@ -4,10 +4,13 @@ import json
 import re
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from classpv import sample_gaussian_mixture, standard_2class_model
+from classpv import PermutationMethod, example22_model, sample_gaussian_mixture, standard_2class_model
 from classpv.cli import main
+
+from reference_pvalues import refit_pvalue
 
 
 @pytest.fixture()
@@ -118,6 +121,31 @@ class TestClassify:
             "--method", "plugin", "--seed", "1", "--out", str(tmp_path / "o"),
         ])
         assert rc == 4
+
+    def test_far_query_takes_the_refit(self, tmp_path, capsys):
+        # the plug-in closed form cancels far from the data, so such a query
+        # takes the augmented refit: singular at 1e7 (exit 4, pivot named),
+        # equal to the refit p-values at 1e6
+        d = sample_gaussian_mixture(example22_model(), [30, 30, 30], seed=1)
+        train = tmp_path / "train.csv"
+        train.write_text("f1,f2,label\n" + "".join(
+            f"{float(a)!r},{float(b)!r},c{label}\n" for (a, b), label in zip(d.features, d.labels)))
+        fitted = PermutationMethod("plugin").fit(d)
+        for scale, code in ((1e7, 4), (1e6, 0)):
+            far = np.array([scale, 0.7 * scale])
+            q = _query_csv(tmp_path, [(0.5, 0.5), far])
+            rc = main([
+                "classify", "--train", str(train), "--label", "label", "--query", str(q),
+                "--method", "plugin", "--seed", "1", "--out", str(tmp_path / f"o{code}"),
+            ])
+            assert rc == code
+            if code:
+                assert "pivot 0.561768 at index 1" in capsys.readouterr().err
+                continue
+            row = _read_csv(tmp_path / "o0" / "classify.csv")[1]
+            for theta in (1, 2, 3):
+                expected = refit_pvalue(fitted, "valid-shortcut", theta, far)
+                assert row[f"p_c{theta}"] == format(expected, ".12g")
 
     def test_seed_echoed_when_omitted(self, tmp_path, train_csv, capsys):
         train_path, _ = train_csv

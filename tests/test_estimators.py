@@ -29,7 +29,6 @@ from classpv.estimators import (
     KnnStatistic,
     LogisticStatistic,
     PooledGaussianFit,
-    _knn_query_augmented_counts,
     default_k,
 )
 from classpv.numerics import f_cdf, mahalanobis_sq
@@ -348,6 +347,7 @@ class TestKnnAugmentedCounts:
         d = TrainingSet(feats, labels, 2, ("1", "2"))
         k = 6
         caches = knn_fit(d, k=k)
+        stat = KnnStatistic(d, k)
         for trial in range(20):
             x = rng.normal(size=2) * 1.5
             theta = int(rng.integers(1, 3))
@@ -359,12 +359,12 @@ class TestKnnAugmentedCounts:
                 for b in (1, 2):
                     expected = np.sum((dsq <= r) & (aug.labels == b))
                     assert counts[i, b - 1] == expected
-            # query-side counts against the same brute force
-            qcounts = _knn_query_augmented_counts(caches, x, theta)
+            # the query-side statistic against the same brute force
+            query_value = stat.augmented_values(theta, x[None, :])[0, 0]
             dsq = np.sum((aug.features - aug.features[-1]) ** 2, axis=1)
             r = np.sort(dsq)[k - 1]
-            for b in (1, 2):
-                assert qcounts[b - 1] == np.sum((dsq <= r) & (aug.labels == b))
+            in_ball = dsq <= r
+            assert query_value == -(np.sum(in_ball & (aug.labels == theta)) / np.sum(in_ball))
 
 
 class TestLogistic:

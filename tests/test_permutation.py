@@ -118,7 +118,7 @@ class TestAgainstScratchImplementations:
         for _ in range(10):
             x = rng.normal(size=2) * 1.5
             for theta in (1, 2):
-                ref, swaps = stat.valid_shortcut_values(theta, x)
+                ref, *swaps = stat.augmented_values(theta, x[None, :])[0]
                 aug = train2.augment(x, theta)
                 group = train2.group(theta)
 
