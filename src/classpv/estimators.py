@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import Augment, Relabel, Remove, Replace, TrainingSet, check_label
-from .numerics import SingularMatrixError, SpdMatrix, f_cdf, whiten_rows
+from .numerics import SingularMatrixError, SpdMatrix, f_cdf, log_sum_exp, whiten_rows
 from .oracle import log_weighted_lr
 
 __all__ = [
@@ -232,29 +232,18 @@ def default_k(n: int) -> int:
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared euclidean distances between rows of a and rows of b, chunked.
+    """Squared euclidean distances between rows of a and rows of b.
 
-    Computed as explicit difference-square-sums so that distances between the
-    same pair of points are bit-identical no matter which matrix they sit in;
-    the tie cases in the augmented-count rule rely on exact comparisons.
-    Fewer than 8 components are added one at a time, in order, which is also
-    how ``np.sum`` adds so few terms; from 8 on ``np.sum`` adds pairwise, and
-    it is used.
+    The squared component differences are added one at a time, in order, so
+    that distances between the same pair of points are bit-identical no
+    matter which matrix they sit in; the tie cases in the augmented-count
+    rule rely on exact comparisons. Every temporary is (len(a), len(b)).
     """
-    q = a.shape[1]
-    if q < 8:
-        out = np.zeros((a.shape[0], b.shape[0]))
-        for k in range(q):
-            diff = a[:, k, None] - b[:, k]
-            diff *= diff
-            out += diff
-        return out
-    out = np.empty((a.shape[0], b.shape[0]))
-    chunk = max(1, int(2**22 / max(1, b.shape[0] * q)))
-    for start in range(0, a.shape[0], chunk):
-        stop = min(start + chunk, a.shape[0])
-        diff = a[start:stop, None, :] - b[None, :, :]
-        out[start:stop] = np.sum(diff * diff, axis=2)
+    out = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        diff = a[:, k, None] - b[:, k]
+        diff *= diff
+        out += diff
     return out
 
 
@@ -382,19 +371,15 @@ def knn_posterior(
 def knn_augmented_counts(caches: KnnCaches, x: np.ndarray, theta: int) -> np.ndarray:
     """Class counts N_{k,b} at every training point after adding (x, theta).
 
-    x is one point (q,), giving (n, L) counts, or a batch (m, q), giving
-    (m, n, L): one augmented data set per query. Case split on the distance
-    from each training point to x versus that point's cached k-th radius:
-    strictly inside shrinks the ball to the (k-1)-radius, an exact tie keeps
-    the k-radius, strictly outside leaves the counts untouched; the added
-    point contributes to its own class whenever it is inside. O(n) per new
-    point. Assumes the metric is held fixed.
+    Case split on the distance from each training point to x versus that
+    point's cached k-th radius: strictly inside shrinks the ball to the
+    (k-1)-radius, an exact tie keeps the k-radius, strictly outside leaves the
+    counts untouched; the added point contributes to its own class whenever it
+    is inside. O(n) per new point. Assumes the metric is held fixed.
     """
     check_label(theta, caches.data.n_classes)
-    x = np.asarray(x, dtype=float)
-    dsq = _sq_dists(np.atleast_2d(x), caches.data.features)
-    counts = _augmented_counts(caches, dsq, np.arange(caches.data.n), theta)
-    return counts[0] if x.ndim == 1 else counts
+    dsq = _sq_dists(np.asarray(x, dtype=float)[None, :], caches.data.features)
+    return _augmented_counts(caches, dsq, np.arange(caches.data.n), theta)[0]
 
 
 def _augmented_counts(caches: KnnCaches, dsq: np.ndarray, rows: np.ndarray, theta: int) -> np.ndarray:
@@ -499,7 +484,7 @@ def fit_logistic(d: TrainingSet) -> LogisticFit:
 
 # Sherman-Morrison turns the augmented Mahalanobis form into a difference of
 # two terms; beyond this value of a'|w_u|^2 that difference cancels badly, so
-# the query takes the refit, which raises when the augmented fit is singular.
+# the query takes the refit.
 _FAR_QUERY = 1e4
 
 
@@ -527,6 +512,14 @@ class GaussianStatistic:
         lower = self.fit.sigma.chol_lower
         return whiten_rows(lower, self.data.features), whiten_rows(lower, self.fit.means)
 
+    @cached_property
+    def _pivot_floor(self) -> float:
+        """The smallest Cholesky pivot of the pooled covariance. Augmenting
+        adds a positive semidefinite term to the scatter, which lowers no
+        pivot, so the augmented covariance has every pivot at least this
+        times (n-L)/(n+1-L)."""
+        return float(np.min(np.diag(self.fit.sigma.chol_lower))) ** 2
+
     def evaluate(self, theta: int, pts: np.ndarray) -> np.ndarray:
         # log scale; only the ordering enters the permutation count
         return log_plugin_statistic(self.fit, theta, np.atleast_2d(pts))
@@ -550,7 +543,10 @@ class GaussianStatistic:
         the log determinant cancel from the statistic's ordering, so no edit,
         Cholesky factorization or row copy is needed. Queries and rows are
         whitened row by row and then share every operation, so a row equal to
-        a query gets its bits.
+        a query gets its bits. A query far enough out that the closed form
+        cancels badly, or that the refit's pivot check could trip, takes the
+        refit, which raises DegenerateFitError where the augmented fit is
+        singular.
         """
         fit = self.fit
         n, n_classes = fit.n, fit.n_classes
@@ -582,17 +578,19 @@ class GaussianStatistic:
                 sq += y * y
                 proj += y * wu[:, k, None]
             maha.append(c * (sq - a * proj * proj / (1.0 + spread)[:, None]))
-        # log sum_{b != theta} w_b exp(-(maha_b - maha_theta) / 2), max-shifted
+        # log sum_{b != theta} w_b exp(-(maha_b - maha_theta) / 2)
         weights = fit.group_sizes / fit.group_sizes[np.arange(n_classes) != theta - 1].sum()
         terms = [np.log(weights[b]) - 0.5 * (maha[b] - maha[theta - 1]) for b in range(n_classes) if b != theta - 1]
-        top = terms[0]
-        for term in terms[1:]:
-            top = np.maximum(top, term)
-        total = np.zeros_like(top)
-        for term in terms:
-            total += np.exp(term - top)
-        values = np.log(total) + top
-        for i in np.flatnonzero(spread > _FAR_QUERY):
+        values = log_sum_exp(np.stack(terms), axis=0)
+        # The refit checks its Cholesky pivots against 1e-12 times the largest
+        # diagonal entry of the augmented covariance. Where that tolerance
+        # comes within a factor 2 of the pivot floor, the refit may find the
+        # augmented fit singular and raise, so the query takes it.
+        u = X - fit.means[theta - 1]
+        scatter_diag = (n - n_classes) * np.diag(fit.sigma.matrix) + u * u / (1.0 + 1.0 / big_n)
+        tol = 1e-12 * np.max(scatter_diag, axis=1) / (n + 1.0 - n_classes)
+        floor = self._pivot_floor * (n - n_classes) / (n + 1.0 - n_classes)
+        for i in np.flatnonzero((spread > _FAR_QUERY) | (2.0 * tol >= floor)):
             values[i] = _refit_values(self, theta, X[i])
         return values
 

@@ -108,8 +108,11 @@ def pvalues(fitted, mode: str, theta: int, X: np.ndarray) -> np.ndarray:
     in the class's training rows and give identical rows of one call
     identical bits: outside exact-swap, queries and the class-theta rows are
     scored in one call, so a member equal to a query ties with it in the
-    ``>=`` count. Every query's p-value is the same in any batch, and so at
-    any batch width.
+    ``>=`` count. Outside naive mode every query's p-value is the same in any
+    batch, and so at any batch width. Naive mode scores the batch and the
+    class rows in one ``evaluate``, whose bits for a row may depend on the
+    batch width (the plug-in statistic's block ``solve_lower``), so a naive
+    p-value is width-independent up to ties at the last bit.
     """
     d = fitted.data
     check_label(theta, d.n_classes)

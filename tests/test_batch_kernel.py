@@ -11,7 +11,7 @@ identical p-values whatever their position in the batch.
 import numpy as np
 import pytest
 
-from classpv import PermutationMethod, TrainingSet, knn_augmented_counts, knn_fit, pvalues
+from classpv import DegenerateFitError, PermutationMethod, TrainingSet, pvalues
 from classpv.numerics import SpdMatrix, solve_lower, whiten_rows
 
 from reference_pvalues import refit_pvalue
@@ -59,14 +59,16 @@ def _queries(d: TrainingSet, width: int, seed: int) -> np.ndarray:
 def _cases(name: str, mode: str):
     """(seed, L, widths): every q from 2 to 8 and L = 2 and 3 at widths 1 and
     7. The 600-wide batch runs at q = 2 and 3 on the paths that batch, and at
-    q = 2 on those that refit for each query in turn. Exact-swap is a loop of
-    single-query refits in the kernel too, N of them per query, so it stops
-    at width 7."""
+    q = 2 on those that refit for each query in turn. Naive plug-in, which
+    whitens the batch and the class rows in one block solve, runs it at every
+    q. Exact-swap is a loop of single-query refits in the kernel too, N of
+    them per query, so it stops at width 7."""
     refits = mode == "valid-shortcut" and name in ("logistic", "knn-scaled")
     class_counts = (2,) if name == "logistic" else (2, 3)
     for n_classes in class_counts:
         for seed in range(7):
             wide = mode != "exact-swap" and (seed == 0 or (seed == 1 and not refits))
+            wide = wide or (mode == "naive" and name == "plugin")
             yield seed + 7 * (n_classes - 2), n_classes, WIDTHS if wide else WIDTHS[:2]
 
 
@@ -100,15 +102,27 @@ def test_whitening_is_width_invariant():
             assert np.array_equal(one[0], solve_lower(lower, rows[i][:, None])[:, 0]), (seed, i)
 
 
-def test_knn_augmented_counts_batch_stacks_single_queries():
-    d = _training_set(4, 3)
-    caches = knn_fit(d, k=6)
-    X = _queries(d, 9, 1)
-    for theta in (1, 2, 3):
-        batch = knn_augmented_counts(caches, X, theta)
-        assert batch.shape == (9, d.n, 3)
-        for i, x in enumerate(X):
-            assert np.array_equal(batch[i], knn_augmented_counts(caches, x, theta))
+def test_far_query_on_anisotropic_features_takes_the_refit():
+    """Columns about 1e5 apart: a query out along the wide axis raises the
+    refit's pivot tolerance above the narrow axis's pivot while a'|w_u|^2 is
+    still small, and the kernel must raise exactly where the refit does."""
+    rng = np.random.default_rng(3)
+    feats = np.vstack([rng.normal(size=(30, 2)) + [b, -b] for b in range(3)]) * [1e3, 1e-2]
+    d = TrainingSet(feats, np.repeat([1, 2, 3], 30), 3, ("1", "2", "3"))
+    fitted = PermutationMethod("plugin").fit(d)
+    raised = 0
+    for along in (1e4, 3e4, 1e5, 3e5, 1e6):
+        x = np.array([along, 0.0])
+        try:
+            expected = refit_pvalue(fitted, "valid-shortcut", 1, x)
+        except DegenerateFitError as err:
+            with pytest.raises(DegenerateFitError, match="index 1") as got:
+                pvalues(fitted, "valid-shortcut", 1, np.array([[0.0, 0.0], x]))
+            assert got.value.pivot_index == err.pivot_index == 1
+            raised += 1
+        else:
+            assert pvalues(fitted, "valid-shortcut", 1, x[None, :])[0] == expected
+    assert raised == 3
 
 
 def test_batch_shape_and_values_checked():
