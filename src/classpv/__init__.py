@@ -22,8 +22,6 @@ from .core import (
 from .estimators import (
     DegenerateFitError,
     KnnCaches,
-    LogisticFit,
-    PooledGaussianFit,
     default_k,
     fit_logistic,
     fit_pooled_gaussian,

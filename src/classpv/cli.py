@@ -441,7 +441,33 @@ _DEFAULTS = {
 }
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+def _flag_actions(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """Every subcommand's flags, by destination."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for sub in commands.choices.values() for a in sub._actions if a.option_strings}
+
+
+def _check_config_value(key: str, value, action: argparse.Action) -> None:
+    """Reject a config value that its flag could not have produced: a list
+    for a repeatable or multi-value flag, else one value, each of the flag's
+    type and among its choices. null stands for an unset flag whose default
+    is unset too."""
+    if value is None and _DEFAULTS[key] is None:
+        return
+    many = isinstance(action, argparse._AppendAction) or action.nargs == "+"
+    if many != isinstance(value, list) or (many and not value):
+        expected = "a non-empty list" if many else "a single value"
+        raise ValueError(f"config key {key!r}: expected {expected}, got {value!r}")
+    kind = bool if isinstance(action, argparse.BooleanOptionalAction) else action.type or str
+    accepted = (int, float) if kind is float else kind
+    for item in value if many else [value]:
+        if isinstance(item, bool) != (kind is bool) or not isinstance(item, accepted):
+            raise ValueError(f"config key {key!r}: expected {kind.__name__} values, got {item!r}")
+        if action.choices is not None and item not in action.choices:
+            raise ValueError(f"config key {key!r}: {item!r} is not one of {list(action.choices)}")
+
+
+def _merge_config(args: argparse.Namespace, flags: dict[str, argparse.Action]) -> argparse.Namespace:
     file_values = {}
     if args.config:
         try:
@@ -451,9 +477,13 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
             raise CsvFormatError(f"{args.config}: {err.strerror}") from err
         except json.JSONDecodeError as err:
             raise CsvFormatError(f"{args.config}: invalid JSON ({err})") from err
+        if not isinstance(file_values, dict):
+            raise CsvFormatError(f"{args.config}: expected a JSON object of flag values")
         unknown = set(file_values) - set(_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_values.items():
+            _check_config_value(key, value, flags[key])
     for key, fallback in _DEFAULTS.items():
         if getattr(args, key, None) is None:
             value = file_values.get(key, fallback)
@@ -497,9 +527,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _merge_config(args, _flag_actions(parser))
         return args.func(args)
     except CsvFormatError as err:
         print(f"error: {err}", file=sys.stderr)

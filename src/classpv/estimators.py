@@ -1,11 +1,15 @@
-"""Fitted test-statistic families for the permutation engine. Each fitted
-statistic scores an (m, q) batch through one ``evaluate(theta, pts)``, scores
-its own training rows through ``evaluate_rows(theta, rows)``, and takes a
-single-point edit (``Remove``, ``Replace``, ``Augment`` or ``Relabel``)
-through one ``edit`` method; the pooled Gaussian fit applies it
-incrementally, and the k-NN caches carry over a relabel. The plug-in and
-fixed-metric k-NN statistics also score a batch of queries under each
-query's augmented data through ``augmented_values``, without an edit.
+"""Fitted test-statistic families for the permutation engine. A fitted
+statistic is its fit: it holds its training data and fitted parameters,
+scores an (m, q) batch through one ``evaluate(theta, pts)``, scores its own
+training rows through ``evaluate_rows(theta, rows)``, and returns the edited
+statistic from one ``edit`` method, for a single-point ``Remove``,
+``Replace``, ``Augment`` or ``Relabel``. The pooled Gaussian statistic
+applies every edit in O(q^2) as at most one add step followed by at most one
+remove step (``gaussian_update``); the logistic statistic refits; the k-NN
+caches carry over a relabel. Typicality is its own type, the pooled Gaussian
+fit read as exact-pivot p-values. The plug-in and fixed-metric k-NN
+statistics also score a batch of queries under each query's augmented data
+through ``augmented_values``, without an edit.
 Identical rows of one ``evaluate`` call get identical bits, because the rank
 count scores the query together with its class and needs their ties exact.
 
@@ -26,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import Augment, Relabel, Remove, Replace, TrainingSet, check_label
-from .numerics import SingularMatrixError, SpdMatrix, f_cdf, log_sum_exp, whiten_rows
+from .numerics import SingularMatrixError, SpdMatrix, f_cdf, log_sum_exp, mahalanobis_sq, whiten_rows
 from .oracle import log_weighted_lr
 
 __all__ = [
@@ -34,9 +38,8 @@ __all__ = [
     "GaussianStatistic",
     "KnnCaches",
     "KnnStatistic",
-    "LogisticFit",
     "LogisticStatistic",
-    "PooledGaussianFit",
+    "TypicalityStatistic",
     "default_k",
     "fit_logistic",
     "fit_pooled_gaussian",
@@ -63,41 +66,144 @@ def _canonical_order(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Pooled-covariance Gaussian fit and its update formulae
+# Pooled-covariance Gaussian statistic and its update step
 # ---------------------------------------------------------------------------
 
 
+# Sherman-Morrison turns the augmented Mahalanobis form into a difference of
+# two terms; beyond this value of a'|w_u|^2 that difference cancels badly, so
+# the query takes the refit.
+_FAR_QUERY = 1e4
+
+
 @dataclass(frozen=True, eq=False)
-class PooledGaussianFit:
-    """Per-class means with the pooled covariance (divisor n - L)."""
+class GaussianStatistic:
+    """Per-class means with the pooled covariance (divisor n - L) of ``data``,
+    as the plug-in statistic: the log weighted likelihood ratio at the fitted
+    parameters, larger meaning class theta is less plausible."""
 
     data: TrainingSet
     means: np.ndarray          # (L, q)
     sigma: SpdMatrix
-    group_sizes: np.ndarray    # (L,)
 
     def __post_init__(self):
         self.means.setflags(write=False)
-        self.group_sizes.setflags(write=False)
 
     @property
     def n(self) -> int:
-        return int(self.group_sizes.sum())
-
-    @property
-    def n_classes(self) -> int:
-        return self.group_sizes.size
+        return self.data.n
 
     @property
     def q(self) -> int:
-        return self.means.shape[1]
+        return self.data.q
+
+    @property
+    def group_sizes(self) -> np.ndarray:
+        return self.data.group_sizes
 
     @property
     def class_weights(self) -> np.ndarray:
         return self.group_sizes / self.n
 
+    @cached_property
+    def _whitened(self) -> tuple[np.ndarray, np.ndarray]:
+        """The training rows and the class means in the coordinates where the
+        pooled covariance is the identity."""
+        lower = self.sigma.chol_lower
+        return whiten_rows(lower, self.data.features), whiten_rows(lower, self.means)
 
-def fit_pooled_gaussian(d: TrainingSet) -> PooledGaussianFit:
+    @cached_property
+    def _pivot_floor(self) -> float:
+        """The smallest Cholesky pivot of the pooled covariance. Augmenting
+        adds a positive semidefinite term to the scatter, which lowers no
+        pivot, so the augmented covariance has every pivot at least this
+        times (n-L)/(n+1-L)."""
+        return float(np.min(np.diag(self.sigma.chol_lower))) ** 2
+
+    def evaluate(self, theta: int, pts: np.ndarray) -> np.ndarray:
+        # log scale; only the ordering enters the permutation count
+        check_label(theta, self.data.n_classes)
+        covs = (self.sigma,) * self.data.n_classes
+        return log_weighted_lr(self.class_weights, self.means, covs, theta, np.atleast_2d(pts))
+
+    def evaluate_rows(self, theta: int, rows: np.ndarray) -> np.ndarray:
+        return self.evaluate(theta, self.data.features[rows])
+
+    def edit(self, edit: Remove | Replace | Augment | Relabel) -> "GaussianStatistic":
+        # through the module binding, which bench/tracing.py replaces to count edits
+        return gaussian_update(self, edit)
+
+    def augmented_values(self, theta: int, X: np.ndarray) -> np.ndarray:
+        """(m, N + 1): for each query x, the statistic at x and at the
+        class-theta rows under the fit augmented with (x, theta), in closed
+        form.
+
+        Augmenting adds (N/(N+1)) u u^T to the scatter, u = x - mu_theta, and
+        moves mu_theta by u/(N+1). In coordinates whitened by the pooled
+        Cholesky factor each augmented Mahalanobis form is, by
+        Sherman-Morrison, c (|y|^2 - a' (y.w_u)^2 / (1 + a'|w_u|^2)) with
+        a' = (N/(N+1))/(n-L) and c = (n+1-L)/(n-L). The competitor weights and
+        the log determinant cancel from the statistic's ordering, so no edit,
+        Cholesky factorization or row copy is needed. Queries and rows are
+        whitened row by row and then share every operation, so a row equal to
+        a query gets its bits. A query far enough out that the closed form
+        cancels badly, or that the refit's pivot check could trip, takes the
+        refit, which raises DegenerateFitError where the augmented fit is
+        singular.
+        """
+        n, n_classes = self.n, self.data.n_classes
+        big_n = int(self.group_sizes[theta - 1])
+        a = big_n / (big_n + 1.0) / (n - n_classes)
+        c = (n + 1.0 - n_classes) / (n - n_classes)
+        features_w, means_w = self._whitened
+        group_w = features_w[self.data.group(theta)]
+        wx = whiten_rows(self.sigma.chol_lower, X)
+        wu = wx - means_w[theta - 1]
+        shift = wu / (big_n + 1.0)
+        m, q = wx.shape
+        # one (m, N + 1) array per component, the query in column 0; sums over
+        # components run elementwise in a fixed order, so equal rows stay equal
+        points = [np.concatenate([wx[:, k, None], np.broadcast_to(group_w[:, k], (m, group_w.shape[0]))], axis=1)
+                  for k in range(q)]
+        spread = np.zeros(m)
+        for k in range(q):
+            spread += wu[:, k] * wu[:, k]
+        spread *= a
+        maha = []
+        for b in range(n_classes):
+            sq = np.zeros((m, group_w.shape[0] + 1))
+            proj = np.zeros_like(sq)
+            for k in range(q):
+                y = points[k] - means_w[b, k]
+                if b == theta - 1:
+                    y -= shift[:, k, None]
+                sq += y * y
+                proj += y * wu[:, k, None]
+            maha.append(c * (sq - a * proj * proj / (1.0 + spread)[:, None]))
+        # log sum_{b != theta} w_b exp(-(maha_b - maha_theta) / 2)
+        weights = self.group_sizes / self.group_sizes[np.arange(n_classes) != theta - 1].sum()
+        terms = [np.log(weights[b]) - 0.5 * (maha[b] - maha[theta - 1]) for b in range(n_classes) if b != theta - 1]
+        values = log_sum_exp(np.stack(terms), axis=0)
+        # The refit checks its Cholesky pivots against 1e-12 times the largest
+        # diagonal entry of the augmented covariance. Where that tolerance
+        # comes within a factor 2 of the pivot floor, the refit may find the
+        # augmented fit singular and raise, so the query takes it.
+        u = X - self.means[theta - 1]
+        scatter_diag = (n - n_classes) * np.diag(self.sigma.matrix) + u * u / (1.0 + 1.0 / big_n)
+        tol = 1e-12 * np.max(scatter_diag, axis=1) / (n + 1.0 - n_classes)
+        floor = self._pivot_floor * (n - n_classes) / (n + 1.0 - n_classes)
+        for i in np.flatnonzero((spread > _FAR_QUERY) | (2.0 * tol >= floor)):
+            values[i] = _refit_values(self, theta, X[i])
+        return values
+
+
+class TypicalityStatistic(GaussianStatistic):
+    """The pooled Gaussian fit read as exact-pivot p-values: ``pvalues``
+    gives ``typicality_index`` in every mode, since this is not a
+    permutation statistic. Edits keep the type."""
+
+
+def fit_pooled_gaussian(d: TrainingSet) -> GaussianStatistic:
     """Groupwise means and pooled covariance of a training set."""
     n, n_classes = d.n, d.n_classes
     if n <= n_classes:
@@ -116,108 +222,78 @@ def fit_pooled_gaussian(d: TrainingSet) -> PooledGaussianFit:
         raise DegenerateFitError(
             f"pooled covariance is singular ({err})", pivot_index=err.pivot_index
         ) from err
-    return PooledGaussianFit(data=d, means=means, sigma=sigma, group_sizes=d.group_sizes)
+    return GaussianStatistic(data=d, means=means, sigma=sigma)
 
 
-def gaussian_update(fit: PooledGaussianFit, edit: Remove | Replace | Augment | Relabel) -> PooledGaussianFit:
-    """Apply a single-point edit to a pooled Gaussian fit in O(q^2).
+def gaussian_update(stat: GaussianStatistic, edit: Remove | Replace | Augment | Relabel) -> GaussianStatistic:
+    """Apply a single-point edit to a pooled Gaussian statistic in O(q^2);
+    the result has the type of ``stat``.
 
-    The result matches a from-scratch refit of the edited data to within
-    1e-9 relative error. Removing the last member of a group is rejected, and
-    an edit that drives the pooled covariance singular raises
-    DegenerateFitError.
+    Every edit is at most one add step followed by at most one remove step:
+    ``Augment`` adds its point, ``Remove`` removes row i, ``Replace`` adds the
+    new point to row i's class and then removes row i, and ``Relabel`` adds
+    row i to its new class and then removes it from its old one. Adding
+    first keeps a one-member class nonempty through a ``Replace``. The result
+    matches a from-scratch refit of the edited data to within 1e-9 relative
+    error. Removing the last member of a group is rejected, and an edit that
+    drives the pooled covariance singular raises DegenerateFitError.
     """
-    d = fit.data
+    d = stat.data
     new_data = d.edit(edit)  # validates the edit
-    n, n_classes = fit.n, fit.n_classes
-    scatter = (n - n_classes) * fit.sigma.matrix
-    means = np.array(fit.means, copy=True)
-    sizes = np.array(fit.group_sizes, copy=True)
-
     if isinstance(edit, Remove):
-        i = edit.index
-        theta = int(d.labels[i])
-        big_n = int(sizes[theta - 1])
-        x_i = d.features[i]
-        dev = x_i - means[theta - 1]
-        scatter = scatter - (big_n / (big_n - 1.0)) * np.outer(dev, dev)
-        means[theta - 1] = means[theta - 1] - dev / (big_n - 1.0)
-        sizes[theta - 1] -= 1
-    elif isinstance(edit, Replace):
-        i = edit.index
-        theta = int(d.labels[i])
-        big_n = int(sizes[theta - 1])
-        x_i = d.features[i]
-        x = np.asarray(edit.point, dtype=float)
-        if big_n > 1:
-            mean_wo = (big_n * means[theta - 1] - x_i) / (big_n - 1.0)
-            dev_new = x - mean_wo
-            dev_old = x_i - mean_wo
-            scatter = scatter + (1.0 - 1.0 / big_n) * (np.outer(dev_new, dev_new) - np.outer(dev_old, dev_old))
-        means[theta - 1] = means[theta - 1] + (x - x_i) / big_n
+        added = None
     elif isinstance(edit, Augment):
-        theta = check_label(edit.label, n_classes)
-        x = np.asarray(edit.point, dtype=float)
+        added = (edit.point, edit.label)
+    elif isinstance(edit, Replace):
+        added = (edit.point, d.labels[edit.index])
+    else:  # Relabel; d.edit rejected any other edit
+        added = (d.features[edit.index], edit.label)
+    removed = None if isinstance(edit, Augment) else edit.index
+    scatter = (d.n - d.n_classes) * stat.sigma.matrix
+    means = np.array(stat.means, copy=True)
+    sizes = d.group_sizes
+    if added is not None:
+        x, theta = np.asarray(added[0], dtype=float), int(added[1])
         big_n = int(sizes[theta - 1])
         dev = x - means[theta - 1]
         scatter = scatter + np.outer(dev, dev) / (1.0 + 1.0 / big_n)
         means[theta - 1] = means[theta - 1] + dev / (big_n + 1.0)
         sizes[theta - 1] += 1
-    elif isinstance(edit, Relabel):
-        # the Remove and Augment terms in one scatter update; n is unchanged
-        i = edit.index
-        old, theta = int(d.labels[i]), int(edit.label)
-        n_old, n_new = int(sizes[old - 1]), int(sizes[theta - 1])
-        x_i = d.features[i]
-        dev_old = x_i - means[old - 1]
-        dev_new = x_i - means[theta - 1]
-        scatter = (
-            scatter
-            + np.outer(dev_new, dev_new) / (1.0 + 1.0 / n_new)
-            - (n_old / (n_old - 1.0)) * np.outer(dev_old, dev_old)
-        )
-        means[old - 1] = means[old - 1] - dev_old / (n_old - 1.0)
-        means[theta - 1] = means[theta - 1] + dev_new / (n_new + 1.0)
-        sizes[old - 1] -= 1
-        sizes[theta - 1] += 1
-    else:
-        raise TypeError(f"unknown edit {edit!r}")
-
-    new_n = int(sizes.sum())
-    if new_n <= n_classes:
-        raise ValueError(f"edit leaves n={new_n} <= L={n_classes}")
+    if removed is not None:
+        theta = int(d.labels[removed])
+        big_n = int(sizes[theta - 1])
+        dev = d.features[removed] - means[theta - 1]
+        scatter = scatter - (big_n / (big_n - 1.0)) * np.outer(dev, dev)
+        means[theta - 1] = means[theta - 1] - dev / (big_n - 1.0)
+    n, n_classes = new_data.n, new_data.n_classes
+    if n <= n_classes:
+        raise ValueError(f"edit leaves n={n} <= L={n_classes}")
     try:
-        sigma = SpdMatrix(scatter / (new_n - n_classes))
+        sigma = SpdMatrix(scatter / (n - n_classes))
     except SingularMatrixError as err:
         raise DegenerateFitError(
             f"edited covariance is singular ({err})", pivot_index=err.pivot_index
         ) from err
-    return PooledGaussianFit(data=new_data, means=means, sigma=sigma, group_sizes=sizes)
+    return replace(stat, data=new_data, means=means, sigma=sigma)
 
 
-def log_plugin_statistic(fit: PooledGaussianFit, theta: int, x: np.ndarray) -> np.ndarray | float:
-    """log of the weighted likelihood-ratio statistic at the fitted parameters."""
-    check_label(theta, fit.n_classes)
-    covs = tuple(fit.sigma for _ in range(fit.n_classes))
-    return log_weighted_lr(fit.class_weights, fit.means, covs, theta, x)
-
-
-def typicality_index(fit: PooledGaussianFit, theta: int, x: np.ndarray) -> np.ndarray | float:
+def typicality_index(stat: GaussianStatistic, theta: int, x: np.ndarray) -> np.ndarray | float:
     """Exact-pivot p-value from the scaled squared Mahalanobis distance to class theta.
 
     The scaling constant turns the distance into an F-distributed pivot, so the
     index is an exact p-value under a homoscedastic Gaussian model. x may be
     (q,) or (m, q); each row gets the same bits in any batch.
     """
-    check_label(theta, fit.n_classes)
-    n, n_classes, q = fit.n, fit.n_classes, fit.q
+    n_classes = stat.data.n_classes
+    check_label(theta, n_classes)
+    n, q = stat.n, stat.q
     if n < n_classes + q:
         raise ValueError(f"typicality needs n >= L + q, got n={n}, L={n_classes}, q={q}")
     d2 = n - n_classes - q + 1
-    c_theta = d2 / (q * (n - n_classes) * (1.0 + 1.0 / fit.group_sizes[theta - 1]))
+    c_theta = d2 / (q * (n - n_classes) * (1.0 + 1.0 / stat.group_sizes[theta - 1]))
     x = np.asarray(x, dtype=float)
-    y = whiten_rows(fit.sigma.chol_lower, np.atleast_2d(x) - fit.means[theta - 1])
-    out = np.array([1.0 - f_cdf(c_theta * float(v), q, d2) for v in np.sum(y * y, axis=1)])
+    msq = mahalanobis_sq(np.atleast_2d(x), stat.means[theta - 1], stat.sigma)
+    out = np.array([1.0 - f_cdf(c_theta * float(v), q, d2) for v in msq])
     return float(out[0]) if x.ndim == 1 else out
 
 
@@ -405,8 +481,10 @@ def _refit_values(stat, theta: int, x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class LogisticFit:
-    """Maximum-likelihood logistic fit for two classes, with separation handling.
+class LogisticStatistic:
+    """Maximum-likelihood logistic fit for two classes, with separation
+    handling, as the signed logistic score: the class-2 logit tests class 1
+    and vice versa.
 
     On convergence the log-likelihood gradient norm is at most 1e-8. When the
     classes are (nearly) separable the coefficients are the capped-iteration
@@ -423,13 +501,27 @@ class LogisticFit:
     def __post_init__(self):
         self.coefficients.setflags(write=False)
 
+    def evaluate(self, theta: int, pts: np.ndarray) -> np.ndarray:
+        check_label(theta, 2)
+        # an elementwise row sum, not a matrix product: BLAS may round identical
+        # rows of one batch differently, and the rank count needs them equal
+        scores = self.intercept + np.sum(np.atleast_2d(pts) * self.coefficients, axis=1)
+        return scores if theta == 1 else -scores
+
+    def evaluate_rows(self, theta: int, rows: np.ndarray) -> np.ndarray:
+        return self.evaluate(theta, self.data.features[rows])
+
+    def edit(self, edit: Remove | Replace | Augment | Relabel) -> "LogisticStatistic":
+        # through the module binding, which bench/tracing.py replaces to count fits
+        return fit_logistic(self.data.edit(edit))
+
 
 _LOGISTIC_MAX_ITER = 100
 _LOGISTIC_GRAD_TOL = 1e-8
 _LOGISTIC_COEF_CAP = 30.0
 
 
-def fit_logistic(d: TrainingSet) -> LogisticFit:
+def fit_logistic(d: TrainingSet) -> LogisticStatistic:
     """Fit log-odds of class 2 as an affine function of the features by IRLS."""
     if d.n_classes != 2:
         raise ValueError(f"logistic statistic requires exactly 2 classes, got {d.n_classes}")
@@ -467,7 +559,7 @@ def fit_logistic(d: TrainingSet) -> LogisticFit:
     else:
         if grad_norm > _LOGISTIC_GRAD_TOL and deviance < prev_deviance:
             separated = True
-    return LogisticFit(
+    return LogisticStatistic(
         data=d,
         intercept=float(beta[0]),
         coefficients=np.array(beta[1:]),
@@ -478,121 +570,8 @@ def fit_logistic(d: TrainingSet) -> LogisticFit:
 
 
 # ---------------------------------------------------------------------------
-# Statistic-model wrappers consumed by the permutation engine
+# The k-nearest-neighbor statistic
 # ---------------------------------------------------------------------------
-
-
-# Sherman-Morrison turns the augmented Mahalanobis form into a difference of
-# two terms; beyond this value of a'|w_u|^2 that difference cancels badly, so
-# the query takes the refit.
-_FAR_QUERY = 1e4
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianStatistic:
-    """Statistic on the pooled Gaussian fit.
-
-    As the plug-in statistic it evaluates the log weighted likelihood ratio at
-    the fitted parameters: larger means class theta is less plausible. With
-    ``typicality`` set it gives direct F-pivot p-values instead and is not a
-    permutation statistic.
-    """
-
-    fit: PooledGaussianFit
-    typicality: bool = False
-
-    @property
-    def data(self) -> TrainingSet:
-        return self.fit.data
-
-    @cached_property
-    def _whitened(self) -> tuple[np.ndarray, np.ndarray]:
-        """The training rows and the class means in the coordinates where the
-        pooled covariance is the identity."""
-        lower = self.fit.sigma.chol_lower
-        return whiten_rows(lower, self.data.features), whiten_rows(lower, self.fit.means)
-
-    @cached_property
-    def _pivot_floor(self) -> float:
-        """The smallest Cholesky pivot of the pooled covariance. Augmenting
-        adds a positive semidefinite term to the scatter, which lowers no
-        pivot, so the augmented covariance has every pivot at least this
-        times (n-L)/(n+1-L)."""
-        return float(np.min(np.diag(self.fit.sigma.chol_lower))) ** 2
-
-    def evaluate(self, theta: int, pts: np.ndarray) -> np.ndarray:
-        # log scale; only the ordering enters the permutation count
-        return log_plugin_statistic(self.fit, theta, np.atleast_2d(pts))
-
-    def evaluate_rows(self, theta: int, rows: np.ndarray) -> np.ndarray:
-        return self.evaluate(theta, self.data.features[rows])
-
-    def edit(self, edit: Remove | Replace | Augment | Relabel) -> "GaussianStatistic":
-        return GaussianStatistic(gaussian_update(self.fit, edit), self.typicality)
-
-    def augmented_values(self, theta: int, X: np.ndarray) -> np.ndarray:
-        """(m, N + 1): for each query x, the statistic at x and at the
-        class-theta rows under the fit augmented with (x, theta), in closed
-        form.
-
-        Augmenting adds (N/(N+1)) u u^T to the scatter, u = x - mu_theta, and
-        moves mu_theta by u/(N+1). In coordinates whitened by the pooled
-        Cholesky factor each augmented Mahalanobis form is, by
-        Sherman-Morrison, c (|y|^2 - a' (y.w_u)^2 / (1 + a'|w_u|^2)) with
-        a' = (N/(N+1))/(n-L) and c = (n+1-L)/(n-L). The competitor weights and
-        the log determinant cancel from the statistic's ordering, so no edit,
-        Cholesky factorization or row copy is needed. Queries and rows are
-        whitened row by row and then share every operation, so a row equal to
-        a query gets its bits. A query far enough out that the closed form
-        cancels badly, or that the refit's pivot check could trip, takes the
-        refit, which raises DegenerateFitError where the augmented fit is
-        singular.
-        """
-        fit = self.fit
-        n, n_classes = fit.n, fit.n_classes
-        big_n = int(fit.group_sizes[theta - 1])
-        a = big_n / (big_n + 1.0) / (n - n_classes)
-        c = (n + 1.0 - n_classes) / (n - n_classes)
-        features_w, means_w = self._whitened
-        group_w = features_w[self.data.group(theta)]
-        wx = whiten_rows(fit.sigma.chol_lower, X)
-        wu = wx - means_w[theta - 1]
-        shift = wu / (big_n + 1.0)
-        m, q = wx.shape
-        # one (m, N + 1) array per component, the query in column 0; sums over
-        # components run elementwise in a fixed order, so equal rows stay equal
-        points = [np.concatenate([wx[:, k, None], np.broadcast_to(group_w[:, k], (m, group_w.shape[0]))], axis=1)
-                  for k in range(q)]
-        spread = np.zeros(m)
-        for k in range(q):
-            spread += wu[:, k] * wu[:, k]
-        spread *= a
-        maha = []
-        for b in range(n_classes):
-            sq = np.zeros((m, group_w.shape[0] + 1))
-            proj = np.zeros_like(sq)
-            for k in range(q):
-                y = points[k] - means_w[b, k]
-                if b == theta - 1:
-                    y -= shift[:, k, None]
-                sq += y * y
-                proj += y * wu[:, k, None]
-            maha.append(c * (sq - a * proj * proj / (1.0 + spread)[:, None]))
-        # log sum_{b != theta} w_b exp(-(maha_b - maha_theta) / 2)
-        weights = fit.group_sizes / fit.group_sizes[np.arange(n_classes) != theta - 1].sum()
-        terms = [np.log(weights[b]) - 0.5 * (maha[b] - maha[theta - 1]) for b in range(n_classes) if b != theta - 1]
-        values = log_sum_exp(np.stack(terms), axis=0)
-        # The refit checks its Cholesky pivots against 1e-12 times the largest
-        # diagonal entry of the augmented covariance. Where that tolerance
-        # comes within a factor 2 of the pivot floor, the refit may find the
-        # augmented fit singular and raise, so the query takes it.
-        u = X - fit.means[theta - 1]
-        scatter_diag = (n - n_classes) * np.diag(fit.sigma.matrix) + u * u / (1.0 + 1.0 / big_n)
-        tol = 1e-12 * np.max(scatter_diag, axis=1) / (n + 1.0 - n_classes)
-        floor = self._pivot_floor * (n - n_classes) / (n + 1.0 - n_classes)
-        for i in np.flatnonzero((spread > _FAR_QUERY) | (2.0 * tol >= floor)):
-            values[i] = _refit_values(self, theta, X[i])
-        return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -662,27 +641,3 @@ class KnnStatistic:
         counts = _augmented_counts(caches, dsq[:, group], group, theta)
         values[:, 1:] = -(counts[:, :, theta - 1] / counts.sum(axis=2))
         return values
-
-
-@dataclass(frozen=True, eq=False)
-class LogisticStatistic:
-    """Signed logistic score: the class-2 logit tests class 1 and vice versa."""
-
-    fit: LogisticFit
-
-    @property
-    def data(self) -> TrainingSet:
-        return self.fit.data
-
-    def evaluate(self, theta: int, pts: np.ndarray) -> np.ndarray:
-        check_label(theta, 2)
-        # an elementwise row sum, not a matrix product: BLAS may round identical
-        # rows of one batch differently, and the rank count needs them equal
-        scores = self.fit.intercept + np.sum(np.atleast_2d(pts) * self.fit.coefficients, axis=1)
-        return scores if theta == 1 else -scores
-
-    def evaluate_rows(self, theta: int, rows: np.ndarray) -> np.ndarray:
-        return self.evaluate(theta, self.data.features[rows])
-
-    def edit(self, edit: Remove | Replace | Augment | Relabel) -> "LogisticStatistic":
-        return LogisticStatistic(fit_logistic(self.data.edit(edit)))

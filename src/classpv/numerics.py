@@ -4,6 +4,13 @@ The distribution functions are computed from the regularized incomplete
 gamma/beta functions (series vs. continued-fraction switching) so the
 package carries no dependency beyond numpy and produces bit-reproducible
 values across platforms.
+
+There is one forward substitution, ``solve_lower``. It works elementwise
+across the columns of its right-hand side and adds each row's terms in a
+fixed order; ``whiten_rows`` is its row-major view and ``mahalanobis_sq``
+sums its squared components one at a time. A point therefore gets the same
+bits alone as in a batch of any width, which the rank p-values need: a
+training row equal to a query must tie with it exactly.
 """
 
 from __future__ import annotations
@@ -202,9 +209,15 @@ def cholesky(matrix: np.ndarray) -> np.ndarray:
 
 
 def solve_lower(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Forward substitution for L y = rhs; rhs may be (q,) or (q, m)."""
+    """Forward substitution for L y = rhs; rhs may be (q,) or (q, m).
+
+    The substitution runs elementwise across the m columns, and row j adds
+    its terms L[j, k] y[k] in the order k = 0, 1, ..., j - 1 before the
+    subtraction. So a column gets the same bits whatever the other columns
+    hold and however many there are.
+    """
     q = lower.shape[0]
-    y = np.array(rhs, dtype=float, copy=True)
+    y = np.array(rhs, dtype=float, order="C")
     vec = y.ndim == 1
     if vec:
         y = y[:, None]
@@ -212,28 +225,20 @@ def solve_lower(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension mismatch: factor is {q}x{q}, rhs has {y.shape[0]} rows")
     for j in range(q):
         if j > 0:
-            y[j] -= lower[j, :j] @ y[:j]
+            terms = lower[j, 0] * y[0]
+            for k in range(1, j):
+                terms += lower[j, k] * y[k]
+            y[j] -= terms
         y[j] /= lower[j, j]
     return y[:, 0] if vec else y
 
 
 def whiten_rows(lower: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Forward substitution L y = r for each row r of an (m, q) batch; returns (m, q).
-
-    Each row's substitution is a chain of per-row dot products, the very
-    operations ``solve_lower`` performs on a single right-hand side. So a row
-    gets the same bits whatever else the batch holds and however wide it is,
-    and the same bits as ``solve_lower`` of that row alone; ``solve_lower``
-    on a block does not promise either.
-    """
-    y = np.array(rows, dtype=float, copy=True)
-    if y.ndim != 2 or y.shape[1] != lower.shape[0]:
-        raise ValueError(f"dimension mismatch: factor is {lower.shape[0]}x{lower.shape[0]}, rows have shape {y.shape}")
-    for j in range(lower.shape[0]):
-        if j > 0:
-            y[:, j] -= np.matmul(y[:, None, :j], lower[j, :j, None])[:, 0, 0]
-        y[:, j] /= lower[j, j]
-    return y
+    """``solve_lower`` for each row of an (m, q) batch, as rows: (m, q)."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError(f"expected an (m, q) batch of rows, got shape {rows.shape}")
+    return solve_lower(lower, rows.T).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +266,8 @@ class SpdMatrix:
 def mahalanobis_sq(x: np.ndarray, mu: np.ndarray, sigma: SpdMatrix) -> np.ndarray | float:
     """Squared Mahalanobis norm of x - mu, via triangular solve against the cached factor.
 
-    x may be a single vector (q,) or a batch (m, q); batches return an (m,) array.
+    x may be a single vector (q,) or a batch (m, q); batches return an (m,)
+    array, whose entry for a point has the bits that point gets alone.
     """
     x = np.asarray(x, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -270,5 +276,8 @@ def mahalanobis_sq(x: np.ndarray, mu: np.ndarray, sigma: SpdMatrix) -> np.ndarra
     if diff.shape[1] != sigma.dim:
         raise ValueError(f"dimension mismatch: points have {diff.shape[1]} components, matrix is {sigma.dim}x{sigma.dim}")
     y = solve_lower(sigma.chol_lower, diff.T)
-    out = np.sum(y * y, axis=0)
+    # one component at a time, so a point's bits do not depend on the batch
+    out = np.zeros(y.shape[1])
+    for component in y:
+        out += component * component
     return float(out[0]) if single else out

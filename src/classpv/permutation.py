@@ -32,7 +32,7 @@ from .estimators import (
     DegenerateFitError,
     GaussianStatistic,
     KnnStatistic,
-    LogisticStatistic,
+    TypicalityStatistic,
     _refit_values,
     default_k,
     fit_logistic,
@@ -80,8 +80,9 @@ class PermutationMethod:
             k = self.k if self.k is not None else default_k(d.n)
             return KnnStatistic(d, k, self.scale_features)
         if self.statistic == "logistic":
-            return LogisticStatistic(fit_logistic(d))
-        return GaussianStatistic(fit_pooled_gaussian(d), typicality=self.statistic == "typicality")
+            return fit_logistic(d)
+        fit = fit_pooled_gaussian(d)
+        return TypicalityStatistic(d, fit.means, fit.sigma) if self.statistic == "typicality" else fit
 
 
 # elements of the largest temporary block one chunk of queries may build
@@ -100,19 +101,19 @@ def pvalues(fitted, mode: str, theta: int, X: np.ndarray) -> np.ndarray:
     theta): in closed form for the plug-in statistic, from the cached ball
     counts for k-NN in a fixed metric, and by refitting otherwise. ``naive``
     compares against the unswapped training statistics, all queries in one
-    evaluation. Typicality is an exact pivot, evaluated directly in every
-    mode. Pass one fit (``PermutationMethod.fit``) to many calls to reuse it.
+    evaluation. A ``TypicalityStatistic``, the pooled Gaussian fit as its own
+    type, is an exact pivot, evaluated directly in every mode. Pass one fitted
+    statistic (``PermutationMethod.fit``) to many calls to reuse it: the
+    statistic is the fit, holding its training data and parameters.
 
     The fitted statistic's ``evaluate(theta, pts)`` maps an (m, q) batch to m
     values, larger meaning class theta is less plausible. It must be symmetric
     in the class's training rows and give identical rows of one call
     identical bits: outside exact-swap, queries and the class-theta rows are
     scored in one call, so a member equal to a query ties with it in the
-    ``>=`` count. Outside naive mode every query's p-value is the same in any
-    batch, and so at any batch width. Naive mode scores the batch and the
-    class rows in one ``evaluate``, whose bits for a row may depend on the
-    batch width (the plug-in statistic's block ``solve_lower``), so a naive
-    p-value is width-independent up to ties at the last bit.
+    ``>=`` count. A row's value must not depend on the rest of the call
+    either, so every query's p-value is the same in any batch, and so at any
+    batch width, in every mode.
     """
     d = fitted.data
     check_label(theta, d.n_classes)
@@ -123,8 +124,8 @@ def pvalues(fitted, mode: str, theta: int, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"query batch has shape {X.shape}, expected (m, {d.q})")
     if not np.all(np.isfinite(X)):
         raise ValueError("feature vector contains non-finite values")
-    if isinstance(fitted, GaussianStatistic) and fitted.typicality:
-        return typicality_index(fitted.fit, theta, X)
+    if isinstance(fitted, TypicalityStatistic):
+        return typicality_index(fitted, theta, X)
     if mode == "exact-swap":
         return np.array([_exact_swap_pvalue(fitted, theta, x) for x in X])
     per_query = max(d.n, (d.group(theta).size + 1) * d.n_classes) * max(1, d.q)

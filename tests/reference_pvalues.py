@@ -21,6 +21,7 @@ import numpy as np
 
 from classpv import Augment, GaussianMixtureModel, Replace
 from classpv.core import rank_pvalue
+from classpv.estimators import TypicalityStatistic
 from classpv.numerics import f_cdf, mahalanobis_sq
 from classpv.oracle import log_weighted_lr
 
@@ -102,12 +103,11 @@ def refit_pvalue(fitted, mode: str, theta: int, x: np.ndarray) -> float:
     d = fitted.data
     x = np.asarray(x, dtype=float)
     group = d.group(theta)
-    if getattr(fitted, "typicality", False):
-        fit = fitted.fit
-        n, n_classes, q = fit.n, fit.n_classes, fit.q
+    if isinstance(fitted, TypicalityStatistic):
+        n, n_classes, q = fitted.n, d.n_classes, fitted.q
         d2 = n - n_classes - q + 1
-        c_theta = d2 / (q * (n - n_classes) * (1.0 + 1.0 / fit.group_sizes[theta - 1]))
-        return 1.0 - f_cdf(c_theta * mahalanobis_sq(x, fit.means[theta - 1], fit.sigma), q, d2)
+        c_theta = d2 / (q * (n - n_classes) * (1.0 + 1.0 / fitted.group_sizes[theta - 1]))
+        return 1.0 - f_cdf(c_theta * mahalanobis_sq(x, fitted.means[theta - 1], fitted.sigma), q, d2)
     if mode == "exact-swap":
         reference = fitted.evaluate(theta, x[None, :])[0]
         values = [fitted.edit(Replace(int(i), x)).evaluate(theta, d.features[i][None, :])[0] for i in group]

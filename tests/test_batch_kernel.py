@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from classpv import DegenerateFitError, PermutationMethod, TrainingSet, pvalues
-from classpv.numerics import SpdMatrix, solve_lower, whiten_rows
+from classpv.numerics import SpdMatrix, mahalanobis_sq, solve_lower, whiten_rows
 
 from reference_pvalues import refit_pvalue
 
@@ -100,6 +100,43 @@ def test_whitening_is_width_invariant():
             assert np.array_equal(one[0], wide[i]), (seed, i)
             # and the bits solve_lower gives the row alone
             assert np.array_equal(one[0], solve_lower(lower, rows[i][:, None])[:, 0]), (seed, i)
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def test_a_row_gets_the_same_bits_at_every_width():
+    """Naive plug-in scores the queries and the class rows in one ``evaluate``,
+    so a row's bits must not depend on the rest of the block: checked for
+    ``evaluate`` and for the ``solve_lower`` and ``mahalanobis_sq`` columns
+    under it, at q = 2 to 8 on 60-row three-class sets whose columns are
+    scaled by 10^U(-2, 2), against 600-wide blocks."""
+    for q in range(2, 9):
+        rng = np.random.default_rng(100 + q)
+        scale = 10.0 ** rng.uniform(-2, 2, size=q)
+        feats = (rng.normal(size=(60, q)) + np.repeat(np.eye(3, q), 20, axis=0)) * scale
+        d = TrainingSet(feats, np.repeat([1, 2, 3], 20), 3, ("1", "2", "3"))
+        fitted = PermutationMethod("plugin", "naive").fit(d)
+        X = rng.normal(size=(600, q)) * 2.0 * scale
+        lower = fitted.sigma.chol_lower
+        wide = {
+            "evaluate": [fitted.evaluate(theta, X) for theta in (1, 2, 3)],
+            "solve_lower": list(solve_lower(lower, X.T)),
+            "mahalanobis_sq": [mahalanobis_sq(X, mu, fitted.sigma) for mu in fitted.means],
+        }
+        for width in WIDTHS[:2]:
+            blocks = [X[start : start + width] for start in range(0, X.shape[0], width)]
+            narrow = {
+                "evaluate": [np.concatenate([fitted.evaluate(theta, b) for b in blocks]) for theta in (1, 2, 3)],
+                "solve_lower": list(np.hstack([solve_lower(lower, b.T) for b in blocks])),
+                "mahalanobis_sq": [np.concatenate([mahalanobis_sq(b, mu, fitted.sigma) for b in blocks])
+                                   for mu in fitted.means],
+            }
+            for name, columns in wide.items():
+                for j, column in enumerate(columns):
+                    moved = np.flatnonzero(_bits(column) != _bits(narrow[name][j]))
+                    assert moved.size == 0, (q, width, name, j, moved.size)
 
 
 def test_far_query_on_anisotropic_features_takes_the_refit():

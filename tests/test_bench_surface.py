@@ -8,7 +8,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from classpv import Augment, PermutationMethod, Remove, Replace, TrainingSet
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -52,3 +55,33 @@ def test_imported_names_resolve(script):
 def test_read_attributes_resolve():
     for module, cls, attr in READ_ATTRIBUTES:
         assert hasattr(getattr(importlib.import_module(module), cls), attr), (cls, attr)
+
+
+def test_tracer_counters_read_results_and_see_every_edit():
+    """``COUNTERS`` read ``.iterations`` and ``.separated`` off
+    ``fit_logistic``'s result, ``.n`` off edited training sets, and the edit's
+    kind off ``gaussian_update``'s arguments. The statistics' ``edit`` methods
+    must call the module-level ``gaussian_update`` and ``fit_logistic``, or
+    the tracer's replacements would not see them."""
+    rng = np.random.default_rng(5)
+    d = TrainingSet(rng.normal(size=(12, 2)) + np.repeat([[0.0, 0.0], [1.0, 1.0]], 6, axis=0),
+                    np.repeat([1, 2], 6), 2, ("1", "2"))
+    x = np.array([0.5, 0.2])
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        logistic = PermutationMethod("logistic").fit(d)
+        edited = logistic.edit(Remove(0))
+        PermutationMethod("plugin").fit(d).edit(Remove(0)).edit(Augment(x, 1)).edit(Replace(2, x))
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert tracer.calls["estimators.fit_logistic"] == 2
+    assert tracer.counts["estimators.fit_logistic.irls_iterations"] == logistic.iterations + edited.iterations
+    assert tracer.counts["estimators.fit_logistic.separated"] == int(logistic.separated) + int(edited.separated)
+    assert tracer.calls["estimators.gaussian_update"] == 3
+    for kind in ("remove", "augment", "replace"):
+        assert tracer.counts["estimators.gaussian_update." + kind] == 1, kind
+    # two removes from 12 rows, an augment of 11 and a replace in 12
+    assert tracer.counts["core.rows_copied"] == 11 + 11 + 12 + 12

@@ -334,3 +334,30 @@ class TestConfigFile:
             "--config", str(cfg), "--out", str(tmp_path / "o"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("values, key", [
+        ({"alpha": 0.05}, "alpha"),
+        ({"k": "7"}, "k"),
+        ({"format": "json"}, "format"),
+        ({"method": "plug-in"}, "method"),
+    ])
+    def test_config_values_checked_against_their_flags(self, tmp_path, train_csv, capsys, values, key):
+        train_path, _ = train_csv
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        q = _query_csv(tmp_path, [(0.0, 0.0)])
+        rc = main([
+            "classify", "--train", str(train_path), "--label", "label", "--query", str(q),
+            "--config", str(cfg), "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_must_be_an_object(self, tmp_path, train_csv):
+        train_path, _ = train_csv
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("5")
+        rc = main(["crossval", "--train", str(train_path), "--label", "label", "--config", str(cfg),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2

@@ -27,8 +27,6 @@ from classpv.core import TrainingSet
 from classpv.estimators import (
     GaussianStatistic,
     KnnStatistic,
-    LogisticStatistic,
-    PooledGaussianFit,
     default_k,
 )
 from classpv.numerics import f_cdf, mahalanobis_sq
@@ -68,12 +66,12 @@ class TestPluginStatistic:
         means = np.array([[0.0, 0.0], [2.0, 0.0]])
         sigma = SpdMatrix(np.eye(2))
         d = validate_training_set(np.zeros((20, 2)) + np.arange(20)[:, None], [1] * 10 + [2] * 10)
-        fit = PooledGaussianFit(data=d, means=means, sigma=sigma, group_sizes=np.array([10, 10]))
+        fit = GaussianStatistic(data=d, means=means, sigma=sigma)
         model = GaussianMixtureModel(np.array([0.5, 0.5]), means, (sigma, sigma))
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = rng.normal(size=2) * 2
-            assert math.exp(GaussianStatistic(fit).evaluate(1, [x])[0]) == optimal_statistic(model, 1, x)
+            assert math.exp(fit.evaluate(1, [x])[0]) == optimal_statistic(model, 1, x)
 
     def test_equidistant_point_gives_one(self):
         d = validate_training_set(
@@ -82,8 +80,8 @@ class TestPluginStatistic:
         fit = fit_pooled_gaussian(d)
         # x on the perpendicular bisector of the two fitted means (diagonal pooled cov)
         assert np.array_equal(fit.means, [[0.5, 1.0], [3.5, 1.0]])
-        assert abs(math.exp(GaussianStatistic(fit).evaluate(1, [[2.0, 1.0]])[0]) - 1.0) < 1e-12
-        assert abs(math.exp(GaussianStatistic(fit).evaluate(2, [[2.0, 1.0]])[0]) - 1.0) < 1e-12
+        assert abs(math.exp(fit.evaluate(1, [[2.0, 1.0]])[0]) - 1.0) < 1e-12
+        assert abs(math.exp(fit.evaluate(2, [[2.0, 1.0]])[0]) - 1.0) < 1e-12
 
     def test_group_shuffle_invariance(self, train2):
         stat = PermutationMethod("plugin").fit(train2)
@@ -113,9 +111,7 @@ class TestTypicalityIndex:
         # n < L + q cannot arise from fit_pooled_gaussian (the scatter would be
         # rank-deficient), so exercise the guard on a hand-built fit
         d = validate_training_set(np.arange(12.0).reshape(4, 3), [1, 1, 2, 2])
-        fit = PooledGaussianFit(
-            data=d, means=np.zeros((2, 3)), sigma=SpdMatrix(np.eye(3)), group_sizes=np.array([2, 2])
-        )
+        fit = GaussianStatistic(data=d, means=np.zeros((2, 3)), sigma=SpdMatrix(np.eye(3)))
         with pytest.raises(ValueError, match="L \\+ q"):
             typicality_index(fit, 1, np.zeros(3))
 
@@ -149,6 +145,15 @@ class TestGaussianUpdate:
         same = gaussian_update(fit, Replace(3, train2.features[3]))
         assert np.allclose(same.means, fit.means, rtol=1e-12)
         assert np.allclose(same.sigma.matrix, fit.sigma.matrix, rtol=1e-12)
+
+    def test_replace_in_one_member_class_matches_scratch(self):
+        # the add step runs first, so the class never drops to zero members
+        d = validate_training_set([[0.0, 0.0], [1.0, 0.5], [2.0, 2.0], [3.0, 1.0], [5.0, 4.0]], [1, 1, 2, 2, 3])
+        x = np.array([4.0, 6.0])
+        updated = gaussian_update(fit_pooled_gaussian(d), Replace(4, x))
+        scratch = fit_pooled_gaussian(d.replace(4, x))
+        assert np.allclose(updated.means, scratch.means, rtol=1e-12)
+        assert np.allclose(updated.sigma.matrix, scratch.sigma.matrix, rtol=1e-12)
 
     def test_random_edits_match_scratch(self):
         rng = np.random.default_rng(17)
@@ -382,9 +387,8 @@ class TestLogistic:
         # narrow margin: the likelihood keeps improving until the coefficient cap
         feats = np.concatenate([np.linspace(-1, -0.05, 10), np.linspace(0.05, 1, 10)])[:, None]
         d = TrainingSet(feats, np.array([1] * 10 + [2] * 10), 2, ("1", "2"))
-        fit = fit_logistic(d)
-        assert fit.separated
-        stat = LogisticStatistic(fit)
+        stat = fit_logistic(d)
+        assert stat.separated
         assert stat.evaluate(1, [[1.5]])[0] > stat.evaluate(1, [[-1.5]])[0]
 
     def test_requires_two_classes(self, model22):
@@ -459,9 +463,9 @@ def test_identical_rows_in_one_call_get_identical_bits(statistic):
                 feats = rng.normal(size=(40, q)) * scale
                 d = TrainingSet(feats, np.array([1] * 20 + [2] * 20), 2, ("1", "2"))
                 if statistic == "plugin":
-                    stat = GaussianStatistic(fit_pooled_gaussian(d))
+                    stat = fit_pooled_gaussian(d)
                 elif statistic == "logistic":
-                    stat = LogisticStatistic(fit_logistic(d))
+                    stat = fit_logistic(d)
                 else:
                     stat = KnnStatistic(d, 5, scale_features=statistic == "knn-scaled")
                 distinct = rng.normal(size=(5, q)) * scale
