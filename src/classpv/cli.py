@@ -373,13 +373,16 @@ def cmd_simulate(args) -> int:
             model = _model_from(args.model or "example22")
             rmap = region_map(xs, ys, model=model, mc_samples=args.mc_samples, seed=args.seed)
         patterns_present = {}
+        # each coordinate and region code is formatted once, then joined by index
+        x_text = [_num(x) for x in xs]
+        code_text = [_code_text(code, rmap.n_classes) for code in range(1 << rmap.n_classes)]
         for alpha in args.alpha:
             tag = _alpha_tag(alpha)
             codes = rmap.subsets(alpha)
             rows = [
-                [_num(xs[ix]), _num(ys[iy]), _code_text(int(codes[iy, ix]), rmap.n_classes)]
-                for iy in range(ys.size)
-                for ix in range(xs.size)
+                [x, y, code_text[code]]
+                for y, row_codes in zip(map(_num, ys), codes.tolist())
+                for x, code in zip(x_text, row_codes)
             ]
             _write_csv(out / f"region_map_alpha{tag}.csv", ["x", "y", "region"], rows)
             patterns_present[tag] = sorted(_code_text(code, rmap.n_classes) for code in rmap.codes_present(alpha))
@@ -441,10 +444,10 @@ _DEFAULTS = {
 }
 
 
-def _flag_actions(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
-    """Every subcommand's flags, by destination."""
+def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
+    """One subcommand's flags, by destination."""
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for sub in commands.choices.values() for a in sub._actions if a.option_strings}
+    return {a.dest: a for a in commands.choices[command]._actions if a.option_strings}
 
 
 def _check_config_value(key: str, value, action: argparse.Action) -> None:
@@ -483,6 +486,8 @@ def _merge_config(args: argparse.Namespace, flags: dict[str, argparse.Action]) -
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_values.items():
+            if key not in flags:
+                raise ValueError(f"config key {key!r}: {args.command} has no flag for it")
             _check_config_value(key, value, flags[key])
     for key, fallback in _DEFAULTS.items():
         if getattr(args, key, None) is None:
@@ -530,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, _flag_actions(parser))
+        args = _merge_config(args, _flag_actions(parser, args.command))
         return args.func(args)
     except CsvFormatError as err:
         print(f"error: {err}", file=sys.stderr)

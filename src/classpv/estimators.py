@@ -9,7 +9,13 @@ remove step (``gaussian_update``); the logistic statistic refits; the k-NN
 caches carry over a relabel. Typicality is its own type, the pooled Gaussian
 fit read as exact-pivot p-values. The plug-in and fixed-metric k-NN
 statistics also score a batch of queries under each query's augmented data
-through ``augmented_values``, without an edit.
+through ``augmented_values``, without an edit. The plug-in statistic scores
+leave-one-out rows the same way through ``loo_values``: relabelling row i
+is a rank-two change of the pooled scatter and removing it a rank-one
+downdate, so one 2x2 Woodbury solve per row in coordinates whitened by the
+full fit replaces the edit's Cholesky factorization. A row or query whose
+edited fit could be singular, or whose closed form could cancel, is
+flagged for the refit, which raises DegenerateFitError as before.
 Identical rows of one ``evaluate`` call get identical bits, because the rank
 count scores the query together with its class and needs their ties exact.
 
@@ -74,6 +80,9 @@ def _canonical_order(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
 # two terms; beyond this value of a'|w_u|^2 that difference cancels badly, so
 # the query takes the refit.
 _FAR_QUERY = 1e4
+# Removing a point divides by about 1 - h, h its leverage beta|w_v|^2; beyond
+# this h that pivot cancels, so the row takes the refit.
+_HIGH_LEVERAGE = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,65 +145,141 @@ class GaussianStatistic:
     def augmented_values(self, theta: int, X: np.ndarray) -> np.ndarray:
         """(m, N + 1): for each query x, the statistic at x and at the
         class-theta rows under the fit augmented with (x, theta), in closed
-        form.
+        form (``_edited_values``). A flagged query takes the refit, which
+        raises DegenerateFitError where the augmented fit is singular.
+        """
+        values, refit = self._edited_values(theta, X, whiten_rows(self.sigma.chol_lower, X), add=True, removed=None)
+        for i in np.flatnonzero(refit):
+            values[i] = _refit_values(self, theta, X[i])
+        return values
 
-        Augmenting adds (N/(N+1)) u u^T to the scatter, u = x - mu_theta, and
-        moves mu_theta by u/(N+1). In coordinates whitened by the pooled
-        Cholesky factor each augmented Mahalanobis form is, by
-        Sherman-Morrison, c (|y|^2 - a' (y.w_u)^2 / (1 + a'|w_u|^2)) with
-        a' = (N/(N+1))/(n-L) and c = (n+1-L)/(n-L). The competitor weights and
-        the log determinant cancel from the statistic's ordering, so no edit,
-        Cholesky factorization or row copy is needed. Queries and rows are
-        whitened row by row and then share every operation, so a row equal to
-        a query gets its bits. A query far enough out that the closed form
-        cancels badly, or that the refit's pivot check could trip, takes the
-        refit, which raises DegenerateFitError where the augmented fit is
-        singular.
+    def loo_values(self, theta: int, rows: np.ndarray, relabel: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Leave-one-out scores of the training rows ``rows``, all of one
+        class y, in closed form (``_edited_values``): the (m, N + 1) statistic
+        at X_i and at the class-theta rows under the fit edited by
+        ``Relabel(i, theta)`` (``relabel``; theta != y) or by ``Remove(i)``,
+        and the (m,) mask of the rows whose edit must take the refit instead;
+        their closed-form values are not to be used.
+        """
+        features_w, _ = self._whitened
+        removed = int(self.data.labels[rows[0]])
+        return self._edited_values(theta, self.data.features[rows], features_w[rows], add=relabel, removed=removed)
+
+    def _edited_values(
+        self, theta: int, X: np.ndarray, wx: np.ndarray, add: bool, removed: int | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(m, N + 1): for each query x (whitened: wx), the statistic at x and
+        at the class-theta rows under the fit that adds (x, theta) if ``add``
+        and then removes x from class ``removed`` if given; and the (m,) mask
+        of the queries flagged for the refit.
+
+        Adding x adds (N_theta/(N_theta+1)) u u^T to the scatter,
+        u = x - mu_theta, and moves mu_theta by u/(N_theta+1). Removing it
+        subtracts (N_y/(N_y-1)) v v^T, v = x - mu_y, and moves mu_y by
+        -v/(N_y-1). In coordinates whitened by the pooled Cholesky factor the
+        edited covariance is a multiple of I + a w_u w_u^T - beta w_v w_v^T,
+        with a and beta the two coefficients over n - L. So by Woodbury every
+        edited Mahalanobis form is c (|y|^2 - p^T M^-1 p), p = (y.w_u, y.w_v)
+        and M 2x2, solved as one Sherman-Morrison step per term; c is the
+        ratio of the old to the new divisor n - L. The competitor weights
+        come from the edited group sizes, and the log determinant cancels from
+        the statistic's ordering, so no edit, Cholesky factorization or row
+        copy is needed. Queries and rows are whitened row by row and then
+        share every operation, so a row equal to a query gets its bits.
+
+        The refit checks its Cholesky pivots against 1e-12 times the largest
+        diagonal entry of the edited covariance, which is read off the pooled
+        diagonal, u^2 and v^2. Adding lowers no pivot, and the edited scatter
+        is at least (1 - h) times the old one, h = beta |w_v|^2, so every
+        pivot is at least (1 - h) times the pivot floor, rescaled to the new
+        divisor. A query is flagged where that tolerance comes within a
+        factor 2 of the bound, where a |w_u|^2 exceeds ``_FAR_QUERY`` (the add
+        step cancels) or where h exceeds ``_HIGH_LEVERAGE`` (the remove step
+        cancels).
         """
         n, n_classes = self.n, self.data.n_classes
-        big_n = int(self.group_sizes[theta - 1])
-        a = big_n / (big_n + 1.0) / (n - n_classes)
-        c = (n + 1.0 - n_classes) / (n - n_classes)
         features_w, means_w = self._whitened
         group_w = features_w[self.data.group(theta)]
-        wx = whiten_rows(self.sigma.chol_lower, X)
-        wu = wx - means_w[theta - 1]
-        shift = wu / (big_n + 1.0)
         m, q = wx.shape
+        sizes, new_n = self.group_sizes, n
+        shifts = {}  # class index -> (m, q) whitened mean shift
+        scatter_diag = (n - n_classes) * np.diag(self.sigma.matrix)
+        refit = np.zeros(m, dtype=bool)
+        leverage = 0.0
+        if add:
+            big_n = int(sizes[theta - 1])
+            a = big_n / (big_n + 1.0) / (n - n_classes)
+            wu = wx - means_w[theta - 1]
+            shifts[theta - 1] = wu / (big_n + 1.0)
+            spread = _row_dot(wu, wu)
+            spread *= a
+            refit |= spread > _FAR_QUERY
+            u = X - self.means[theta - 1]
+            scatter_diag = scatter_diag + u * u / (1.0 + 1.0 / big_n)
+            sizes[theta - 1] += 1
+            new_n += 1
+        if removed is not None:
+            big_n = int(sizes[removed - 1])
+            beta = big_n / (big_n - 1.0) / (n - n_classes)
+            wv = wx - means_w[removed - 1]
+            shifts[removed - 1] = -wv / (big_n - 1.0)
+            leverage = beta * _row_dot(wv, wv)
+            refit |= leverage > _HIGH_LEVERAGE
+            v = X - self.means[removed - 1]
+            scatter_diag = scatter_diag - (big_n / (big_n - 1.0)) * v * v
+            sizes[removed - 1] -= 1
+            new_n -= 1
+            if add:
+                # the remove step's pivot 1 - beta v^T (I + a u u^T)^-1 v
+                uv = _row_dot(wu, wv)
+                cross = uv / (1.0 + spread)
+                pivot = 1.0 - (leverage - beta * a * cross * uv)
+            else:
+                pivot = 1.0 - leverage
+        tol = 1e-12 * np.max(scatter_diag, axis=1) / (new_n - n_classes)
+        floor = self._pivot_floor * (n - n_classes) / (new_n - n_classes) * (1.0 - leverage)
+        refit |= 2.0 * tol >= floor
+        if removed is not None:
+            # flagged rows are not used; keep their arithmetic finite
+            pivot = np.where(refit, 1.0, pivot)
+        c = (new_n - n_classes) / (n - n_classes)
         # one (m, N + 1) array per component, the query in column 0; sums over
         # components run elementwise in a fixed order, so equal rows stay equal
         points = [np.concatenate([wx[:, k, None], np.broadcast_to(group_w[:, k], (m, group_w.shape[0]))], axis=1)
                   for k in range(q)]
-        spread = np.zeros(m)
-        for k in range(q):
-            spread += wu[:, k] * wu[:, k]
-        spread *= a
         maha = []
         for b in range(n_classes):
             sq = np.zeros((m, group_w.shape[0] + 1))
-            proj = np.zeros_like(sq)
+            proj_u, proj_v = np.zeros_like(sq), np.zeros_like(sq)
             for k in range(q):
                 y = points[k] - means_w[b, k]
-                if b == theta - 1:
-                    y -= shift[:, k, None]
+                if b in shifts:
+                    y -= shifts[b][:, k, None]
                 sq += y * y
-                proj += y * wu[:, k, None]
-            maha.append(c * (sq - a * proj * proj / (1.0 + spread)[:, None]))
+                if add:
+                    proj_u += y * wu[:, k, None]
+                if removed is not None:
+                    proj_v += y * wv[:, k, None]
+            form = sq
+            if add:
+                form = sq - a * proj_u * proj_u / (1.0 + spread)[:, None]
+            if removed is not None:
+                if add:
+                    proj_v -= a * proj_u * cross[:, None]
+                form = form + beta * proj_v * proj_v / pivot[:, None]
+            maha.append(c * form)
         # log sum_{b != theta} w_b exp(-(maha_b - maha_theta) / 2)
-        weights = self.group_sizes / self.group_sizes[np.arange(n_classes) != theta - 1].sum()
+        weights = sizes / sizes[np.arange(n_classes) != theta - 1].sum()
         terms = [np.log(weights[b]) - 0.5 * (maha[b] - maha[theta - 1]) for b in range(n_classes) if b != theta - 1]
-        values = log_sum_exp(np.stack(terms), axis=0)
-        # The refit checks its Cholesky pivots against 1e-12 times the largest
-        # diagonal entry of the augmented covariance. Where that tolerance
-        # comes within a factor 2 of the pivot floor, the refit may find the
-        # augmented fit singular and raise, so the query takes it.
-        u = X - self.means[theta - 1]
-        scatter_diag = (n - n_classes) * np.diag(self.sigma.matrix) + u * u / (1.0 + 1.0 / big_n)
-        tol = 1e-12 * np.max(scatter_diag, axis=1) / (n + 1.0 - n_classes)
-        floor = self._pivot_floor * (n - n_classes) / (n + 1.0 - n_classes)
-        for i in np.flatnonzero((spread > _FAR_QUERY) | (2.0 * tol >= floor)):
-            values[i] = _refit_values(self, theta, X[i])
-        return values
+        return log_sum_exp(np.stack(terms), axis=0), refit
+
+
+def _row_dot(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (m, q) arrays, components added in order."""
+    out = np.zeros(left.shape[0])
+    for k in range(left.shape[1]):
+        out += left[:, k] * right[:, k]
+    return out
 
 
 class TypicalityStatistic(GaussianStatistic):

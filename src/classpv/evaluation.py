@@ -8,8 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Relabel, Remove, StructuralError, TrainingSet, check_label, rank_pvalue
-from .permutation import PermutationMethod, pvalue
+from .core import Relabel, Remove, StructuralError, TrainingSet, check_label
+from .estimators import GaussianStatistic
+from .permutation import PermutationMethod, _chunks, pvalue
 
 __all__ = [
     "CrossValMatrix",
@@ -69,8 +70,19 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
     In ``valid-shortcut`` mode the data without row i, augmented with
     (X_i, theta), is D with y_i := theta, so no row is removed: for
     theta = y_i it is D itself, scored once per class by the full fit, and
-    for every other theta it is one ``Relabel`` edit of the full fit. The
-    other modes, and typicality, apply the statistic's ``Remove`` edit.
+    for every other theta it is one ``Relabel`` edit of the full fit. In
+    ``naive`` mode row i is scored against the class under the fit without
+    it, one ``Remove`` edit of the full fit.
+
+    For the plug-in statistic in those two modes no edit is made: a relabel
+    is a rank-two change of the pooled scatter and a removal a rank-one
+    downdate, so ``GaussianStatistic.loo_values`` scores every row of one
+    class against class theta at once, in coordinates whitened by the full
+    fit, in chunks of rows. A row whose edited fit could be singular, or
+    whose closed form could cancel, takes the edit and refit instead; those
+    refits run in row order, so a degenerate fit raises DegenerateFitError
+    at the same row and pivot as a per-row loop would. The other statistics,
+    exact-swap and typicality apply the edit for every row.
     """
     if np.any(d.group_sizes < 2):
         bad = int(np.argmin(d.group_sizes))
@@ -79,20 +91,24 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
         )
     base = method.fit(d)
     out = np.empty((d.n, d.n_classes))
+    closed_form = method.statistic == "plugin" and method.mode != "exact-swap"
     if method.mode == "valid-shortcut" and method.statistic != "typicality":
         for theta in range(1, d.n_classes + 1):
             group = d.group(theta)
-            values = base.evaluate_rows(theta, group)
-            for pos, i in enumerate(group):
-                out[i, theta - 1] = _rank_in_group(values, pos)
-        for i in range(d.n):
-            for theta in range(1, d.n_classes + 1):
-                if theta == d.labels[i]:
-                    continue
-                relabelled = base.edit(Relabel(i, theta))
-                group = relabelled.data.group(theta)
-                values = relabelled.evaluate_rows(theta, group)
-                out[i, theta - 1] = _rank_in_group(values, int(np.searchsorted(group, i)))
+            out[group, theta - 1] = _rank_in_group(base.evaluate_rows(theta, group))
+        if closed_form:
+            _closed_form_columns(base, out, relabel=True)
+        else:
+            for i in range(d.n):
+                for theta in range(1, d.n_classes + 1):
+                    if theta == d.labels[i]:
+                        continue
+                    relabelled = base.edit(Relabel(i, theta))
+                    group = relabelled.data.group(theta)
+                    values = relabelled.evaluate_rows(theta, group)
+                    out[i, theta - 1] = _rank_in_group(values, int(np.searchsorted(group, i)))
+    elif closed_form:
+        _closed_form_columns(base, out, relabel=False)
     else:
         for i in range(d.n):
             reduced = base.edit(Remove(i))
@@ -102,9 +118,46 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
     return CrossValMatrix(pvalues=out, labels=np.array(d.labels), group_sizes=d.group_sizes, method=method)
 
 
-def _rank_in_group(values: np.ndarray, pos: int) -> float:
-    """Rank p-value of entry pos against the other entries of its class."""
-    return rank_pvalue(np.delete(values, pos), values[pos])
+def _closed_form_columns(base: GaussianStatistic, out: np.ndarray, relabel: bool) -> None:
+    """Fill out[i, theta - 1] for every row i and class theta (theta != y_i
+    when ``relabel``) from ``loo_values``, then take the edit and refit for
+    the flagged rows."""
+    d = base.data
+    refits = []
+    for theta in range(1, d.n_classes + 1):
+        for y in range(1, d.n_classes + 1):
+            if relabel and y == theta:
+                continue
+            rows = d.group(y)
+            for chunk in _chunks(d, theta, rows.size):
+                values, refit = base.loo_values(theta, rows[chunk], relabel)
+                out[rows[chunk], theta - 1] = _rank_query(values, own=y == theta)
+                refits += [(int(i), theta) for i in rows[chunk][refit]]
+    # in the order of a per-row loop, so the first degenerate edit raises
+    last, edited = None, None
+    for i, theta in sorted(refits):
+        edit = Relabel(i, theta) if relabel else Remove(i)
+        if edit != last:
+            last, edited = edit, base.edit(edit)
+        values = edited.evaluate(theta, np.vstack([d.features[i], d.features[d.group(theta)]]))
+        out[i, theta - 1] = _rank_query(values[None, :], own=d.labels[i] == theta)[0]
+
+
+def _rank_query(values: np.ndarray, own: bool) -> np.ndarray:
+    """Rank p-values of column 0, the query X_i, against the class rows in
+    the other columns. With ``own`` those rows include row i itself, which
+    ties with the query exactly and stands for its +1."""
+    own = int(own)
+    count = np.sum(values[:, 1:] >= values[:, :1], axis=1)
+    return (count + 1 - own) / (values.shape[1] - own)
+
+
+def _rank_in_group(values: np.ndarray, entries: np.ndarray | int | slice = slice(None)) -> np.ndarray | float:
+    """Rank p-value of each given entry against the other entries of its
+    class, #{values >= entry} / len(values) (the entry stands for its +1),
+    from one sort."""
+    ranked = np.sort(values)
+    return (values.size - np.searchsorted(ranked, values[entries], side="left")) / values.size
 
 
 def empirical_inclusion(cv: CrossValMatrix, alpha: float, b: int, theta: int) -> float:

@@ -128,13 +128,19 @@ def pvalues(fitted, mode: str, theta: int, X: np.ndarray) -> np.ndarray:
         return typicality_index(fitted, theta, X)
     if mode == "exact-swap":
         return np.array([_exact_swap_pvalue(fitted, theta, x) for x in X])
+    out = np.empty(X.shape[0])
+    for chunk in _chunks(d, theta, X.shape[0]):
+        reference, values = _scores(fitted, mode, theta, X[chunk])
+        out[chunk] = rank_pvalue(values, reference)
+    return out
+
+
+def _chunks(d: TrainingSet, theta: int, m: int) -> list[slice]:
+    """Slices of a batch of m queries for class theta, small enough that a
+    chunk's temporaries hold about ``_BLOCK_ELEMENTS`` elements each."""
     per_query = max(d.n, (d.group(theta).size + 1) * d.n_classes) * max(1, d.q)
     step = max(1, _BLOCK_ELEMENTS // per_query)
-    out = np.empty(X.shape[0])
-    for start in range(0, X.shape[0], step):
-        reference, values = _scores(fitted, mode, theta, X[start : start + step])
-        out[start : start + step] = rank_pvalue(values, reference)
-    return out
+    return [slice(start, start + step) for start in range(0, m, step)]
 
 
 def _scores(fitted, mode: str, theta: int, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -337,7 +337,7 @@ def region_map(
     ys = np.asarray(ys, dtype=float)
     if (model is None) == (training is None):
         raise ValueError("give either a model or training data with a method")
-    grid = np.array([[x, y] for y in ys for x in xs])
+    grid = np.column_stack([np.tile(xs, ys.size), np.repeat(ys, xs.size)])
     if model is not None:
         if model.q != 2:
             raise ValueError(f"region maps need 2-D features, model has q={model.q}")

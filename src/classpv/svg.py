@@ -169,15 +169,19 @@ def region_map_svg(rmap: RegionMap, alpha: float) -> str:
     legend_h = 18.0 * (1 << rmap.n_classes) / 2 + 10
     width = nx * cell + 160.0
     height = max(ny * cell, legend_h) + 10
-    body = []
-    # vertical axis points up: row 0 of the lattice is the smallest y
-    for iy in range(ny):
-        for ix in range(nx):
-            color = _code_color(int(codes[iy, ix]), rmap.n_classes)
-            body.append(
-                f'<rect x="{_fmt(ix * cell)}" y="{_fmt((ny - 1 - iy) * cell)}" width="{_fmt(cell)}" '
-                f'height="{_fmt(cell)}" fill="{color}"/>'
-            )
+    # each column's x, row's y and code's colour is formatted once, then
+    # joined by index; the vertical axis points up, so row 0 of the lattice
+    # is the smallest y
+    starts = [f'<rect x="{_fmt(ix * cell)}" y="' for ix in range(nx)]
+    ends = [
+        f'" width="{_fmt(cell)}" height="{_fmt(cell)}" fill="{_code_color(code, rmap.n_classes)}"/>'
+        for code in range(1 << rmap.n_classes)
+    ]
+    body = [
+        start + y + ends[code]
+        for y, row_codes in zip((_fmt((ny - 1 - iy) * cell) for iy in range(ny)), codes.tolist())
+        for start, code in zip(starts, row_codes)
+    ]
     lx = nx * cell + 12.0
     body.append(f'<text x="{_fmt(lx)}" y="14" font-size="11">alpha={_fmt(alpha)}</text>')
     for row, code in enumerate(range(1 << rmap.n_classes)):

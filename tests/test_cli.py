@@ -354,6 +354,24 @@ class TestConfigFile:
         assert f"config key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, values, key", [
+        ("classify", {"replications": 5}, "replications"),
+        ("crossval", {"query": "q.csv"}, "query"),
+        ("crossval", {"grid_points": 3}, "grid_points"),
+    ])
+    def test_config_key_without_a_flag_in_the_subcommand(self, tmp_path, train_csv, capsys, command, values, key):
+        train_path, _ = train_csv
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        q = _query_csv(tmp_path, [(0.0, 0.0)])
+        argv = [command, "--train", str(train_path), "--label", "label", "--config", str(cfg),
+                "--out", str(tmp_path / "o")]
+        rc = main(argv + (["--query", str(q)] if command == "classify" else []))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"config key {key!r}" in err and command in err
+        assert not (tmp_path / "o").exists()
+
     def test_config_must_be_an_object(self, tmp_path, train_csv):
         train_path, _ = train_csv
         cfg = tmp_path / "cfg.json"

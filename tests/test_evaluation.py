@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from classpv import estimators
 from classpv import (
     PermutationMethod,
     crossval_pvalues,
@@ -16,8 +17,11 @@ from classpv import (
     standard_2class_model,
     validate_training_set,
 )
-from classpv.core import StructuralError, TrainingSet
+from classpv.cli import main
+from classpv.core import Relabel, Remove, StructuralError, TrainingSet
+from classpv.estimators import DegenerateFitError
 from classpv.evaluation import CrossValMatrix, RocCurve, observed_patterns
+from classpv.permutation import pvalue
 
 
 def _matrix(pvalues, labels, sizes, method=None):
@@ -87,6 +91,90 @@ class TestCrossval:
         cv = crossval_pvalues(d, PermutationMethod("knn", "naive", k=3))
         assert cv.grid_step(0, 1) == 1.0 / 5  # class-1 row, class-1 grid loses a member
         assert cv.grid_step(0, 2) == 1.0 / 8
+
+
+def _per_row_edit_pvalues(d, mode):
+    """The plug-in leave-one-out p-values through one edit and refit per row:
+    a Relabel per (row, other class) in valid-shortcut mode, with the own
+    class scored by the full fit, and a Remove per row in naive mode."""
+    base = PermutationMethod("plugin", mode).fit(d)
+    out = np.empty((d.n, d.n_classes))
+    for i in range(d.n):
+        if mode == "naive":
+            reduced = base.edit(Remove(i))
+        for theta in range(1, d.n_classes + 1):
+            if mode == "naive":
+                out[i, theta - 1] = pvalue(reduced, "naive", theta, d.features[i])
+                continue
+            fit = base if theta == d.labels[i] else base.edit(Relabel(i, theta))
+            group = fit.data.group(theta)
+            values = fit.evaluate_rows(theta, group)
+            pos = int(np.searchsorted(group, i))
+            out[i, theta - 1] = (np.count_nonzero(np.delete(values, pos) >= values[pos]) + 1) / group.size
+    return out
+
+
+def _awkward_set(n_classes, q, seed):
+    """Scaled columns, duplicates within and across classes, a two-member
+    class: the inputs on which a closed form is most likely to round apart
+    from the refit."""
+    rng = np.random.default_rng([seed, n_classes, q])
+    sizes = [2] + [int(rng.integers(q + 3, q + 9)) for _ in range(n_classes - 1)]
+    labels = np.repeat(np.arange(1, n_classes + 1), sizes)
+    features = rng.standard_normal((labels.size, q)) + labels[:, None] * rng.standard_normal(q)
+    features *= 10.0 ** rng.uniform(-2.0, 2.0, size=q)
+    big = np.flatnonzero(labels == 2)
+    features[big[1]] = features[big[0]]                 # within class 2
+    features[big[2]] = features[0]                      # across classes 1 and 2
+    features[np.flatnonzero(labels == n_classes)[-1]] = features[big[3]]
+    return TrainingSet(features, labels, n_classes, tuple(f"c{b}" for b in range(1, n_classes + 1)))
+
+
+def _singular_on_one_row():
+    """Every class is constant in the second feature once row 3 leaves class
+    1 (relabelled into class 2, or removed), so that edit, and no earlier
+    one, leaves the pooled covariance singular at pivot 1."""
+    features = np.array([[0.3, 0.0], [1.7, 1.0], [-0.4, 0.0], [0.9, 1.0], [2.2, 1.0], [-1.1, 0.0]])
+    labels = np.array([1, 2, 1, 1, 2, 1])
+    return TrainingSet(features, labels, 2, ("c1", "c2"))
+
+
+class TestClosedFormCrossval:
+    @pytest.mark.parametrize("mode", ("valid-shortcut", "naive"))
+    @pytest.mark.parametrize("n_classes", (2, 3, 4))
+    @pytest.mark.parametrize("q", (1, 2, 5, 8))
+    def test_equals_per_row_edits(self, n_classes, q, mode):
+        for seed in range(3):
+            d = _awkward_set(n_classes, q, seed)
+            cv = crossval_pvalues(d, PermutationMethod("plugin", mode))
+            assert np.array_equal(cv.pvalues, _per_row_edit_pvalues(d, mode)), (seed, cv.pvalues)
+
+    @pytest.mark.parametrize("mode", ("valid-shortcut", "naive"))
+    def test_no_edit_on_a_well_conditioned_set(self, monkeypatch, mode):
+        d = sample_gaussian_mixture(example22_model(), [40, 35, 45], seed=83)
+        edits = []
+        update = estimators.gaussian_update
+        monkeypatch.setattr(estimators, "gaussian_update", lambda *args: edits.append(args[1]) or update(*args))
+        cv = crossval_pvalues(d, PermutationMethod("plugin", mode))
+        assert edits == []
+        monkeypatch.undo()
+        assert np.array_equal(cv.pvalues, _per_row_edit_pvalues(d, mode))
+
+    @pytest.mark.parametrize("mode", ("valid-shortcut", "naive"))
+    def test_singular_edit_raises_where_the_per_row_edit_raises(self, mode, tmp_path, capsys):
+        d = _singular_on_one_row()
+        with pytest.raises(DegenerateFitError) as expected:
+            _per_row_edit_pvalues(d, mode)
+        with pytest.raises(DegenerateFitError) as raised:
+            crossval_pvalues(d, PermutationMethod("plugin", mode))
+        assert raised.value.pivot_index == expected.value.pivot_index == 1
+        assert str(raised.value) == str(expected.value)
+        path = tmp_path / "train.csv"
+        path.write_text("f1,f2,label\n" + "".join(f"{x!r},{y!r},c{b}\n" for (x, y), b in zip(d.features.tolist(), d.labels)))
+        rc = main(["crossval", "--train", str(path), "--label", "label", "--method", "plugin", "--mode", mode,
+                   "--alpha", "0.5", "--seed", "1", "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert "numerical degeneracy" in capsys.readouterr().err
 
 
 class TestInclusionAndPatterns:
