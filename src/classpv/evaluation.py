@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Relabel, Remove, StructuralError, TrainingSet, check_label
-from .estimators import GaussianStatistic
 from .permutation import PermutationMethod, _chunks, pvalue
 
 __all__ = [
@@ -70,19 +69,19 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
     In ``valid-shortcut`` mode the data without row i, augmented with
     (X_i, theta), is D with y_i := theta, so no row is removed: for
     theta = y_i it is D itself, scored once per class by the full fit, and
-    for every other theta it is one ``Relabel`` edit of the full fit. In
-    ``naive`` mode row i is scored against the class under the fit without
-    it, one ``Remove`` edit of the full fit.
+    for every other theta it is one ``Relabel`` edit of the full fit. In the
+    other modes, and for typicality, row i's p-values come from the fit
+    edited by ``Remove(i)``.
 
-    For the plug-in statistic in those two modes no edit is made: a relabel
-    is a rank-two change of the pooled scatter and a removal a rank-one
-    downdate, so ``GaussianStatistic.loo_values`` scores every row of one
-    class against class theta at once, in coordinates whitened by the full
-    fit, in chunks of rows. A row whose edited fit could be singular, or
-    whose closed form could cancel, takes the edit and refit instead; those
-    refits run in row order, so a degenerate fit raises DegenerateFitError
-    at the same row and pivot as a per-row loop would. The other statistics,
-    exact-swap and typicality apply the edit for every row.
+    For the plug-in statistic in ``valid-shortcut`` and ``naive`` mode no
+    edit is made: a relabel is a rank-two change of the pooled scatter and a
+    removal a rank-one downdate, so ``GaussianStatistic.loo_values`` scores
+    every row of one class against class theta at once, in coordinates
+    whitened by the full fit, in chunks of rows. Every other (row, class)
+    entry, including a plug-in row whose edited fit could be singular or
+    whose closed form could cancel, goes through one edit loop in row order
+    that reuses a row's edit across its classes, so a degenerate fit raises
+    DegenerateFitError at the same row and pivot as a per-row loop would.
     """
     if np.any(d.group_sizes < 2):
         bad = int(np.argmin(d.group_sizes))
@@ -91,56 +90,36 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
         )
     base = method.fit(d)
     out = np.empty((d.n, d.n_classes))
+    relabel = method.mode == "valid-shortcut" and method.statistic != "typicality"
     closed_form = method.statistic == "plugin" and method.mode != "exact-swap"
-    if method.mode == "valid-shortcut" and method.statistic != "typicality":
-        for theta in range(1, d.n_classes + 1):
-            group = d.group(theta)
-            out[group, theta - 1] = _rank_in_group(base.evaluate_rows(theta, group))
-        if closed_form:
-            _closed_form_columns(base, out, relabel=True)
-        else:
-            for i in range(d.n):
-                for theta in range(1, d.n_classes + 1):
-                    if theta == d.labels[i]:
-                        continue
-                    relabelled = base.edit(Relabel(i, theta))
-                    group = relabelled.data.group(theta)
-                    values = relabelled.evaluate_rows(theta, group)
-                    out[i, theta - 1] = _rank_in_group(values, int(np.searchsorted(group, i)))
-    elif closed_form:
-        _closed_form_columns(base, out, relabel=False)
-    else:
-        for i in range(d.n):
-            reduced = base.edit(Remove(i))
-            x = d.features[i]
-            for theta in range(1, d.n_classes + 1):
-                out[i, theta - 1] = pvalue(reduced, method.mode, theta, x)
-    return CrossValMatrix(pvalues=out, labels=np.array(d.labels), group_sizes=d.group_sizes, method=method)
-
-
-def _closed_form_columns(base: GaussianStatistic, out: np.ndarray, relabel: bool) -> None:
-    """Fill out[i, theta - 1] for every row i and class theta (theta != y_i
-    when ``relabel``) from ``loo_values``, then take the edit and refit for
-    the flagged rows."""
-    d = base.data
-    refits = []
+    groups = [d.group(theta) for theta in range(1, d.n_classes + 1)]
+    pending = []  # the (row, class) entries left to the edit loop
     for theta in range(1, d.n_classes + 1):
+        if relabel:
+            out[groups[theta - 1], theta - 1] = _rank_in_group(base.evaluate_rows(theta, groups[theta - 1]))
         for y in range(1, d.n_classes + 1):
             if relabel and y == theta:
                 continue
-            rows = d.group(y)
+            rows = groups[y - 1]
+            if not closed_form:
+                pending += [(int(i), theta) for i in rows]
+                continue
             for chunk in _chunks(d, theta, rows.size):
                 values, refit = base.loo_values(theta, rows[chunk], relabel)
                 out[rows[chunk], theta - 1] = _rank_query(values, own=y == theta)
-                refits += [(int(i), theta) for i in rows[chunk][refit]]
-    # in the order of a per-row loop, so the first degenerate edit raises
+                pending += [(int(i), theta) for i in rows[chunk][refit]]
     last, edited = None, None
-    for i, theta in sorted(refits):
+    for i, theta in sorted(pending):
         edit = Relabel(i, theta) if relabel else Remove(i)
         if edit != last:
             last, edited = edit, base.edit(edit)
-        values = edited.evaluate(theta, np.vstack([d.features[i], d.features[d.group(theta)]]))
-        out[i, theta - 1] = _rank_query(values[None, :], own=d.labels[i] == theta)[0]
+        if relabel:
+            # row i is now in class theta, so its own entry counts as the rank's +1
+            values = edited.evaluate_rows(theta, np.concatenate([[i], groups[theta - 1]]))
+            out[i, theta - 1] = np.count_nonzero(values >= values[0]) / values.size
+        else:
+            out[i, theta - 1] = pvalue(edited, method.mode, theta, d.features[i])
+    return CrossValMatrix(pvalues=out, labels=np.array(d.labels), group_sizes=d.group_sizes, method=method)
 
 
 def _rank_query(values: np.ndarray, own: bool) -> np.ndarray:
@@ -152,12 +131,12 @@ def _rank_query(values: np.ndarray, own: bool) -> np.ndarray:
     return (count + 1 - own) / (values.shape[1] - own)
 
 
-def _rank_in_group(values: np.ndarray, entries: np.ndarray | int | slice = slice(None)) -> np.ndarray | float:
-    """Rank p-value of each given entry against the other entries of its
-    class, #{values >= entry} / len(values) (the entry stands for its +1),
-    from one sort."""
+def _rank_in_group(values: np.ndarray) -> np.ndarray:
+    """Rank p-value of each entry against the other entries of its class,
+    #{values >= entry} / len(values) (the entry stands for its +1), from one
+    sort."""
     ranked = np.sort(values)
-    return (values.size - np.searchsorted(ranked, values[entries], side="left")) / values.size
+    return (values.size - np.searchsorted(ranked, values, side="left")) / values.size
 
 
 def empirical_inclusion(cv: CrossValMatrix, alpha: float, b: int, theta: int) -> float:

@@ -3,9 +3,12 @@ methods are measured against.
 
 Densities are evaluated in log space throughout; the weighted likelihood-ratio
 statistic uses a max-shifted sum so well-separated classes in moderate
-dimension do not underflow. Monte Carlo p-values use the (count + 1)/(M + 1)
-convention so they remain valid p-values themselves, and every sampler is
-driven by an explicit seed.
+dimension do not underflow. Every Monte Carlo p-value (optimal, compromise,
+inflated) comes from one engine, ``OptimalMonteCarlo``: class theta is drawn
+once from child theta - 1 of ``SeedSequence(seed).spawn(L)``, its statistics
+are sorted, and a query is counted with the (count + 1)/(M + 1) convention,
+so the estimates remain valid p-values themselves and are deterministic
+given the seed.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import check_label, rank_pvalue
+from .core import check_label
 from .numerics import (
     SpdMatrix,
     chisq_cdf,
@@ -143,24 +146,6 @@ def optimal_statistic(model: GaussianMixtureModel, theta: int, x: np.ndarray) ->
     )
 
 
-def _mc_pvalue(
-    model: GaussianMixtureModel,
-    theta: int,
-    x: np.ndarray,
-    log_stat: Callable[[np.ndarray], np.ndarray],
-    mc_samples: int,
-    seed: int,
-) -> float:
-    """Rank p-value of log_stat at x among mc_samples seeded class-theta draws.
-
-    log_stat maps an (m, q) batch to m values, larger meaning less plausible.
-    """
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be positive")
-    draws = model.sample(theta, mc_samples, np.random.default_rng(seed))
-    return rank_pvalue(log_stat(draws), float(log_stat(np.asarray(x, dtype=float)[None, :])[0]))
-
-
 def optimal_pvalue_mc(
     model: GaussianMixtureModel,
     theta: int,
@@ -170,25 +155,26 @@ def optimal_pvalue_mc(
 ) -> float:
     """Monte Carlo estimate of the optimal p-value for class theta at x.
 
-    Draws mc_samples points from the class-theta distribution and counts how
-    often the statistic there reaches the statistic at x; the +1 convention
-    keeps the estimate a valid p-value. Deterministic given the seed.
+    Counts how often the statistic at mc_samples class-theta draws reaches
+    the statistic at x; the +1 convention keeps the estimate a valid
+    p-value. One ``OptimalMonteCarlo`` evaluation, deterministic given the
+    seed.
     """
     check_label(theta, model.n_classes)
-    return _mc_pvalue(
-        model, theta, x,
-        lambda pts: log_weighted_lr(model.weights, model.means, model.covariances, theta, pts),
-        mc_samples, seed,
-    )
+    return OptimalMonteCarlo(model, mc_samples, seed).pvalues(theta, x)
 
 
 class OptimalMonteCarlo:
-    """Shared-sample evaluator for the optimal p-values.
+    """Shared-sample evaluator for the known-model Monte Carlo p-values.
 
-    One seeded sample per class is drawn up front and reused for every query:
-    only the threshold statistic depends on the query point, so the same draws
-    serve arbitrarily many evaluations (region maps, risk estimates, ROC
-    curves) at O(log M) per point.
+    One seeded sample per class is drawn up front, class theta from child
+    theta - 1 of ``SeedSequence(seed).spawn(L)``, and reused for every query:
+    only the threshold statistic depends on the query point, so the same
+    draws serve arbitrarily many evaluations (region maps, risk estimates,
+    ROC curves) at O(log M) per point. ``log_stat(theta, pts)`` maps an
+    (m, q) batch to m values, larger meaning class theta is less plausible;
+    the default, the log weighted likelihood ratio, gives the optimal
+    p-values.
     """
 
     def __init__(
@@ -196,30 +182,32 @@ class OptimalMonteCarlo:
         model: GaussianMixtureModel,
         mc_samples: int = 20_000,
         seed: int | np.random.SeedSequence = 0,
+        log_stat: Callable[[int, np.ndarray], np.ndarray] | None = None,
     ):
         if mc_samples < 1:
             raise ValueError("mc_samples must be positive")
         self.model = model
         self.mc_samples = mc_samples
+        # the module binding is looked up per call, which bench/tracing.py replaces to count calls
+        self.log_stat = log_stat or (
+            lambda theta, pts: log_weighted_lr(model.weights, model.means, model.covariances, theta, pts)
+        )
         sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         children = sequence.spawn(model.n_classes)
         self._sorted_stats = []
         for theta in range(1, model.n_classes + 1):
-            rng = np.random.default_rng(children[theta - 1])
-            draws = model.sample(theta, mc_samples, rng)
-            self._sorted_stats.append(
-                np.sort(log_weighted_lr(model.weights, model.means, model.covariances, theta, draws))
-            )
+            draws = model.sample(theta, mc_samples, np.random.default_rng(children[theta - 1]))
+            self._sorted_stats.append(np.sort(self.log_stat(theta, draws)))
 
     def pvalues(self, theta: int, x: np.ndarray) -> np.ndarray | float:
-        """Optimal p-values for class theta at x, a single point (q,) or each
-        row of a batch (m, q)."""
+        """P-values for class theta at x, a single point (q,) or each row of
+        a batch (m, q)."""
         check_label(theta, self.model.n_classes)
+        x = np.asarray(x, dtype=float)
         stats = self._sorted_stats[theta - 1]
-        model = self.model
-        thresholds = log_weighted_lr(model.weights, model.means, model.covariances, theta, x)
-        below = np.searchsorted(stats, thresholds, side="left")
-        return (stats.size - below + 1.0) / (stats.size + 1.0)
+        below = np.searchsorted(stats, self.log_stat(theta, np.atleast_2d(x)), side="left")
+        out = (stats.size - below + 1.0) / (stats.size + 1.0)
+        return float(out[0]) if x.ndim == 1 else out
 
 
 def optimal_pvalue_2class_closed(model: GaussianMixtureModel, theta: int, x: np.ndarray) -> np.ndarray | float:
@@ -276,7 +264,7 @@ def compromise_pvalue(
     if w0 <= 0.0:
         raise ValueError(f"background weight must be positive, got {w0}")
 
-    def neg_score(pts: np.ndarray) -> np.ndarray:
+    def neg_score(theta: int, pts: np.ndarray) -> np.ndarray:
         # the score is low where x looks atypical for theta relative to the
         # padded mixture; negated so that larger means less plausible
         log_dens = np.stack([np.atleast_1d(model.log_density(b, pts)) for b in range(1, model.n_classes + 1)])
@@ -284,7 +272,7 @@ def compromise_pvalue(
         log_mix = np.atleast_1d(log_sum_exp(terms, axis=0))
         return -(log_dens[theta - 1] - log_mix)
 
-    return _mc_pvalue(model, theta, x, neg_score, mc_samples, seed)
+    return OptimalMonteCarlo(model, mc_samples, seed, neg_score).pvalues(theta, x)
 
 
 def inflated_pvalue(
@@ -303,7 +291,9 @@ def inflated_pvalue(
         raise ValueError(f"inflation factor must exceed 1, got {c}")
     if not model.has_common_covariance():
         raise ValueError("covariance inflation is defined for a common covariance matrix")
-    return _mc_pvalue(model, theta, x, lambda pts: log_inflated_statistic(model, c, theta, pts), mc_samples, seed)
+    return OptimalMonteCarlo(
+        model, mc_samples, seed, lambda t, pts: log_inflated_statistic(model, c, t, pts)
+    ).pvalues(theta, x)
 
 
 def log_inflated_statistic(model: GaussianMixtureModel, c: float, theta: int, pts: np.ndarray) -> np.ndarray:

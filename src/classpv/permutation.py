@@ -200,18 +200,8 @@ def warn_small_groups(d: TrainingSet, alphas: Sequence[float], left_out: int = 0
             )
 
 
-def pvalue_vector(
-    method: PermutationMethod,
-    d: TrainingSet,
-    x: np.ndarray,
-    fitted=None,
-) -> PValueVector:
-    """P-values for every class at the query point x, per the method's mode.
-
-    Pass ``fitted`` (from ``method.fit(d)``) to reuse one fit across many
-    queries.
-    """
+def pvalue_vector(method: PermutationMethod, d: TrainingSet, x: np.ndarray) -> PValueVector:
+    """P-values for every class at the query point x, per the method's mode."""
     x = check_point(x, d.q)
-    if fitted is None:
-        fitted = method.fit(d)
+    fitted = method.fit(d)
     return PValueVector(np.array([pvalue(fitted, method.mode, theta, x) for theta in range(1, d.n_classes + 1)]))

@@ -229,6 +229,8 @@ def convergence_experiment(
     """
     if list(n_schedule) != sorted(set(int(n) for n in n_schedule)):
         raise ValueError("n_schedule must be strictly increasing")
+    if n_queries < 1:
+        raise ValueError(f"n_queries must be at least 1, got {n_queries}")
     if k_rule is None:
         k_rule = default_k
     children = np.random.SeedSequence(seed).spawn(len(n_schedule) + 1)
@@ -335,6 +337,9 @@ def region_map(
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    for name, axis in (("xs", xs), ("ys", ys)):
+        if axis.size == 0:
+            raise ValueError(f"{name} is empty; a region map needs at least one lattice point per axis")
     if (model is None) == (training is None):
         raise ValueError("give either a model or training data with a method")
     grid = np.column_stack([np.tile(xs, ys.size), np.repeat(ys, xs.size)])

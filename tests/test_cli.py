@@ -289,6 +289,24 @@ class TestSimulateAndDeterminism:
         rows = _read_csv(out / "convergence.csv")
         assert [r["n"] for r in rows] == ["60", "120"]
 
+    @pytest.mark.parametrize("source", ("model", "train"))
+    def test_region_map_without_lattice_points_exit_2(self, tmp_path, train_csv, capsys, source):
+        train_path, _ = train_csv
+        given = ["--model", "example22"] if source == "model" else ["--train", str(train_path), "--label", "label"]
+        out = tmp_path / "empty"
+        rc = main(["simulate", "region-map", *given, "--grid-points", "0", "--seed", "5", "--out", str(out)])
+        assert rc == 2
+        assert "xs is empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_convergence_without_queries_exit_2(self, tmp_path, capsys):
+        rc = main([
+            "simulate", "convergence", "--schedule", "60", "--queries", "0",
+            "--mc-samples", "100", "--seed", "6", "--out", str(tmp_path / "conv"),
+        ])
+        assert rc == 2
+        assert "n_queries must be at least 1" in capsys.readouterr().err
+
     def test_unknown_kind_exit_2(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["simulate", "nonsense", "--out", str(tmp_path)])

@@ -177,6 +177,49 @@ class TestClosedFormCrossval:
         assert "numerical degeneracy" in capsys.readouterr().err
 
 
+class TestEditLoop:
+    """The edits ``crossval_pvalues`` makes, counted at ``TrainingSet.edit``:
+    one loop in row order, one edit per row reused across its classes."""
+
+    @staticmethod
+    def _edits(monkeypatch, d, method):
+        edits = []
+        edit = TrainingSet.edit
+        monkeypatch.setattr(TrainingSet, "edit", lambda self, e: edits.append(e) or edit(self, e))
+        crossval_pvalues(d, method)
+        monkeypatch.undo()
+        return edits
+
+    @pytest.mark.parametrize("statistic, kwargs, n_classes", [
+        ("knn", {"k": 5}, 3),
+        ("logistic", {}, 2),
+    ])
+    def test_valid_shortcut_relabels_once_per_row_and_other_class(self, monkeypatch, statistic, kwargs, n_classes):
+        d = _awkward_set(n_classes, 2, 0)
+        edits = self._edits(monkeypatch, d, PermutationMethod(statistic, "valid-shortcut", **kwargs))
+        assert edits == [
+            Relabel(i, theta) for i in range(d.n) for theta in range(1, n_classes + 1) if theta != d.labels[i]
+        ]
+
+    @pytest.mark.parametrize("statistic, mode", [("knn", "naive"), ("typicality", "valid-shortcut")])
+    def test_remove_once_per_row(self, monkeypatch, statistic, mode):
+        d = _awkward_set(3, 2, 1)
+        edits = self._edits(monkeypatch, d, PermutationMethod(statistic, mode, k=3))
+        assert edits == [Remove(i) for i in range(d.n)]
+
+    def test_exact_swap_removes_once_per_row_then_swaps_each_member(self, monkeypatch):
+        d = _awkward_set(3, 2, 2)
+        edits = self._edits(monkeypatch, d, PermutationMethod("plugin", "exact-swap"))
+        kinds = [(type(e).__name__, e.index) for e in edits]
+        expected = []
+        for i in range(d.n):
+            expected.append(("Remove", i))
+            reduced = d.remove(i)
+            for theta in range(1, d.n_classes + 1):
+                expected += [("Replace", int(j)) for j in reduced.group(theta)]
+        assert kinds == expected
+
+
 class TestInclusionAndPatterns:
     def test_hand_inclusion(self):
         cv = _matrix(

@@ -111,14 +111,14 @@ CROSSVAL_TYPICALITY = [0.3933200394480195, 0.044240602019641306, 0.7826769602123
  0.03468812461551796, 0.8801201443128326, 0.16362770259455572, 0.4977230365731835,
  0.7777832419912878, 0.014849041195596269, 0.13471692962546622]
 
-ORACLE = {'optimal': [0.04498500499833389, 0.32689103632122624, 0.0023325558147284237, 0.0003332222592469177,
-             0.006331222925691436, 0.2529156947684105, 0.2972342552482506, 0.061312895701432855,
+ORACLE = {'optimal': [0.047317560813062313, 0.3138953682105965, 0.0026657780739753416, 0.0003332222592469177,
+             0.008330556481172943, 0.2655781406197934, 0.30756414528490506, 0.056981006331222925,
              0.0003332222592469177],
- 'compromise': [0.07564145284905031, 0.4675108297234255, 0.003332222592469177,
-                0.0003332222592469177, 0.012329223592135955, 0.5168277240919693, 0.615461512829057,
-                0.08997000999666778, 0.0006664445184938354],
- 'inflated': [0.9490169943352216, 0.05398200599800067, 0.16594468510496502, 0.6297900699766744,
-              0.757080973008997, 0.010663112295901367]}
+ 'compromise': [0.07497500833055648, 0.46951016327890704, 0.005664778407197601,
+                0.0003332222592469177, 0.011329556814395202, 0.5298233922025991, 0.635454848383872,
+                0.09163612129290237, 0.0003332222592469177],
+ 'inflated': [0.9410196601132955, 0.052649116961012994, 0.15661446184605132, 0.6261246251249584,
+              0.7577474175274909, 0.011996001332889037]}
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name,kwargs", TWO_CLASS)

@@ -16,7 +16,7 @@ from classpv import (
     std_normal_cdf,
     typicality_known,
 )
-from classpv.numerics import mahalanobis_sq
+from classpv.numerics import log_sum_exp, mahalanobis_sq
 from classpv.oracle import log_inflated_statistic
 
 
@@ -286,6 +286,41 @@ class TestSharedSampleEvaluator:
         batch = shared.pvalues(2, pts)
         for j in range(6):
             assert batch[j] == shared.pvalues(2, pts[j])
+
+
+def _background_log_stat(model, w0):
+    """The compromise statistic written out: log of the mixture padded with a
+    constant-density background of weight w0, minus the class-theta log density."""
+    def log_stat(theta, pts):
+        log_dens = np.stack([model.log_density(b, pts) for b in range(1, model.n_classes + 1)])
+        terms = np.vstack([np.log(model.weights)[:, None] + log_dens, np.full((1, pts.shape[0]), math.log(w0))])
+        return -(log_dens[theta - 1] - log_sum_exp(terms, axis=0))
+    return log_stat
+
+
+class TestOneEngine:
+    """Each per-point Monte Carlo p-value is one ``OptimalMonteCarlo``
+    evaluation with its statistic, at a single point and across a batch."""
+
+    @pytest.mark.parametrize("family", ("optimal", "compromise", "inflated"))
+    def test_per_point_function_is_the_engine(self, model22, model2, family):
+        model = model2 if family == "inflated" else model22
+        per_point, log_stat = {
+            "optimal": (lambda t, x: optimal_pvalue_mc(model, t, x, mc_samples=700, seed=8), None),
+            "compromise": (lambda t, x: compromise_pvalue(model, 0.05, t, x, mc_samples=700, seed=8),
+                           _background_log_stat(model, 0.05)),
+            "inflated": (lambda t, x: inflated_pvalue(model, 1.8, t, x, mc_samples=700, seed=8),
+                         lambda t, pts: log_inflated_statistic(model, 1.8, t, pts)),
+        }[family]
+        engine = OptimalMonteCarlo(model, mc_samples=700, seed=8, log_stat=log_stat)
+        pts = np.random.default_rng(9).normal(size=(7, 2)) * 1.5
+        for theta in range(1, model.n_classes + 1):
+            batch = per_point(theta, pts)
+            assert np.array_equal(batch, engine.pvalues(theta, pts))
+            for j in range(pts.shape[0]):
+                single = per_point(theta, pts[j])
+                assert isinstance(single, float)
+                assert single == engine.pvalues(theta, pts[j]) == batch[j]
 
 
 def test_model_validation():
