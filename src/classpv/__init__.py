@@ -28,7 +28,6 @@ from .estimators import (
     gaussian_update,
     knn_augmented_counts,
     knn_fit,
-    knn_posterior,
     typicality_index,
 )
 from .evaluation import (

@@ -364,6 +364,8 @@ def cmd_simulate(args) -> int:
 
     if args.kind == "region-map":
         lo, hi, points = args.grid_min, args.grid_max, args.grid_points
+        if points < 0:
+            raise ValueError(f"--grid-points must be non-negative, got {points}")
         xs = np.linspace(lo, hi, points)
         ys = np.linspace(lo, hi, points)
         if args.train:

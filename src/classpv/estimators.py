@@ -1,21 +1,21 @@
 """Fitted test-statistic families for the permutation engine. A fitted
 statistic is its fit: it holds its training data and fitted parameters,
-scores an (m, q) batch through one ``evaluate(theta, pts)``, scores its own
-training rows through ``evaluate_rows(theta, rows)``, and returns the edited
-statistic from one ``edit`` method, for a single-point ``Remove``,
+scores an (m, q) batch through one ``evaluate(theta, pts)``, and returns the
+edited statistic from one ``edit`` method, for a single-point ``Remove``,
 ``Replace``, ``Augment`` or ``Relabel``. The pooled Gaussian statistic
 applies every edit in O(q^2) as at most one add step followed by at most one
-remove step (``gaussian_update``); the logistic statistic refits; the k-NN
-caches carry over a relabel. Typicality is its own type, the pooled Gaussian
-fit read as exact-pivot p-values. The plug-in and fixed-metric k-NN
-statistics also score a batch of queries under each query's augmented data
-through ``augmented_values``, without an edit. The plug-in statistic scores
-leave-one-out rows the same way through ``loo_values``: relabelling row i
-is a rank-two change of the pooled scatter and removing it a rank-one
-downdate, so one 2x2 Woodbury solve per row in coordinates whitened by the
-full fit replaces the edit's Cholesky factorization. A row or query whose
-edited fit could be singular, or whose closed form could cancel, is
-flagged for the refit, which raises DegenerateFitError as before.
+remove step (``gaussian_update``); the logistic and k-NN statistics refit.
+Typicality is its own type, the pooled Gaussian fit read as exact-pivot
+p-values. The plug-in and fixed-metric k-NN statistics also score a batch of
+queries under each query's augmented data through ``augmented_values``, and
+leave-one-out rows under each row's edited data through ``loo_values``,
+without an edit. For the plug-in statistic relabelling row i is a rank-two
+change of the pooled scatter and removing it a rank-one downdate, so one 2x2
+Woodbury solve per row in coordinates whitened by the full fit replaces the
+edit's Cholesky factorization. For k-NN a relabel keeps every radius and
+moves one count at each point whose ball holds row i. A row or query whose
+edited fit could be singular, or whose closed form could cancel or does not
+exist, is flagged for the refit, which raises DegenerateFitError as before.
 Identical rows of one ``evaluate`` call get identical bits, because the rank
 count scores the query together with its class and needs their ties exact.
 
@@ -52,7 +52,6 @@ __all__ = [
     "gaussian_update",
     "knn_augmented_counts",
     "knn_fit",
-    "knn_posterior",
     "typicality_index",
 ]
 
@@ -134,9 +133,6 @@ class GaussianStatistic:
         check_label(theta, self.data.n_classes)
         covs = (self.sigma,) * self.data.n_classes
         return log_weighted_lr(self.class_weights, self.means, covs, theta, np.atleast_2d(pts))
-
-    def evaluate_rows(self, theta: int, rows: np.ndarray) -> np.ndarray:
-        return self.evaluate(theta, self.data.features[rows])
 
     def edit(self, edit: Remove | Replace | Augment | Relabel) -> "GaussianStatistic":
         # through the module binding, which bench/tracing.py replaces to count edits
@@ -383,7 +379,7 @@ def typicality_index(stat: GaussianStatistic, theta: int, x: np.ndarray) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# k-nearest-neighbor caches and posterior estimate
+# k-nearest-neighbor caches
 # ---------------------------------------------------------------------------
 
 
@@ -465,68 +461,12 @@ def knn_fit(d: TrainingSet, k: int | None = None) -> KnnCaches:
     )
 
 
-def _relabel_caches(caches: KnnCaches, data: TrainingSet, i: int) -> KnnCaches:
-    """The caches of ``data``, which is ``caches.data`` with row i relabelled,
-    in O(n q): the radii do not depend on labels, and a point whose (k-1)- or
-    k-ball holds row i moves one count between the two class columns."""
-    old, new = int(caches.data.labels[i]), int(data.labels[i])
-    dsq = _sq_dists(data.features[i][None, :], data.features)[0]
-    moved = []
-    for counts, radius_sq in ((caches.counts_km1, caches.radius_km1_sq), (caches.counts_k, caches.radius_sq)):
-        counts = np.array(counts, copy=True)
-        holds_i = dsq <= radius_sq
-        counts[holds_i, old - 1] -= 1
-        counts[holds_i, new - 1] += 1
-        moved.append(counts)
-    return replace(caches, data=data, counts_km1=moved[0], counts_k=moved[1])
-
-
 def _ball_counts(dsq: np.ndarray, radius_sq: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
     in_ball = dsq <= radius_sq[:, None]
     counts = np.empty((dsq.shape[0], n_classes), dtype=np.int64)
     for b in range(1, n_classes + 1):
         counts[:, b - 1] = np.count_nonzero(in_ball[:, labels == b], axis=1)
     return counts
-
-
-def _knn_weight(
-    d: TrainingSet,
-    features: np.ndarray,
-    k: int,
-    theta: int,
-    pts: np.ndarray,
-    class_weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """k-NN posterior weight of class theta at each row of pts, with d's rows
-    placed at ``features`` in the same metric; O(n q) per row.
-
-    With no explicit class weights this is the plain count ratio; explicit
-    weights go through the weighted empirical-measure form.
-    """
-    dsq = _sq_dists(pts, features)
-    radius = np.partition(dsq, k - 1, axis=1)[:, k - 1]
-    counts = _ball_counts(dsq, radius, d.labels, d.n_classes)
-    if class_weights is not None:
-        counts = class_weights[None, :] * counts / d.group_sizes[None, :]
-    return counts[:, theta - 1] / counts.sum(axis=1)
-
-
-def knn_posterior(
-    caches: KnnCaches,
-    theta: int,
-    x: np.ndarray,
-    class_weights: np.ndarray | None = None,
-) -> float:
-    """Fraction of the k-neighborhood of x belonging to class theta.
-
-    The ball is closed, so distance ties at the boundary radius are all
-    included and the neighborhood may hold more than k points.
-    """
-    d = caches.data
-    check_label(theta, d.n_classes)
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    out = _knn_weight(d, d.features, caches.k, theta, pts, class_weights)
-    return float(out[0]) if np.asarray(x).ndim == 1 else out
 
 
 def knn_augmented_counts(caches: KnnCaches, x: np.ndarray, theta: int) -> np.ndarray:
@@ -592,9 +532,6 @@ class LogisticStatistic:
         # rows of one batch differently, and the rank count needs them equal
         scores = self.intercept + np.sum(np.atleast_2d(pts) * self.coefficients, axis=1)
         return scores if theta == 1 else -scores
-
-    def evaluate_rows(self, theta: int, rows: np.ndarray) -> np.ndarray:
-        return self.evaluate(theta, self.data.features[rows])
 
     def edit(self, edit: Remove | Replace | Augment | Relabel) -> "LogisticStatistic":
         # through the module binding, which bench/tracing.py replaces to count fits
@@ -666,8 +603,7 @@ class KnnStatistic:
     With ``scale_features`` each feature is divided by its sample standard
     deviation over the training set. Caches are built lazily: plain
     evaluations need only distances from the query, while the fixed-metric
-    valid-shortcut path and ``evaluate_rows`` use the cached radii and
-    counts, which a ``Relabel`` edit carries over.
+    ``augmented_values`` and ``loo_values`` use the cached radii and counts.
     """
 
     data: TrainingSet
@@ -676,7 +612,7 @@ class KnnStatistic:
 
     @cached_property
     def caches(self) -> KnnCaches:
-        # only the valid-shortcut path needs the O(n^2) cache build
+        # only the fixed-metric closed forms need the O(n^2) cache build
         return knn_fit(self.data, self.k)
 
     @cached_property
@@ -684,25 +620,44 @@ class KnnStatistic:
         return _feature_scales(self.data) if self.scale_features else np.ones(self.data.q)
 
     def evaluate(self, theta: int, pts: np.ndarray) -> np.ndarray:
+        """Minus the fraction of each point's k-ball that belongs to class
+        theta, O(n q) per point. The ball is closed, so distance ties at the
+        boundary radius are all included and it may hold more than k points."""
         check_label(theta, self.data.n_classes)
-        scaled = np.atleast_2d(pts) / self.scales
-        return -_knn_weight(self.data, self.data.features / self.scales, self.k, theta, scaled)
-
-    def evaluate_rows(self, theta: int, rows: np.ndarray) -> np.ndarray:
-        """The statistic at training rows of its own data. A row's k-ball
-        holds the row itself, so with a fixed metric these are the cached
-        counts: the same bits as ``evaluate`` at those rows."""
-        if self.scale_features:
-            return self.evaluate(theta, self.data.features[rows])
-        counts = self.caches.counts_k[rows]
+        dsq = _sq_dists(np.atleast_2d(pts) / self.scales, self.data.features / self.scales)
+        radius_sq = np.partition(dsq, self.k - 1, axis=1)[:, self.k - 1]
+        counts = _ball_counts(dsq, radius_sq, self.data.labels, self.data.n_classes)
         return -(counts[:, theta - 1] / counts.sum(axis=1))
 
     def edit(self, edit: Remove | Replace | Augment | Relabel) -> "KnnStatistic":
-        edited = KnnStatistic(self.data.edit(edit), self.k, self.scale_features)
-        if isinstance(edit, Relabel) and not self.scale_features:
-            # seed the lazy caches: a relabel keeps every distance
-            edited.__dict__["caches"] = _relabel_caches(self.caches, edited.data, edit.index)
-        return edited
+        return KnnStatistic(self.data.edit(edit), self.k, self.scale_features)
+
+    def loo_values(self, theta: int, rows: np.ndarray, relabel: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Leave-one-out scores of the training rows ``rows``, all of one
+        class y, as in ``GaussianStatistic.loo_values``: the (m, N + 1)
+        statistic at X_i and at the class-theta rows under the data edited by
+        ``Relabel(i, theta)`` (``relabel``; theta != y) or by ``Remove(i)``,
+        and the (m,) mask of the rows whose edit must take the refit instead;
+        their values are not to be used.
+
+        A relabel moves no distance, so with a fixed metric no radius moves
+        and no ball total changes: a class-theta row j gains one theta-count
+        exactly when its ball holds X_i, d^2(X_i, X_j) <= radius_sq[j], and
+        X_i, which its own ball holds, gains one. That takes one (m, N) block
+        of distances. A removal moves radii, and with feature scaling the
+        scales move with the edited labels' row order, so those rows are all
+        flagged.
+        """
+        group = self.data.group(theta)
+        values = np.zeros((rows.size, group.size + 1))
+        if self.scale_features or not relabel:
+            return values, np.ones(rows.size, dtype=bool)
+        caches = self.caches
+        totals = caches.counts_k.sum(axis=1)
+        values[:, 0] = -((caches.counts_k[rows, theta - 1] + 1) / totals[rows])
+        holds_i = _sq_dists(self.data.features[rows], self.data.features[group]) <= caches.radius_sq[group]
+        values[:, 1:] = -((caches.counts_k[group, theta - 1] + holds_i) / totals[group])
+        return values, np.zeros(rows.size, dtype=bool)
 
     def augmented_values(self, theta: int, X: np.ndarray) -> np.ndarray:
         """(m, N + 1): for each query x, the statistic at x and at the

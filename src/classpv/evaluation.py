@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Relabel, Remove, StructuralError, TrainingSet, check_label
+from .core import Relabel, Remove, StructuralError, TrainingSet, check_label, rank_pvalue
 from .permutation import PermutationMethod, _chunks, pvalue
 
 __all__ = [
@@ -73,15 +73,18 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
     other modes, and for typicality, row i's p-values come from the fit
     edited by ``Remove(i)``.
 
-    For the plug-in statistic in ``valid-shortcut`` and ``naive`` mode no
-    edit is made: a relabel is a rank-two change of the pooled scatter and a
-    removal a rank-one downdate, so ``GaussianStatistic.loo_values`` scores
-    every row of one class against class theta at once, in coordinates
-    whitened by the full fit, in chunks of rows. Every other (row, class)
-    entry, including a plug-in row whose edited fit could be singular or
-    whose closed form could cancel, goes through one edit loop in row order
-    that reuses a row's edit across its classes, so a degenerate fit raises
-    DegenerateFitError at the same row and pivot as a per-row loop would.
+    For the plug-in and k-NN statistics outside exact-swap mode,
+    ``loo_values`` scores every row of one class against class theta at
+    once under each row's edit, in chunks of rows, without making it. The
+    plug-in relabel is a rank-two change of the pooled scatter and its
+    removal a rank-one downdate, solved in coordinates whitened by the full
+    fit; the fixed-metric k-NN relabel moves one count at each ball that
+    holds the row. Every other (row, class) entry, including a row that
+    ``loo_values`` flags (a plug-in row whose edited fit could be singular or
+    whose closed form could cancel, a naive or scaled k-NN row), goes
+    through one edit loop in row order that reuses a row's edit across its
+    classes, so a degenerate fit raises DegenerateFitError at the same row
+    and pivot as a per-row loop would.
     """
     if np.any(d.group_sizes < 2):
         bad = int(np.argmin(d.group_sizes))
@@ -91,12 +94,12 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
     base = method.fit(d)
     out = np.empty((d.n, d.n_classes))
     relabel = method.mode == "valid-shortcut" and method.statistic != "typicality"
-    closed_form = method.statistic == "plugin" and method.mode != "exact-swap"
+    closed_form = method.statistic in ("plugin", "knn") and method.mode != "exact-swap"
     groups = [d.group(theta) for theta in range(1, d.n_classes + 1)]
     pending = []  # the (row, class) entries left to the edit loop
     for theta in range(1, d.n_classes + 1):
         if relabel:
-            out[groups[theta - 1], theta - 1] = _rank_in_group(base.evaluate_rows(theta, groups[theta - 1]))
+            out[groups[theta - 1], theta - 1] = _rank_in_group(base.evaluate(theta, d.features[groups[theta - 1]]))
         for y in range(1, d.n_classes + 1):
             if relabel and y == theta:
                 continue
@@ -114,9 +117,9 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
         if edit != last:
             last, edited = edit, base.edit(edit)
         if relabel:
-            # row i is now in class theta, so its own entry counts as the rank's +1
-            values = edited.evaluate_rows(theta, np.concatenate([[i], groups[theta - 1]]))
-            out[i, theta - 1] = np.count_nonzero(values >= values[0]) / values.size
+            # the query X_i ranked against the other class-theta rows
+            values = edited.evaluate(theta, d.features[np.concatenate([[i], groups[theta - 1]])])
+            out[i, theta - 1] = rank_pvalue(values[1:], values[0])
         else:
             out[i, theta - 1] = pvalue(edited, method.mode, theta, d.features[i])
     return CrossValMatrix(pvalues=out, labels=np.array(d.labels), group_sizes=d.group_sizes, method=method)

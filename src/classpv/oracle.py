@@ -5,10 +5,10 @@ Densities are evaluated in log space throughout; the weighted likelihood-ratio
 statistic uses a max-shifted sum so well-separated classes in moderate
 dimension do not underflow. Every Monte Carlo p-value (optimal, compromise,
 inflated) comes from one engine, ``OptimalMonteCarlo``: class theta is drawn
-once from child theta - 1 of ``SeedSequence(seed).spawn(L)``, its statistics
-are sorted, and a query is counted with the (count + 1)/(M + 1) convention,
-so the estimates remain valid p-values themselves and are deterministic
-given the seed.
+once, on its first query, from child theta - 1 of
+``SeedSequence(seed).spawn(L)``, its statistics are sorted, and a query is
+counted with the (count + 1)/(M + 1) convention, so the estimates remain
+valid p-values themselves and are deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -167,11 +167,12 @@ def optimal_pvalue_mc(
 class OptimalMonteCarlo:
     """Shared-sample evaluator for the known-model Monte Carlo p-values.
 
-    One seeded sample per class is drawn up front, class theta from child
-    theta - 1 of ``SeedSequence(seed).spawn(L)``, and reused for every query:
-    only the threshold statistic depends on the query point, so the same
-    draws serve arbitrarily many evaluations (region maps, risk estimates,
-    ROC curves) at O(log M) per point. ``log_stat(theta, pts)`` maps an
+    One seeded sample per class, class theta from child theta - 1 of
+    ``SeedSequence(seed).spawn(L)``, is drawn on the class's first query, so
+    a per-point call draws its own class only. Only the threshold statistic
+    depends on the query point, so the same draws serve arbitrarily many
+    later evaluations (region maps, risk estimates, ROC curves) at O(log M)
+    per point. ``log_stat(theta, pts)`` maps an
     (m, q) batch to m values, larger meaning class theta is less plausible;
     the default, the log weighted likelihood ratio, gives the optimal
     p-values.
@@ -193,18 +194,19 @@ class OptimalMonteCarlo:
             lambda theta, pts: log_weighted_lr(model.weights, model.means, model.covariances, theta, pts)
         )
         sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        children = sequence.spawn(model.n_classes)
-        self._sorted_stats = []
-        for theta in range(1, model.n_classes + 1):
-            draws = model.sample(theta, mc_samples, np.random.default_rng(children[theta - 1]))
-            self._sorted_stats.append(np.sort(self.log_stat(theta, draws)))
+        self._children = sequence.spawn(model.n_classes)
+        self._sorted_stats = {}  # class -> sorted statistics of its draws
 
     def pvalues(self, theta: int, x: np.ndarray) -> np.ndarray | float:
         """P-values for class theta at x, a single point (q,) or each row of
         a batch (m, q)."""
         check_label(theta, self.model.n_classes)
         x = np.asarray(x, dtype=float)
-        stats = self._sorted_stats[theta - 1]
+        if theta not in self._sorted_stats:
+            # no name holds the M draws, so they are freed before the query is scored
+            rng = np.random.default_rng(self._children[theta - 1])
+            self._sorted_stats[theta] = np.sort(self.log_stat(theta, self.model.sample(theta, self.mc_samples, rng)))
+        stats = self._sorted_stats[theta]
         below = np.searchsorted(stats, self.log_stat(theta, np.atleast_2d(x)), side="left")
         out = (stats.size - below + 1.0) / (stats.size + 1.0)
         return float(out[0]) if x.ndim == 1 else out

@@ -8,6 +8,7 @@ numbers; the acceptance suite diffs reruns byte for byte.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -39,72 +40,57 @@ def _chart_frame(width: float, height: float, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def _row_order(cv: CrossValMatrix) -> np.ndarray:
-    return np.lexsort((np.arange(cv.n), cv.labels))
-
-
-def _grid_header(cv: CrossValMatrix, label_names: tuple[str, ...] | None) -> list[str]:
+def _row_chart(
+    cv: CrossValMatrix, label_names: tuple[str, ...] | None, cell: Callable[[float, float, float], list[str]]
+) -> str:
+    """One row of cells per cross-validated observation, rows grouped by
+    class, one column per class under its name; ``cell(p, x0, y0)`` draws the
+    cell of p-value p whose top-left corner is (x0, y0)."""
     names = label_names if label_names else tuple(str(t) for t in range(1, cv.n_classes + 1))
-    parts = []
-    for j, name in enumerate(names):
-        cx = _LEFT + j * _CELL + _CELL / 2
-        parts.append(
-            f'<text x="{_fmt(cx)}" y="{_fmt(_TOP - 10)}" font-size="11" text-anchor="middle">{name}</text>'
-        )
-    return parts
-
-
-def pvalue_rectangles_svg(cv: CrossValMatrix, label_names: tuple[str, ...] | None = None) -> str:
-    """One row of rectangles per cross-validated observation, rows grouped by
-    class; each rectangle's area is proportional to the corresponding p-value."""
-    order = _row_order(cv)
-    width = _LEFT + cv.n_classes * _CELL + _PAD
-    height = _TOP + cv.n * _CELL + _PAD
-    body = _grid_header(cv, label_names)
-    for row, i in enumerate(order):
+    body = [
+        f'<text x="{_fmt(_LEFT + j * _CELL + _CELL / 2)}" y="{_fmt(_TOP - 10)}" font-size="11" '
+        f'text-anchor="middle">{name}</text>'
+        for j, name in enumerate(names)
+    ]
+    for row, i in enumerate(np.lexsort((np.arange(cv.n), cv.labels))):
         y0 = _TOP + row * _CELL
         body.append(
             f'<text x="{_fmt(_LEFT - 8)}" y="{_fmt(y0 + _CELL * 0.7)}" font-size="10" '
             f'text-anchor="end">{int(cv.labels[i])}:{int(i)}</text>'
         )
         for j in range(cv.n_classes):
-            p = float(cv.pvalues[i, j])
-            side = (_CELL - 2.0) * math.sqrt(p)  # area scales with p
-            cx = _LEFT + j * _CELL + _CELL / 2
-            cy = y0 + _CELL / 2
-            body.append(
-                f'<rect class="pv" data-p="{_fmt(p)}" x="{_fmt(cx - side / 2)}" y="{_fmt(cy - side / 2)}" '
-                f'width="{_fmt(side)}" height="{_fmt(side)}" fill="steelblue"/>'
-            )
-            body.append(
-                f'<rect x="{_fmt(_LEFT + j * _CELL + 1)}" y="{_fmt(y0 + 1)}" width="{_fmt(_CELL - 2)}" '
-                f'height="{_fmt(_CELL - 2)}" fill="none" stroke="#cccccc" stroke-width="0.5"/>'
-            )
-    return _chart_frame(width, height, body)
+            body += cell(float(cv.pvalues[i, j]), _LEFT + j * _CELL, y0)
+    return _chart_frame(_LEFT + cv.n_classes * _CELL + _PAD, _TOP + cv.n * _CELL + _PAD, body)
+
+
+def _cell_frame(x0: float, y0: float, fill: str) -> str:
+    return (
+        f'<rect x="{_fmt(x0 + 1)}" y="{_fmt(y0 + 1)}" width="{_fmt(_CELL - 2)}" '
+        f'height="{_fmt(_CELL - 2)}" fill="{fill}" stroke="#cccccc" stroke-width="0.5"/>'
+    )
+
+
+def pvalue_rectangles_svg(cv: CrossValMatrix, label_names: tuple[str, ...] | None = None) -> str:
+    """One row of rectangles per cross-validated observation, rows grouped by
+    class; each rectangle's area is proportional to the corresponding p-value."""
+
+    def cell(p: float, x0: float, y0: float) -> list[str]:
+        side = (_CELL - 2.0) * math.sqrt(p)  # area scales with p
+        cx, cy = x0 + _CELL / 2, y0 + _CELL / 2
+        return [
+            f'<rect class="pv" data-p="{_fmt(p)}" x="{_fmt(cx - side / 2)}" y="{_fmt(cy - side / 2)}" '
+            f'width="{_fmt(side)}" height="{_fmt(side)}" fill="steelblue"/>',
+            _cell_frame(x0, y0, "none"),
+        ]
+
+    return _row_chart(cv, label_names, cell)
 
 
 def region_rectangles_svg(
     cv: CrossValMatrix, alpha: float, label_names: tuple[str, ...] | None = None
 ) -> str:
     """Full-size rectangle per class contained in each row's level-alpha region."""
-    order = _row_order(cv)
-    width = _LEFT + cv.n_classes * _CELL + _PAD
-    height = _TOP + cv.n * _CELL + _PAD
-    body = _grid_header(cv, label_names)
-    for row, i in enumerate(order):
-        y0 = _TOP + row * _CELL
-        body.append(
-            f'<text x="{_fmt(_LEFT - 8)}" y="{_fmt(y0 + _CELL * 0.7)}" font-size="10" '
-            f'text-anchor="end">{int(cv.labels[i])}:{int(i)}</text>'
-        )
-        for j in range(cv.n_classes):
-            included = float(cv.pvalues[i, j]) > alpha
-            fill = "steelblue" if included else "none"
-            body.append(
-                f'<rect x="{_fmt(_LEFT + j * _CELL + 1)}" y="{_fmt(y0 + 1)}" width="{_fmt(_CELL - 2)}" '
-                f'height="{_fmt(_CELL - 2)}" fill="{fill}" stroke="#cccccc" stroke-width="0.5"/>'
-            )
-    return _chart_frame(width, height, body)
+    return _row_chart(cv, label_names, lambda p, x0, y0: [_cell_frame(x0, y0, "steelblue" if p > alpha else "none")])
 
 
 def roc_grid_svg(curves: dict[tuple[int, int], RocCurve], n_classes: int) -> str:

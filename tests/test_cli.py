@@ -299,6 +299,14 @@ class TestSimulateAndDeterminism:
         assert "xs is empty" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_region_map_negative_grid_points_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "negative"
+        rc = main(["simulate", "region-map", "--model", "example22", "--grid-points", "-1", "--seed", "5",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "--grid-points must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_convergence_without_queries_exit_2(self, tmp_path, capsys):
         rc = main([
             "simulate", "convergence", "--schedule", "60", "--queries", "0",

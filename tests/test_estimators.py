@@ -17,7 +17,6 @@ from classpv import (
     gaussian_update,
     knn_augmented_counts,
     knn_fit,
-    knn_posterior,
     optimal_statistic,
     sample_gaussian_mixture,
     typicality_index,
@@ -236,8 +235,7 @@ class TestKnnFit:
     def test_tie_at_boundary_includes_all(self):
         # distances from the query: 1, 2, 2, 2; k = 3 keeps all four points
         d = validate_training_set([[1.0], [-2.0], [2.0], [2.0]], [1, 2, 2, 2])
-        caches = knn_fit(d, k=3)
-        assert knn_posterior(caches, 1, np.array([0.0])) == 0.25
+        assert KnnStatistic(d, 3).evaluate(1, np.array([[0.0]]))[0] == -0.25
 
     def test_caches_match_brute_force(self):
         rng = np.random.default_rng(23)
@@ -259,7 +257,7 @@ class TestKnnFit:
                     assert caches.counts_km1[i, b - 1] == np.sum((dsq <= order[k - 2]) & (d.labels == b))
             assert np.all(caches.counts_k.sum(axis=1) >= k)
 
-    def test_relabel_carries_caches_exactly(self):
+    def test_loo_relabel_equals_a_from_scratch_statistic(self):
         rng = np.random.default_rng(29)
         for _ in range(30):
             big_l = int(rng.integers(2, 4))
@@ -269,14 +267,17 @@ class TestKnnFit:
             feats = rng.integers(-2, 3, size=(n, 2)).astype(float)
             d = TrainingSet(feats, labels, big_l, tuple(str(b + 1) for b in range(big_l)))
             k = int(rng.integers(1, 10))
-            i = int(rng.choice([r for r in range(n) if d.group(int(d.labels[r])).size > 1]))
-            theta = int(rng.choice([b for b in range(1, big_l + 1) if b != d.labels[i]]))
-            relabelled = KnnStatistic(d, k).edit(Relabel(i, theta))
-            scratch = knn_fit(d.relabel(i, theta), k)
-            for name in ("radius_sq", "radius_km1_sq", "counts_km1", "counts_k"):
-                assert np.array_equal(getattr(relabelled.caches, name), getattr(scratch, name)), name
-            rows = relabelled.data.group(theta)
-            assert np.array_equal(relabelled.evaluate_rows(theta, rows), relabelled.evaluate(theta, feats[rows]))
+            y = int(rng.choice([b for b in range(1, big_l + 1) if d.group(b).size > 1]))
+            theta = int(rng.choice([b for b in range(1, big_l + 1) if b != y]))
+            rows, group = d.group(y), d.group(theta)
+            values, refit = KnnStatistic(d, k).loo_values(theta, rows, relabel=True)
+            assert not refit.any()
+            for i, row_values in zip(rows, values):
+                scratch = KnnStatistic(d.relabel(int(i), theta), k)
+                assert np.array_equal(row_values, scratch.evaluate(theta, feats[np.concatenate([[i], group])]))
+            # a removal moves radii and scaling moves the scales: no closed form
+            assert KnnStatistic(d, k).loo_values(theta, rows, relabel=False)[1].all()
+            assert KnnStatistic(d, k, scale_features=True).loo_values(theta, rows, relabel=True)[1].all()
 
     def test_k_out_of_range(self, train2):
         with pytest.raises(ValueError):
@@ -296,36 +297,24 @@ class TestKnnFit:
         assert default_k(1) == 1
 
 
-class TestKnnPosterior:
+class TestKnnEvaluate:
     def test_count_ratio(self):
         # ball of 10 points, 7 from class 1
         feats = np.concatenate([np.linspace(0, 0.9, 7), np.linspace(1.0, 1.3, 3), [50.0, 51.0]])[:, None]
         labels = np.array([1] * 7 + [2] * 3 + [2, 2])
         d = TrainingSet(feats, labels, 2, ("1", "2"))
-        caches = knn_fit(d, k=10)
-        assert knn_posterior(caches, 1, np.array([0.45])) == 0.7
+        assert KnnStatistic(d, 10).evaluate(1, np.array([[0.45]]))[0] == -0.7
 
     def test_single_class_ball(self):
         d = validate_training_set([[0.0], [0.1], [0.2], [9.0], [9.1]], [1, 1, 1, 2, 2])
-        caches = knn_fit(d, k=3)
-        assert knn_posterior(caches, 1, np.array([0.1])) == 1.0
-        assert knn_posterior(caches, 2, np.array([0.1])) == 0.0
+        stat = KnnStatistic(d, 3)
+        assert stat.evaluate(1, np.array([[0.1]]))[0] == -1.0
+        assert stat.evaluate(2, np.array([[0.1]]))[0] == 0.0
 
-    def test_posteriors_sum_to_one(self, train2):
-        caches = knn_fit(train2, k=9)
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            x = rng.normal(size=2)
-            total = sum(knn_posterior(caches, t, x) for t in (1, 2))
-            assert abs(total - 1.0) < 1e-12
-
-    def test_custom_weights(self):
-        d = validate_training_set([[0.0], [0.2], [1.0], [1.2]], [1, 1, 2, 2])
-        caches = knn_fit(d, k=4)
-        w = np.array([0.8, 0.2])
-        # every point in the ball: weighted rates w_b * (count_b / N_b)
-        expected = 0.8 / (0.8 + 0.2)
-        assert abs(knn_posterior(caches, 1, np.array([0.5]), w) - expected) < 1e-12
+    def test_weights_sum_to_one(self, train2):
+        stat = KnnStatistic(train2, 9)
+        x = np.random.default_rng(3).normal(size=(10, 2))
+        assert np.all(np.abs(stat.evaluate(1, x) + stat.evaluate(2, x) + 1.0) < 1e-12)
 
 
 class TestKnnAugmentedCounts:

@@ -108,7 +108,7 @@ def _per_row_edit_pvalues(d, mode):
                 continue
             fit = base if theta == d.labels[i] else base.edit(Relabel(i, theta))
             group = fit.data.group(theta)
-            values = fit.evaluate_rows(theta, group)
+            values = fit.evaluate(theta, fit.data.features[group])
             pos = int(np.searchsorted(group, i))
             out[i, theta - 1] = (np.count_nonzero(np.delete(values, pos) >= values[pos]) + 1) / group.size
     return out
@@ -191,7 +191,7 @@ class TestEditLoop:
         return edits
 
     @pytest.mark.parametrize("statistic, kwargs, n_classes", [
-        ("knn", {"k": 5}, 3),
+        ("knn", {"k": 5, "scale_features": True}, 3),
         ("logistic", {}, 2),
     ])
     def test_valid_shortcut_relabels_once_per_row_and_other_class(self, monkeypatch, statistic, kwargs, n_classes):
@@ -200,6 +200,11 @@ class TestEditLoop:
         assert edits == [
             Relabel(i, theta) for i in range(d.n) for theta in range(1, n_classes + 1) if theta != d.labels[i]
         ]
+
+    @pytest.mark.parametrize("k", (1, 5, None))
+    def test_fixed_metric_knn_valid_shortcut_makes_no_edit(self, monkeypatch, k):
+        d = _awkward_set(3, 2, 0)
+        assert self._edits(monkeypatch, d, PermutationMethod("knn", "valid-shortcut", k=k)) == []
 
     @pytest.mark.parametrize("statistic, mode", [("knn", "naive"), ("typicality", "valid-shortcut")])
     def test_remove_once_per_row(self, monkeypatch, statistic, mode):

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -321,6 +322,34 @@ class TestOneEngine:
                 single = per_point(theta, pts[j])
                 assert isinstance(single, float)
                 assert single == engine.pvalues(theta, pts[j]) == batch[j]
+
+    def test_draws_each_class_on_its_first_query(self, model22, monkeypatch):
+        drawn = []
+        sample = GaussianMixtureModel.sample
+        monkeypatch.setattr(GaussianMixtureModel, "sample",
+                            lambda self, theta, *args: drawn.append(theta) or sample(self, theta, *args))
+        engine = OptimalMonteCarlo(model22, mc_samples=500, seed=8)
+        assert drawn == []
+        optimal_pvalue_mc(model22, 2, np.zeros(2), mc_samples=500, seed=8)
+        assert drawn == [2]
+        engine.pvalues(3, np.zeros(2))
+        engine.pvalues(3, np.ones((4, 2)))
+        assert drawn == [2, 3]
+
+    def test_draws_are_freed_before_the_query_is_scored(self, model22):
+        # at M = 1e6 the draws of a class are 16 MB that a region map's
+        # query batch need not share memory with
+        draws = []
+
+        def log_stat(theta, pts):
+            if pts.shape[0] == 500:
+                draws.append(weakref.ref(pts))
+            else:
+                assert draws[-1]() is None
+            return pts[:, 0]
+
+        OptimalMonteCarlo(model22, mc_samples=500, seed=8, log_stat=log_stat).pvalues(1, np.zeros((3, 2)))
+        assert len(draws) == 1
 
 
 def test_model_validation():
