@@ -6,18 +6,21 @@ edited statistic from one ``edit`` method, for a single-point ``Remove``,
 applies every edit in O(q^2) as at most one add step followed by at most one
 remove step (``gaussian_update``); the logistic and k-NN statistics refit.
 Typicality is its own type, the pooled Gaussian fit read as exact-pivot
-p-values. The plug-in and fixed-metric k-NN statistics also score a batch of
-queries under each query's augmented data through ``augmented_values``, and
-leave-one-out rows under each row's edited data through ``loo_values``,
-without an edit. For the plug-in statistic relabelling row i is a rank-two
-change of the pooled scatter and removing it a rank-one downdate, so one 2x2
-Woodbury solve per row in coordinates whitened by the full fit replaces the
-edit's Cholesky factorization. For k-NN a relabel keeps every radius and
-moves one count at each point whose ball holds row i. A row or query whose
-edited fit could be singular, or whose closed form could cancel or does not
-exist, is flagged for the refit, which raises DegenerateFitError as before.
-Identical rows of one ``evaluate`` call get identical bits, because the rank
-count scores the query together with its class and needs their ties exact.
+p-values. Identical rows of one ``evaluate`` call get identical bits, because
+the rank count scores the query together with its class and needs their ties
+exact.
+
+A statistic needs only ``data``, ``edit`` and ``evaluate``. The p-value
+paths score batches of single-point edits (a query added to class theta, a
+training row relabelled to theta or removed) through the module-level
+``edited_values``: the statistic at the edited point and at the class-theta
+rows under each edited fit. An optional method of the same name gives them
+in closed form, without the edit, and flags the edits it cannot score;
+``refit_values`` makes each flagged edit in order, raising
+DegenerateFitError as the edit would. The plug-in statistic has a closed
+form for every kind of edit (a whitened rank-two Woodbury solve), and the
+fixed-metric k-NN statistic for augment and relabel (a relabel moves one
+count).
 
 Every fit computes its sums over a canonical row ordering, so the fitted
 statistic is exactly symmetric in each class's training rows: shuffling the
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -47,11 +51,13 @@ __all__ = [
     "LogisticStatistic",
     "TypicalityStatistic",
     "default_k",
+    "edited_values",
     "fit_logistic",
     "fit_pooled_gaussian",
     "gaussian_update",
     "knn_augmented_counts",
     "knn_fit",
+    "refit_values",
     "typicality_index",
 ]
 
@@ -138,36 +144,14 @@ class GaussianStatistic:
         # through the module binding, which bench/tracing.py replaces to count edits
         return gaussian_update(self, edit)
 
-    def augmented_values(self, theta: int, X: np.ndarray) -> np.ndarray:
-        """(m, N + 1): for each query x, the statistic at x and at the
-        class-theta rows under the fit augmented with (x, theta), in closed
-        form (``_edited_values``). A flagged query takes the refit, which
-        raises DegenerateFitError where the augmented fit is singular.
-        """
-        values, refit = self._edited_values(theta, X, whiten_rows(self.sigma.chol_lower, X), add=True, removed=None)
-        for i in np.flatnonzero(refit):
-            values[i] = _refit_values(self, theta, X[i])
-        return values
-
-    def loo_values(self, theta: int, rows: np.ndarray, relabel: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Leave-one-out scores of the training rows ``rows``, all of one
-        class y, in closed form (``_edited_values``): the (m, N + 1) statistic
-        at X_i and at the class-theta rows under the fit edited by
-        ``Relabel(i, theta)`` (``relabel``; theta != y) or by ``Remove(i)``,
-        and the (m,) mask of the rows whose edit must take the refit instead;
-        their closed-form values are not to be used.
-        """
-        features_w, _ = self._whitened
-        removed = int(self.data.labels[rows[0]])
-        return self._edited_values(theta, self.data.features[rows], features_w[rows], add=relabel, removed=removed)
-
-    def _edited_values(
-        self, theta: int, X: np.ndarray, wx: np.ndarray, add: bool, removed: int | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(m, N + 1): for each query x (whitened: wx), the statistic at x and
-        at the class-theta rows under the fit that adds (x, theta) if ``add``
-        and then removes x from class ``removed`` if given; and the (m,) mask
-        of the queries flagged for the refit.
+    def edited_values(self, theta: int, kind: str, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The closed form of the module-level ``edited_values``: (m, N + 1),
+        for each point x, the statistic at x and at the class-theta rows under
+        the fit that adds (x, theta), unless ``kind`` is ``"remove"``, and then
+        removes x from its class y, unless ``kind`` is ``"augment"``; and the
+        (m,) mask of the points flagged for the refit, whose values are not to
+        be used. X holds the queries for ``"augment"``, else training row
+        indices, all of one class y (theta != y for ``"relabel"``).
 
         Adding x adds (N_theta/(N_theta+1)) u u^T to the scatter,
         u = x - mu_theta, and moves mu_theta by u/(N_theta+1). Removing it
@@ -196,6 +180,12 @@ class GaussianStatistic:
         n, n_classes = self.n, self.data.n_classes
         features_w, means_w = self._whitened
         group_w = features_w[self.data.group(theta)]
+        add = kind != "remove"
+        removed = None if kind == "augment" else int(self.data.labels[X[0]])
+        if kind == "augment":
+            wx = whiten_rows(self.sigma.chol_lower, X)
+        else:
+            X, wx = self.data.features[X], features_w[X]
         m, q = wx.shape
         sizes, new_n = self.group_sizes, n
         shifts = {}  # class index -> (m, q) whitened mean shift
@@ -493,13 +483,6 @@ def _augmented_counts(caches: KnnCaches, dsq: np.ndarray, rows: np.ndarray, thet
     return counts
 
 
-def _refit_values(stat, theta: int, x: np.ndarray) -> np.ndarray:
-    """The statistic at x, then at the class-theta rows, refitted on the data
-    augmented with (x, theta): the generic valid-shortcut path, (N + 1,)."""
-    d = stat.data
-    return stat.edit(Augment(x, theta)).evaluate(theta, np.vstack([x, d.features[d.group(theta)]]))
-
-
 # ---------------------------------------------------------------------------
 # Logistic regression (two classes)
 # ---------------------------------------------------------------------------
@@ -603,7 +586,7 @@ class KnnStatistic:
     With ``scale_features`` each feature is divided by its sample standard
     deviation over the training set. Caches are built lazily: plain
     evaluations need only distances from the query, while the fixed-metric
-    ``augmented_values`` and ``loo_values`` use the cached radii and counts.
+    ``edited_values`` uses the cached radii and counts.
     """
 
     data: TrainingSet
@@ -632,52 +615,81 @@ class KnnStatistic:
     def edit(self, edit: Remove | Replace | Augment | Relabel) -> "KnnStatistic":
         return KnnStatistic(self.data.edit(edit), self.k, self.scale_features)
 
-    def loo_values(self, theta: int, rows: np.ndarray, relabel: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Leave-one-out scores of the training rows ``rows``, all of one
-        class y, as in ``GaussianStatistic.loo_values``: the (m, N + 1)
-        statistic at X_i and at the class-theta rows under the data edited by
-        ``Relabel(i, theta)`` (``relabel``; theta != y) or by ``Remove(i)``,
-        and the (m,) mask of the rows whose edit must take the refit instead;
-        their values are not to be used.
+    def edited_values(self, theta: int, kind: str, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The closed form of the module-level ``edited_values``, as in
+        ``GaussianStatistic.edited_values``, for a fixed metric.
 
-        A relabel moves no distance, so with a fixed metric no radius moves
-        and no ball total changes: a class-theta row j gains one theta-count
-        exactly when its ball holds X_i, d^2(X_i, X_j) <= radius_sq[j], and
-        X_i, which its own ball holds, gains one. That takes one (m, N) block
-        of distances. A removal moves radii, and with feature scaling the
-        scales move with the edited labels' row order, so those rows are all
-        flagged.
+        An augment reads the cached counts through one (m, n) block of
+        distances: the query's own ball reaches its (k-1)-th nearest training
+        point, since x itself sits at distance 0, and the rows take
+        ``knn_augmented_counts``' case split. A relabel moves no distance, so
+        no radius moves and no ball total changes: a class-theta row j gains
+        one theta-count exactly when its ball holds X_i,
+        d^2(X_i, X_j) <= radius_sq[j], and X_i, which its own ball holds,
+        gains one. That takes one (m, N) block of distances. A removal moves
+        radii, and with feature scaling the scales move with the edited data,
+        so those edits are all flagged.
         """
         group = self.data.group(theta)
-        values = np.zeros((rows.size, group.size + 1))
-        if self.scale_features or not relabel:
-            return values, np.ones(rows.size, dtype=bool)
+        if self.scale_features or kind == "remove":
+            return np.zeros((len(X), group.size + 1)), np.ones(len(X), dtype=bool)
         caches = self.caches
-        totals = caches.counts_k.sum(axis=1)
-        values[:, 0] = -((caches.counts_k[rows, theta - 1] + 1) / totals[rows])
-        holds_i = _sq_dists(self.data.features[rows], self.data.features[group]) <= caches.radius_sq[group]
-        values[:, 1:] = -((caches.counts_k[group, theta - 1] + holds_i) / totals[group])
-        return values, np.zeros(rows.size, dtype=bool)
-
-    def augmented_values(self, theta: int, X: np.ndarray) -> np.ndarray:
-        """(m, N + 1): for each query x, the statistic at x and at the
-        class-theta rows under the data augmented with (x, theta).
-
-        With a fixed metric this reads the cached counts through one (m, n)
-        block of distances: the query's own ball reaches its (k-1)-th nearest
-        training point, since x itself sits at distance 0, and the rows take
-        ``knn_augmented_counts``'s case split. With feature scaling the scales
-        move with the augmented data, so each query takes the refit instead.
-        """
-        if self.scale_features:
-            return np.array([_refit_values(self, theta, x) for x in X])
-        caches, group = self.caches, self.data.group(theta)
+        if kind == "relabel":
+            values = np.empty((len(X), group.size + 1))
+            totals = caches.counts_k.sum(axis=1)
+            values[:, 0] = -((caches.counts_k[X, theta - 1] + 1) / totals[X])
+            holds_i = _sq_dists(self.data.features[X], self.data.features[group]) <= caches.radius_sq[group]
+            values[:, 1:] = -((caches.counts_k[group, theta - 1] + holds_i) / totals[group])
+            return values, np.zeros(len(X), dtype=bool)
         dsq = _sq_dists(X, self.data.features)
-        radius_sq = np.partition(dsq, self.k - 2, axis=1)[:, self.k - 2] if self.k >= 2 else np.zeros(X.shape[0])
+        radius_sq = np.partition(dsq, self.k - 2, axis=1)[:, self.k - 2] if self.k >= 2 else np.zeros(len(X))
         in_ball = dsq <= radius_sq[:, None]
-        values = np.empty((X.shape[0], group.size + 1))
+        # allocated once the partition's copy is freed, so it can reuse that memory
+        values = np.empty((len(X), group.size + 1))
         # the added point counts in its own ball and class
         values[:, 0] = -((in_ball[:, group].sum(axis=1) + 1) / (in_ball.sum(axis=1) + 1))
         counts = _augmented_counts(caches, dsq[:, group], group, theta)
         values[:, 1:] = -(counts[:, :, theta - 1] / counts.sum(axis=2))
-        return values
+        return values, np.zeros(len(X), dtype=bool)
+
+
+# ---------------------------------------------------------------------------
+# Edited values: the optional closed form and the refit fallback
+# ---------------------------------------------------------------------------
+
+
+def edited_values(stat, theta: int, kind: str, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, N + 1): for each of m single-point edits, the statistic at the
+    edited point and at the class-theta rows under the edited fit; and the
+    (m,) mask of the edits flagged for ``refit_values``, whose values are not
+    to be used. ``kind`` names the edit of each row of X: ``"augment"`` adds
+    the query x to class theta, ``"relabel"`` moves training row i (X holds
+    row indices, all of one class) to class theta, and ``"remove"`` removes
+    it. The statistic's own ``edited_values`` method, where it has one, gives
+    them in closed form; otherwise every edit is flagged.
+    """
+    closed_form = getattr(stat, "edited_values", None)
+    if closed_form is not None:
+        return closed_form(theta, kind, X)
+    return np.zeros((len(X), stat.data.group(theta).size + 1)), np.ones(len(X), dtype=bool)
+
+
+def refit_values(stat, kind: str, entries) -> Iterator[np.ndarray]:
+    """The refit behind ``edited_values``: for each (x, theta) of ``entries``,
+    in order, the (N + 1,) values ``edited_values`` gives for x, from one
+    ``stat.edit`` and one ``evaluate``. An edit equal to the one before is
+    reused, so a removal serves every class of its row, and a degenerate edit
+    raises DegenerateFitError at its entry.
+    """
+    d = stat.data
+    last = edited = None
+    for x, theta in entries:
+        if kind == "augment":
+            edit, point = Augment(x, theta), x
+        elif kind == "relabel":
+            edit, point = Relabel(x, theta), d.features[x]
+        else:
+            edit, point = Remove(x), d.features[x]
+        if edit != last:
+            last, edited = edit, stat.edit(edit)
+        yield edited.evaluate(theta, np.concatenate([point[None, :], d.features[d.group(theta)]]))

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Relabel, Remove, StructuralError, TrainingSet, check_label, rank_pvalue
+from .core import Remove, StructuralError, TrainingSet, check_label
+from .estimators import edited_values, refit_values
 from .permutation import PermutationMethod, _chunks, pvalue
 
 __all__ = [
@@ -69,22 +70,16 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
     In ``valid-shortcut`` mode the data without row i, augmented with
     (X_i, theta), is D with y_i := theta, so no row is removed: for
     theta = y_i it is D itself, scored once per class by the full fit, and
-    for every other theta it is one ``Relabel`` edit of the full fit. In the
-    other modes, and for typicality, row i's p-values come from the fit
-    edited by ``Remove(i)``.
-
-    For the plug-in and k-NN statistics outside exact-swap mode,
-    ``loo_values`` scores every row of one class against class theta at
-    once under each row's edit, in chunks of rows, without making it. The
-    plug-in relabel is a rank-two change of the pooled scatter and its
-    removal a rank-one downdate, solved in coordinates whitened by the full
-    fit; the fixed-metric k-NN relabel moves one count at each ball that
-    holds the row. Every other (row, class) entry, including a row that
-    ``loo_values`` flags (a plug-in row whose edited fit could be singular or
-    whose closed form could cancel, a naive or scaled k-NN row), goes
-    through one edit loop in row order that reuses a row's edit across its
-    classes, so a degenerate fit raises DegenerateFitError at the same row
-    and pivot as a per-row loop would.
+    for every other theta it is D edited by ``Relabel(i, theta)``. In naive
+    mode row i's p-values come from D edited by ``Remove(i)``. Either way
+    ``edited_values`` scores every row of one class against class theta at
+    once, in chunks of rows, under each row's edit: in the statistic's closed
+    form where it has one, without making the edit. Every (row, class) entry
+    it flags goes through one ``refit_values`` loop in row order that reuses
+    a row's edit across its classes, so a degenerate fit raises
+    DegenerateFitError at the same row and pivot as a per-row loop would. In
+    exact-swap mode, and for typicality, each row makes one ``Remove(i)`` and
+    takes ``pvalue`` of the edited fit for each class.
     """
     if np.any(d.group_sizes < 2):
         bad = int(np.argmin(d.group_sizes))
@@ -93,35 +88,29 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
         )
     base = method.fit(d)
     out = np.empty((d.n, d.n_classes))
-    relabel = method.mode == "valid-shortcut" and method.statistic != "typicality"
-    closed_form = method.statistic in ("plugin", "knn") and method.mode != "exact-swap"
-    groups = [d.group(theta) for theta in range(1, d.n_classes + 1)]
-    pending = []  # the (row, class) entries left to the edit loop
-    for theta in range(1, d.n_classes + 1):
-        if relabel:
+    classes = range(1, d.n_classes + 1)
+    if method.mode == "exact-swap" or method.statistic == "typicality":
+        for i in range(d.n):
+            reduced = base.edit(Remove(i))
+            out[i] = [pvalue(reduced, method.mode, theta, d.features[i]) for theta in classes]
+        return CrossValMatrix(pvalues=out, labels=np.array(d.labels), group_sizes=d.group_sizes, method=method)
+    kind = "relabel" if method.mode == "valid-shortcut" else "remove"
+    groups = [d.group(theta) for theta in classes]
+    pending = []  # the (row, class) entries left to the refit
+    for theta in classes:
+        if kind == "relabel":
             out[groups[theta - 1], theta - 1] = _rank_in_group(base.evaluate(theta, d.features[groups[theta - 1]]))
-        for y in range(1, d.n_classes + 1):
-            if relabel and y == theta:
+        for y in classes:
+            if kind == "relabel" and y == theta:
                 continue
             rows = groups[y - 1]
-            if not closed_form:
-                pending += [(int(i), theta) for i in rows]
-                continue
             for chunk in _chunks(d, theta, rows.size):
-                values, refit = base.loo_values(theta, rows[chunk], relabel)
+                values, refit = edited_values(base, theta, kind, rows[chunk])
                 out[rows[chunk], theta - 1] = _rank_query(values, own=y == theta)
                 pending += [(int(i), theta) for i in rows[chunk][refit]]
-    last, edited = None, None
-    for i, theta in sorted(pending):
-        edit = Relabel(i, theta) if relabel else Remove(i)
-        if edit != last:
-            last, edited = edit, base.edit(edit)
-        if relabel:
-            # the query X_i ranked against the other class-theta rows
-            values = edited.evaluate(theta, d.features[np.concatenate([[i], groups[theta - 1]])])
-            out[i, theta - 1] = rank_pvalue(values[1:], values[0])
-        else:
-            out[i, theta - 1] = pvalue(edited, method.mode, theta, d.features[i])
+    pending.sort()
+    for (i, theta), values in zip(pending, refit_values(base, kind, pending)):
+        out[i, theta - 1] = _rank_query(values[None, :], own=d.labels[i] == theta)[0]
     return CrossValMatrix(pvalues=out, labels=np.array(d.labels), group_sizes=d.group_sizes, method=method)
 
 

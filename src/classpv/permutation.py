@@ -30,13 +30,13 @@ import numpy as np
 from .core import PValueVector, Replace, TrainingSet, check_label, check_point, rank_pvalue
 from .estimators import (
     DegenerateFitError,
-    GaussianStatistic,
     KnnStatistic,
     TypicalityStatistic,
-    _refit_values,
     default_k,
+    edited_values,
     fit_logistic,
     fit_pooled_gaussian,
+    refit_values,
     typicality_index,
 )
 
@@ -94,12 +94,14 @@ def pvalues(fitted, mode: str, theta: int, X: np.ndarray) -> np.ndarray:
     statistic fitted on the training set; returns (m,).
 
     ``exact-swap`` refits once per group member, with that member replaced by
-    the query, and evaluates the refit at the member; a degenerate swapped fit
-    aborts the whole p-value (skipping an index would break exchangeability)
-    and the offending swap index rides on the error. ``valid-shortcut``
-    scores the query and the class under the fit augmented with (query,
-    theta): in closed form for the plug-in statistic, from the cached ball
-    counts for k-NN in a fixed metric, and by refitting otherwise. ``naive``
+    the query, and evaluates the refit at the member; a member equal to the
+    query takes the unedited fit's value, since that swap leaves the data as
+    it is. A degenerate swapped fit aborts the whole p-value (skipping an
+    index would break exchangeability) and the offending swap index rides on
+    the error. ``valid-shortcut`` scores the query and the class under the
+    fit augmented with (query, theta), through ``edited_values``: in the
+    statistic's closed form where it has one (plug-in; k-NN in a fixed
+    metric), and by ``refit_values`` for every query it flags. ``naive``
     compares against the unswapped training statistics, all queries in one
     evaluation. A ``TypicalityStatistic``, the pooled Gaussian fit as its own
     type, is an exact pivot, evaluated directly in every mode. Pass one fitted
@@ -130,8 +132,15 @@ def pvalues(fitted, mode: str, theta: int, X: np.ndarray) -> np.ndarray:
         return np.array([_exact_swap_pvalue(fitted, theta, x) for x in X])
     out = np.empty(X.shape[0])
     for chunk in _chunks(d, theta, X.shape[0]):
-        reference, values = _scores(fitted, mode, theta, X[chunk])
-        out[chunk] = rank_pvalue(values, reference)
+        queries = X[chunk]
+        if mode == "naive":
+            values = fitted.evaluate(theta, np.vstack([queries, d.features[d.group(theta)]]))
+            out[chunk] = rank_pvalue(values[len(queries) :], values[: len(queries)])
+            continue
+        values, refit = edited_values(fitted, theta, "augment", queries)
+        for j in np.flatnonzero(refit):
+            values[j] = next(refit_values(fitted, "augment", [(queries[j], theta)]))
+        out[chunk] = rank_pvalue(values[:, 1:], values[:, 0])
     return out
 
 
@@ -143,31 +152,18 @@ def _chunks(d: TrainingSet, theta: int, m: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, m, step)]
 
 
-def _scores(fitted, mode: str, theta: int, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The statistic at the m queries, and at the class-theta rows: (N,)
-    under the unedited fit in ``naive`` mode, else (m, N), one row under each
-    query's augmented fit."""
-    if mode == "naive":
-        d = fitted.data
-        values = fitted.evaluate(theta, np.vstack([X, d.features[d.group(theta)]]))
-        return values[: X.shape[0]], values[X.shape[0] :]
-    if isinstance(fitted, (GaussianStatistic, KnnStatistic)):
-        values = fitted.augmented_values(theta, X)
-    else:
-        values = np.array([_refit_values(fitted, theta, x) for x in X])
-    return values[:, 0], values[:, 1:]
-
-
 def _exact_swap_pvalue(fitted, theta: int, x: np.ndarray) -> float:
     d = fitted.data
     group = d.group(theta)
     reference = fitted.evaluate(theta, x[None, :])[0]
-    values = np.empty(group.size)
-    for j, i in enumerate(group):
+    # a member equal to the query keeps the reference: that swap leaves the data as it is
+    values = np.full(group.size, reference)
+    for j in np.flatnonzero(np.any(d.features[group] != x, axis=1)):
+        i = int(group[j])
         try:
-            swapped = fitted.edit(Replace(int(i), x))
+            swapped = fitted.edit(Replace(i, x))
         except DegenerateFitError as err:
-            err.swap_index = int(i)
+            err.swap_index = i
             raise
         values[j] = swapped.evaluate(theta, d.features[i][None, :])[0]
     return rank_pvalue(values, reference)

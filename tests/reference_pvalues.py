@@ -97,8 +97,10 @@ def refit_pvalue(fitted, mode: str, theta: int, x: np.ndarray) -> float:
     ``valid-shortcut`` applies the statistic's ``Augment(x, theta)`` edit and
     scores x with the class-theta rows in one ``evaluate``; ``naive`` does
     the same on the unedited fit; ``exact-swap`` refits once per member with
-    ``Replace``. Typicality is the F tail of the scaled squared Mahalanobis
-    distance, one point at a time through ``mahalanobis_sq``.
+    ``Replace``, except at a member equal to x, which that swap leaves as it
+    is: there the unedited fit scores it. Typicality is the F tail of the
+    scaled squared Mahalanobis distance, one point at a time through
+    ``mahalanobis_sq``.
     """
     d = fitted.data
     x = np.asarray(x, dtype=float)
@@ -110,7 +112,11 @@ def refit_pvalue(fitted, mode: str, theta: int, x: np.ndarray) -> float:
         return 1.0 - f_cdf(c_theta * mahalanobis_sq(x, fitted.means[theta - 1], fitted.sigma), q, d2)
     if mode == "exact-swap":
         reference = fitted.evaluate(theta, x[None, :])[0]
-        values = [fitted.edit(Replace(int(i), x)).evaluate(theta, d.features[i][None, :])[0] for i in group]
+        values = [
+            (fitted if np.array_equal(d.features[i], x) else fitted.edit(Replace(int(i), x)))
+            .evaluate(theta, d.features[i][None, :])[0]
+            for i in group
+        ]
         return rank_pvalue(np.array(values), reference)
     if mode == "valid-shortcut":
         fitted = fitted.edit(Augment(x, theta))

@@ -270,14 +270,14 @@ class TestKnnFit:
             y = int(rng.choice([b for b in range(1, big_l + 1) if d.group(b).size > 1]))
             theta = int(rng.choice([b for b in range(1, big_l + 1) if b != y]))
             rows, group = d.group(y), d.group(theta)
-            values, refit = KnnStatistic(d, k).loo_values(theta, rows, relabel=True)
+            values, refit = KnnStatistic(d, k).edited_values(theta, "relabel", rows)
             assert not refit.any()
             for i, row_values in zip(rows, values):
                 scratch = KnnStatistic(d.relabel(int(i), theta), k)
                 assert np.array_equal(row_values, scratch.evaluate(theta, feats[np.concatenate([[i], group])]))
             # a removal moves radii and scaling moves the scales: no closed form
-            assert KnnStatistic(d, k).loo_values(theta, rows, relabel=False)[1].all()
-            assert KnnStatistic(d, k, scale_features=True).loo_values(theta, rows, relabel=True)[1].all()
+            assert KnnStatistic(d, k).edited_values(theta, "remove", rows)[1].all()
+            assert KnnStatistic(d, k, scale_features=True).edited_values(theta, "relabel", rows)[1].all()
 
     def test_k_out_of_range(self, train2):
         with pytest.raises(ValueError):
@@ -354,7 +354,7 @@ class TestKnnAugmentedCounts:
                     expected = np.sum((dsq <= r) & (aug.labels == b))
                     assert counts[i, b - 1] == expected
             # the query-side statistic against the same brute force
-            query_value = stat.augmented_values(theta, x[None, :])[0, 0]
+            query_value = stat.edited_values(theta, "augment", x[None, :])[0][0, 0]
             dsq = np.sum((aug.features - aug.features[-1]) ** 2, axis=1)
             r = np.sort(dsq)[k - 1]
             in_ball = dsq <= r

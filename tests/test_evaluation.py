@@ -206,10 +206,15 @@ class TestEditLoop:
         d = _awkward_set(3, 2, 0)
         assert self._edits(monkeypatch, d, PermutationMethod("knn", "valid-shortcut", k=k)) == []
 
-    @pytest.mark.parametrize("statistic, mode", [("knn", "naive"), ("typicality", "valid-shortcut")])
-    def test_remove_once_per_row(self, monkeypatch, statistic, mode):
-        d = _awkward_set(3, 2, 1)
-        edits = self._edits(monkeypatch, d, PermutationMethod(statistic, mode, k=3))
+    @pytest.mark.parametrize("statistic, mode, kwargs", [
+        pytest.param("knn", "naive", {"k": 3}, id="knn-naive"),
+        pytest.param("knn", "naive", {"k": 3, "scale_features": True}, id="scaled-knn-naive"),
+        pytest.param("logistic", "naive", {}, id="logistic-naive"),
+        pytest.param("typicality", "valid-shortcut", {}, id="typicality-valid-shortcut"),
+    ])
+    def test_remove_once_per_row(self, monkeypatch, statistic, mode, kwargs):
+        d = _awkward_set(2 if statistic == "logistic" else 3, 2, 1)
+        edits = self._edits(monkeypatch, d, PermutationMethod(statistic, mode, **kwargs))
         assert edits == [Remove(i) for i in range(d.n)]
 
     def test_exact_swap_removes_once_per_row_then_swaps_each_member(self, monkeypatch):
@@ -221,7 +226,9 @@ class TestEditLoop:
             expected.append(("Remove", i))
             reduced = d.remove(i)
             for theta in range(1, d.n_classes + 1):
-                expected += [("Replace", int(j)) for j in reduced.group(theta)]
+                # a member equal to the query is not swapped: the swap would leave the data as it is
+                expected += [("Replace", int(j)) for j in reduced.group(theta)
+                             if not np.array_equal(reduced.features[j], d.features[i])]
         assert kinds == expected
 
 
