@@ -10,17 +10,17 @@ p-values. Identical rows of one ``evaluate`` call get identical bits, because
 the rank count scores the query together with its class and needs their ties
 exact.
 
-A statistic needs only ``data``, ``edit`` and ``evaluate``. The p-value
-paths score batches of single-point edits (a query added to class theta, a
-training row relabelled to theta or removed) through the module-level
-``edited_values``: the statistic at the edited point and at the class-theta
-rows under each edited fit. An optional method of the same name gives them
-in closed form, without the edit, and flags the edits it cannot score;
-``refit_values`` makes each flagged edit in order, raising
-DegenerateFitError as the edit would. The plug-in statistic has a closed
-form for every kind of edit (a whitened rank-two Woodbury solve), and the
-fixed-metric k-NN statistic for augment and relabel (a relabel moves one
-count).
+A statistic needs only ``data``, ``edit`` and ``evaluate``. Every p-value
+path scores single-point edits through the module-level ``edited_values``:
+the statistic at the edited point and at the class-theta rows under each
+edited fit. The edit adds a query to class theta (valid shortcut), or
+relabels or removes a training row (leave-one-out; exact swap removes each
+class-theta row of the data augmented with the query, so ``Replace`` serves
+only references). An optional method of the same name gives the values in
+closed form and flags the edits it cannot score; ``refit_values`` makes each
+flagged edit in order, raising DegenerateFitError as the edit would. The
+plug-in statistic has a closed form for every kind (a whitened rank-two
+Woodbury solve), the fixed-metric k-NN statistic for augment and relabel.
 
 Every fit computes its sums over a canonical row ordering, so the fitted
 statistic is exactly symmetric in each class's training rows: shuffling the
@@ -63,11 +63,12 @@ __all__ = [
 
 
 class DegenerateFitError(RuntimeError):
-    """A fit's covariance (or normal equations) lost rank; carries the failing pivot."""
+    """A fit lost rank; carries the failing pivot and exact swap's failing member."""
 
-    def __init__(self, message: str, pivot_index: int | None = None):
+    def __init__(self, message: str, pivot_index: int | None = None, swap_index: int | None = None):
         super().__init__(message)
         self.pivot_index = pivot_index
+        self.swap_index = swap_index
 
 
 def _canonical_order(features: np.ndarray, labels: np.ndarray) -> np.ndarray:

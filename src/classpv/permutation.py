@@ -8,8 +8,8 @@ group size, and is valid for every sample size.
 
 Modes:
 
-* ``exact-swap``   - reference implementation: one refit per group member,
-                     each on the data with that member swapped for the query.
+* ``exact-swap``   - reference implementation: leave-one-out of the data
+                     augmented with (query, theta) swaps the query in.
 * ``valid-shortcut`` - default: a single fit of the data augmented with
                      (query, theta), or its closed form; keeps the
                      finite-sample guarantee at a fraction of the cost.
@@ -22,12 +22,13 @@ Modes:
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import PValueVector, Replace, TrainingSet, check_label, check_point, rank_pvalue
+from .core import Augment, PValueVector, TrainingSet, check_label, check_point, rank_pvalue
 from .estimators import (
     DegenerateFitError,
     KnnStatistic,
@@ -93,29 +94,26 @@ def pvalues(fitted, mode: str, theta: int, X: np.ndarray) -> np.ndarray:
     """P-values for class theta at each row of the (m, q) batch X, from a
     statistic fitted on the training set; returns (m,).
 
-    ``exact-swap`` refits once per group member, with that member replaced by
-    the query, and evaluates the refit at the member; a member equal to the
-    query takes the unedited fit's value, since that swap leaves the data as
-    it is. A degenerate swapped fit aborts the whole p-value (skipping an
-    index would break exchangeability) and the offending swap index rides on
-    the error. ``valid-shortcut`` scores the query and the class under the
-    fit augmented with (query, theta), through ``edited_values``: in the
-    statistic's closed form where it has one (plug-in; k-NN in a fixed
-    metric), and by ``refit_values`` for every query it flags. ``naive``
-    compares against the unswapped training statistics, all queries in one
-    evaluation. A ``TypicalityStatistic``, the pooled Gaussian fit as its own
-    type, is an exact pivot, evaluated directly in every mode. Pass one fitted
-    statistic (``PermutationMethod.fit``) to many calls to reuse it: the
-    statistic is the fit, holding its training data and parameters.
+    ``valid-shortcut`` scores each query x and the class under the fit
+    augmented with (x, theta). ``exact-swap`` scores each member under the
+    fit with x swapped in for it, the augmented fit less that member, against
+    x under the augmented fit less x, the unedited fit: the ``"remove"``
+    values of the augmented class, x's row last, so a member equal to x ties
+    with it. Both take ``edited_values``' closed form where the statistic has
+    one and ``refit_values`` for each edit it flags. A degenerate removal
+    aborts the p-value (skipping a member would break exchangeability) with
+    the member's row as ``swap_index``. ``naive`` scores against the unedited
+    fit. A ``TypicalityStatistic`` is an exact pivot, evaluated directly in
+    every mode. Pass one fitted statistic (``PermutationMethod.fit``) to many
+    calls to reuse it.
 
-    The fitted statistic's ``evaluate(theta, pts)`` maps an (m, q) batch to m
-    values, larger meaning class theta is less plausible. It must be symmetric
-    in the class's training rows and give identical rows of one call
-    identical bits: outside exact-swap, queries and the class-theta rows are
-    scored in one call, so a member equal to a query ties with it in the
-    ``>=`` count. A row's value must not depend on the rest of the call
-    either, so every query's p-value is the same in any batch, and so at any
-    batch width, in every mode.
+    The statistic owes ``data``, ``edit`` and ``evaluate(theta, pts)``: m
+    values for an (m, q) batch, larger meaning class theta is less plausible,
+    symmetric in the class's rows, equal bits for equal rows of one call (a
+    member equal to a query must tie with it) and a row's bits in any call
+    (a p-value must not depend on its batch). ``edit(Augment(x, theta))`` and
+    ``edit(Remove(i))`` return the statistic on ``data.augment(x, theta)``,
+    x last, and on ``data.remove(i)``, as ``TrainingSet.edit`` gives them.
     """
     d = fitted.data
     check_label(theta, d.n_classes)
@@ -128,19 +126,21 @@ def pvalues(fitted, mode: str, theta: int, X: np.ndarray) -> np.ndarray:
         raise ValueError("feature vector contains non-finite values")
     if isinstance(fitted, TypicalityStatistic):
         return typicality_index(fitted, theta, X)
-    if mode == "exact-swap":
-        return np.array([_exact_swap_pvalue(fitted, theta, x) for x in X])
     out = np.empty(X.shape[0])
-    for chunk in _chunks(d, theta, X.shape[0]):
-        queries = X[chunk]
-        if mode == "naive":
+    if mode == "naive":
+        for chunk in _chunks(d, theta, X.shape[0]):
+            queries = X[chunk]
             values = fitted.evaluate(theta, np.vstack([queries, d.features[d.group(theta)]]))
             out[chunk] = rank_pvalue(values[len(queries) :], values[: len(queries)])
-            continue
-        values, refit = edited_values(fitted, theta, "augment", queries)
-        for j in np.flatnonzero(refit):
-            values[j] = next(refit_values(fitted, "augment", [(queries[j], theta)]))
-        out[chunk] = rank_pvalue(values[:, 1:], values[:, 0])
+    elif mode == "valid-shortcut":
+        for chunk, values in _edited(fitted, theta, "augment", X):
+            out[chunk] = rank_pvalue(values[:, 1:], values[:, 0])
+    else:
+        for i, x in enumerate(X):
+            augmented = fitted.edit(Augment(x, theta))
+            # each member's value with x swapped in for it, then x's own under D
+            loo = np.concatenate([v[:, 0] for _, v in _edited(augmented, theta, "remove", augmented.data.group(theta))])
+            out[i] = rank_pvalue(loo[:-1], loo[-1])
     return out
 
 
@@ -152,21 +152,19 @@ def _chunks(d: TrainingSet, theta: int, m: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, m, step)]
 
 
-def _exact_swap_pvalue(fitted, theta: int, x: np.ndarray) -> float:
-    d = fitted.data
-    group = d.group(theta)
-    reference = fitted.evaluate(theta, x[None, :])[0]
-    # a member equal to the query keeps the reference: that swap leaves the data as it is
-    values = np.full(group.size, reference)
-    for j in np.flatnonzero(np.any(d.features[group] != x, axis=1)):
-        i = int(group[j])
-        try:
-            swapped = fitted.edit(Replace(i, x))
-        except DegenerateFitError as err:
-            err.swap_index = i
-            raise
-        values[j] = swapped.evaluate(theta, d.features[i][None, :])[0]
-    return rank_pvalue(values, reference)
+def _edited(fitted, theta: int, kind: str, X: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """(chunk, values) for each of ``_chunks``' slices of X: ``edited_values``,
+    each flagged edit taken by ``refit_values`` in order. A degenerate
+    removal raises with the removed row as ``swap_index``."""
+    for chunk in _chunks(fitted.data, theta, len(X)):
+        values, refit = edited_values(fitted, theta, kind, X[chunk])
+        for j in np.flatnonzero(refit):
+            try:
+                values[j] = next(refit_values(fitted, kind, [(X[chunk][j], theta)]))
+            except DegenerateFitError as err:
+                err.swap_index = int(X[chunk][j]) if kind == "remove" else None
+                raise
+        yield chunk, values
 
 
 def pvalue(fitted, mode: str, theta: int, x: np.ndarray) -> float:

@@ -11,7 +11,7 @@ identical p-values whatever their position in the batch.
 import numpy as np
 import pytest
 
-from classpv import DegenerateFitError, PermutationMethod, TrainingSet, pvalues
+from classpv import DegenerateFitError, PermutationMethod, TrainingSet, permutation, pvalues
 from classpv.numerics import SpdMatrix, mahalanobis_sq, solve_lower, whiten_rows
 
 from reference_pvalues import refit_pvalue
@@ -85,6 +85,27 @@ def test_kernel_equals_per_query_refit(name, mode):
                 got = pvalues(fitted, mode, theta, X)
                 expected = [refit_pvalue(fitted, mode, theta, x) for x in X]
                 assert got.tolist() == expected, (seed, width, theta)
+
+
+@pytest.mark.parametrize("name", ("plugin", "knn", "logistic"))
+def test_exact_swap_bits_do_not_depend_on_chunking(monkeypatch, name):
+    """Exact-swap scores the class rows of the augmented data in chunks of
+    ``_chunks``; with blocks small enough that the class spans several chunks,
+    on sets with copied rows and copied-row queries, no p-value moves."""
+    method = PermutationMethod(name, "exact-swap", **STATISTICS[name])
+    for seed in range(3):
+        d = _training_set(seed, 2)
+        fitted = method.fit(d)
+        X = _queries(d, 7, seed)
+        whole = [pvalues(fitted, "exact-swap", theta, X) for theta in (1, 2)]
+        # about three rows of the augmented class per chunk
+        per_row = max(d.n + 1, (d.group_sizes.max() + 2) * 2) * d.q
+        monkeypatch.setattr(permutation, "_BLOCK_ELEMENTS", 3 * per_row)
+        augmented = d.augment(X[0], 1)
+        assert len(permutation._chunks(augmented, 1, augmented.group_sizes[0])) >= 4
+        chunked = [pvalues(fitted, "exact-swap", theta, X) for theta in (1, 2)]
+        monkeypatch.undo()
+        assert np.array_equal(whole, chunked), (seed, whole, chunked)
 
 
 def test_whitening_is_width_invariant():

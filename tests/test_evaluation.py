@@ -18,7 +18,7 @@ from classpv import (
     validate_training_set,
 )
 from classpv.cli import main
-from classpv.core import Relabel, Remove, StructuralError, TrainingSet
+from classpv.core import Augment, Relabel, Remove, StructuralError, TrainingSet
 from classpv.estimators import DegenerateFitError
 from classpv.evaluation import CrossValMatrix, RocCurve, observed_patterns
 from classpv.permutation import pvalue
@@ -177,6 +177,18 @@ class TestClosedFormCrossval:
         assert "numerical degeneracy" in capsys.readouterr().err
 
 
+def _high_leverage_rows(d, theta):
+    """The class-theta rows of d whose removal from the plug-in fit has
+    leverage (N/(N-1)) v^T S^-1 v above ``estimators._HIGH_LEVERAGE``, v the
+    row's deviation from its class mean and S the pooled scatter."""
+    means = np.array([d.features[d.labels == b].mean(axis=0) for b in range(1, d.n_classes + 1)])
+    deviations = d.features - means[d.labels - 1]
+    group = d.group(theta)
+    v = deviations[group]
+    leverage = group.size / (group.size - 1) * np.sum(v * np.linalg.solve(deviations.T @ deviations, v.T).T, axis=1)
+    return [int(j) for j in group[leverage > estimators._HIGH_LEVERAGE]]
+
+
 class TestEditLoop:
     """The edits ``crossval_pvalues`` makes, counted at ``TrainingSet.edit``:
     one loop in row order, one edit per row reused across its classes."""
@@ -217,19 +229,41 @@ class TestEditLoop:
         edits = self._edits(monkeypatch, d, PermutationMethod(statistic, mode, **kwargs))
         assert edits == [Remove(i) for i in range(d.n)]
 
+    @staticmethod
+    def _kinds(edits):
+        return [("Augment", tuple(e.point), e.label) if isinstance(e, Augment) else (type(e).__name__, e.index)
+                for e in edits]
+
     def test_exact_swap_removes_once_per_row_then_swaps_each_member(self, monkeypatch):
+        # the plug-in scores every member's swap in closed form, from one
+        # augmented fit per class; only a removal of high leverage takes the
+        # refit: here row 1, three times, when the query lands near row 0
+        # in the two-member class 1
         d = _awkward_set(3, 2, 2)
         edits = self._edits(monkeypatch, d, PermutationMethod("plugin", "exact-swap"))
-        kinds = [(type(e).__name__, e.index) for e in edits]
+        expected = []
+        for i in range(d.n):
+            expected.append(("Remove", i))
+            for theta in range(1, d.n_classes + 1):
+                expected.append(("Augment", tuple(d.features[i]), theta))
+                augmented = d.remove(i).augment(d.features[i], theta)
+                expected += [("Remove", j) for j in _high_leverage_rows(augmented, theta)]
+        assert self._kinds(edits) == expected
+        assert sum(kind == "Remove" for kind, *_ in expected) == d.n + 3
+
+    def test_logistic_exact_swap_removes_each_row_of_the_augmented_class(self, monkeypatch):
+        # swapping the query in for member j is removing j from the data
+        # augmented with the query, whose own row, removed last, gives D back
+        d = _awkward_set(2, 2, 2)
+        edits = self._edits(monkeypatch, d, PermutationMethod("logistic", "exact-swap"))
         expected = []
         for i in range(d.n):
             expected.append(("Remove", i))
             reduced = d.remove(i)
-            for theta in range(1, d.n_classes + 1):
-                # a member equal to the query is not swapped: the swap would leave the data as it is
-                expected += [("Replace", int(j)) for j in reduced.group(theta)
-                             if not np.array_equal(reduced.features[j], d.features[i])]
-        assert kinds == expected
+            for theta in (1, 2):
+                expected.append(("Augment", tuple(d.features[i]), theta))
+                expected += [("Remove", int(j)) for j in reduced.augment(d.features[i], theta).group(theta)]
+        assert self._kinds(edits) == expected
 
 
 class TestInclusionAndPatterns:

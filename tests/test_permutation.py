@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from classpv import (
+    Augment,
     DegenerateFitError,
     PermutationMethod,
-    Replace,
+    Remove,
     fit_pooled_gaussian,
     pvalue,
     pvalue_vector,
@@ -22,23 +23,27 @@ from classpv.permutation import warn_small_groups
 
 @dataclass(eq=False)
 class StubStatistic:
-    """Fixed statistic values keyed by point, optionally changed per swap."""
+    """Fixed statistic values keyed by point, optionally changed per swap.
+
+    Exact-swap augments the data with the query, last, and then removes each
+    class member: removing member i swaps the query in for it, and removing
+    the query's own row gives the base values back."""
 
     data: TrainingSet
     values: dict           # point tuple -> value under the base fit
-    swapped_values: dict = field(default_factory=dict)  # (i, point) -> value after Replace(i, ...)
-    _swap: tuple = None
+    swapped_values: dict = field(default_factory=dict)  # (i, point) -> value with the query swapped in for i
+    _swap: int = None
 
     def evaluate(self, theta, pts):
         keys = [tuple(p) for p in np.atleast_2d(np.asarray(pts, dtype=float))]
         return np.array([self.swapped_values.get((self._swap, key), self.values[key]) for key in keys])
 
     def edit(self, edit):
-        if not isinstance(edit, Replace):
-            return self
-        out = StubStatistic(self.data, self.values, self.swapped_values)
-        out._swap = edit.index
-        return out
+        if isinstance(edit, Augment):
+            return StubStatistic(self.data.augment(edit.point, edit.label), self.values, self.swapped_values)
+        if isinstance(edit, Remove):
+            return StubStatistic(self.data.remove(edit.index), self.values, self.swapped_values, edit.index)
+        return self
 
 
 def _stub_data():
@@ -89,7 +94,7 @@ class TestHandCounts:
                 (1.0,): rng.normal(), (2.0,): rng.normal(), (3.0,): rng.normal(),
                 (99.0,): rng.normal(),
             }
-            stub = StubStatistic(d, values)  # a Replace edit does not alter values
+            stub = StubStatistic(d, values)  # a swap does not alter values
             assert pvalue(stub, "naive", 1, query) == pvalue(stub, "exact-swap", 1, query)
 
 
@@ -253,10 +258,11 @@ class TestDegenerateSwap:
     def test_swap_aborts_with_index(self):
         d = validate_training_set([[0.0], [1.0], [5.0], [5.0]], [1, 1, 2, 2])
         method = PermutationMethod("plugin", "exact-swap")
-        # swapping x = 0 into the position of the point at 1 flattens class 1
+        # swapping x = 0 into the position of the point at 1 flattens class 1:
+        # removing row 1 from the augmented class {0, 1, 0} leaves {0, 0}
         with pytest.raises(DegenerateFitError) as info:
             pvalue_vector(method, d, np.array([0.0]))
-        assert info.value.swap_index in (0, 1)
+        assert info.value.swap_index == 1
 
 
 def test_non_finite_query_rejected_in_every_mode(train2):
