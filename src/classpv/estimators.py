@@ -4,23 +4,26 @@ scores an (m, q) batch through one ``evaluate(theta, pts)``, and returns the
 edited statistic from one ``edit`` method, for a single-point ``Remove``,
 ``Replace``, ``Augment`` or ``Relabel``. The pooled Gaussian statistic
 applies every edit in O(q^2) as at most one add step followed by at most one
-remove step (``gaussian_update``); the logistic and k-NN statistics refit.
-Typicality is its own type, the pooled Gaussian fit read as exact-pivot
-p-values. Identical rows of one ``evaluate`` call get identical bits, because
-the rank count scores the query together with its class and needs their ties
-exact.
+remove step (``gaussian_update``); the logistic and k-NN statistics refit
+on the edited data. Typicality is its own type, the pooled Gaussian fit read
+as exact-pivot p-values. Identical rows of one ``evaluate`` call get
+identical bits, because the rank count scores the query together with its
+class and needs their ties exact.
 
 A statistic needs only ``data``, ``edit`` and ``evaluate``. Every p-value
 path scores single-point edits through the module-level ``edited_values``:
 the statistic at the edited point and at the class-theta rows under each
 edited fit. The edit adds a query to class theta (valid shortcut), or
-relabels or removes a training row (leave-one-out; exact swap removes each
-class-theta row of the data augmented with the query, so ``Replace`` serves
-only references). An optional method of the same name gives the values in
-closed form and flags the edits it cannot score; ``refit_values`` makes each
-flagged edit in order, raising DegenerateFitError as the edit would. The
-plug-in statistic has a closed form for every kind (a whitened rank-two
-Woodbury solve), the fixed-metric k-NN statistic for augment and relabel.
+relabels or removes a training row (leave-one-out), or removes a row and
+scores it alone (``"loo"``: exact swap removes each class-theta row of the
+data augmented with the query, so ``Replace`` serves only references). An
+optional method of the same name gives the values without the edit and
+flags the edits it cannot score; ``refit_values`` makes each flagged edit
+in order, raising DegenerateFitError as the edit would. The plug-in
+statistic has a closed form for every kind (a whitened rank-two Woodbury
+solve), the fixed-metric k-NN statistic for augment, relabel and loo (one
+block of distances), and the logistic statistic fits every kind's edited
+sets in one batched IRLS, which ``fit_logistic`` runs on a batch of one.
 
 Every fit computes its sums over a canonical row ordering, so the fitted
 statistic is exactly symmetric in each class's training rows: shuffling the
@@ -149,10 +152,11 @@ class GaussianStatistic:
         """The closed form of the module-level ``edited_values``: (m, N + 1),
         for each point x, the statistic at x and at the class-theta rows under
         the fit that adds (x, theta), unless ``kind`` is ``"remove"``, and then
-        removes x from its class y, unless ``kind`` is ``"augment"``; and the
-        (m,) mask of the points flagged for the refit, whose values are not to
-        be used. X holds the queries for ``"augment"``, else training row
-        indices, all of one class y (theta != y for ``"relabel"``).
+        removes x from its class y, unless ``kind`` is ``"augment"``; (m, 1)
+        for ``"loo"``, which removes x and scores x alone; and the (m,) mask
+        of the points flagged for the refit, whose values are not to be used.
+        X holds the queries for ``"augment"``, else training row indices, all
+        of one class y (theta != y for ``"relabel"``).
 
         Adding x adds (N_theta/(N_theta+1)) u u^T to the scatter,
         u = x - mu_theta, and moves mu_theta by u/(N_theta+1). Removing it
@@ -180,8 +184,9 @@ class GaussianStatistic:
         """
         n, n_classes = self.n, self.data.n_classes
         features_w, means_w = self._whitened
-        group_w = features_w[self.data.group(theta)]
-        add = kind != "remove"
+        # "loo" scores the removed row alone
+        group_w = features_w[self.data.group(theta) if kind != "loo" else []]
+        add = kind in ("augment", "relabel")
         removed = None if kind == "augment" else int(self.data.labels[X[0]])
         if kind == "augment":
             wx = whiten_rows(self.sigma.chol_lower, X)
@@ -521,6 +526,34 @@ class LogisticStatistic:
         # through the module binding, which bench/tracing.py replaces to count fits
         return fit_logistic(self.data.edit(edit))
 
+    def edited_values(self, theta: int, kind: str, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The module-level ``edited_values`` from one batched IRLS over the
+        m edited sets, none flagged. Each set's rows are those of ``data``
+        (and the query, for ``"augment"``) in the order of their features
+        alone, the order that ``fit_logistic`` sorts by label, so every fit
+        has the bits of ``fit_logistic`` on the edited data."""
+        d, m = self.data, len(X)
+        features, labels = d.features, d.labels
+        if kind == "augment":
+            features = np.vstack([features, X])
+            labels = np.append(labels, np.full(m, theta))
+        order = _canonical_order(features, np.zeros(len(features)))
+        rows = np.broadcast_to(order, (m, order.size))
+        if kind == "augment":
+            rows = rows[(rows < d.n) | (rows == d.n + np.arange(m)[:, None])].reshape(m, d.n + 1)
+        elif kind != "relabel":
+            rows = rows[rows != X[:, None]].reshape(m, d.n - 1)
+        set_labels = labels[rows]
+        if kind == "relabel":
+            set_labels[rows == X[:, None]] = theta
+        beta = _logistic_fits(features, rows, set_labels)[0]
+        pts = (X if kind == "augment" else features[X])[:, None, :]
+        if kind != "loo":
+            group = d.features[d.group(theta)]
+            pts = np.concatenate([pts, np.broadcast_to(group, (m,) + group.shape)], axis=1)
+        scores = beta[:, :1] + np.sum(pts * beta[:, None, 1:], axis=2)
+        return (scores if theta == 1 else -scores), np.zeros(m, dtype=bool)
+
 
 _LOGISTIC_MAX_ITER = 100
 _LOGISTIC_GRAD_TOL = 1e-8
@@ -528,51 +561,89 @@ _LOGISTIC_COEF_CAP = 30.0
 
 
 def fit_logistic(d: TrainingSet) -> LogisticStatistic:
-    """Fit log-odds of class 2 as an affine function of the features by IRLS."""
+    """Fit log-odds of class 2 as an affine function of the features by IRLS:
+    ``_logistic_fits`` on a batch of one."""
     if d.n_classes != 2:
         raise ValueError(f"logistic statistic requires exactly 2 classes, got {d.n_classes}")
-    order = _canonical_order(d.features, d.labels)
-    feats = d.features[order]
-    y = (d.labels[order] == 2).astype(float)
-    design = np.hstack([np.ones((d.n, 1)), feats])
-    beta = np.zeros(design.shape[1])
-    grad_norm = math.inf
-    separated = False
-    prev_deviance = math.inf
-    deviance = math.inf
-    iterations = 0
-    for iterations in range(1, _LOGISTIC_MAX_ITER + 1):
-        eta = np.clip(design @ beta, -36.0, 36.0)
-        p = 1.0 / (1.0 + np.exp(-eta))
-        grad = design.T @ (y - p)
-        grad_norm = float(np.linalg.norm(grad))
-        prev_deviance = deviance
-        deviance = -2.0 * float(y @ np.log(p) + (1.0 - y) @ np.log1p(-p))
-        if grad_norm <= _LOGISTIC_GRAD_TOL:
-            break
-        weights = p * (1.0 - p)
-        hessian = design.T @ (design * weights[:, None])
-        try:
-            step = np.linalg.solve(hessian, grad)
-        except np.linalg.LinAlgError:
-            warnings.warn("singular weighted normal equations; adding ridge 1e-8", stacklevel=2)
-            hessian = hessian + 1e-8 * np.eye(hessian.shape[0])
-            step = np.linalg.solve(hessian, grad)
-        beta = beta + step
-        if float(np.max(np.abs(beta))) > _LOGISTIC_COEF_CAP:
-            separated = True
-            break
-    else:
-        if grad_norm > _LOGISTIC_GRAD_TOL and deviance < prev_deviance:
-            separated = True
+    order = _canonical_order(d.features, np.zeros(d.n))
+    beta, iterations, grad_norm, separated = _logistic_fits(d.features, order[None, :], d.labels[order][None, :])
     return LogisticStatistic(
         data=d,
-        intercept=float(beta[0]),
-        coefficients=np.array(beta[1:]),
-        iterations=iterations,
-        gradient_norm=grad_norm,
-        separated=separated,
+        intercept=float(beta[0, 0]),
+        coefficients=beta[0, 1:].copy(),
+        iterations=int(iterations[0]),
+        gradient_norm=float(grad_norm[0]),
+        separated=bool(separated[0]),
     )
+
+
+def _logistic_fits(features: np.ndarray, rows: np.ndarray, labels: np.ndarray):
+    """Logistic fits of B data sets at once: set b has the rows ``rows[b]``
+    of ``features``, in the order of their features alone, with the labels
+    ``labels[b]``. A stable sort by label puts each set in canonical order.
+
+    IRLS from zero for every set, each stopping at its own iteration: at
+    gradient norm ``_LOGISTIC_GRAD_TOL``, at a coefficient above
+    ``_LOGISTIC_COEF_CAP`` (separated) or after ``_LOGISTIC_MAX_ITER``
+    (separated while the deviance still falls). Every sum is a per-set
+    matrix product, so a set's bits do not depend on its batch. Returns
+    (B, q + 1) coefficients, intercept first, and the (B,) iterations,
+    gradient norms and separated flags.
+    """
+    sets, by_label = np.arange(len(rows))[:, None], np.argsort(labels, axis=1, kind="stable")
+    rows, labels = rows[sets, by_label], labels[sets, by_label]
+    design = np.concatenate([np.ones(rows.shape + (1,)), features[rows]], axis=2)
+    y = (labels == 2).astype(float)[:, :, None]
+    count, _, width = design.shape
+    # column vectors throughout, (B, n, 1) and (B, q + 1, 1); ``b`` holds
+    # the coefficients of the sets still iterating, ``active`` their indices
+    beta = np.zeros((count, width, 1))
+    iterations = np.zeros(count, dtype=np.int64)
+    grad_norm = np.zeros(count)
+    separated = np.zeros(count, dtype=bool)
+    # the last two deviances, which decide separation at the iteration cap
+    deviance = np.full((2, count), math.inf)
+    active, b = np.arange(count), beta
+    for iteration in range(1, _LOGISTIC_MAX_ITER + 1):
+        iterations[active] = iteration
+        # np.clip's values, without the cost of its Python wrapper
+        p = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(design @ b, -36.0), 36.0)))
+        grad = design.transpose(0, 2, 1) @ (y - p)
+        norm = np.sqrt(grad.transpose(0, 2, 1) @ grad)[:, 0, 0]
+        grad_norm[active] = norm
+        if iteration >= _LOGISTIC_MAX_ITER - 1:
+            log_lik = y.transpose(0, 2, 1) @ np.log(p) + (1.0 - y).transpose(0, 2, 1) @ np.log1p(-p)
+            deviance[:, active] = deviance[1, active], -2.0 * log_lik[:, 0, 0]
+        moving = ~(norm <= _LOGISTIC_GRAD_TOL)
+        if not moving.all():
+            active, design, y, b, grad, p = (a[moving] for a in (active, design, y, b, grad, p))
+        hessian = design.transpose(0, 2, 1) @ (design * (p * (1.0 - p)))
+        b = b + _newton_steps(hessian, grad)
+        beta[active] = b
+        capped = np.abs(b).max(axis=(1, 2)) > _LOGISTIC_COEF_CAP
+        if capped.any():
+            separated[active[capped]] = True
+            active, design, y, b = (a[~capped] for a in (active, design, y, b))
+        if not active.size:
+            break
+    else:
+        separated[active] = (grad_norm[active] > _LOGISTIC_GRAD_TOL) & (deviance[1, active] < deviance[0, active])
+    return beta[:, :, 0], iterations, grad_norm, separated
+
+
+def _newton_steps(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Each set's Newton step; a singular weighted Hessian takes a ridge."""
+    try:
+        return np.linalg.solve(hessian, grad)
+    except np.linalg.LinAlgError:
+        steps = np.empty_like(grad)
+        for s, (h, g) in enumerate(zip(hessian, grad)):
+            try:
+                steps[s] = np.linalg.solve(h, g)
+            except np.linalg.LinAlgError:
+                warnings.warn("singular weighted normal equations; adding ridge 1e-8", stacklevel=4)
+                steps[s] = np.linalg.solve(h + 1e-8 * np.eye(h.shape[0]), g)
+        return steps
 
 
 # ---------------------------------------------------------------------------
@@ -627,13 +698,23 @@ class KnnStatistic:
         no radius moves and no ball total changes: a class-theta row j gains
         one theta-count exactly when its ball holds X_i,
         d^2(X_i, X_j) <= radius_sq[j], and X_i, which its own ball holds,
-        gains one. That takes one (m, N) block of distances. A removal moves
-        radii, and with feature scaling the scales move with the edited data,
-        so those edits are all flagged.
+        gains one. That takes one (m, N) block of distances. A ``"loo"``
+        removal takes one (m, n) block: X_i's radius in the data without it
+        is its (k+1)-th smallest distance, as its own 0 is in the block, and
+        its ball's counts lose X_i itself. A removal that scores the class
+        rows moves their radii, and with feature scaling the scales move with
+        the edited data, so those edits are all flagged.
         """
         group = self.data.group(theta)
         if self.scale_features or kind == "remove":
-            return np.zeros((len(X), group.size + 1)), np.ones(len(X), dtype=bool)
+            return np.zeros((len(X), 1 if kind == "loo" else group.size + 1)), np.ones(len(X), dtype=bool)
+        if kind == "loo":
+            dsq = _sq_dists(self.data.features[X], self.data.features)
+            # the (k+1)-th smallest distance, as the row's own 0 is in the block
+            radius_sq = np.partition(dsq, self.k, axis=1)[:, self.k]
+            counts = _ball_counts(dsq, radius_sq, self.data.labels, self.data.n_classes)
+            counts[np.arange(len(X)), self.data.labels[X] - 1] -= 1
+            return -(counts[:, theta - 1 : theta] / counts.sum(axis=1, keepdims=True)), np.zeros(len(X), dtype=bool)
         caches = self.caches
         if kind == "relabel":
             values = np.empty((len(X), group.size + 1))
@@ -666,13 +747,14 @@ def edited_values(stat, theta: int, kind: str, X: np.ndarray) -> tuple[np.ndarra
     to be used. ``kind`` names the edit of each row of X: ``"augment"`` adds
     the query x to class theta, ``"relabel"`` moves training row i (X holds
     row indices, all of one class) to class theta, and ``"remove"`` removes
-    it. The statistic's own ``edited_values`` method, where it has one, gives
-    them in closed form; otherwise every edit is flagged.
+    it; ``"loo"`` removes it and scores it alone, (m, 1). The statistic's own
+    ``edited_values`` method, where it has one, gives them without making the
+    edits; otherwise every edit is flagged.
     """
     closed_form = getattr(stat, "edited_values", None)
     if closed_form is not None:
         return closed_form(theta, kind, X)
-    return np.zeros((len(X), stat.data.group(theta).size + 1)), np.ones(len(X), dtype=bool)
+    return np.zeros((len(X), 1 if kind == "loo" else stat.data.group(theta).size + 1)), np.ones(len(X), dtype=bool)
 
 
 def refit_values(stat, kind: str, entries) -> Iterator[np.ndarray]:
@@ -693,4 +775,5 @@ def refit_values(stat, kind: str, entries) -> Iterator[np.ndarray]:
             edit, point = Remove(x), d.features[x]
         if edit != last:
             last, edited = edit, stat.edit(edit)
-        yield edited.evaluate(theta, np.concatenate([point[None, :], d.features[d.group(theta)]]))
+        rows = d.features[d.group(theta)] if kind != "loo" else d.features[:0]
+        yield edited.evaluate(theta, np.concatenate([point[None, :], rows]))

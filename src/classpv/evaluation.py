@@ -73,8 +73,9 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
     for every other theta it is D edited by ``Relabel(i, theta)``. In naive
     mode row i's p-values come from D edited by ``Remove(i)``. Either way
     ``edited_values`` scores every row of one class against class theta at
-    once, in chunks of rows, under each row's edit: in the statistic's closed
-    form where it has one, without making the edit. Every (row, class) entry
+    once, in chunks of rows, under each row's edit: through the statistic's
+    own method where it has one (a closed form, or the logistic statistic's
+    batched IRLS), without making the edit. Every (row, class) entry
     it flags goes through one ``refit_values`` loop in row order that reuses
     a row's edit across its classes, so a degenerate fit raises
     DegenerateFitError at the same row and pivot as a per-row loop would. In

@@ -97,10 +97,12 @@ def pvalues(fitted, mode: str, theta: int, X: np.ndarray) -> np.ndarray:
     ``valid-shortcut`` scores each query x and the class under the fit
     augmented with (x, theta). ``exact-swap`` scores each member under the
     fit with x swapped in for it, the augmented fit less that member, against
-    x under the augmented fit less x, the unedited fit: the ``"remove"``
-    values of the augmented class, x's row last, so a member equal to x ties
-    with it. Both take ``edited_values``' closed form where the statistic has
-    one and ``refit_values`` for each edit it flags. A degenerate removal
+    x under the augmented fit less x, the unedited fit: the ``"loo"`` values
+    of the augmented class, each removed row scored alone, x's row last, so
+    a member equal to x ties with it. Both take ``edited_values``' method
+    where the statistic has one (closed forms for the plug-in and
+    fixed-metric k-NN, one batched IRLS for the logistic) and
+    ``refit_values`` for each edit it flags. A degenerate removal
     aborts the p-value (skipping a member would break exchangeability) with
     the member's row as ``swap_index``. ``naive`` scores against the unedited
     fit. A ``TypicalityStatistic`` is an exact pivot, evaluated directly in
@@ -139,7 +141,7 @@ def pvalues(fitted, mode: str, theta: int, X: np.ndarray) -> np.ndarray:
         for i, x in enumerate(X):
             augmented = fitted.edit(Augment(x, theta))
             # each member's value with x swapped in for it, then x's own under D
-            loo = np.concatenate([v[:, 0] for _, v in _edited(augmented, theta, "remove", augmented.data.group(theta))])
+            loo = np.concatenate([v[:, 0] for _, v in _edited(augmented, theta, "loo", augmented.data.group(theta))])
             out[i] = rank_pvalue(loo[:-1], loo[-1])
     return out
 
@@ -162,7 +164,7 @@ def _edited(fitted, theta: int, kind: str, X: np.ndarray) -> Iterator[tuple[slic
             try:
                 values[j] = next(refit_values(fitted, kind, [(X[chunk][j], theta)]))
             except DegenerateFitError as err:
-                err.swap_index = int(X[chunk][j]) if kind == "remove" else None
+                err.swap_index = int(X[chunk][j]) if kind == "loo" else None
                 raise
         yield chunk, values
 

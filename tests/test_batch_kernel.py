@@ -8,10 +8,13 @@ which must tie with their originals, and repeated rows, which must get
 identical p-values whatever their position in the batch.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from classpv import DegenerateFitError, PermutationMethod, TrainingSet, permutation, pvalues
+from classpv import Augment, DegenerateFitError, PermutationMethod, TrainingSet, estimators, permutation, pvalues
+from classpv.core import rank_pvalue
 from classpv.numerics import SpdMatrix, mahalanobis_sq, solve_lower, whiten_rows
 
 from reference_pvalues import refit_pvalue
@@ -106,6 +109,68 @@ def test_exact_swap_bits_do_not_depend_on_chunking(monkeypatch, name):
         chunked = [pvalues(fitted, "exact-swap", theta, X) for theta in (1, 2)]
         monkeypatch.undo()
         assert np.array_equal(whole, chunked), (seed, whole, chunked)
+
+
+def _lattice_set(seed: int, n_classes: int) -> TrainingSet:
+    """Classes of 4 to 9 rows on the integer lattice {-2, ..., 2}^q, q = 1
+    to 3, so that distances tie; one row copied within class 1 and one from
+    class 1 into class 2."""
+    rng = np.random.default_rng([seed, 5])
+    q = 1 + seed % 3
+    sizes = rng.integers(4, 10, size=n_classes)
+    feats = rng.integers(-2, 3, size=(sizes.sum(), q)).astype(float)
+    feats[1] = feats[0]
+    feats[sizes[0]] = feats[2]
+    labels = np.repeat(np.arange(1, n_classes + 1), sizes)
+    return TrainingSet(feats, labels, n_classes, tuple(str(b) for b in range(1, n_classes + 1)))
+
+
+def test_fixed_knn_exact_swap_on_lattices_equals_per_query_refit():
+    """The fixed-metric k-NN removal closed form reads the (k+1)-th distance
+    of a block that holds the row's own 0; on lattice sets with copied rows,
+    where distances tie at every radius, at k = 1, 2, n - 1 and n, and with
+    lattice points and copied training rows as queries, every exact-swap
+    p-value equals the per-member refit's."""
+    for seed in range(12):
+        n_classes = 2 + seed % 2
+        d = _lattice_set(seed, n_classes)
+        rng = np.random.default_rng([seed, 6])
+        X = rng.integers(-2, 3, size=(6, d.q)).astype(float)
+        X[::2] = d.features[rng.integers(0, d.n, size=3)]
+        for k in (1, 2, d.n - 1, d.n):
+            fitted = PermutationMethod("knn", "exact-swap", k=k).fit(d)
+            for theta in range(1, n_classes + 1):
+                got = pvalues(fitted, "exact-swap", theta, X)
+                assert got.tolist() == [refit_pvalue(fitted, "exact-swap", theta, x) for x in X], (seed, k, theta)
+
+
+def test_plugin_exact_swap_scores_each_removal_in_linear_memory():
+    """Exact-swap reads one value per removal, so the plug-in scores the
+    removed row alone: at N = 2,000 per class the query's temporaries stay
+    far below the (N + 1) x (N + 2) block of scoring every class row, and
+    its p-value is the one that block gives."""
+    rng = np.random.default_rng(17)
+    n = 2000
+    feats = np.vstack([rng.standard_normal((n, 2)), rng.standard_normal((n, 2)) + [2.0, 0.0]])
+    d = TrainingSet(feats, np.repeat([1, 2], n), 2, ("1", "2"))
+    fitted = PermutationMethod("plugin", "exact-swap").fit(d)
+    x = np.array([[0.5, -0.3]])
+    tracemalloc.start()
+    try:
+        got = pvalues(fitted, "exact-swap", 1, x)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    augmented = fitted.edit(Augment(x[0], 1))
+    group = augmented.data.group(1)
+    column = []
+    for start in range(0, group.size, 200):
+        values, refit = estimators.edited_values(augmented, 1, "remove", group[start : start + 200])
+        assert not refit.any()
+        column.append(values[:, 0])
+    column = np.concatenate(column)
+    assert got == rank_pvalue(column[:-1], column[-1])
 
 
 def test_whitening_is_width_invariant():

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from classpv import estimators
 from classpv import (
     Augment,
     DegenerateFitError,
@@ -408,6 +410,57 @@ class TestLogistic:
         with pytest.warns(UserWarning, match="ridge"):
             fit = fit_logistic(d)
         assert np.all(np.isfinite(fit.coefficients))
+
+    def test_fit_bits_do_not_depend_on_its_batch(self):
+        """``fit_logistic`` is the batched IRLS on a batch of one. Every set
+        of a batch of 2 to 40 gets the intercept, coefficient, iteration,
+        gradient-norm and separation bits of its lone fit, with a separated
+        set and a set whose weighted Hessian is singular at the first, middle
+        and last place; the singular set warns of its ridge as often as its
+        lone fit does, and no other set warns."""
+        rng = np.random.default_rng(71)
+        n = 24
+        labels = np.repeat([1, 2], n // 2)
+
+        def draw(kind):
+            feats = rng.normal(size=(n, 2)) + (labels == 2)[:, None] * 0.7
+            if kind == "separated":
+                # a narrow margin, so the likelihood climbs to the coefficient cap
+                feats[:, 0] = np.where(labels == 2, 1.0, -1.0) * (np.abs(feats[:, 0]) + 0.05)
+            elif kind == "singular":
+                feats[:, 1] = feats[:, 0]
+            # rows in the order of their features, the order the batch takes
+            order = np.lexsort(feats.T[::-1])
+            return TrainingSet(feats[order], labels[order], 2, ("1", "2"))
+
+        def bits(intercept, coefficients, iterations, gradient_norm, separated):
+            floats = np.concatenate([[intercept], coefficients, [gradient_norm]])
+            return floats.view(np.uint64).tolist(), iterations, separated
+
+        def ridge_warnings(fit):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = fit()
+            return result, sum("ridge" in str(w.message) for w in caught)
+
+        special = {kind: ridge_warnings(lambda: fit_logistic(draw(kind))) for kind in ("separated", "singular")}
+        assert special["separated"][0].separated and special["singular"][1] > 0
+        for width in range(2, 41):
+            sets = [draw("plain") for _ in range(width)]
+            lone = [fit_logistic(d) for d in sets]
+            for (fit, warned) in special.values():
+                for place in (0, width // 2, width - 1):
+                    batch, fits = list(sets), list(lone)
+                    batch[place], fits[place] = fit.data, fit
+                    features = np.vstack([d.features for d in batch])
+                    rows = np.arange(width * n).reshape(width, n)
+                    set_labels = np.vstack([d.labels for d in batch])
+                    (beta, iterations, grad_norm, separated), count = ridge_warnings(
+                        lambda: estimators._logistic_fits(features, rows, set_labels))
+                    assert count == warned, (width, place)
+                    for s, f in enumerate(fits):
+                        assert bits(beta[s, 0], beta[s, 1:], iterations[s], grad_norm[s], separated[s]) == bits(
+                            f.intercept, f.coefficients, f.iterations, f.gradient_norm, f.separated), (width, place, s)
 
     def test_matches_scipy_mle(self, train2):
         fit = fit_logistic(train2)

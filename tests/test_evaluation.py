@@ -204,7 +204,6 @@ class TestEditLoop:
 
     @pytest.mark.parametrize("statistic, kwargs, n_classes", [
         ("knn", {"k": 5, "scale_features": True}, 3),
-        ("logistic", {}, 2),
     ])
     def test_valid_shortcut_relabels_once_per_row_and_other_class(self, monkeypatch, statistic, kwargs, n_classes):
         d = _awkward_set(n_classes, 2, 0)
@@ -218,10 +217,15 @@ class TestEditLoop:
         d = _awkward_set(3, 2, 0)
         assert self._edits(monkeypatch, d, PermutationMethod("knn", "valid-shortcut", k=k)) == []
 
+    @pytest.mark.parametrize("mode", ("valid-shortcut", "naive"))
+    def test_logistic_makes_no_edit(self, monkeypatch, mode):
+        # every relabel or removal is fitted in one batched IRLS per chunk
+        d = _awkward_set(2, 2, 0)
+        assert self._edits(monkeypatch, d, PermutationMethod("logistic", mode)) == []
+
     @pytest.mark.parametrize("statistic, mode, kwargs", [
         pytest.param("knn", "naive", {"k": 3}, id="knn-naive"),
         pytest.param("knn", "naive", {"k": 3, "scale_features": True}, id="scaled-knn-naive"),
-        pytest.param("logistic", "naive", {}, id="logistic-naive"),
         pytest.param("typicality", "valid-shortcut", {}, id="typicality-valid-shortcut"),
     ])
     def test_remove_once_per_row(self, monkeypatch, statistic, mode, kwargs):
@@ -251,18 +255,20 @@ class TestEditLoop:
         assert self._kinds(edits) == expected
         assert sum(kind == "Remove" for kind, *_ in expected) == d.n + 3
 
-    def test_logistic_exact_swap_removes_each_row_of_the_augmented_class(self, monkeypatch):
+    @pytest.mark.parametrize("statistic, kwargs, n_classes", [
+        ("knn", {"k": 3}, 3),
+        ("logistic", {}, 2),
+    ])
+    def test_exact_swap_augments_once_per_query_and_class(self, monkeypatch, statistic, kwargs, n_classes):
         # swapping the query in for member j is removing j from the data
-        # augmented with the query, whose own row, removed last, gives D back
-        d = _awkward_set(2, 2, 2)
-        edits = self._edits(monkeypatch, d, PermutationMethod("logistic", "exact-swap"))
+        # augmented with the query; the fixed-metric k-NN distance block and
+        # the batched IRLS score every removal without making it
+        d = _awkward_set(n_classes, 2, 2)
+        edits = self._edits(monkeypatch, d, PermutationMethod(statistic, "exact-swap", **kwargs))
         expected = []
         for i in range(d.n):
             expected.append(("Remove", i))
-            reduced = d.remove(i)
-            for theta in (1, 2):
-                expected.append(("Augment", tuple(d.features[i]), theta))
-                expected += [("Remove", int(j)) for j in reduced.augment(d.features[i], theta).group(theta)]
+            expected += [("Augment", tuple(d.features[i]), theta) for theta in range(1, n_classes + 1)]
         assert self._kinds(edits) == expected
 
 
