@@ -311,7 +311,7 @@ def cmd_simulate(args) -> int:
     if args.kind == "validity":
         model = _model_from(args.model or "standard2")
         if args.method:
-            methods = (PermutationMethod(statistic=args.method, mode=args.mode, k=args.k),)
+            methods = (_method_from(args),)
         else:
             methods = _VALIDITY_BATTERY
             if model.n_classes != 2:

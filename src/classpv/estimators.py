@@ -18,12 +18,14 @@ relabels or removes a training row (leave-one-out), or removes a row and
 scores it alone (``"loo"``: exact swap removes each class-theta row of the
 data augmented with the query, so ``Replace`` serves only references). An
 optional method of the same name gives the values without the edit and
-flags the edits it cannot score; ``refit_values`` makes each flagged edit
-in order, raising DegenerateFitError as the edit would. The plug-in
-statistic has a closed form for every kind (a whitened rank-two Woodbury
-solve), the fixed-metric k-NN statistic for augment, relabel and loo (one
-block of distances), and the logistic statistic fits every kind's edited
-sets in one batched IRLS, which ``fit_logistic`` runs on a batch of one.
+flags the edits it cannot score. ``refit_values`` makes one flagged augment,
+relabel or loo edit, raising DegenerateFitError as the edit would; a flagged
+removal is left to ``crossval_pvalues``, which scores the reduced fit. The
+plug-in statistic has a closed form for every kind (a whitened rank-two
+Woodbury solve), the fixed-metric k-NN statistic for augment, relabel and
+loo (one block of distances), and the logistic statistic fits every kind's
+edited sets in one batched IRLS, which ``fit_logistic`` runs on a batch of
+one.
 
 Every fit computes its sums over a canonical row ordering, so the fitted
 statistic is exactly symmetric in each class's training rows: shuffling the
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -433,11 +434,9 @@ class KnnCaches:
             getattr(self, name).setflags(write=False)
 
 
-def knn_fit(d: TrainingSet, k: int | None = None) -> KnnCaches:
+def knn_fit(d: TrainingSet, k: int) -> KnnCaches:
     """Build the n(1 + 2L) cached numbers driving the O(n) augmented-data rule,
     in the unscaled metric."""
-    if k is None:
-        k = default_k(d.n)
     if not 1 <= k <= d.n:
         raise ValueError(f"k must lie in 1..n={d.n}, got {k}")
     dsq = _sq_dists(d.features, d.features)
@@ -743,13 +742,15 @@ class KnnStatistic:
 def edited_values(stat, theta: int, kind: str, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(m, N + 1): for each of m single-point edits, the statistic at the
     edited point and at the class-theta rows under the edited fit; and the
-    (m,) mask of the edits flagged for ``refit_values``, whose values are not
-    to be used. ``kind`` names the edit of each row of X: ``"augment"`` adds
+    (m,) mask of the edits flagged for a refit, whose values are not to be
+    used. ``kind`` names the edit of each row of X: ``"augment"`` adds
     the query x to class theta, ``"relabel"`` moves training row i (X holds
     row indices, all of one class) to class theta, and ``"remove"`` removes
     it; ``"loo"`` removes it and scores it alone, (m, 1). The statistic's own
     ``edited_values`` method, where it has one, gives them without making the
-    edits; otherwise every edit is flagged.
+    edits; otherwise every edit is flagged. ``refit_values`` gives a flagged
+    edit's values, except a removal's: ``crossval_pvalues`` takes the p-value
+    of the reduced fit instead.
     """
     closed_form = getattr(stat, "edited_values", None)
     if closed_form is not None:
@@ -757,23 +758,16 @@ def edited_values(stat, theta: int, kind: str, X: np.ndarray) -> tuple[np.ndarra
     return np.zeros((len(X), 1 if kind == "loo" else stat.data.group(theta).size + 1)), np.ones(len(X), dtype=bool)
 
 
-def refit_values(stat, kind: str, entries) -> Iterator[np.ndarray]:
-    """The refit behind ``edited_values``: for each (x, theta) of ``entries``,
-    in order, the (N + 1,) values ``edited_values`` gives for x, from one
-    ``stat.edit`` and one ``evaluate``. An edit equal to the one before is
-    reused, so a removal serves every class of its row, and a degenerate edit
-    raises DegenerateFitError at its entry.
-    """
+def refit_values(stat, kind: str, x, theta: int) -> np.ndarray:
+    """The refit behind ``edited_values``: the values it gives for the single
+    edit x of ``kind``, ``"augment"``, ``"relabel"`` or ``"loo"``, from one
+    ``stat.edit`` and one ``evaluate``. A degenerate edit raises
+    DegenerateFitError."""
     d = stat.data
-    last = edited = None
-    for x, theta in entries:
-        if kind == "augment":
-            edit, point = Augment(x, theta), x
-        elif kind == "relabel":
-            edit, point = Relabel(x, theta), d.features[x]
-        else:
-            edit, point = Remove(x), d.features[x]
-        if edit != last:
-            last, edited = edit, stat.edit(edit)
-        rows = d.features[d.group(theta)] if kind != "loo" else d.features[:0]
-        yield edited.evaluate(theta, np.concatenate([point[None, :], rows]))
+    if kind == "augment":
+        return stat.edit(Augment(x, theta)).evaluate(theta, np.vstack([x, d.features[d.group(theta)]]))
+    if kind == "relabel":
+        return stat.edit(Relabel(x, theta)).evaluate(theta, d.features[np.append(x, d.group(theta))])
+    if kind == "loo":
+        return stat.edit(Remove(x)).evaluate(theta, d.features[[x]])
+    raise ValueError(f"unknown edit kind {kind!r}")

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Remove, StructuralError, TrainingSet, check_label
-from .estimators import edited_values, refit_values
+from .core import Remove, StructuralError, TrainingSet, check_label, rank_pvalue
+from .estimators import TypicalityStatistic, edited_values, refit_values
 from .permutation import PermutationMethod, _chunks, pvalue
 
 __all__ = [
@@ -72,15 +72,16 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
     theta = y_i it is D itself, scored once per class by the full fit, and
     for every other theta it is D edited by ``Relabel(i, theta)``. In naive
     mode row i's p-values come from D edited by ``Remove(i)``. Either way
-    ``edited_values`` scores every row of one class against class theta at
-    once, in chunks of rows, under each row's edit: through the statistic's
-    own method where it has one (a closed form, or the logistic statistic's
-    batched IRLS), without making the edit. Every (row, class) entry
-    it flags goes through one ``refit_values`` loop in row order that reuses
-    a row's edit across its classes, so a degenerate fit raises
-    DegenerateFitError at the same row and pivot as a per-row loop would. In
-    exact-swap mode, and for typicality, each row makes one ``Remove(i)`` and
-    takes ``pvalue`` of the edited fit for each class.
+    ``edited_values`` scores a chunk of one class's rows against class theta
+    under each row's edit, without making it where the statistic has a
+    method (a closed form, or the logistic statistic's batched IRLS).
+
+    One pass in row order computes every other (row, class) entry by its
+    definition: each entry flagged, and every entry in exact-swap mode and
+    for typicality. A valid-shortcut entry takes one ``Relabel`` through
+    ``refit_values``, any other ``pvalue`` of the fit edited by ``Remove(i)``,
+    one per row. So a degenerate fit raises DegenerateFitError at the same
+    row and pivot as a per-row loop would.
     """
     if np.any(d.group_sizes < 2):
         bad = int(np.argmin(d.group_sizes))
@@ -90,15 +91,15 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
     base = method.fit(d)
     out = np.empty((d.n, d.n_classes))
     classes = range(1, d.n_classes + 1)
-    if method.mode == "exact-swap" or method.statistic == "typicality":
-        for i in range(d.n):
-            reduced = base.edit(Remove(i))
-            out[i] = [pvalue(reduced, method.mode, theta, d.features[i]) for theta in classes]
-        return CrossValMatrix(pvalues=out, labels=np.array(d.labels), group_sizes=d.group_sizes, method=method)
-    kind = "relabel" if method.mode == "valid-shortcut" else "remove"
+    # the closed form's edit kind: exact-swap has none, and typicality is a pivot
+    kind = {"valid-shortcut": "relabel", "naive": "remove"}.get(method.mode)
+    kind = None if isinstance(base, TypicalityStatistic) else kind
     groups = [d.group(theta) for theta in classes]
-    pending = []  # the (row, class) entries left to the refit
+    pending = []  # the (row, class) entries left to the pass
     for theta in classes:
+        if kind is None:
+            pending += [(i, theta) for i in range(d.n)]
+            continue
         if kind == "relabel":
             out[groups[theta - 1], theta - 1] = _rank_in_group(base.evaluate(theta, d.features[groups[theta - 1]]))
         for y in classes:
@@ -109,9 +110,15 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
                 values, refit = edited_values(base, theta, kind, rows[chunk])
                 out[rows[chunk], theta - 1] = _rank_query(values, own=y == theta)
                 pending += [(int(i), theta) for i in rows[chunk][refit]]
-    pending.sort()
-    for (i, theta), values in zip(pending, refit_values(base, kind, pending)):
-        out[i, theta - 1] = _rank_query(values[None, :], own=d.labels[i] == theta)[0]
+    last = None
+    for i, theta in sorted(pending):
+        if kind == "relabel":
+            values = refit_values(base, "relabel", i, theta)
+            out[i, theta - 1] = rank_pvalue(values[1:], values[0])
+        else:
+            if i != last:
+                last, reduced = i, base.edit(Remove(i))
+            out[i, theta - 1] = pvalue(reduced, method.mode, theta, d.features[i])
     return CrossValMatrix(pvalues=out, labels=np.array(d.labels), group_sizes=d.group_sizes, method=method)
 
 

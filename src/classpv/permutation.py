@@ -162,7 +162,7 @@ def _edited(fitted, theta: int, kind: str, X: np.ndarray) -> Iterator[tuple[slic
         values, refit = edited_values(fitted, theta, kind, X[chunk])
         for j in np.flatnonzero(refit):
             try:
-                values[j] = next(refit_values(fitted, kind, [(X[chunk][j], theta)]))
+                values[j] = refit_values(fitted, kind, X[chunk][j], theta)
             except DegenerateFitError as err:
                 err.swap_index = int(X[chunk][j]) if kind == "loo" else None
                 raise

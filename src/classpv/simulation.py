@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -213,7 +213,6 @@ def _oracle_evaluator(model: GaussianMixtureModel, mc_samples: int, seed: int | 
 def convergence_experiment(
     model: GaussianMixtureModel,
     n_schedule: Sequence[int],
-    k_rule: Callable[[int], int] | None = None,
     seed: int = 0,
     n_queries: int = 200,
     mc_samples: int = 20_000,
@@ -222,17 +221,15 @@ def convergence_experiment(
     schedule of training sizes.
 
     At each n (total, split evenly over classes) a fresh training set and
-    fresh mixture queries are drawn; the k-NN and plug-in p-values (default
-    valid-shortcut mode) at the queries are compared against the known-model
-    p-values, evaluated in closed form where available and by shared-sample
-    Monte Carlo otherwise.
+    fresh mixture queries are drawn; the k-NN (k = ``default_k(n)``) and
+    plug-in p-values (default valid-shortcut mode) at the queries are
+    compared against the known-model p-values, evaluated in closed form where
+    available and by shared-sample Monte Carlo otherwise.
     """
     if list(n_schedule) != sorted(set(int(n) for n in n_schedule)):
         raise ValueError("n_schedule must be strictly increasing")
     if n_queries < 1:
         raise ValueError(f"n_queries must be at least 1, got {n_queries}")
-    if k_rule is None:
-        k_rule = default_k
     children = np.random.SeedSequence(seed).spawn(len(n_schedule) + 1)
     oracle = _oracle_evaluator(model, mc_samples, children[-1])
     rows = []
@@ -243,7 +240,7 @@ def convergence_experiment(
         d = _sample_training(model, sizes, rng)
         query_labels = rng.choice(model.n_classes, size=n_queries, p=model.weights) + 1
         queries = np.vstack([model.sample(int(lbl), 1, rng) for lbl in query_labels])
-        k = int(k_rule(int(n_total)))
+        k = default_k(int(n_total))
         knn_method = PermutationMethod(statistic="knn", mode="valid-shortcut", k=k)
         plugin_method = PermutationMethod(statistic="plugin", mode="valid-shortcut")
         knn_fitted = knn_method.fit(d)

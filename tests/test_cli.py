@@ -1,13 +1,20 @@
 import csv
 import filecmp
 import json
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import classpv
 from classpv import PermutationMethod, example22_model, sample_gaussian_mixture, standard_2class_model
+from classpv import cli
 from classpv.cli import main
 
 from reference_pvalues import refit_pvalue
@@ -267,6 +274,16 @@ class TestSimulateAndDeterminism:
         rows = _read_csv(out / "validity.csv")
         assert {r["statistic"] for r in rows} == {"knn"}
 
+    def test_validity_method_takes_every_method_flag(self, tmp_path, monkeypatch):
+        configs = []
+        monkeypatch.setattr(cli, "validity_experiment", lambda cfg: configs.append(cfg) or SimpleNamespace(cells=[]))
+        rc = main([
+            "simulate", "validity", "--method", "knn", "--mode", "naive", "--k", "3", "--scale-features",
+            "--replications", "1", "--seed", "6", "--out", str(tmp_path / "val"),
+        ])
+        assert rc == 0
+        assert configs[0].methods == (PermutationMethod("knn", "naive", k=3, scale_features=True),)
+
     def test_validity_without_method_runs_battery(self, tmp_path):
         out = tmp_path / "battery"
         rc = main([
@@ -333,6 +350,50 @@ class TestSimulateAndDeterminism:
         assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
         match, mismatch, errors = filecmp.cmpfiles(tmp_path / "a", tmp_path / "b", names, shallow=False)
         assert mismatch == [] and errors == []
+
+
+_GOOD_TRAIN = "f1,f2,label\n0.0,1.0,a\n2.0,0.5,b\n1.0,1.5,a\n"
+
+
+class TestInputErrors:
+    """Every input problem the CLI reads exits 2 with a message naming the
+    file it is in."""
+
+    @pytest.mark.parametrize("files, args, expected", [
+        pytest.param({}, ["--train", "t.csv", "--label", "label"], ["t.csv"], id="no-such-file"),
+        pytest.param({"t.csv": ""}, ["--train", "t.csv", "--label", "label"], ["t.csv", "header"], id="empty"),
+        pytest.param({"t.csv": "f1,f2,label\n"}, ["--train", "t.csv", "--label", "label"], ["t.csv", "no data rows"],
+                     id="no-rows"),
+        pytest.param({"t.csv": "f1,f2,label\n0.0,1.0,a\n2.0,b\n"}, ["--train", "t.csv", "--label", "label"],
+                     ["t.csv", "line 3", "expected 3 fields, found 2"], id="ragged"),
+        pytest.param({"t.csv": _GOOD_TRAIN}, ["--train", "t.csv", "--label", "class"], ["t.csv", "'class'"],
+                     id="no-label-column"),
+        pytest.param({"t.csv": _GOOD_TRAIN}, ["--label", "label"], ["--train"], id="no-train-flag"),
+        pytest.param({"t.csv": _GOOD_TRAIN}, ["--train", "t.csv"], ["t.csv", "--label"], id="no-label-flag"),
+        pytest.param({"t.csv": _GOOD_TRAIN, "q.csv": "f1,g2\n0.0,0.0\n"}, ["--train", "t.csv", "--label", "label"],
+                     ["q.csv", "do not match"], id="query-columns"),
+        pytest.param({"t.csv": _GOOD_TRAIN}, ["--train", "t.csv", "--label", "label", "--config", "c.json"],
+                     ["c.json"], id="no-config-file"),
+        pytest.param({"t.csv": _GOOD_TRAIN, "c.json": "{"},
+                     ["--train", "t.csv", "--label", "label", "--config", "c.json"], ["c.json", "invalid JSON"],
+                     id="config-not-json"),
+    ])
+    def test_exit_2_naming_the_file(self, tmp_path, monkeypatch, capsys, files, args, expected):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        rc = main(["classify", *args, "--query", "q.csv", "--seed", "1", "--out", "o"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and all(part in err for part in expected), err
+        assert not (tmp_path / "o").exists()
+
+    def test_module_entry_point_runs(self):
+        src = str(Path(classpv.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-m", "classpv", "--help"], env=env, capture_output=True, text=True)
+        assert result.returncode == 0
+        assert "classify" in result.stdout
 
 
 class TestConfigFile:

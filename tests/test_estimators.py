@@ -462,6 +462,39 @@ class TestLogistic:
                         assert bits(beta[s, 0], beta[s, 1:], iterations[s], grad_norm[s], separated[s]) == bits(
                             f.intercept, f.coefficients, f.iterations, f.gradient_norm, f.separated), (width, place, s)
 
+    def test_fit_bits_at_the_iteration_cap_do_not_depend_on_its_batch(self, monkeypatch):
+        """With the iteration cap at 5, one batch mixes sets that converge
+        before it, sets stopped by the coefficient cap and sets stopped by the
+        iteration cap, whose separation is read from their last two
+        deviances; each set gets its lone fit's bits."""
+        cap = 5
+        monkeypatch.setattr(estimators, "_LOGISTIC_MAX_ITER", cap)
+        rng = np.random.default_rng(5)
+        n = 24
+        labels = np.repeat([1, 2], n // 2)
+
+        def draw(kind):
+            shift = {"converging": 0.3, "slow": 2.5, "separated": 0.7}[kind]
+            feats = rng.normal(size=(n, 2)) + (labels == 2)[:, None] * shift
+            if kind == "separated":
+                # a narrow margin at a small scale: the coefficients pass their cap at once
+                feats[:, 0] = np.where(labels == 2, 1.0, -1.0) * (np.abs(feats[:, 0]) + 0.05) * 0.01
+            order = np.lexsort(feats.T[::-1])
+            return TrainingSet(feats[order], labels[order], 2, ("1", "2"))
+
+        sets = [draw(kind) for _ in range(4) for kind in ("converging", "slow", "separated")]
+        lone = [fit_logistic(d) for d in sets]
+        assert any(f.iterations < cap and not f.separated for f in lone)            # converged
+        assert any(f.iterations < cap and f.separated for f in lone)                # coefficient cap
+        assert any(f.iterations == cap and f.separated and f.gradient_norm > 1e-3 for f in lone)  # iteration cap
+        features = np.vstack([d.features for d in sets])
+        rows = np.arange(len(sets) * n).reshape(len(sets), n)
+        beta, iterations, grad_norm, separated = estimators._logistic_fits(
+            features, rows, np.vstack([d.labels for d in sets]))
+        for s, f in enumerate(lone):
+            assert beta[s].view(np.uint64).tolist() == np.r_[f.intercept, f.coefficients].view(np.uint64).tolist()
+            assert (iterations[s], grad_norm[s], separated[s]) == (f.iterations, f.gradient_norm, f.separated), s
+
     def test_matches_scipy_mle(self, train2):
         fit = fit_logistic(train2)
         from scipy.optimize import minimize
