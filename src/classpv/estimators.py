@@ -18,14 +18,15 @@ relabels or removes a training row (leave-one-out), or removes a row and
 scores it alone (``"loo"``: exact swap removes each class-theta row of the
 data augmented with the query, so ``Replace`` serves only references). An
 optional method of the same name gives the values without the edit and
-flags the edits it cannot score. ``refit_values`` makes one flagged augment,
-relabel or loo edit, raising DegenerateFitError as the edit would; a flagged
-removal is left to ``crossval_pvalues``, which scores the reduced fit. The
-plug-in statistic has a closed form for every kind (a whitened rank-two
-Woodbury solve), the fixed-metric k-NN statistic for augment, relabel and
-loo (one block of distances), and the logistic statistic fits every kind's
-edited sets in one batched IRLS, which ``fit_logistic`` runs on a batch of
-one.
+flags the edits it cannot score; ``edited_values`` makes each flagged
+augment, relabel or loo edit and evaluates it, raising DegenerateFitError as
+the edit would, so its callers get finished values and make no refit. Only
+a flagged removal is left undone, for ``crossval_pvalues``, which scores
+the reduced fit. The plug-in statistic has a closed form for every kind (a
+whitened rank-two Woodbury solve), the fixed-metric k-NN statistic for
+augment, relabel and loo (one block of distances), and the logistic
+statistic fits every kind's edited sets in one batched IRLS, which
+``fit_logistic`` runs on a batch of one.
 
 Every fit computes its sums over a canonical row ordering, so the fitted
 statistic is exactly symmetric in each class's training rows: shuffling the
@@ -61,7 +62,6 @@ __all__ = [
     "gaussian_update",
     "knn_augmented_counts",
     "knn_fit",
-    "refit_values",
     "typicality_index",
 ]
 
@@ -584,10 +584,10 @@ def _logistic_fits(features: np.ndarray, rows: np.ndarray, labels: np.ndarray):
     IRLS from zero for every set, each stopping at its own iteration: at
     gradient norm ``_LOGISTIC_GRAD_TOL``, at a coefficient above
     ``_LOGISTIC_COEF_CAP`` (separated) or after ``_LOGISTIC_MAX_ITER``
-    (separated while the deviance still falls). Every sum is a per-set
-    matrix product, so a set's bits do not depend on its batch. Returns
-    (B, q + 1) coefficients, intercept first, and the (B,) iterations,
-    gradient norms and separated flags.
+    (separated, its gradient norm still above the tolerance). Every sum is
+    a per-set matrix product, so a set's bits do not depend on its batch.
+    Returns (B, q + 1) coefficients, intercept first, and the (B,)
+    iterations, gradient norms and separated flags.
     """
     sets, by_label = np.arange(len(rows))[:, None], np.argsort(labels, axis=1, kind="stable")
     rows, labels = rows[sets, by_label], labels[sets, by_label]
@@ -600,8 +600,6 @@ def _logistic_fits(features: np.ndarray, rows: np.ndarray, labels: np.ndarray):
     iterations = np.zeros(count, dtype=np.int64)
     grad_norm = np.zeros(count)
     separated = np.zeros(count, dtype=bool)
-    # the last two deviances, which decide separation at the iteration cap
-    deviance = np.full((2, count), math.inf)
     active, b = np.arange(count), beta
     for iteration in range(1, _LOGISTIC_MAX_ITER + 1):
         iterations[active] = iteration
@@ -610,9 +608,6 @@ def _logistic_fits(features: np.ndarray, rows: np.ndarray, labels: np.ndarray):
         grad = design.transpose(0, 2, 1) @ (y - p)
         norm = np.sqrt(grad.transpose(0, 2, 1) @ grad)[:, 0, 0]
         grad_norm[active] = norm
-        if iteration >= _LOGISTIC_MAX_ITER - 1:
-            log_lik = y.transpose(0, 2, 1) @ np.log(p) + (1.0 - y).transpose(0, 2, 1) @ np.log1p(-p)
-            deviance[:, active] = deviance[1, active], -2.0 * log_lik[:, 0, 0]
         moving = ~(norm <= _LOGISTIC_GRAD_TOL)
         if not moving.all():
             active, design, y, b, grad, p = (a[moving] for a in (active, design, y, b, grad, p))
@@ -626,7 +621,7 @@ def _logistic_fits(features: np.ndarray, rows: np.ndarray, labels: np.ndarray):
         if not active.size:
             break
     else:
-        separated[active] = (grad_norm[active] > _LOGISTIC_GRAD_TOL) & (deviance[1, active] < deviance[0, active])
+        separated[active] = grad_norm[active] > _LOGISTIC_GRAD_TOL
     return beta[:, :, 0], iterations, grad_norm, separated
 
 
@@ -739,35 +734,47 @@ class KnnStatistic:
 # ---------------------------------------------------------------------------
 
 
+_EDIT_KINDS = ("augment", "relabel", "remove", "loo")
+
+
 def edited_values(stat, theta: int, kind: str, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(m, N + 1): for each of m single-point edits, the statistic at the
     edited point and at the class-theta rows under the edited fit; and the
-    (m,) mask of the edits flagged for a refit, whose values are not to be
-    used. ``kind`` names the edit of each row of X: ``"augment"`` adds
-    the query x to class theta, ``"relabel"`` moves training row i (X holds
-    row indices, all of one class) to class theta, and ``"remove"`` removes
-    it; ``"loo"`` removes it and scores it alone, (m, 1). The statistic's own
-    ``edited_values`` method, where it has one, gives them without making the
-    edits; otherwise every edit is flagged. ``refit_values`` gives a flagged
-    edit's values, except a removal's: ``crossval_pvalues`` takes the p-value
-    of the reduced fit instead.
+    (m,) mask of the edits left undone, whose values are not to be used.
+    ``kind`` names the edit of each row of X: ``"augment"`` adds the query x
+    to class theta, ``"relabel"`` moves training row i (X holds row indices,
+    all of one class) to class theta, and ``"remove"`` removes it; ``"loo"``
+    removes it and scores it alone, (m, 1).
+
+    The statistic's own ``edited_values`` method, where it has one, gives the
+    values without making the edits and flags those it cannot score;
+    without one every edit is flagged. Each flagged augment, relabel or loo
+    edit is then made in order by ``stat.edit`` and scored by ``evaluate``,
+    so only a flagged removal is left undone: ``crossval_pvalues`` takes the
+    p-value of the reduced fit instead. A degenerate edit raises
+    DegenerateFitError, with the removed row as ``swap_index`` for ``"loo"``.
     """
+    if kind not in _EDIT_KINDS:
+        raise ValueError(f"unknown edit kind {kind!r}; expected one of {_EDIT_KINDS}")
+    d = stat.data
     closed_form = getattr(stat, "edited_values", None)
     if closed_form is not None:
-        return closed_form(theta, kind, X)
-    return np.zeros((len(X), 1 if kind == "loo" else stat.data.group(theta).size + 1)), np.ones(len(X), dtype=bool)
-
-
-def refit_values(stat, kind: str, x, theta: int) -> np.ndarray:
-    """The refit behind ``edited_values``: the values it gives for the single
-    edit x of ``kind``, ``"augment"``, ``"relabel"`` or ``"loo"``, from one
-    ``stat.edit`` and one ``evaluate``. A degenerate edit raises
-    DegenerateFitError."""
-    d = stat.data
-    if kind == "augment":
-        return stat.edit(Augment(x, theta)).evaluate(theta, np.vstack([x, d.features[d.group(theta)]]))
-    if kind == "relabel":
-        return stat.edit(Relabel(x, theta)).evaluate(theta, d.features[np.append(x, d.group(theta))])
-    if kind == "loo":
-        return stat.edit(Remove(x)).evaluate(theta, d.features[[x]])
-    raise ValueError(f"unknown edit kind {kind!r}")
+        values, refit = closed_form(theta, kind, X)
+    else:
+        values, refit = np.zeros((len(X), 1 if kind == "loo" else d.group(theta).size + 1)), np.ones(len(X), dtype=bool)
+    if kind == "remove":
+        return values, refit
+    for j in np.flatnonzero(refit):
+        x = X[j]
+        try:
+            if kind == "augment":
+                values[j] = stat.edit(Augment(x, theta)).evaluate(theta, np.vstack([x, d.features[d.group(theta)]]))
+            elif kind == "relabel":
+                values[j] = stat.edit(Relabel(x, theta)).evaluate(theta, d.features[np.append(x, d.group(theta))])
+            else:
+                values[j] = stat.edit(Remove(x)).evaluate(theta, d.features[[x]])
+        except DegenerateFitError as err:
+            if kind == "loo":
+                err.swap_index = int(x)
+            raise
+    return values, np.zeros(len(X), dtype=bool)

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Remove, StructuralError, TrainingSet, check_label, rank_pvalue
-from .estimators import TypicalityStatistic, edited_values, refit_values
+from .core import Remove, StructuralError, TrainingSet, check_label
+from .estimators import TypicalityStatistic, edited_values
 from .permutation import PermutationMethod, _chunks, pvalue
 
 __all__ = [
@@ -73,15 +73,16 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
     for every other theta it is D edited by ``Relabel(i, theta)``. In naive
     mode row i's p-values come from D edited by ``Remove(i)``. Either way
     ``edited_values`` scores a chunk of one class's rows against class theta
-    under each row's edit, without making it where the statistic has a
-    method (a closed form, or the logistic statistic's batched IRLS).
+    under each row's edit: by the statistic's method where it has one (a
+    closed form, or the logistic statistic's batched IRLS), with a refit for
+    each relabel that method flags, in loop order.
 
     One pass in row order computes every other (row, class) entry by its
-    definition: each entry flagged, and every entry in exact-swap mode and
-    for typicality. A valid-shortcut entry takes one ``Relabel`` through
-    ``refit_values``, any other ``pvalue`` of the fit edited by ``Remove(i)``,
-    one per row. So a degenerate fit raises DegenerateFitError at the same
-    row and pivot as a per-row loop would.
+    definition: the naive entries ``edited_values`` leaves flagged, and every
+    entry in exact-swap mode and for typicality, each as ``pvalue`` of the
+    fit edited by ``Remove(i)``, one edit per row. So a degenerate removal
+    raises DegenerateFitError at the same row and pivot as a per-row loop
+    would.
     """
     if np.any(d.group_sizes < 2):
         bad = int(np.argmin(d.group_sizes))
@@ -112,13 +113,9 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
                 pending += [(int(i), theta) for i in rows[chunk][refit]]
     last = None
     for i, theta in sorted(pending):
-        if kind == "relabel":
-            values = refit_values(base, "relabel", i, theta)
-            out[i, theta - 1] = rank_pvalue(values[1:], values[0])
-        else:
-            if i != last:
-                last, reduced = i, base.edit(Remove(i))
-            out[i, theta - 1] = pvalue(reduced, method.mode, theta, d.features[i])
+        if i != last:
+            last, reduced = i, base.edit(Remove(i))
+        out[i, theta - 1] = pvalue(reduced, method.mode, theta, d.features[i])
     return CrossValMatrix(pvalues=out, labels=np.array(d.labels), group_sizes=d.group_sizes, method=method)
 
 

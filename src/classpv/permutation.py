@@ -22,7 +22,6 @@ Modes:
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,14 +29,12 @@ import numpy as np
 
 from .core import Augment, PValueVector, TrainingSet, check_label, check_point, rank_pvalue
 from .estimators import (
-    DegenerateFitError,
     KnnStatistic,
     TypicalityStatistic,
     default_k,
     edited_values,
     fit_logistic,
     fit_pooled_gaussian,
-    refit_values,
     typicality_index,
 )
 
@@ -99,15 +96,15 @@ def pvalues(fitted, mode: str, theta: int, X: np.ndarray) -> np.ndarray:
     fit with x swapped in for it, the augmented fit less that member, against
     x under the augmented fit less x, the unedited fit: the ``"loo"`` values
     of the augmented class, each removed row scored alone, x's row last, so
-    a member equal to x ties with it. Both take ``edited_values``' method
-    where the statistic has one (closed forms for the plug-in and
-    fixed-metric k-NN, one batched IRLS for the logistic) and
-    ``refit_values`` for each edit it flags. A degenerate removal
-    aborts the p-value (skipping a member would break exchangeability) with
-    the member's row as ``swap_index``. ``naive`` scores against the unedited
-    fit. A ``TypicalityStatistic`` is an exact pivot, evaluated directly in
-    every mode. Pass one fitted statistic (``PermutationMethod.fit``) to many
-    calls to reuse it.
+    a member equal to x ties with it. Both take their values from
+    ``edited_values`` on each chunk of the batch or class: the statistic's
+    closed form where it has one (the plug-in and fixed-metric k-NN, or one
+    batched IRLS for the logistic), a refit for each edit that form flags.
+    A degenerate removal aborts the p-value (skipping a member would break
+    exchangeability) with the member's row as ``swap_index``. ``naive``
+    scores against the unedited fit. A ``TypicalityStatistic`` is an exact
+    pivot, evaluated directly in every mode. Pass one fitted statistic
+    (``PermutationMethod.fit``) to many calls to reuse it.
 
     The statistic owes ``data``, ``edit`` and ``evaluate(theta, pts)``: m
     values for an (m, q) batch, larger meaning class theta is less plausible,
@@ -135,13 +132,16 @@ def pvalues(fitted, mode: str, theta: int, X: np.ndarray) -> np.ndarray:
             values = fitted.evaluate(theta, np.vstack([queries, d.features[d.group(theta)]]))
             out[chunk] = rank_pvalue(values[len(queries) :], values[: len(queries)])
     elif mode == "valid-shortcut":
-        for chunk, values in _edited(fitted, theta, "augment", X):
+        for chunk in _chunks(d, theta, X.shape[0]):
+            values = edited_values(fitted, theta, "augment", X[chunk])[0]
             out[chunk] = rank_pvalue(values[:, 1:], values[:, 0])
     else:
         for i, x in enumerate(X):
             augmented = fitted.edit(Augment(x, theta))
+            members = augmented.data.group(theta)
             # each member's value with x swapped in for it, then x's own under D
-            loo = np.concatenate([v[:, 0] for _, v in _edited(augmented, theta, "loo", augmented.data.group(theta))])
+            loo = np.concatenate([edited_values(augmented, theta, "loo", members[chunk])[0][:, 0]
+                                  for chunk in _chunks(augmented.data, theta, members.size)])
             out[i] = rank_pvalue(loo[:-1], loo[-1])
     return out
 
@@ -152,21 +152,6 @@ def _chunks(d: TrainingSet, theta: int, m: int) -> list[slice]:
     per_query = max(d.n, (d.group(theta).size + 1) * d.n_classes) * max(1, d.q)
     step = max(1, _BLOCK_ELEMENTS // per_query)
     return [slice(start, start + step) for start in range(0, m, step)]
-
-
-def _edited(fitted, theta: int, kind: str, X: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """(chunk, values) for each of ``_chunks``' slices of X: ``edited_values``,
-    each flagged edit taken by ``refit_values`` in order. A degenerate
-    removal raises with the removed row as ``swap_index``."""
-    for chunk in _chunks(fitted.data, theta, len(X)):
-        values, refit = edited_values(fitted, theta, kind, X[chunk])
-        for j in np.flatnonzero(refit):
-            try:
-                values[j] = refit_values(fitted, kind, X[chunk][j], theta)
-            except DegenerateFitError as err:
-                err.swap_index = int(X[chunk][j]) if kind == "loo" else None
-                raise
-        yield chunk, values
 
 
 def pvalue(fitted, mode: str, theta: int, x: np.ndarray) -> float:

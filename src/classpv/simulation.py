@@ -99,6 +99,11 @@ class ExperimentConfig:
             raise ValueError(f"alphas must lie in (0, 1): {self.alphas}")
         if len(self.sizes) != self.model.n_classes or any(s < 1 for s in self.sizes):
             raise ValueError("sizes must list one positive count per class")
+        # the results are keyed by (statistic, mode), so a repeat would overwrite its cells
+        pairs = [(m.statistic, m.mode) for m in self.methods]
+        repeated = next((pair for i, pair in enumerate(pairs) if pair in pairs[:i]), None)
+        if repeated is not None:
+            raise ValueError(f"two methods share statistic and mode {repeated}")
 
 
 @dataclass(frozen=True)

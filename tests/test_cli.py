@@ -296,6 +296,37 @@ class TestSimulateAndDeterminism:
             (s, m) for s in ("plugin", "knn", "logistic") for m in ("exact-swap", "valid-shortcut")
         }
 
+    def test_validity_battery_leaves_logistic_out_for_three_classes(self, tmp_path):
+        out = tmp_path / "battery3"
+        rc = main([
+            "simulate", "validity", "--model", "example22", "--replications", "2", "--sizes", "6", "6", "6",
+            "--alpha", "0.1", "--seed", "7", "--out", str(out),
+        ])
+        assert rc == 0
+        rows = _read_csv(out / "validity.csv")
+        assert {(r["statistic"], r["mode"]) for r in rows} == {
+            (s, m) for s in ("plugin", "knn") for m in ("exact-swap", "valid-shortcut")
+        }
+
+    def test_validity_json_holds_the_settings_and_the_csv_cells(self, tmp_path):
+        out = tmp_path / "valjson"
+        rc = main([
+            "simulate", "validity", "--method", "plugin", "--replications", "3", "--sizes", "6", "7",
+            "--alpha", "0.1", "--alpha", "0.25", "--seed", "8", "--out", str(out),
+            "--format", "csv", "--format", "json",
+        ])
+        assert rc == 0
+        payload = json.loads((out / "validity.json").read_text())
+        assert (payload["seed"], payload["replications"], payload["sizes"]) == (8, 3, [6, 7])
+        written = [
+            {**{name: str(cell[name]) for name in ("statistic", "mode", "theta", "ok")},
+             "alpha": cli._alpha_tag(cell["alpha"]),
+             **{name: cli._num(cell[name]) for name in ("rate", "std_error", "bound")}}
+            for cell in payload["cells"]
+        ]
+        assert len(written) == 4
+        assert written == _read_csv(out / "validity.csv")
+
     def test_convergence_runs(self, tmp_path):
         out = tmp_path / "conv"
         rc = main([

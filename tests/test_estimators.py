@@ -465,8 +465,8 @@ class TestLogistic:
     def test_fit_bits_at_the_iteration_cap_do_not_depend_on_its_batch(self, monkeypatch):
         """With the iteration cap at 5, one batch mixes sets that converge
         before it, sets stopped by the coefficient cap and sets stopped by the
-        iteration cap, whose separation is read from their last two
-        deviances; each set gets its lone fit's bits."""
+        iteration cap, whose separation is read from their gradient norm;
+        each set gets its lone fit's bits."""
         cap = 5
         monkeypatch.setattr(estimators, "_LOGISTIC_MAX_ITER", cap)
         rng = np.random.default_rng(5)
@@ -494,6 +494,26 @@ class TestLogistic:
         for s, f in enumerate(lone):
             assert beta[s].view(np.uint64).tolist() == np.r_[f.intercept, f.coefficients].view(np.uint64).tolist()
             assert (iterations[s], grad_norm[s], separated[s]) == (f.iterations, f.gradient_norm, f.separated), s
+
+    def test_iteration_cap_separates_by_the_gradient_norm_alone(self, monkeypatch):
+        """With the cap at 4, a set still iterating there reads separated,
+        its gradient norm above the tolerance; a set that converges first,
+        or at the cap itself, does not."""
+        cap, tol = 4, estimators._LOGISTIC_GRAD_TOL
+        monkeypatch.setattr(estimators, "_LOGISTIC_MAX_ITER", cap)
+        rng = np.random.default_rng(5)
+        n = 24
+        labels = np.repeat([1, 2], n // 2)
+        fits = [fit_logistic(TrainingSet(rng.normal(size=(n, 2)) + (labels == 2)[:, None] * shift, labels, 2, ("1", "2")))
+                for shift in (0.0, 0.1, 0.3, 2.5) for _ in range(4)]
+        stopped = [f for f in fits if f.gradient_norm > tol]
+        converged = [f for f in fits if f.gradient_norm <= tol]
+        assert len(stopped) == 12 and {f.iterations for f in converged} == {3, cap}
+        for f in stopped:
+            # no coefficient reached its cap, so the iteration cap stopped the fit
+            assert np.abs(np.r_[f.intercept, f.coefficients]).max() <= estimators._LOGISTIC_COEF_CAP
+            assert f.iterations == cap and f.separated
+        assert not any(f.separated for f in converged)
 
     def test_matches_scipy_mle(self, train2):
         fit = fit_logistic(train2)
@@ -549,3 +569,43 @@ def test_identical_rows_in_one_call_get_identical_bits(statistic):
                     values = stat.evaluate(theta, distinct[which])
                     for r in range(5):
                         assert np.unique(values[which == r].view(np.uint64)).size <= 1, (m, q, r)
+
+
+class _RefitOnly:
+    """The plug-in statistic through only ``data``, ``edit`` and
+    ``evaluate``, without the closed-form ``edited_values`` method."""
+
+    def __init__(self, fit):
+        self.fit = fit
+        self.data = fit.data
+
+    def evaluate(self, theta, pts):
+        return self.fit.evaluate(theta, pts)
+
+    def edit(self, edit):
+        return _RefitOnly(self.fit.edit(edit))
+
+
+@pytest.mark.parametrize("statistic", ["plugin", "knn", "logistic", "refit-only"])
+def test_edited_values_rejects_an_unknown_kind(train2, statistic):
+    if statistic == "refit-only":
+        stat = _RefitOnly(fit_pooled_gaussian(train2))
+    else:
+        stat = PermutationMethod(statistic, k=3).fit(train2)
+    with pytest.raises(ValueError, match="'swap'"):
+        estimators.edited_values(stat, 1, "swap", train2.group(2)[:2])
+
+
+@pytest.mark.parametrize("kind", ["augment", "relabel", "loo", "remove"])
+def test_edited_values_of_a_statistic_without_the_method_are_refits(train2, kind):
+    # every edit is made and scored, except a removal, which stays flagged
+    # for crossval_pvalues; the refits agree with the plug-in closed form
+    closed = fit_pooled_gaussian(train2)
+    X = np.array([[0.3, -0.2], [2.0, 1.0]]) if kind == "augment" else train2.group(2)[:2]
+    values, refit = estimators.edited_values(_RefitOnly(closed), 1, kind, X)
+    if kind == "remove":
+        assert refit.all()
+        return
+    expected, flagged = estimators.edited_values(closed, 1, kind, X)
+    assert not refit.any() and not flagged.any()
+    assert np.allclose(values, expected, rtol=1e-9, atol=1e-12)

@@ -191,7 +191,8 @@ def _high_leverage_rows(d, theta):
 
 class TestEditLoop:
     """The edits ``crossval_pvalues`` makes, counted at ``TrainingSet.edit``:
-    one loop in row order, one edit per row reused across its classes."""
+    one pass in row order, one removal per row reused across its classes,
+    and the relabels ``edited_values`` refits in its loop order."""
 
     @staticmethod
     def _edits(monkeypatch, d, method):
@@ -208,8 +209,10 @@ class TestEditLoop:
     def test_valid_shortcut_relabels_once_per_row_and_other_class(self, monkeypatch, statistic, kwargs, n_classes):
         d = _awkward_set(n_classes, 2, 0)
         edits = self._edits(monkeypatch, d, PermutationMethod(statistic, "valid-shortcut", **kwargs))
+        # in edited_values' loop order: class theta, then the rows' class, then row
+        classes = range(1, n_classes + 1)
         assert edits == [
-            Relabel(i, theta) for i in range(d.n) for theta in range(1, n_classes + 1) if theta != d.labels[i]
+            Relabel(i, theta) for theta in classes for y in classes if y != theta for i in d.group(y)
         ]
 
     @pytest.mark.parametrize("k", (1, 5, None))

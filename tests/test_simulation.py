@@ -90,6 +90,12 @@ class TestValidityExperiment:
         # cells carry ok flags; nothing raises even if a naive cell exceeds its bound
         assert all(isinstance(c.ok, bool) for c in result.cells)
 
+    def test_methods_sharing_statistic_and_mode_rejected(self, model2):
+        # samples and cells are keyed by (statistic, mode): k = 9 would overwrite k = 1
+        methods = (PermutationMethod("knn", "valid-shortcut", k=1), PermutationMethod("knn", "valid-shortcut", k=9))
+        with pytest.raises(ValueError, match=r"\('knn', 'valid-shortcut'\)"):
+            self._config(model2, methods=methods)
+
     def test_valid_cell_within_bound(self, model2):
         result = validity_experiment(self._config(model2, reps=200))
         for cell in result.cells:
