@@ -45,6 +45,7 @@ from .numerics import (
     SpdMatrix,
     cholesky,
     chisq_cdf,
+    chisq_sf,
     f_cdf,
     mahalanobis_sq,
     std_normal_cdf,

@@ -25,6 +25,7 @@ __all__ = [
     "SpdMatrix",
     "cholesky",
     "chisq_cdf",
+    "chisq_sf",
     "f_cdf",
     "log_sum_exp",
     "mahalanobis_sq",
@@ -51,12 +52,15 @@ def std_normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-float(z) / math.sqrt(2.0))
 
 
-def _gamma_lower_reg(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0."""
+def _gamma_reg(a: float, x: float, upper: bool) -> float:
+    """Regularized incomplete gamma for a > 0, x >= 0: Q(a, x) if upper, else
+    P(a, x). The series gives P where x < a + 1 and the continued fraction
+    gives Q elsewhere; the other is one minus it, so a tail Q far below P's
+    rounding keeps its digits."""
     if x < 0.0:
         raise ValueError(f"negative argument x={x}")
     if x == 0.0:
-        return 0.0
+        return 1.0 if upper else 0.0
     log_prefactor = a * math.log(x) - x - math.lgamma(a)
     if x < a + 1.0:
         # series: P(a,x) = e^{-x} x^a / Gamma(a) * sum_n x^n / (a(a+1)...(a+n))
@@ -67,7 +71,8 @@ def _gamma_lower_reg(a: float, x: float) -> float:
             total += term
             if abs(term) < abs(total) * _EPS:
                 break
-        return min(1.0, math.exp(log_prefactor) * total)
+        lower = min(1.0, math.exp(log_prefactor) * total)
+        return 1.0 - lower if upper else lower
     # continued fraction for Q(a,x), modified Lentz
     b = x + 1.0 - a
     c = 1.0 / _TINY
@@ -87,7 +92,8 @@ def _gamma_lower_reg(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
-    return max(0.0, 1.0 - math.exp(log_prefactor) * h)
+    tail = math.exp(log_prefactor) * h
+    return tail if upper else max(0.0, 1.0 - tail)
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -146,13 +152,24 @@ def _beta_inc_reg(a: float, b: float, x: float) -> float:
     return 1.0 - bt * _beta_cf(b, a, 1.0 - x) / b
 
 
-def chisq_cdf(x: float, q: int) -> float:
-    """Chi-square CDF with q degrees of freedom; absolute error below 1e-10."""
+def _chisq_gamma(x: float, q: int, upper: bool) -> float:
     if q < 1:
         raise ValueError(f"degrees of freedom must be positive, got {q}")
     if x < 0.0:
         raise ValueError(f"chi-square argument must be nonnegative, got {x}")
-    return _gamma_lower_reg(0.5 * q, 0.5 * x)
+    return _gamma_reg(0.5 * q, 0.5 * x, upper)
+
+
+def chisq_cdf(x: float, q: int) -> float:
+    """Chi-square CDF with q degrees of freedom; absolute error below 1e-10."""
+    return _chisq_gamma(x, q, upper=False)
+
+
+def chisq_sf(x: float, q: int) -> float:
+    """Chi-square upper tail 1 - CDF with q degrees of freedom. The tail is
+    summed directly, not taken as 1 - CDF, so it keeps a relative error near
+    1e-13 down to 1e-300, where 1 - CDF would round to 0."""
+    return _chisq_gamma(x, q, upper=True)
 
 
 def f_cdf(x: float, d1: int, d2: int) -> float:

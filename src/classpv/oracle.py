@@ -8,7 +8,9 @@ inflated) comes from one engine, ``OptimalMonteCarlo``: class theta is drawn
 once, on its first query, from child theta - 1 of
 ``SeedSequence(seed).spawn(L)``, its statistics are sorted, and a query is
 counted with the (count + 1)/(M + 1) convention, so the estimates remain
-valid p-values themselves and are deterministic given the seed.
+valid p-values themselves and are deterministic given the seed. The draws
+and the queries are scored in blocks of ``_BLOCK`` rows, which give the
+bits one batch of all the rows gives.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .core import check_label
 from .numerics import (
     SpdMatrix,
-    chisq_cdf,
+    chisq_sf,
     log_sum_exp,
     mahalanobis_sq,
     solve_lower,
@@ -43,6 +45,9 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# rows drawn or scored at a time by ``OptimalMonteCarlo``: a block's
+# temporaries stay in cache where a whole M-row batch's would not
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +102,13 @@ class GaussianMixtureModel:
         return -0.5 * (self.q * _LOG_2PI + cov.log_det + msq)
 
     def sample(self, theta: int, size: int, rng: np.random.Generator) -> np.ndarray:
-        """size draws from the class-theta Gaussian, via the cached Cholesky factor."""
+        """size draws from the class-theta Gaussian, via the cached Cholesky factor.
+
+        The standard normals fill rows in order, and a row gets the same bits
+        in any draw of two or more rows, so two draws of n1 and n2 rows give
+        the rows of one draw of n1 + n2. A one-row draw takes numpy's
+        matrix-vector product instead, whose bits can differ.
+        """
         check_label(theta, self.n_classes)
         z = rng.standard_normal((size, self.q))
         return self.means[theta - 1] + z @ self.covariances[theta - 1].chol_lower.T
@@ -175,7 +186,9 @@ class OptimalMonteCarlo:
     per point. ``log_stat(theta, pts)`` maps an
     (m, q) batch to m values, larger meaning class theta is less plausible;
     the default, the log weighted likelihood ratio, gives the optimal
-    p-values.
+    p-values. It is called on blocks of at most about ``_BLOCK`` rows, so it
+    must give a row the same bits in any batch, as ``mahalanobis_sq`` does;
+    the class then holds M statistics and one block's temporaries.
     """
 
     def __init__(
@@ -202,14 +215,37 @@ class OptimalMonteCarlo:
         a batch (m, q)."""
         check_label(theta, self.model.n_classes)
         x = np.asarray(x, dtype=float)
-        if theta not in self._sorted_stats:
-            # no name holds the M draws, so they are freed before the query is scored
+        stats = self._sorted_stats.get(theta)
+        if stats is None:
+            # each block is drawn and scored before the next is drawn, so the
+            # class holds its M statistics and one block's draws at a time
             rng = np.random.default_rng(self._children[theta - 1])
-            self._sorted_stats[theta] = np.sort(self.log_stat(theta, self.model.sample(theta, self.mc_samples, rng)))
-        stats = self._sorted_stats[theta]
-        below = np.searchsorted(stats, self.log_stat(theta, np.atleast_2d(x)), side="left")
+            stats = _in_blocks(
+                self.mc_samples, lambda lo, hi: self.log_stat(theta, self.model.sample(theta, hi - lo, rng))
+            )
+            stats.sort()
+            self._sorted_stats[theta] = stats
+        pts = np.atleast_2d(x)
+        scores = _in_blocks(pts.shape[0], lambda lo, hi: self.log_stat(theta, pts[lo:hi]))
+        below = np.searchsorted(stats, scores, side="left")
         out = (stats.size - below + 1.0) / (stats.size + 1.0)
         return float(out[0]) if x.ndim == 1 else out
+
+
+def _in_blocks(size: int, block_values: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """The size values that ``block_values(lo, hi)`` gives for rows lo..hi - 1,
+    asked for in order, _BLOCK rows at a time."""
+    out = np.empty(size)
+    lo = 0
+    while lo < size:
+        hi = min(lo + _BLOCK, size)
+        if size - hi == 1:
+            # a one-row block would be drawn by a matrix-vector product,
+            # which can give its row other bits than a larger draw does
+            hi = size
+        out[lo:hi] = block_values(lo, hi)
+        lo = hi
+    return out
 
 
 def optimal_pvalue_2class_closed(model: GaussianMixtureModel, theta: int, x: np.ndarray) -> np.ndarray | float:
@@ -244,7 +280,7 @@ def typicality_known(model: GaussianMixtureModel, theta: int, x: np.ndarray) -> 
     """Outlyingness p-value of x with respect to the class-theta distribution alone."""
     check_label(theta, model.n_classes)
     msq = mahalanobis_sq(np.asarray(x, dtype=float), model.means[theta - 1], model.covariances[theta - 1])
-    return 1.0 - chisq_cdf(float(msq), model.q)
+    return chisq_sf(float(msq), model.q)
 
 
 def compromise_pvalue(

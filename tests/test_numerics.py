@@ -9,6 +9,7 @@ from classpv.numerics import (
     SpdMatrix,
     cholesky,
     chisq_cdf,
+    chisq_sf,
     f_cdf,
     log_sum_exp,
     mahalanobis_sq,
@@ -67,6 +68,39 @@ class TestChisqCdf:
         vals = [chisq_cdf(x, 7) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
+
+
+class TestChisqSf:
+    def test_against_scipy_down_to_1e_300(self):
+        # up to chi2.sf = 1e-300, both sides of the series / continued
+        # fraction switch at x = q + 2, to a relative error of 1e-12
+        for q in (1, 2, 3, 5, 10, 30, 100):
+            xs = np.concatenate([np.linspace(0.0, q + 4.0, 41), np.geomspace(q + 4.0, 1500.0 + 3.0 * q, 60)])
+            for x in xs:
+                want = stats.chi2.sf(x, q)
+                if want < 1e-300:
+                    continue
+                assert abs(chisq_sf(float(x), q) - want) <= 1e-12 * want, (q, x)
+
+    def test_far_tail_is_not_cancelled(self):
+        # 1 - chisq_cdf rounds to 0 here; the direct tail keeps its digits
+        assert 1.0 - chisq_cdf(100.0, 2) == 0.0
+        assert abs(chisq_sf(100.0, 2) - math.exp(-50.0)) <= 1e-13 * math.exp(-50.0)
+
+    def test_complements_the_cdf(self):
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            q = int(rng.integers(1, 60))
+            x = float(rng.uniform(0.0, 3.0 * q))
+            assert abs(chisq_sf(x, q) + chisq_cdf(x, q) - 1.0) < 1e-12
+
+    def test_boundary_and_validation(self):
+        for q in (1, 2, 5):
+            assert chisq_sf(0.0, q) == 1.0
+        with pytest.raises(ValueError):
+            chisq_sf(-0.1, 3)
+        with pytest.raises(ValueError):
+            chisq_sf(1.0, 0)
 
 
 class TestFCdf:

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classpv import (
     GaussianMixtureModel,
@@ -13,12 +16,14 @@ from classpv import (
     optimal_pvalue_2class_closed,
     optimal_pvalue_mc,
     optimal_statistic,
+    oracle,
+    region_map,
     risk_alpha,
     std_normal_cdf,
     typicality_known,
 )
 from classpv.numerics import log_sum_exp, mahalanobis_sq
-from classpv.oracle import log_inflated_statistic
+from classpv.oracle import log_inflated_statistic, log_weighted_lr
 
 
 class TestOptimalStatistic:
@@ -159,6 +164,14 @@ class TestTypicality:
         # squared radius at the 95% chi-square quantile with two degrees of freedom
         x = np.array([math.sqrt(5.9915), 0.0])
         assert abs(typicality_known(model, 1, x) - 0.05) < 1e-4
+
+    def test_far_points_keep_their_tail_and_order(self, model2):
+        # squared radii 64, 100 and 144 on a standard 2-D class, whose tail
+        # exp(-r^2 / 2) lies far below 1 - CDF's rounding
+        pvals = [typicality_known(model2, 1, np.array([r, 0.0])) for r in (8.0, 10.0, 12.0)]
+        for r, p in zip((8.0, 10.0, 12.0), pvals):
+            assert abs(p - math.exp(-0.5 * r * r)) <= 1e-12 * p
+        assert pvals[0] > pvals[1] > pvals[2] > 0.0
 
     def test_rotation_invariance(self, model22):
         angle = 0.7
@@ -337,8 +350,7 @@ class TestOneEngine:
         assert drawn == [2, 3]
 
     def test_draws_are_freed_before_the_query_is_scored(self, model22):
-        # at M = 1e6 the draws of a class are 16 MB that a region map's
-        # query batch need not share memory with
+        # the last block's draws need not share memory with the query's
         draws = []
 
         def log_stat(theta, pts):
@@ -350,6 +362,121 @@ class TestOneEngine:
 
         OptimalMonteCarlo(model22, mc_samples=500, seed=8, log_stat=log_stat).pvalues(1, np.zeros((3, 2)))
         assert len(draws) == 1
+
+
+class TestBlocks:
+    """``OptimalMonteCarlo`` draws and scores _BLOCK rows at a time. Small
+    blocks must give every bit that one block of all the rows gives, at a
+    ragged M and a ragged query batch, on each statistic the engine serves."""
+
+    QUERIES = np.random.default_rng(21).normal(size=(2_503, 2)) * 2.0
+
+    @staticmethod
+    def _homoscedastic2():
+        cov = SpdMatrix(np.array([[1.0, 0.4], [0.4, 2.0]]))
+        return GaussianMixtureModel(np.array([0.3, 0.7]), np.array([[0.0, 0.0], [2.0, 1.0]]), (cov, cov))
+
+    def _families(self, model22):
+        pts = self.QUERIES
+        inflated = self._homoscedastic2()
+        return {
+            "optimal": lambda m: [optimal_pvalue_mc(model22, t, pts, mc_samples=m, seed=4) for t in (1, 2, 3)],
+            "compromise": lambda m: [compromise_pvalue(model22, 0.05, t, pts, mc_samples=m, seed=4) for t in (1, 2, 3)],
+            "inflated": lambda m: [inflated_pvalue(inflated, 1.7, t, pts, mc_samples=m, seed=4) for t in (1, 2)],
+            "region_map": lambda m: [region_map(np.linspace(-4, 4, 37), np.linspace(-3, 5, 29), model=model22,
+                                                mc_samples=m, seed=4).pvalues],
+        }
+
+    @pytest.mark.parametrize("family", ("optimal", "compromise", "inflated", "region_map"))
+    @pytest.mark.parametrize("mc_samples", (10_007, 10_001))
+    def test_small_blocks_change_no_bit(self, model22, monkeypatch, family, mc_samples):
+        # 10,001 rows in blocks of 1,000 leave a last row, which joins the
+        # block before it
+        run = self._families(model22)[family]
+        monkeypatch.setattr(oracle, "_BLOCK", 1 << 20)
+        whole = run(mc_samples)
+        monkeypatch.setattr(oracle, "_BLOCK", 1_000)
+        blocked = run(mc_samples)
+        for a, b in zip(whole, blocked):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mc_samples", (10_007, 10_001))
+    def test_small_blocks_sort_the_same_statistics(self, model22, monkeypatch, mc_samples):
+        # the p-values above can hide a statistic moved by an ulp, so the
+        # sorted statistics are compared themselves
+        stats = {}
+        for block in (1 << 20, 1_000):
+            monkeypatch.setattr(oracle, "_BLOCK", block)
+            for seed in range(12):
+                engine = OptimalMonteCarlo(model22, mc_samples=mc_samples, seed=seed)
+                for theta in (1, 2, 3):
+                    engine.pvalues(theta, np.zeros(2))
+                stats[block, seed] = engine._sorted_stats
+        for seed in range(12):
+            for theta in (1, 2, 3):
+                assert np.array_equal(stats[1 << 20, seed][theta], stats[1_000, seed][theta]), (seed, theta)
+
+    def test_blocks_are_drawn_in_order_without_a_one_row_draw(self, model22, monkeypatch):
+        sizes = []
+        sample = GaussianMixtureModel.sample
+        monkeypatch.setattr(GaussianMixtureModel, "sample",
+                            lambda self, theta, size, rng: sizes.append(size) or sample(self, theta, size, rng))
+        monkeypatch.setattr(oracle, "_BLOCK", 1_000)
+        OptimalMonteCarlo(model22, mc_samples=3_001, seed=2).pvalues(1, np.zeros(2))
+        OptimalMonteCarlo(model22, mc_samples=2_500, seed=2).pvalues(1, np.zeros(2))
+        assert sizes == [1_000, 1_000, 1_001, 1_000, 1_000, 500]
+
+    def test_first_query_peaks_at_the_statistics_and_one_block(self, model22):
+        # the M sorted statistics take 8M bytes; drawing and scoring all M
+        # rows at once peaked at 12 times that
+        m = 200_000
+        engine = OptimalMonteCarlo(model22, mc_samples=m, seed=6)
+        tracemalloc.start()
+        try:
+            engine.pvalues(1, np.zeros(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * m, peak / (8 * m)
+
+
+def _random_model(seed: int, q: int, common: bool) -> GaussianMixtureModel:
+    rng = np.random.default_rng(seed)
+    n_classes = 2 + seed % 2
+    weights = rng.uniform(0.2, 1.0, size=n_classes)
+    covs = []
+    for _ in range(n_classes):
+        root = rng.normal(size=(q + 2, q)) * 10.0 ** rng.uniform(-1, 1, size=q)
+        covs.append(SpdMatrix(root.T @ root))
+    if common:
+        covs = [covs[0]] * n_classes
+    return GaussianMixtureModel(weights / weights.sum(), rng.normal(size=(n_classes, q)) * 3.0, tuple(covs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 6), m=st.integers(4, 300), data=st.data())
+def test_blocks_rest_on_row_bits_that_do_not_depend_on_the_batch(seed, q, m, data):
+    """The invariant the blocks rest on: each statistic gives a row the same
+    bits in any part of a batch as in the whole, and a draw made in two parts
+    of at least two rows each gives the rows of one draw."""
+    model = _random_model(seed, q, common=data.draw(st.booleans()))
+    pts = np.random.default_rng(seed + 1).normal(size=(m, q)) * 4.0
+    split = data.draw(st.integers(1, m - 1))
+    theta = data.draw(st.integers(1, model.n_classes))
+    statistics = [
+        lambda p: mahalanobis_sq(p, model.means[theta - 1], model.covariances[theta - 1]),
+        lambda p: log_weighted_lr(model.weights, model.means, model.covariances, theta, p),
+    ]
+    if model.has_common_covariance():
+        statistics.append(lambda p: log_inflated_statistic(model, 1.5, theta, p))
+    for statistic in statistics:
+        assert np.array_equal(statistic(pts), np.concatenate([statistic(pts[:split]), statistic(pts[split:])]))
+
+    split = data.draw(st.integers(2, m - 2))
+    whole = model.sample(theta, m, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    parts = np.vstack([model.sample(theta, split, rng), model.sample(theta, m - split, rng)])
+    assert np.array_equal(whole, parts)
 
 
 def test_model_validation():
