@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PValueVector, StructuralError, TrainingSet, region_from_pvalues, validate_training_set
+from .core import PValueVector, StructuralError, TrainingSet, check_alpha, validate_training_set
 from .estimators import DegenerateFitError
 from .evaluation import (
     crossval_pvalues,
@@ -48,6 +48,13 @@ class CsvFormatError(ValueError):
 
 def _num(x: float) -> str:
     return format(float(x), ".12g")
+
+
+def _nums(values: np.ndarray) -> np.ndarray:
+    """``_num`` of each entry of a p-value array (no NaN, no -0.0), as an
+    object array of its shape; each distinct value is formatted once."""
+    distinct, index = np.unique(values, return_inverse=True)
+    return np.array([_num(v) for v in distinct], dtype=object)[index.reshape(values.shape)]
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -173,25 +180,28 @@ def cmd_classify(args) -> int:
         + [f"region_{_alpha_tag(a)}" for a in alphas]
     )
     table = np.column_stack([pvalues(fitted, method.mode, theta, query) for theta in range(1, d.n_classes + 1)])
-    rows = []
-    records = []
-    for i in range(query.shape[0]):
-        pv = PValueVector(table[i])
-        regions = [region_from_pvalues(pv, a) for a in alphas]
-        rows.append(
-            [str(i)]
-            + [_num(v) for v in pv.values]
-            + [_region_text(d, r.members) for r in regions]
-        )
-        records.append(
-            {
-                "row": i,
-                "pvalues": {d.label_names[t - 1]: pv[t] for t in range(1, d.n_classes + 1)},
-                "regions": {_alpha_tag(a): _region_text(d, r.members) for a, r in zip(alphas, regions)},
-            }
-        )
+    in_range = np.all((table >= 0.0) & (table <= 1.0), axis=1)  # NaN fails too
+    if not in_range.all():
+        PValueVector(table[np.argmin(in_range)])  # raises its error for the first bad row
+    # each distinct p-value and region is formatted once, then joined by index
+    regions = []
+    for a in alphas:
+        check_alpha(a)
+        masks, index = np.unique(table > a, axis=0, return_inverse=True)
+        text = np.array([_region_text(d, tuple(np.flatnonzero(m) + 1)) for m in masks], dtype=object)
+        regions.append((_alpha_tag(a), text[index.ravel()]))
+    row_ids = np.arange(table.shape[0]).astype(str).astype(object)
+    rows = np.column_stack([row_ids, _nums(table), *(text for _, text in regions)]).tolist()
     _write_csv(out / "classify.csv", header, rows)
     if "json" in args.format:
+        records = [
+            {
+                "row": i,
+                "pvalues": dict(zip(d.label_names, pv)),
+                "regions": {tag: text[i] for tag, text in regions},
+            }
+            for i, pv in enumerate(table.tolist())
+        ]
         _write_json(out / "classify.json", {"seed": args.seed, "rows": records})
     print(f"wrote {out / 'classify.csv'} ({query.shape[0]} rows)")
     return 0
@@ -211,10 +221,8 @@ def cmd_crossval(args) -> int:
     out = Path(args.out)
 
     header = ["row", "label"] + [f"p_{name}" for name in d.label_names]
-    rows = [
-        [str(i), d.label_names[int(cv.labels[i]) - 1]] + [_num(v) for v in cv.pvalues[i]]
-        for i in range(cv.n)
-    ]
+    label_text = np.array(d.label_names, dtype=object)[cv.labels - 1]
+    rows = np.column_stack([np.arange(cv.n).astype(str).astype(object), label_text, _nums(cv.pvalues)]).tolist()
     _write_csv(out / "crossval_pvalues.csv", header, rows)
 
     summary = {

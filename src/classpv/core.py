@@ -195,6 +195,12 @@ def rank_pvalue(values: np.ndarray, reference: float | np.ndarray) -> float | np
     return (count + 1) / (values.shape[-1] + 1)
 
 
+def check_alpha(alpha: float) -> float:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    return float(alpha)
+
+
 def check_label(theta: int, n_classes: int) -> int:
     if not 1 <= theta <= n_classes:
         raise ValueError(f"class label {theta} outside 1..{n_classes}")
@@ -298,8 +304,7 @@ def region_from_pvalues(pvals: PValueVector, alpha: float) -> PredictionRegion:
     The inequality is strict: a p-value exactly equal to alpha is excluded.
     The region may be empty or contain every class.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     members = frozenset(
         theta for theta in range(1, pvals.n_classes + 1) if pvals.values[theta - 1] > alpha
     )

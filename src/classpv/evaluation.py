@@ -160,10 +160,9 @@ def empirical_pattern(cv: CrossValMatrix, alpha: float, b: int, pattern: frozens
 
 def observed_patterns(cv: CrossValMatrix, alpha: float, b: int) -> list[frozenset[int]]:
     """Distinct regions realized by class-b rows at level alpha, sorted for stable reports."""
-    rows = cv.group(b)
-    masks = _region_masks(cv, alpha, rows)
-    seen = {tuple(np.flatnonzero(m) + 1) for m in masks}
-    return [frozenset(t) for t in sorted(seen)]
+    # one np.unique over the region masks: a bit code per row would wrap past 63 classes
+    distinct = np.unique(_region_masks(cv, alpha, cv.group(b)), axis=0)
+    return [frozenset(t) for t in sorted(tuple(np.flatnonzero(m) + 1) for m in distinct)]
 
 
 def empirical_risk(cv: CrossValMatrix, alpha: float) -> float:

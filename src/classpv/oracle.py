@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import check_label
+from .core import check_alpha, check_label
 from .numerics import (
     SpdMatrix,
     chisq_sf,
@@ -379,8 +379,7 @@ def risk_alpha(
     pvalue_fn(theta, x) supplies the p-value family under study; the total risk
     is the sum over classes of the per-class exceedance probabilities.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if mc_samples < 1:
         raise ValueError("mc_samples must be positive")
     rng = np.random.default_rng(seed)

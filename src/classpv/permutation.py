@@ -29,6 +29,7 @@ import numpy as np
 
 from .core import Augment, PValueVector, TrainingSet, check_label, check_point, rank_pvalue
 from .estimators import (
+    _BLOCK_ELEMENTS,
     KnnStatistic,
     TypicalityStatistic,
     default_k,
@@ -81,10 +82,6 @@ class PermutationMethod:
             return fit_logistic(d)
         fit = fit_pooled_gaussian(d)
         return TypicalityStatistic(d, fit.means, fit.sigma) if self.statistic == "typicality" else fit
-
-
-# elements of the largest temporary block one chunk of queries may build
-_BLOCK_ELEMENTS = 2**20
 
 
 def pvalues(fitted, mode: str, theta: int, X: np.ndarray) -> np.ndarray:

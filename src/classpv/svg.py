@@ -40,48 +40,61 @@ def _chart_frame(width: float, height: float, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def _row_chart(
-    cv: CrossValMatrix, label_names: tuple[str, ...] | None, cell: Callable[[float, float, float], list[str]]
-) -> str:
+def _row_chart(cv: CrossValMatrix, label_names: tuple[str, ...] | None, cell: Callable[[float, float], tuple]) -> str:
     """One row of cells per cross-validated observation, rows grouped by
-    class, one column per class under its name; ``cell(p, x0, y0)`` draws the
-    cell of p-value p whose top-left corner is (x0, y0)."""
+    class, one column per class under its name. Each cell is a framed square;
+    ``cell(p, x0)`` gives, for p-value p in the column whose left edge is x0,
+    the frame's fill and an optional mark drawn before the frame: the texts
+    before and after its y and its half-height h, y being the cell's centre
+    less h. ``cell`` runs once per column and distinct p-value, and each
+    row's y and each column's x are formatted once."""
     names = label_names if label_names else tuple(str(t) for t in range(1, cv.n_classes + 1))
     body = [
         f'<text x="{_fmt(_LEFT + j * _CELL + _CELL / 2)}" y="{_fmt(_TOP - 10)}" font-size="11" '
         f'text-anchor="middle">{name}</text>'
         for j, name in enumerate(names)
     ]
-    for row, i in enumerate(np.lexsort((np.arange(cv.n), cv.labels))):
+    order = np.lexsort((np.arange(cv.n), cv.labels))
+    side = _fmt(_CELL - 2)
+    columns = []
+    for j in range(cv.n_classes):
+        x0 = _LEFT + j * _CELL
+        values, index = np.unique(cv.pvalues[order, j], return_inverse=True)
+        cells = []
+        for p in values:
+            fill, mark = cell(float(p), x0)
+            frame_end = f'" width="{side}" height="{side}" fill="{fill}" stroke="#cccccc" stroke-width="0.5"/>'
+            cells.append((mark, f'<rect x="{_fmt(x0 + 1)}" y="', frame_end))
+        columns.append([cells[k] for k in index.ravel()])
+    label_x = _fmt(_LEFT - 8)
+    for row, i in enumerate(order):
         y0 = _TOP + row * _CELL
         body.append(
-            f'<text x="{_fmt(_LEFT - 8)}" y="{_fmt(y0 + _CELL * 0.7)}" font-size="10" '
+            f'<text x="{label_x}" y="{_fmt(y0 + _CELL * 0.7)}" font-size="10" '
             f'text-anchor="end">{int(cv.labels[i])}:{int(i)}</text>'
         )
-        for j in range(cv.n_classes):
-            body += cell(float(cv.pvalues[i, j]), _LEFT + j * _CELL, y0)
+        frame_y = _fmt(y0 + 1)
+        for column in columns:
+            mark, frame_start, frame_end = column[row]
+            if mark is not None:
+                before, half, after = mark
+                body.append(before + _fmt(y0 + _CELL / 2 - half) + after)
+            body.append(frame_start + frame_y + frame_end)
     return _chart_frame(_LEFT + cv.n_classes * _CELL + _PAD, _TOP + cv.n * _CELL + _PAD, body)
-
-
-def _cell_frame(x0: float, y0: float, fill: str) -> str:
-    return (
-        f'<rect x="{_fmt(x0 + 1)}" y="{_fmt(y0 + 1)}" width="{_fmt(_CELL - 2)}" '
-        f'height="{_fmt(_CELL - 2)}" fill="{fill}" stroke="#cccccc" stroke-width="0.5"/>'
-    )
 
 
 def pvalue_rectangles_svg(cv: CrossValMatrix, label_names: tuple[str, ...] | None = None) -> str:
     """One row of rectangles per cross-validated observation, rows grouped by
     class; each rectangle's area is proportional to the corresponding p-value."""
 
-    def cell(p: float, x0: float, y0: float) -> list[str]:
+    def cell(p: float, x0: float) -> tuple:
         side = (_CELL - 2.0) * math.sqrt(p)  # area scales with p
-        cx, cy = x0 + _CELL / 2, y0 + _CELL / 2
-        return [
-            f'<rect class="pv" data-p="{_fmt(p)}" x="{_fmt(cx - side / 2)}" y="{_fmt(cy - side / 2)}" '
-            f'width="{_fmt(side)}" height="{_fmt(side)}" fill="steelblue"/>',
-            _cell_frame(x0, y0, "none"),
-        ]
+        mark = (
+            f'<rect class="pv" data-p="{_fmt(p)}" x="{_fmt(x0 + _CELL / 2 - side / 2)}" y="',
+            side / 2,
+            f'" width="{_fmt(side)}" height="{_fmt(side)}" fill="steelblue"/>',
+        )
+        return "none", mark
 
     return _row_chart(cv, label_names, cell)
 
@@ -90,7 +103,7 @@ def region_rectangles_svg(
     cv: CrossValMatrix, alpha: float, label_names: tuple[str, ...] | None = None
 ) -> str:
     """Full-size rectangle per class contained in each row's level-alpha region."""
-    return _row_chart(cv, label_names, lambda p, x0, y0: [_cell_frame(x0, y0, "steelblue" if p > alpha else "none")])
+    return _row_chart(cv, label_names, lambda p, x0: ("steelblue" if p > alpha else "none", None))
 
 
 def roc_grid_svg(curves: dict[tuple[int, int], RocCurve], n_classes: int) -> str:

@@ -228,7 +228,63 @@ class TestGaussianUpdate:
             gaussian_update(fit, Remove(2))
 
 
+def _lattice_set(rng: np.random.Generator) -> TrainingSet:
+    """50 to 120 rows on a small integer lattice, in shuffled label order, a
+    fifth of them copies of other rows: distance ties at every radius."""
+    n, big_l, q = int(rng.integers(50, 121)), int(rng.integers(2, 4)), int(rng.integers(1, 4))
+    labels = rng.permutation(np.concatenate([np.arange(1, big_l + 1), rng.integers(1, big_l + 1, size=n - big_l)]))
+    feats = rng.integers(-3, 4, size=(n, q)).astype(float)
+    copies = rng.choice(n, size=n // 5, replace=False)
+    feats[copies] = feats[rng.choice(n, size=copies.size)]
+    return TrainingSet(feats, labels, big_l, tuple(str(b + 1) for b in range(big_l)))
+
+
+def _one_block_knn_fit(d: TrainingSet, k: int):
+    """``knn_fit``'s radii and counts from one n x n block, columns in row
+    order: the fit before it went by row blocks."""
+    dsq = estimators._sq_dists(d.features, d.features)
+    part = np.partition(dsq, k - 1, axis=1)
+    radius_sq = part[:, k - 1]
+    radius_km1_sq = part[:, : k - 1].max(axis=1) if k >= 2 else np.zeros(d.n)
+
+    def counts(radius):
+        in_ball = dsq <= radius[:, None]
+        return np.column_stack([np.count_nonzero(in_ball[:, d.labels == b], axis=1) for b in range(1, d.n_classes + 1)])
+
+    return radius_sq, radius_km1_sq, counts(radius_km1_sq), counts(radius_sq)
+
+
+@pytest.mark.parametrize("q", range(5))
+def test_sq_dists_bits_equal_the_sum_from_zero(q):
+    """The first square is taken as the sum's first term: 0 + d^2 has the
+    bits of d^2, so the distances equal a sum that starts from zero."""
+    rng = np.random.default_rng([47, q])
+    a, b = rng.normal(size=(7, q)), np.vstack([rng.normal(size=(9, q)), np.zeros((1, q))])
+    want = np.zeros((7, 10))
+    for k in range(q):
+        want += (a[:, k, None] - b[:, k]) ** 2
+    assert np.array_equal(estimators._sq_dists(a, b).view(np.int64), want.view(np.int64))
+
+
 class TestKnnFit:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_blocked_fit_equals_one_block_reference(self, monkeypatch, seed):
+        rng = np.random.default_rng([41, seed])
+        d = _lattice_set(rng)
+        # each block takes _BLOCK_ELEMENTS / (4 n) rows: at most n / 3 of them
+        step = int(rng.integers(1, d.n // 3 + 1))
+        monkeypatch.setattr(estimators, "_BLOCK_ELEMENTS", 4 * d.n * step)
+        blocks = []
+        sq_dists = estimators._sq_dists
+        monkeypatch.setattr(estimators, "_sq_dists", lambda a, b: blocks.append(len(a)) or sq_dists(a, b))
+        for k in (1, 2, default_k(d.n), d.n - 1, d.n):
+            blocks.clear()
+            caches = knn_fit(d, k)
+            assert len(blocks) >= 3 and sum(blocks) == d.n
+            expected = _one_block_knn_fit(d, k)
+            for name, want in zip(("radius_sq", "radius_km1_sq", "counts_km1", "counts_k"), expected):
+                assert np.array_equal(getattr(caches, name), want), (name, k)
+
     def test_zero_radius_on_duplicate(self):
         d = validate_training_set([[0.0], [0.0], [1.0], [2.0]], [1, 1, 2, 2])
         caches = knn_fit(d, k=1)
@@ -244,10 +300,13 @@ class TestKnnFit:
         labels = rng.integers(1, 4, size=50)
         labels[:3] = [1, 2, 3]
         small = TrainingSet(rng.normal(size=(50, 3)), labels, 3, ("1", "2", "3"))
-        # large enough for np.partition to leave the (k-1)-th slot unsorted in some row
+        # large enough for np.partition to leave the (k-1)-th slot unsorted in
+        # some row: at seed 2 with the columns in row order, at seed 6 with
+        # them sorted by label, as knn_fit has them
         alternating = np.arange(400) % 2 + 1
-        big = TrainingSet(np.random.default_rng(2).standard_normal((400, 2)), alternating, 2, ("1", "2"))
-        for d, k in ((small, 7), (big, default_k(400))):
+        big = [TrainingSet(np.random.default_rng(seed).standard_normal((400, 2)), alternating, 2, ("1", "2"))
+               for seed in (2, 6)]
+        for d, k in ((small, 7), *((b, default_k(400)) for b in big)):
             caches = knn_fit(d, k=k)
             for i in range(d.n):
                 dsq = np.sum((d.features - d.features[i]) ** 2, axis=1)
@@ -320,6 +379,27 @@ class TestKnnEvaluate:
 
 
 class TestKnnAugmentedCounts:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_two_count_rule_equals_the_class_count_rule(self, seed):
+        """The augment values, read through the own-class and total counts,
+        equal those of ``knn_augmented_counts``' (N, L) class counts."""
+        rng = np.random.default_rng([43, seed])
+        d = _lattice_set(rng)
+        # queries on the lattice too, so that some sit exactly on a row's radius
+        X = rng.integers(-3, 4, size=(30, d.q)).astype(float)
+        ties = 0
+        for k in (1, 2, default_k(d.n), d.n - 1, d.n):
+            stat = KnnStatistic(d, k)
+            ties += np.count_nonzero(estimators._sq_dists(X, d.features) == stat.caches.radius_sq)
+            for theta in range(1, d.n_classes + 1):
+                group = d.group(theta)
+                values, refit = stat.edited_values(theta, "augment", X)
+                assert not refit.any()
+                for x, row in zip(X, values):
+                    counts = knn_augmented_counts(stat.caches, x, theta)[group]
+                    assert np.array_equal(row[1:], -(counts[:, theta - 1] / counts.sum(axis=1)))
+        assert ties > 0
+
     def test_far_point_leaves_counts(self, train2):
         caches = knn_fit(train2, k=5)
         counts = knn_augmented_counts(caches, np.array([500.0, 500.0]), 1)

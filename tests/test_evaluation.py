@@ -310,6 +310,23 @@ class TestInclusionAndPatterns:
                     )
                     assert inc == pytest.approx(via_patterns)
 
+    @pytest.mark.parametrize("n_classes", [2, 3, 70])
+    def test_patterns_are_the_distinct_row_regions_sorted(self, n_classes):
+        """The per-row region sets, each once, sorted as tuples. At 70
+        classes the rows differ only past class 64, where a region code of
+        one bit per class would wrap in int64."""
+        rng = np.random.default_rng([53, n_classes])
+        labels = np.concatenate([np.arange(1, n_classes + 1), rng.integers(1, 3, size=60)])
+        pvalues = rng.choice([0.05, 0.2, 0.6], size=(labels.size, n_classes))
+        if n_classes > 64:
+            pvalues[:, :64] = 0.6
+        cv = _matrix(pvalues, labels, np.bincount(labels)[1:])
+        for alpha in (0.1, 0.4):
+            for b in (1, 2):
+                want = sorted({tuple(np.flatnonzero(m) + 1) for m in cv.pvalues[cv.group(b)] > alpha})
+                assert len(want) > 1
+                assert observed_patterns(cv, alpha, b) == [frozenset(t) for t in want]
+
     def test_antitone_in_alpha(self):
         rng = np.random.default_rng(47)
         cv = _matrix(rng.uniform(size=(20, 2)), [1] * 10 + [2] * 10, [10, 10])
