@@ -59,12 +59,13 @@ def _row_chart(cv: CrossValMatrix, label_names: tuple[str, ...] | None, cell: Ca
     columns = []
     for j in range(cv.n_classes):
         x0 = _LEFT + j * _CELL
+        frame_start = f'<rect x="{_fmt(x0 + 1)}" y="'
         values, index = np.unique(cv.pvalues[order, j], return_inverse=True)
         cells = []
         for p in values:
             fill, mark = cell(float(p), x0)
             frame_end = f'" width="{side}" height="{side}" fill="{fill}" stroke="#cccccc" stroke-width="0.5"/>'
-            cells.append((mark, f'<rect x="{_fmt(x0 + 1)}" y="', frame_end))
+            cells.append((mark, frame_start, frame_end))
         columns.append([cells[k] for k in index.ravel()])
     label_x = _fmt(_LEFT - 8)
     for row, i in enumerate(order):
