@@ -186,7 +186,6 @@ def cmd_classify(args) -> int:
     # each distinct p-value and region is formatted once, then joined by index
     regions = []
     for a in alphas:
-        check_alpha(a)
         masks, index = np.unique(table > a, axis=0, return_inverse=True)
         text = np.array([_region_text(d, tuple(np.flatnonzero(m) + 1)) for m in masks], dtype=object)
         regions.append((_alpha_tag(a), text[index.ravel()]))
@@ -546,6 +545,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _merge_config(args, _flag_actions(parser, args.command))
+        for alpha in args.alpha:
+            check_alpha(alpha)  # before any data is read
         return args.func(args)
     except CsvFormatError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -23,10 +23,10 @@ augment, relabel or loo edit and evaluates it, raising DegenerateFitError as
 the edit would, so its callers get finished values and make no refit. Only
 a flagged removal is left undone, for ``crossval_pvalues``, which scores
 the reduced fit. The plug-in statistic has a closed form for every kind (a
-whitened rank-two Woodbury solve), the fixed-metric k-NN statistic for
-augment, relabel and loo (one block of distances), and the logistic
-statistic fits every kind's edited sets in one batched IRLS, which
-``fit_logistic`` runs on a batch of one.
+whitened rank-two Woodbury solve, its query-free terms made once per call),
+the fixed-metric k-NN statistic for augment, relabel and loo (one block of
+distances), and the logistic statistic fits every kind's edited sets in one
+batched IRLS, which ``fit_logistic`` runs on a batch of one.
 
 Every fit computes its sums over a canonical row ordering, so the fitted
 statistic is exactly symmetric in each class's training rows: shuffling the
@@ -170,8 +170,12 @@ class GaussianStatistic:
         ratio of the old to the new divisor n - L. The competitor weights
         come from the edited group sizes, and the log determinant cancels from
         the statistic's ordering, so no edit, Cholesky factorization or row
-        copy is needed. Queries and rows are whitened row by row and then
-        share every operation, so a row equal to a query gets its bits.
+        copy is needed. The members' offsets y from each class mean are
+        query-free, made once per call, and where the mean stays so are their
+        |y|^2, an (N,) row; each projection is an outer product with w_u or
+        w_v. Buffers of about ``_BLOCK_ELEMENTS`` elements take the passes, a
+        block of rows at a time, the query in column 0. Whitened row by row, a
+        row equal to a query shares every operation and gets its bits.
 
         The refit checks its Cholesky pivots against 1e-12 times the largest
         diagonal entry of the edited covariance, which is read off the pooled
@@ -187,6 +191,10 @@ class GaussianStatistic:
         features_w, means_w = self._whitened
         # "loo" scores the removed row alone
         group_w = features_w[self.data.group(theta) if kind != "loo" else []]
+        parts = -(-len(X) // max(1, _BLOCK_ELEMENTS // ((self.q + n_classes + 4) * (group_w.shape[0] + 1))))
+        if parts > 1:
+            values = [self.edited_values(theta, kind, part) for part in np.array_split(X, parts)]
+            return tuple(np.concatenate(v) for v in zip(*values))
         add = kind in ("augment", "relabel")
         removed = None if kind == "augment" else int(self.data.labels[X[0]])
         if kind == "augment":
@@ -236,35 +244,49 @@ class GaussianStatistic:
             # flagged rows are not used; keep their arithmetic finite
             pivot = np.where(refit, 1.0, pivot)
         c = (new_n - n_classes) / (n - n_classes)
-        # one (m, N + 1) array per component, the query in column 0; sums over
-        # components run elementwise in a fixed order, so equal rows stay equal
-        points = [np.concatenate([wx[:, k, None], np.broadcast_to(group_w[:, k], (m, group_w.shape[0]))], axis=1)
-                  for k in range(q)]
-        maha = []
-        for b in range(n_classes):
-            sq = np.zeros((m, group_w.shape[0] + 1))
-            proj_u, proj_v = np.zeros_like(sq), np.zeros_like(sq)
-            for k in range(q):
-                y = points[k] - means_w[b, k]
-                if b in shifts:
-                    y -= shifts[b][:, k, None]
-                sq += y * y
-                if add:
-                    proj_u += y * wu[:, k, None]
-                if removed is not None:
-                    proj_v += y * wv[:, k, None]
-            form = sq
+        y, (sq, proj_u, proj_v, spare, own) = np.split(np.empty((q + 5, m, group_w.shape[0] + 1)), [q])
+        terms = np.empty((n_classes - 1, m, group_w.shape[0] + 1))
+        sums = ([(proj_u, wu.T[:, :, None])] if add else []) + ([(proj_v, wv.T[:, :, None])] if removed is not None else [])
+        for b, out in zip(sorted(range(n_classes), key=lambda b: b != theta - 1), [own, *terms]):
+            query, members = (wx - means_w[b]).T[:, :, None], (group_w - means_w[b]).T
+            if b in shifts:
+                np.subtract(query, shifts[b].T[:, :, None], out=y[:, :, :1])
+                np.subtract(members[:, None], shifts[b].T[:, :, None], out=y[:, :, 1:])
+                blocks = [(slice(None), y, sq)]
+            else:  # the members' squared norms are one (N,) row
+                blocks = [(slice(0, 1), query, sq[:, :1]), (slice(1, None), members, sq[:1, 1:])]
+            for part, offsets, norm in blocks:
+                _sum_products(norm, zip(offsets, offsets), spare[:, part])
+                for total, right in sums:
+                    _sum_products(total[:, part], zip(offsets, right), spare[:, part])
             if add:
-                form = sq - a * proj_u * proj_u / (1.0 + spread)[:, None]
+                np.multiply(a, proj_u, out=spare)
+                if removed is not None:
+                    proj_v -= np.multiply(spare, cross[:, None], out=out)
+                spare *= proj_u
+                spare /= (1.0 + spread)[:, None]
+                for part, _, norm in blocks:
+                    np.subtract(norm, spare[:, part], out=out[:, part])
             if removed is not None:
-                if add:
-                    proj_v -= a * proj_u * cross[:, None]
-                form = form + beta * proj_v * proj_v / pivot[:, None]
-            maha.append(c * form)
-        # log sum_{b != theta} w_b exp(-(maha_b - maha_theta) / 2)
-        weights = sizes / sizes[np.arange(n_classes) != theta - 1].sum()
-        terms = [np.log(weights[b]) - 0.5 * (maha[b] - maha[theta - 1]) for b in range(n_classes) if b != theta - 1]
-        return log_sum_exp(np.stack(terms), axis=0), refit
+                np.multiply(beta, proj_v, out=spare)
+                spare *= proj_v
+                spare /= pivot[:, None]
+                for part, _, norm in blocks:
+                    np.add(out[:, part] if add else norm, spare[:, part], out=out[:, part])
+            out *= c
+            if b != theta - 1:  # log w_b - (maha_b - maha_theta) / 2
+                out -= own
+                out *= 0.5
+                np.subtract(np.log(sizes[b] / (sizes.sum() - sizes[theta - 1])), out, out=out)
+        return log_sum_exp(terms, axis=0), refit
+
+
+def _sum_products(total: np.ndarray, pairs, spare: np.ndarray) -> None:
+    """total = the sum of left * right over the (left, right) pairs, in order."""
+    for k, (left, right) in enumerate(pairs):
+        product = np.multiply(left, right, out=spare[: total.shape[0]] if k else total)
+        if k:
+            total += product
 
 
 def _row_dot(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -444,12 +466,12 @@ class KnnCaches:
             getattr(self, name).setflags(write=False)
 
 
-# elements of the temporaries that one chunk of queries (``permutation._chunks``)
-# or one k-NN fit block may build: 2**18 float64 are 2 MiB, the per-core L2
-# cache of the Xeon this was tuned on. Of 2**16 to 2**20, 2**18 was the
-# fastest for plug-in and fixed-metric k-NN valid-shortcut ``classify`` at
-# n = 2,000, q = 2 (600 queries, 3 classes, timed interleaved in one process,
-# best of 7: plug-in 77 ms and k-NN 53 ms, against 136 ms and 79 ms at 2**20)
+# elements of the temporaries that one chunk of queries (``permutation._chunks``),
+# one k-NN fit block or one block of plug-in closed-form rows may build: 2**18
+# float64 are 2 MiB, the per-core L2 cache of the Xeon this was tuned on. Of
+# 2**16 to 2**20, 2**18 was the fastest for k-NN valid-shortcut ``classify`` at
+# n = 2,000, q = 2 (53 against 79 ms at 2**20); the plug-in closed form took
+# 118 ms there in blocks of 65 rows (3 MiB of buffers) and 61 ms in 43
 _BLOCK_ELEMENTS = 2**18
 
 

@@ -184,8 +184,10 @@ def f_cdf(x: float, d1: int, d2: int) -> float:
 
 
 def log_sum_exp(values: np.ndarray, axis: int | None = None) -> np.ndarray | float:
-    """Max-shifted log(sum(exp(values))); tolerates -inf entries."""
+    """Max-shifted log(sum(exp(values))); tolerates -inf entries; returns a one-term axis as a view."""
     values = np.asarray(values, dtype=float)
+    if axis is not None and values.shape[axis] == 1:
+        return np.squeeze(values, axis=axis)
     shift = np.max(values, axis=axis, keepdims=True)
     shift = np.where(np.isfinite(shift), shift, 0.0)
     summed = np.sum(np.exp(values - shift), axis=axis, keepdims=True)

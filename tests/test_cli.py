@@ -419,6 +419,20 @@ class TestInputErrors:
         assert err.startswith("error: ") and all(part in err for part in expected), err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("alpha", ["0", "1", "1.5", "-1"])
+    @pytest.mark.parametrize("command", ["classify", "crossval", "simulate"])
+    def test_alpha_outside_the_unit_interval_exit_2_before_any_work(self, tmp_path, train_csv, capsys, command, alpha):
+        # a second, valid level must not hide the bad one
+        train_path, _ = train_csv
+        query = str(_query_csv(tmp_path, [(0.5, 0.5)]))
+        args = {"classify": ["--train", str(train_path), "--label", "label", "--query", query],
+                "crossval": ["--train", str(train_path), "--label", "label"],
+                "simulate": ["validity", "--replications", "2", "--sizes", "4", "4"]}[command]
+        rc = main([command, *args, "--alpha", "0.05", "--alpha", alpha, "--seed", "1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: alpha must lie in (0, 1), got {float(alpha)}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_module_entry_point_runs(self):
         src = str(Path(classpv.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

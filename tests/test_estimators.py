@@ -1,8 +1,11 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classpv import estimators
 from classpv import (
@@ -689,3 +692,69 @@ def test_edited_values_of_a_statistic_without_the_method_are_refits(train2, kind
     expected, flagged = estimators.edited_values(closed, 1, kind, X)
     assert not refit.any() and not flagged.any()
     assert np.allclose(values, expected, rtol=1e-9, atol=1e-12)
+
+
+def _edited_reference(stat, theta: int, kind: str, x) -> np.ndarray:
+    """One row of ``GaussianStatistic.edited_values`` by the edit it stands
+    for: the edited fit scores the edited point and the class-theta rows."""
+    d = stat.data
+    if kind == "augment":
+        return stat.edit(Augment(x, theta)).evaluate(theta, np.vstack([x, d.features[d.group(theta)]]))
+    if kind == "loo":
+        return stat.edit(Remove(x)).evaluate(theta, d.features[[x]])
+    edit = Relabel(x, theta) if kind == "relabel" else Remove(x)
+    return stat.edit(edit).evaluate(theta, d.features[np.append(x, d.group(theta))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_classes=st.integers(2, 4),
+    q=st.integers(1, 6),
+    kind=st.sampled_from(("augment", "relabel", "remove", "loo")),
+    lattice=st.booleans(),
+    data=st.data(),
+)
+def test_plugin_closed_form_keeps_row_bits_ties_and_the_refit(seed, n_classes, q, kind, lattice, data):
+    """The plug-in closed form on lattice rows and copied rows, for every
+    kind: a row's values have the same bits alone as in its batch, an augment
+    query equal to a class-theta member ties with it exactly, and every
+    unflagged row matches the edited fit's ``evaluate`` to 1e-9. The blocks
+    the closed form cuts a batch into give it the same bits."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(q + 2, q + 9, size=n_classes)
+    if lattice:
+        feats = rng.integers(-3, 4, size=(sizes.sum(), q)).astype(float)
+    else:
+        feats = rng.normal(size=(sizes.sum(), q)) * 10.0 ** rng.uniform(-2, 2, size=q)
+    copies = rng.choice(sizes.sum(), size=3, replace=False)
+    feats[copies] = feats[rng.choice(sizes.sum(), size=3)]
+    d = TrainingSet(feats, np.repeat(np.arange(1, n_classes + 1), sizes), n_classes, tuple(map(str, range(n_classes))))
+    try:
+        stat = fit_pooled_gaussian(d)
+    except DegenerateFitError:
+        return
+    theta = data.draw(st.integers(1, n_classes))
+    if kind == "augment":
+        # spread draws, lattice points, and copies of class-theta members
+        members = d.group(theta)[rng.integers(0, sizes[theta - 1], size=3)]
+        X = np.vstack([feats.mean(axis=0) + 2.0 * feats.std(axis=0) * rng.normal(size=(3, q)),
+                       rng.integers(-3, 4, size=(2, q)), feats[members]])
+    else:
+        y = data.draw(st.sampled_from([b for b in range(1, n_classes + 1) if kind != "relabel" or b != theta]))
+        X = d.group(y)
+    values, refit = stat.edited_values(theta, kind, X)
+    for j in range(len(X)):
+        alone, alone_refit = stat.edited_values(theta, kind, X[j : j + 1])
+        assert alone.tobytes() == values[j : j + 1].tobytes() and alone_refit[0] == refit[j]
+    # the closed form's blocks of rows, down to one row each
+    rows = data.draw(st.integers(1, len(X)))
+    with mock.patch.object(estimators, "_BLOCK_ELEMENTS", rows * (q + n_classes + 4) * values.shape[1]):
+        blocked, blocked_refit = stat.edited_values(theta, kind, X)
+    assert blocked.tobytes() == values.tobytes() and np.array_equal(blocked_refit, refit)
+    if kind == "augment":
+        for j, i in enumerate(members, start=len(X) - 3):
+            column = 1 + int(np.flatnonzero(d.group(theta) == i)[0])
+            assert values[j, 0].tobytes() == values[j, column].tobytes()
+    for j in np.flatnonzero(~refit):
+        np.testing.assert_allclose(values[j], _edited_reference(stat, theta, kind, X[j]), rtol=1e-9, atol=1e-9)

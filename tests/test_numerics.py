@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -210,3 +211,20 @@ def test_log_sum_exp_stability():
     mat = np.array([[0.0, math.log(3.0)], [math.log(2.0), math.log(4.0)]])
     out = log_sum_exp(mat, axis=0)
     assert np.allclose(out, [math.log(3.0), math.log(7.0)])
+
+
+@pytest.mark.parametrize("shape, axis", [((1, 9), 0), ((9, 1), 1), ((3, 1, 3), 1), ((3, 3, 1), -1)])
+def test_log_sum_exp_over_one_term_is_the_term(shape, axis):
+    """A one-term axis comes back as it is: the max-shifted formula gives
+    the same values but for the sign of a zero, and a -inf term warns of
+    nothing."""
+    terms = np.array([-1e308, -745.5, -1.5, -0.0, 0.0, 2.5e-320, 709.5, np.inf, -np.inf]).reshape(shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = log_sum_exp(terms, axis=axis)
+    shift = np.where(np.isfinite(terms), terms, 0.0)
+    with np.errstate(divide="ignore"):
+        shifted = np.squeeze(np.log(np.exp(terms - shift)) + shift, axis=axis)
+    assert out.shape == shifted.shape
+    assert np.array_equal(out, shifted)
+    assert out.tobytes() == np.squeeze(terms, axis=axis).tobytes()  # -0.0 stays -0.0
