@@ -13,7 +13,6 @@ from .core import (
     PValueVector,
     Relabel,
     Remove,
-    Replace,
     StructuralError,
     TrainingSet,
     region_from_pvalues,
@@ -21,13 +20,9 @@ from .core import (
 )
 from .estimators import (
     DegenerateFitError,
-    KnnCaches,
     default_k,
     fit_logistic,
     fit_pooled_gaussian,
-    gaussian_update,
-    knn_augmented_counts,
-    knn_fit,
     typicality_index,
 )
 from .evaluation import (

@@ -19,7 +19,6 @@ __all__ = [
     "PValueVector",
     "Relabel",
     "Remove",
-    "Replace",
     "StructuralError",
     "TrainingSet",
     "rank_pvalue",
@@ -38,12 +37,6 @@ class StructuralError(ValueError):
 @dataclass(frozen=True)
 class Remove:
     index: int
-
-
-@dataclass(frozen=True, eq=False)
-class Replace:
-    index: int
-    point: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,11 +118,9 @@ class TrainingSet:
 
     # Single-point edits used by permutation tests and cross-validation.
 
-    def edit(self, edit: Remove | Replace | Augment | Relabel) -> "TrainingSet":
+    def edit(self, edit: Remove | Augment | Relabel) -> "TrainingSet":
         if isinstance(edit, Remove):
             return self.remove(edit.index)
-        if isinstance(edit, Replace):
-            return self.replace(edit.index, edit.point)
         if isinstance(edit, Augment):
             return self.augment(edit.point, edit.label)
         if isinstance(edit, Relabel):

@@ -2,29 +2,27 @@
 statistic is its fit: it holds its training data and fitted parameters,
 scores an (m, q) batch through one ``evaluate(theta, pts)``, and returns the
 edited statistic from one ``edit`` method, for a single-point ``Remove``,
-``Replace``, ``Augment`` or ``Relabel``. The pooled Gaussian statistic
-applies every edit in O(q^2) as at most one add step followed by at most one
-remove step (``gaussian_update``); the logistic and k-NN statistics refit
-on the edited data. Typicality is its own type, the pooled Gaussian fit read
-as exact-pivot p-values. Identical rows of one ``evaluate`` call get
-identical bits, because the rank count scores the query together with its
-class and needs their ties exact.
+``Augment`` or ``Relabel``. The pooled Gaussian statistic applies every edit
+in O(q^2) as at most one add step followed by at most one remove step
+(``gaussian_update``); the logistic and k-NN statistics refit on the edited
+data. Typicality is its own type, the pooled Gaussian fit read as
+exact-pivot p-values. Identical rows of one ``evaluate`` call get identical
+bits, because the rank count scores the query together with its class and
+needs their ties exact.
 
 A statistic needs only ``data``, ``edit`` and ``evaluate``. Every p-value
 path scores single-point edits through the module-level ``edited_values``:
 the statistic at the edited point and at the class-theta rows under each
 edited fit. The edit adds a query to class theta (valid shortcut), or
 relabels or removes a training row (leave-one-out), or removes a row and
-scores it alone (``"loo"``: exact swap removes each class-theta row of the
-data augmented with the query, so ``Replace`` serves only references). An
-optional method of the same name gives the values without the edit and
-flags the edits it cannot score; ``edited_values`` makes each flagged
-augment, relabel or loo edit and evaluates it, raising DegenerateFitError as
-the edit would, so its callers get finished values and make no refit. Only
-a flagged removal is left undone, for ``crossval_pvalues``, which scores
-the reduced fit. The plug-in statistic has a closed form for every kind (a
-whitened rank-two Woodbury solve, its query-free terms made once per call),
-the fixed-metric k-NN statistic for augment, relabel and loo (one block of
+scores it alone (``"loo"``: exact swap ranks each class row's value under
+the fit without it). An optional method of the same name gives the values
+without the edit and flags the edits it cannot score; ``edited_values``
+makes each flagged edit and evaluates it, raising DegenerateFitError as the
+edit would, so its callers get finished values of every kind and make no
+refit. The plug-in statistic has a closed form for every kind (a whitened
+rank-two Woodbury solve, its query-free terms made once per call), the
+fixed-metric k-NN statistic for augment, relabel and loo (one block of
 distances), and the logistic statistic fits every kind's edited sets in one
 batched IRLS, which ``fit_logistic`` runs on a batch of one.
 
@@ -44,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Augment, Relabel, Remove, Replace, TrainingSet, check_label
+from .core import Augment, Relabel, Remove, TrainingSet, check_label
 from .numerics import SingularMatrixError, SpdMatrix, f_cdf, log_sum_exp, mahalanobis_sq, whiten_rows
 from .oracle import log_weighted_lr
 
@@ -145,7 +143,7 @@ class GaussianStatistic:
         covs = (self.sigma,) * self.data.n_classes
         return log_weighted_lr(self.class_weights, self.means, covs, theta, np.atleast_2d(pts))
 
-    def edit(self, edit: Remove | Replace | Augment | Relabel) -> "GaussianStatistic":
+    def edit(self, edit: Remove | Augment | Relabel) -> "GaussianStatistic":
         # through the module binding, which bench/tracing.py replaces to count edits
         return gaussian_update(self, edit)
 
@@ -325,18 +323,17 @@ def fit_pooled_gaussian(d: TrainingSet) -> GaussianStatistic:
     return GaussianStatistic(data=d, means=means, sigma=sigma)
 
 
-def gaussian_update(stat: GaussianStatistic, edit: Remove | Replace | Augment | Relabel) -> GaussianStatistic:
+def gaussian_update(stat: GaussianStatistic, edit: Remove | Augment | Relabel) -> GaussianStatistic:
     """Apply a single-point edit to a pooled Gaussian statistic in O(q^2);
     the result has the type of ``stat``.
 
     Every edit is at most one add step followed by at most one remove step:
-    ``Augment`` adds its point, ``Remove`` removes row i, ``Replace`` adds the
-    new point to row i's class and then removes row i, and ``Relabel`` adds
-    row i to its new class and then removes it from its old one. Adding
-    first keeps a one-member class nonempty through a ``Replace``. The result
-    matches a from-scratch refit of the edited data to within 1e-9 relative
-    error. Removing the last member of a group is rejected, and an edit that
-    drives the pooled covariance singular raises DegenerateFitError.
+    ``Augment`` adds its point, ``Remove`` removes row i, and ``Relabel``
+    adds row i to its new class and then removes it from its old one. The
+    result matches a from-scratch refit of the edited data to within 1e-9
+    relative error. Removing the last member of a group is rejected, and an
+    edit that drives the pooled covariance singular raises
+    DegenerateFitError.
     """
     d = stat.data
     new_data = d.edit(edit)  # validates the edit
@@ -344,8 +341,6 @@ def gaussian_update(stat: GaussianStatistic, edit: Remove | Replace | Augment | 
         added = None
     elif isinstance(edit, Augment):
         added = (edit.point, edit.label)
-    elif isinstance(edit, Replace):
-        added = (edit.point, d.labels[edit.index])
     else:  # Relabel; d.edit rejected any other edit
         added = (d.features[edit.index], edit.label)
     removed = None if isinstance(edit, Augment) else edit.index
@@ -582,7 +577,7 @@ class LogisticStatistic:
         scores = self.intercept + np.sum(np.atleast_2d(pts) * self.coefficients, axis=1)
         return scores if theta == 1 else -scores
 
-    def edit(self, edit: Remove | Replace | Augment | Relabel) -> "LogisticStatistic":
+    def edit(self, edit: Remove | Augment | Relabel) -> "LogisticStatistic":
         # through the module binding, which bench/tracing.py replaces to count fits
         return fit_logistic(self.data.edit(edit))
 
@@ -739,7 +734,7 @@ class KnnStatistic:
         counts = _ball_counts(dsq, radius_sq, self.data.labels, self.data.n_classes)
         return -(counts[:, theta - 1] / counts.sum(axis=1))
 
-    def edit(self, edit: Remove | Replace | Augment | Relabel) -> "KnnStatistic":
+    def edit(self, edit: Remove | Augment | Relabel) -> "KnnStatistic":
         return KnnStatistic(self.data.edit(edit), self.k, self.scale_features)
 
     def edited_values(self, theta: int, kind: str, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -804,44 +799,41 @@ class KnnStatistic:
 _EDIT_KINDS = ("augment", "relabel", "remove", "loo")
 
 
-def edited_values(stat, theta: int, kind: str, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def edited_values(stat, theta: int, kind: str, X: np.ndarray) -> np.ndarray:
     """(m, N + 1): for each of m single-point edits, the statistic at the
-    edited point and at the class-theta rows under the edited fit; and the
-    (m,) mask of the edits left undone, whose values are not to be used.
-    ``kind`` names the edit of each row of X: ``"augment"`` adds the query x
-    to class theta, ``"relabel"`` moves training row i (X holds row indices,
-    all of one class) to class theta, and ``"remove"`` removes it; ``"loo"``
+    edited point and at the class-theta rows under the edited fit. ``kind``
+    names the edit of each row of X: ``"augment"`` adds the query x to class
+    theta, ``"relabel"`` moves training row i (X holds row indices, all of
+    one class) to class theta, and ``"remove"`` removes it; ``"loo"``
     removes it and scores it alone, (m, 1).
 
     The statistic's own ``edited_values`` method, where it has one, gives the
     values without making the edits and flags those it cannot score;
-    without one every edit is flagged. Each flagged augment, relabel or loo
-    edit is then made in order by ``stat.edit`` and scored by ``evaluate``,
-    so only a flagged removal is left undone: ``crossval_pvalues`` takes the
-    p-value of the reduced fit instead. A degenerate edit raises
-    DegenerateFitError, with the removed row as ``swap_index`` for ``"loo"``.
+    without one every edit is flagged. Each flagged edit is then made in
+    order by ``stat.edit`` and scored by ``evaluate``, so every value comes
+    back finished. A degenerate edit raises DegenerateFitError, with the
+    removed row as ``swap_index`` for ``"loo"``.
     """
     if kind not in _EDIT_KINDS:
         raise ValueError(f"unknown edit kind {kind!r}; expected one of {_EDIT_KINDS}")
     d = stat.data
+    group = d.group(theta)
     closed_form = getattr(stat, "edited_values", None)
     if closed_form is not None:
         values, refit = closed_form(theta, kind, X)
     else:
-        values, refit = np.zeros((len(X), 1 if kind == "loo" else d.group(theta).size + 1)), np.ones(len(X), dtype=bool)
-    if kind == "remove":
-        return values, refit
+        values, refit = np.zeros((len(X), 1 if kind == "loo" else group.size + 1)), np.ones(len(X), dtype=bool)
     for j in np.flatnonzero(refit):
         x = X[j]
+        if kind == "augment":
+            edit, pts = Augment(x, theta), np.vstack([x, d.features[group]])
+        else:
+            edit = Relabel(x, theta) if kind == "relabel" else Remove(x)
+            pts = d.features[[x] if kind == "loo" else np.append(x, group)]
         try:
-            if kind == "augment":
-                values[j] = stat.edit(Augment(x, theta)).evaluate(theta, np.vstack([x, d.features[d.group(theta)]]))
-            elif kind == "relabel":
-                values[j] = stat.edit(Relabel(x, theta)).evaluate(theta, d.features[np.append(x, d.group(theta))])
-            else:
-                values[j] = stat.edit(Remove(x)).evaluate(theta, d.features[[x]])
+            values[j] = stat.edit(edit).evaluate(theta, pts)
         except DegenerateFitError as err:
             if kind == "loo":
                 err.swap_index = int(x)
             raise
-    return values, np.zeros(len(X), dtype=bool)
+    return values

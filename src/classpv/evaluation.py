@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Remove, StructuralError, TrainingSet, check_label
-from .estimators import TypicalityStatistic, edited_values
-from .permutation import PermutationMethod, _chunks, pvalue
+from .core import Relabel, Remove, StructuralError, TrainingSet, check_label
+from .estimators import TypicalityStatistic, edited_values, typicality_index
+from .permutation import PermutationMethod, _chunks, _rank_in_group, _swap_pvalues
 
 __all__ = [
     "CrossValMatrix",
@@ -67,22 +67,22 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
     without row i. Requires every class to keep at least one member after
     removal.
 
-    In ``valid-shortcut`` mode the data without row i, augmented with
-    (X_i, theta), is D with y_i := theta, so no row is removed: for
-    theta = y_i it is D itself, scored once per class by the full fit, and
-    for every other theta it is D edited by ``Relabel(i, theta)``. In naive
-    mode row i's p-values come from D edited by ``Remove(i)``. Either way
-    ``edited_values`` scores a chunk of one class's rows against class theta
-    under each row's edit: by the statistic's method where it has one (a
-    closed form, or the logistic statistic's batched IRLS), with a refit for
-    each relabel that method flags, in loop order.
-
-    One pass in row order computes every other (row, class) entry by its
-    definition: the naive entries ``edited_values`` leaves flagged, and every
-    entry in exact-swap mode and for typicality, each as ``pvalue`` of the
-    fit edited by ``Remove(i)``, one edit per row. So a degenerate removal
-    raises DegenerateFitError at the same row and pivot as a per-row loop
-    would.
+    Each entry (i, theta) is a rank on the data set its mode defines, taken
+    class by class. In ``valid-shortcut`` and ``exact-swap`` mode that set is
+    the data without row i, augmented with (X_i, theta): D with
+    y_i := theta. For theta = y_i it is D itself, so the class is ranked once
+    within itself, by the full fit's values (valid-shortcut) or by its
+    ``"loo"`` values (exact-swap). For every other theta it is D edited by
+    ``Relabel(i, theta)``: valid-shortcut scores a chunk of one class's rows
+    by ``edited_values`` of kind ``"relabel"``, and exact-swap ranks row i's
+    ``"loo"`` value in the relabelled fit (``_swap_pvalues``). In naive mode
+    the set is D without row i, scored by ``edited_values`` of kind
+    ``"remove"``. ``edited_values`` uses the statistic's method where it has
+    one (a closed form, or the logistic statistic's batched IRLS) and refits
+    each edit that method flags, in loop order (class theta, then the rows'
+    class, then row), so a degenerate edit raises DegenerateFitError there.
+    Typicality, an exact pivot, scores X_i on the fit without row i, one
+    ``Remove(i)`` per row serving all its classes.
     """
     if np.any(d.group_sizes < 2):
         bad = int(np.argmin(d.group_sizes))
@@ -92,30 +92,27 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
     base = method.fit(d)
     out = np.empty((d.n, d.n_classes))
     classes = range(1, d.n_classes + 1)
-    # the closed form's edit kind: exact-swap has none, and typicality is a pivot
-    kind = {"valid-shortcut": "relabel", "naive": "remove"}.get(method.mode)
-    kind = None if isinstance(base, TypicalityStatistic) else kind
-    groups = [d.group(theta) for theta in classes]
-    pending = []  # the (row, class) entries left to the pass
+    if isinstance(base, TypicalityStatistic):
+        for i in range(d.n):
+            reduced = base.edit(Remove(i))
+            out[i] = [typicality_index(reduced, theta, d.features[i]) for theta in classes]
+        return CrossValMatrix(pvalues=out, labels=np.array(d.labels), group_sizes=d.group_sizes, method=method)
     for theta in classes:
-        if kind is None:
-            pending += [(i, theta) for i in range(d.n)]
-            continue
-        if kind == "relabel":
-            out[groups[theta - 1], theta - 1] = _rank_in_group(base.evaluate(theta, d.features[groups[theta - 1]]))
+        group = d.group(theta)
+        if method.mode == "valid-shortcut":
+            out[group, theta - 1] = _rank_in_group(base.evaluate(theta, d.features[group]))
+        elif method.mode == "exact-swap":
+            out[group, theta - 1] = _swap_pvalues(base, theta, group)
         for y in classes:
-            if kind == "relabel" and y == theta:
+            rows = d.group(y)
+            if y == theta and method.mode != "naive":
                 continue
-            rows = groups[y - 1]
+            if method.mode == "exact-swap":
+                out[rows, theta - 1] = [_swap_pvalues(base.edit(Relabel(i, theta)), theta, [i])[0] for i in rows]
+                continue
+            kind = "remove" if method.mode == "naive" else "relabel"
             for chunk in _chunks(d, theta, rows.size):
-                values, refit = edited_values(base, theta, kind, rows[chunk])
-                out[rows[chunk], theta - 1] = _rank_query(values, own=y == theta)
-                pending += [(int(i), theta) for i in rows[chunk][refit]]
-    last = None
-    for i, theta in sorted(pending):
-        if i != last:
-            last, reduced = i, base.edit(Remove(i))
-        out[i, theta - 1] = pvalue(reduced, method.mode, theta, d.features[i])
+                out[rows[chunk], theta - 1] = _rank_query(edited_values(base, theta, kind, rows[chunk]), own=y == theta)
     return CrossValMatrix(pvalues=out, labels=np.array(d.labels), group_sizes=d.group_sizes, method=method)
 
 
@@ -126,14 +123,6 @@ def _rank_query(values: np.ndarray, own: bool) -> np.ndarray:
     own = int(own)
     count = np.sum(values[:, 1:] >= values[:, :1], axis=1)
     return (count + 1 - own) / (values.shape[1] - own)
-
-
-def _rank_in_group(values: np.ndarray) -> np.ndarray:
-    """Rank p-value of each entry against the other entries of its class,
-    #{values >= entry} / len(values) (the entry stands for its +1), from one
-    sort."""
-    ranked = np.sort(values)
-    return (values.size - np.searchsorted(ranked, values, side="left")) / values.size
 
 
 def empirical_inclusion(cv: CrossValMatrix, alpha: float, b: int, theta: int) -> float:

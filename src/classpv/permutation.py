@@ -89,11 +89,11 @@ def pvalues(fitted, mode: str, theta: int, X: np.ndarray) -> np.ndarray:
     statistic fitted on the training set; returns (m,).
 
     ``valid-shortcut`` scores each query x and the class under the fit
-    augmented with (x, theta). ``exact-swap`` scores each member under the
-    fit with x swapped in for it, the augmented fit less that member, against
-    x under the augmented fit less x, the unedited fit: the ``"loo"`` values
-    of the augmented class, each removed row scored alone, x's row last, so
-    a member equal to x ties with it. Both take their values from
+    augmented with (x, theta). ``exact-swap`` edits the fit by
+    ``Augment(x, theta)`` and ranks the ``"loo"`` value of x's row, x under
+    the augmented fit less x (the unedited fit), among those of the class's
+    members, each under the fit with x swapped in for it, the augmented fit
+    less that member (``_swap_pvalues``). Both take their values from
     ``edited_values`` on each chunk of the batch or class: the statistic's
     closed form where it has one (the plug-in and fixed-metric k-NN, or one
     batched IRLS for the logistic), a refit for each edit that form flags.
@@ -130,17 +130,32 @@ def pvalues(fitted, mode: str, theta: int, X: np.ndarray) -> np.ndarray:
             out[chunk] = rank_pvalue(values[len(queries) :], values[: len(queries)])
     elif mode == "valid-shortcut":
         for chunk in _chunks(d, theta, X.shape[0]):
-            values = edited_values(fitted, theta, "augment", X[chunk])[0]
+            values = edited_values(fitted, theta, "augment", X[chunk])
             out[chunk] = rank_pvalue(values[:, 1:], values[:, 0])
     else:
         for i, x in enumerate(X):
-            augmented = fitted.edit(Augment(x, theta))
-            members = augmented.data.group(theta)
-            # each member's value with x swapped in for it, then x's own under D
-            loo = np.concatenate([edited_values(augmented, theta, "loo", members[chunk])[0][:, 0]
-                                  for chunk in _chunks(augmented.data, theta, members.size)])
-            out[i] = rank_pvalue(loo[:-1], loo[-1])
+            out[i] = _swap_pvalues(fitted.edit(Augment(x, theta)), theta, [d.n])[0]
     return out
+
+
+def _swap_pvalues(edited, theta: int, rows) -> np.ndarray:
+    """Exact-swap p-values of the class-theta ``rows`` of an edited fit, each
+    its ``"loo"`` value ranked among those of the class's other rows. The
+    ``"loo"`` value of a member is its value with the row swapped in for it,
+    and the row's own is its value under the fit without it, so a member
+    equal to the row ties with it."""
+    members = edited.data.group(theta)
+    loo = np.concatenate([edited_values(edited, theta, "loo", members[chunk])[:, 0]
+                          for chunk in _chunks(edited.data, theta, members.size)])
+    return _rank_in_group(loo)[np.searchsorted(members, rows)]
+
+
+def _rank_in_group(values: np.ndarray) -> np.ndarray:
+    """Rank p-value of each entry against the other entries of its class,
+    #{values >= entry} / len(values) (the entry stands for its +1), from one
+    sort."""
+    ranked = np.sort(values)
+    return (values.size - np.searchsorted(ranked, values, side="left")) / values.size
 
 
 def _chunks(d: TrainingSet, theta: int, m: int) -> list[slice]:

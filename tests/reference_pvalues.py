@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from classpv import Augment, GaussianMixtureModel, Replace
+from classpv import Augment, GaussianMixtureModel, Remove
 from classpv.core import rank_pvalue
 from classpv.estimators import TypicalityStatistic
 from classpv.numerics import f_cdf, mahalanobis_sq
@@ -96,9 +96,10 @@ def refit_pvalue(fitted, mode: str, theta: int, x: np.ndarray) -> float:
 
     ``valid-shortcut`` applies the statistic's ``Augment(x, theta)`` edit and
     scores x with the class-theta rows in one ``evaluate``; ``naive`` does
-    the same on the unedited fit; ``exact-swap`` refits once per member with
-    ``Replace``, except at a member equal to x, which that swap leaves as it
-    is: there the unedited fit scores it. Typicality is the F tail of the
+    the same on the unedited fit; ``exact-swap`` swaps x in for each member
+    by ``Augment(x, theta)`` and then ``Remove`` of the member, except at a
+    member equal to x, which that swap leaves as it is: there the unedited
+    fit scores it. Typicality is the F tail of the
     scaled squared Mahalanobis distance, one point at a time through
     ``mahalanobis_sq``.
     """
@@ -112,8 +113,9 @@ def refit_pvalue(fitted, mode: str, theta: int, x: np.ndarray) -> float:
         return 1.0 - f_cdf(c_theta * mahalanobis_sq(x, fitted.means[theta - 1], fitted.sigma), q, d2)
     if mode == "exact-swap":
         reference = fitted.evaluate(theta, x[None, :])[0]
+        augmented = fitted.edit(Augment(x, theta))
         values = [
-            (fitted if np.array_equal(d.features[i], x) else fitted.edit(Replace(int(i), x)))
+            (fitted if np.array_equal(d.features[i], x) else augmented.edit(Remove(int(i))))
             .evaluate(theta, d.features[i][None, :])[0]
             for i in group
         ]

@@ -33,7 +33,6 @@ from classpv import (
     PermutationMethod,
     example22_model,
     fit_pooled_gaussian,
-    knn_fit,
     optimal_pvalue_2class_closed,
     optimal_pvalue_mc,
     region_map,
@@ -43,7 +42,7 @@ from classpv import (
     validity_experiment,
 )
 from classpv.core import TrainingSet
-from classpv.estimators import Augment, Remove, Replace, gaussian_update
+from classpv.estimators import Augment, Relabel, Remove, gaussian_update, knn_augmented_counts, knn_fit
 from classpv.permutation import pvalues
 from classpv.simulation import rank_uniformity_chisq
 
@@ -219,8 +218,10 @@ def test_criterion_6_update_formulae():
             edit, edited = Remove(i), d.remove(i)
         elif kind == 1:
             i = int(rng.integers(d.n))
-            x = rng.normal(size=q)
-            edit, edited = Replace(i, x), d.replace(i, x)
+            theta = int(rng.integers(1, n_classes + 1))
+            if theta == d.labels[i] or d.group(int(d.labels[i])).size < 2:
+                continue
+            edit, edited = Relabel(i, theta), d.relabel(i, theta)
         else:
             x = rng.normal(size=q)
             theta = int(rng.integers(1, n_classes + 1))
@@ -236,8 +237,6 @@ def test_criterion_6_update_formulae():
         caches = knn_fit(d, k=k)
         x = rng.normal(size=q)
         theta = int(rng.integers(1, n_classes + 1))
-        from classpv import knn_augmented_counts
-
         counts = knn_augmented_counts(caches, x, theta)
         aug = d.augment(x, theta)
         for i in range(d.n):

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from classpv import Augment, DegenerateFitError, PermutationMethod, TrainingSet, estimators, permutation, pvalues
+from classpv import Augment, DegenerateFitError, PermutationMethod, TrainingSet, permutation, pvalues
 from classpv.core import rank_pvalue
 from classpv.numerics import SpdMatrix, mahalanobis_sq, solve_lower, whiten_rows
 
@@ -166,7 +166,7 @@ def test_plugin_exact_swap_scores_each_removal_in_linear_memory():
     group = augmented.data.group(1)
     column = []
     for start in range(0, group.size, 200):
-        values, refit = estimators.edited_values(augmented, 1, "remove", group[start : start + 200])
+        values, refit = augmented.edited_values(1, "remove", group[start : start + 200])
         assert not refit.any()
         column.append(values[:, 0])
     column = np.concatenate(column)

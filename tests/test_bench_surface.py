@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from classpv import Augment, PermutationMethod, Remove, Replace, TrainingSet
+from classpv import Augment, PermutationMethod, Remove, TrainingSet
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -73,15 +73,15 @@ def test_tracer_counters_read_results_and_see_every_edit():
         tracer.active = True
         logistic = PermutationMethod("logistic").fit(d)
         edited = logistic.edit(Remove(0))
-        PermutationMethod("plugin").fit(d).edit(Remove(0)).edit(Augment(x, 1)).edit(Replace(2, x))
+        PermutationMethod("plugin").fit(d).edit(Remove(0)).edit(Augment(x, 1))
     finally:
         tracer.active = False
         tracer.uninstall()
     assert tracer.calls["estimators.fit_logistic"] == 2
     assert tracer.counts["estimators.fit_logistic.irls_iterations"] == logistic.iterations + edited.iterations
     assert tracer.counts["estimators.fit_logistic.separated"] == int(logistic.separated) + int(edited.separated)
-    assert tracer.calls["estimators.gaussian_update"] == 3
-    for kind in ("remove", "augment", "replace"):
+    assert tracer.calls["estimators.gaussian_update"] == 2
+    for kind in ("remove", "augment"):
         assert tracer.counts["estimators.gaussian_update." + kind] == 1, kind
-    # two removes from 12 rows, an augment of 11 and a replace in 12
-    assert tracer.counts["core.rows_copied"] == 11 + 11 + 12 + 12
+    # two removes from 12 rows and an augment of 11
+    assert tracer.counts["core.rows_copied"] == 11 + 11 + 12

@@ -6,7 +6,6 @@ from classpv.core import (
     PValueVector,
     Relabel,
     Remove,
-    Replace,
     StructuralError,
     region_from_pvalues,
     validate_training_set,
@@ -134,7 +133,6 @@ class TestTrainingSet:
         x = np.array([9.0, 9.0])
         pairs = (
             (Remove(0), d.remove(0)),
-            (Replace(1, x), d.replace(1, x)),
             (Augment(x, 2), d.augment(x, 2)),
             (Relabel(0, 2), d.relabel(0, 2)),
         )

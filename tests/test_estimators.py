@@ -15,13 +15,9 @@ from classpv import (
     PermutationMethod,
     Relabel,
     Remove,
-    Replace,
     SpdMatrix,
     fit_logistic,
     fit_pooled_gaussian,
-    gaussian_update,
-    knn_augmented_counts,
-    knn_fit,
     optimal_statistic,
     sample_gaussian_mixture,
     typicality_index,
@@ -32,6 +28,9 @@ from classpv.estimators import (
     GaussianStatistic,
     KnnStatistic,
     default_k,
+    gaussian_update,
+    knn_augmented_counts,
+    knn_fit,
 )
 from classpv.numerics import f_cdf, mahalanobis_sq
 
@@ -144,21 +143,6 @@ class TestGaussianUpdate:
         assert np.allclose(back.means, fit.means, rtol=1e-9)
         assert np.allclose(back.sigma.matrix, fit.sigma.matrix, rtol=1e-9)
 
-    def test_replace_with_self_is_identity(self, train2):
-        fit = fit_pooled_gaussian(train2)
-        same = gaussian_update(fit, Replace(3, train2.features[3]))
-        assert np.allclose(same.means, fit.means, rtol=1e-12)
-        assert np.allclose(same.sigma.matrix, fit.sigma.matrix, rtol=1e-12)
-
-    def test_replace_in_one_member_class_matches_scratch(self):
-        # the add step runs first, so the class never drops to zero members
-        d = validate_training_set([[0.0, 0.0], [1.0, 0.5], [2.0, 2.0], [3.0, 1.0], [5.0, 4.0]], [1, 1, 2, 2, 3])
-        x = np.array([4.0, 6.0])
-        updated = gaussian_update(fit_pooled_gaussian(d), Replace(4, x))
-        scratch = fit_pooled_gaussian(d.replace(4, x))
-        assert np.allclose(updated.means, scratch.means, rtol=1e-12)
-        assert np.allclose(updated.sigma.matrix, scratch.sigma.matrix, rtol=1e-12)
-
     def test_random_edits_match_scratch(self):
         rng = np.random.default_rng(17)
         for trial in range(40):
@@ -177,8 +161,10 @@ class TestGaussianUpdate:
                 edit, edited = Remove(i), d.remove(i)
             elif kind == 1:
                 i = int(rng.integers(d.n))
-                x = rng.normal(size=q)
-                edit, edited = Replace(i, x), d.replace(i, x)
+                theta = int(rng.integers(1, big_l + 1))
+                if theta == d.labels[i] or d.group(int(d.labels[i])).size < 2:
+                    continue
+                edit, edited = Relabel(i, theta), d.relabel(i, theta)
             else:
                 x = rng.normal(size=q)
                 theta = int(rng.integers(1, big_l + 1))
@@ -681,16 +667,13 @@ def test_edited_values_rejects_an_unknown_kind(train2, statistic):
 
 @pytest.mark.parametrize("kind", ["augment", "relabel", "loo", "remove"])
 def test_edited_values_of_a_statistic_without_the_method_are_refits(train2, kind):
-    # every edit is made and scored, except a removal, which stays flagged
-    # for crossval_pvalues; the refits agree with the plug-in closed form
+    # every edit is made and scored; the refits agree with the plug-in
+    # closed form
     closed = fit_pooled_gaussian(train2)
     X = np.array([[0.3, -0.2], [2.0, 1.0]]) if kind == "augment" else train2.group(2)[:2]
-    values, refit = estimators.edited_values(_RefitOnly(closed), 1, kind, X)
-    if kind == "remove":
-        assert refit.all()
-        return
-    expected, flagged = estimators.edited_values(closed, 1, kind, X)
-    assert not refit.any() and not flagged.any()
+    values = estimators.edited_values(_RefitOnly(closed), 1, kind, X)
+    expected, flagged = closed.edited_values(1, kind, X)
+    assert not flagged.any()
     assert np.allclose(values, expected, rtol=1e-9, atol=1e-12)
 
 

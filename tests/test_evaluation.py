@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classpv import estimators
 from classpv import (
@@ -18,7 +20,7 @@ from classpv import (
     validate_training_set,
 )
 from classpv.cli import main
-from classpv.core import Augment, Relabel, Remove, StructuralError, TrainingSet
+from classpv.core import Relabel, Remove, StructuralError, TrainingSet
 from classpv.estimators import DegenerateFitError
 from classpv.evaluation import CrossValMatrix, RocCurve, observed_patterns
 from classpv.permutation import pvalue
@@ -95,8 +97,10 @@ class TestCrossval:
 
 def _per_row_edit_pvalues(d, mode):
     """The plug-in leave-one-out p-values through one edit and refit per row:
-    a Relabel per (row, other class) in valid-shortcut mode, with the own
-    class scored by the full fit, and a Remove per row in naive mode."""
+    a Remove per row in naive mode, else a Relabel per (row, other class),
+    with the own class taken from the full fit. Valid-shortcut scores the
+    class under that fit, and exact-swap scores each member under that fit
+    edited by its Remove."""
     base = PermutationMethod("plugin", mode).fit(d)
     out = np.empty((d.n, d.n_classes))
     for i in range(d.n):
@@ -108,7 +112,10 @@ def _per_row_edit_pvalues(d, mode):
                 continue
             fit = base if theta == d.labels[i] else base.edit(Relabel(i, theta))
             group = fit.data.group(theta)
-            values = fit.evaluate(theta, fit.data.features[group])
+            if mode == "exact-swap":
+                values = np.array([fit.edit(Remove(j)).evaluate(theta, fit.data.features[[j]])[0] for j in group])
+            else:
+                values = fit.evaluate(theta, fit.data.features[group])
             pos = int(np.searchsorted(group, i))
             out[i, theta - 1] = (np.count_nonzero(np.delete(values, pos) >= values[pos]) + 1) / group.size
     return out
@@ -140,14 +147,21 @@ def _singular_on_one_row():
 
 
 class TestClosedFormCrossval:
-    @pytest.mark.parametrize("mode", ("valid-shortcut", "naive"))
+    @pytest.mark.parametrize("mode", ("exact-swap", "valid-shortcut", "naive"))
     @pytest.mark.parametrize("n_classes", (2, 3, 4))
     @pytest.mark.parametrize("q", (1, 2, 5, 8))
     def test_equals_per_row_edits(self, n_classes, q, mode):
         for seed in range(3):
             d = _awkward_set(n_classes, q, seed)
+            try:
+                expected = _per_row_edit_pvalues(d, mode)
+            except DegenerateFitError:
+                # exact swap removes one member of the two-member class 1
+                with pytest.raises(DegenerateFitError):
+                    crossval_pvalues(d, PermutationMethod("plugin", mode))
+                continue
             cv = crossval_pvalues(d, PermutationMethod("plugin", mode))
-            assert np.array_equal(cv.pvalues, _per_row_edit_pvalues(d, mode)), (seed, cv.pvalues)
+            assert np.array_equal(cv.pvalues, expected), (seed, cv.pvalues)
 
     @pytest.mark.parametrize("mode", ("valid-shortcut", "naive"))
     def test_no_edit_on_a_well_conditioned_set(self, monkeypatch, mode):
@@ -160,7 +174,7 @@ class TestClosedFormCrossval:
         monkeypatch.undo()
         assert np.array_equal(cv.pvalues, _per_row_edit_pvalues(d, mode))
 
-    @pytest.mark.parametrize("mode", ("valid-shortcut", "naive"))
+    @pytest.mark.parametrize("mode", ("exact-swap", "valid-shortcut", "naive"))
     def test_singular_edit_raises_where_the_per_row_edit_raises(self, mode, tmp_path, capsys):
         d = _singular_on_one_row()
         with pytest.raises(DegenerateFitError) as expected:
@@ -169,6 +183,8 @@ class TestClosedFormCrossval:
             crossval_pvalues(d, PermutationMethod("plugin", mode))
         assert raised.value.pivot_index == expected.value.pivot_index == 1
         assert str(raised.value) == str(expected.value)
+        # exact swap fails at row 3's "loo" removal from class 1, a row of D
+        assert raised.value.swap_index == (3 if mode == "exact-swap" else None)
         path = tmp_path / "train.csv"
         path.write_text("f1,f2,label\n" + "".join(f"{x!r},{y!r},c{b}\n" for (x, y), b in zip(d.features.tolist(), d.labels)))
         rc = main(["crossval", "--train", str(path), "--label", "label", "--method", "plugin", "--mode", mode,
@@ -190,9 +206,8 @@ def _high_leverage_rows(d, theta):
 
 
 class TestEditLoop:
-    """The edits ``crossval_pvalues`` makes, counted at ``TrainingSet.edit``:
-    one pass in row order, one removal per row reused across its classes,
-    and the relabels ``edited_values`` refits in its loop order."""
+    """The edits ``crossval_pvalues`` makes, counted at ``TrainingSet.edit``,
+    in its loop order: class theta, then the rows' class, then row."""
 
     @staticmethod
     def _edits(monkeypatch, d, method):
@@ -209,7 +224,6 @@ class TestEditLoop:
     def test_valid_shortcut_relabels_once_per_row_and_other_class(self, monkeypatch, statistic, kwargs, n_classes):
         d = _awkward_set(n_classes, 2, 0)
         edits = self._edits(monkeypatch, d, PermutationMethod(statistic, "valid-shortcut", **kwargs))
-        # in edited_values' loop order: class theta, then the rows' class, then row
         classes = range(1, n_classes + 1)
         assert edits == [
             Relabel(i, theta) for theta in classes for y in classes if y != theta for i in d.group(y)
@@ -226,53 +240,106 @@ class TestEditLoop:
         d = _awkward_set(2, 2, 0)
         assert self._edits(monkeypatch, d, PermutationMethod("logistic", mode)) == []
 
-    @pytest.mark.parametrize("statistic, mode, kwargs", [
-        pytest.param("knn", "naive", {"k": 3}, id="knn-naive"),
-        pytest.param("knn", "naive", {"k": 3, "scale_features": True}, id="scaled-knn-naive"),
-        pytest.param("typicality", "valid-shortcut", {}, id="typicality-valid-shortcut"),
+    @pytest.mark.parametrize("kwargs", [
+        pytest.param({"k": 3}, id="knn"),
+        pytest.param({"k": 3, "scale_features": True}, id="scaled-knn"),
     ])
-    def test_remove_once_per_row(self, monkeypatch, statistic, mode, kwargs):
-        d = _awkward_set(2 if statistic == "logistic" else 3, 2, 1)
-        edits = self._edits(monkeypatch, d, PermutationMethod(statistic, mode, **kwargs))
+    def test_naive_knn_removes_once_per_row_and_class(self, monkeypatch, kwargs):
+        # every removal moves radii, so edited_values refits each one for
+        # each class it is scored against
+        d = _awkward_set(3, 2, 1)
+        edits = self._edits(monkeypatch, d, PermutationMethod("knn", "naive", **kwargs))
+        classes = range(1, d.n_classes + 1)
+        assert edits == [Remove(i) for theta in classes for y in classes for i in d.group(y)]
+
+    def test_typicality_removes_once_per_row(self, monkeypatch):
+        d = _awkward_set(3, 2, 1)
+        edits = self._edits(monkeypatch, d, PermutationMethod("typicality", "valid-shortcut"))
         assert edits == [Remove(i) for i in range(d.n)]
 
     @staticmethod
     def _kinds(edits):
-        return [("Augment", tuple(e.point), e.label) if isinstance(e, Augment) else (type(e).__name__, e.index)
-                for e in edits]
+        return [(type(e).__name__, e.index) for e in edits]
 
-    def test_exact_swap_removes_once_per_row_then_swaps_each_member(self, monkeypatch):
-        # the plug-in scores every member's swap in closed form, from one
-        # augmented fit per class; only a removal of high leverage takes the
-        # refit: here row 1, three times, when the query lands near row 0
-        # in the two-member class 1
+    def test_exact_swap_relabels_once_per_row_and_other_class(self, monkeypatch):
+        # the own class is D itself, whose "loo" values the plug-in scores in
+        # closed form; every other class relabels the row, and the closed
+        # form scores the relabelled class. Only a removal of high leverage
+        # takes the refit: here row 1 of the two-member class 1, three
+        # times, when a row relabelled into class 1 lands near row 0
         d = _awkward_set(3, 2, 2)
         edits = self._edits(monkeypatch, d, PermutationMethod("plugin", "exact-swap"))
         expected = []
-        for i in range(d.n):
-            expected.append(("Remove", i))
-            for theta in range(1, d.n_classes + 1):
-                expected.append(("Augment", tuple(d.features[i]), theta))
-                augmented = d.remove(i).augment(d.features[i], theta)
-                expected += [("Remove", j) for j in _high_leverage_rows(augmented, theta)]
+        classes = range(1, d.n_classes + 1)
+        for theta in classes:
+            expected += [("Remove", j) for j in _high_leverage_rows(d, theta)]
+            for y in classes:
+                if y != theta:
+                    for i in d.group(y):
+                        expected.append(("Relabel", i))
+                        expected += [("Remove", j) for j in _high_leverage_rows(d.relabel(i, theta), theta)]
         assert self._kinds(edits) == expected
-        assert sum(kind == "Remove" for kind, *_ in expected) == d.n + 3
+        assert sum(kind == "Relabel" for kind, *_ in expected) == d.n * (d.n_classes - 1)
+        assert sum(kind == "Remove" for kind, *_ in expected) == 3
 
     @pytest.mark.parametrize("statistic, kwargs, n_classes", [
         ("knn", {"k": 3}, 3),
         ("logistic", {}, 2),
     ])
-    def test_exact_swap_augments_once_per_query_and_class(self, monkeypatch, statistic, kwargs, n_classes):
-        # swapping the query in for member j is removing j from the data
-        # augmented with the query; the fixed-metric k-NN distance block and
-        # the batched IRLS score every removal without making it
+    def test_exact_swap_makes_only_the_relabels(self, monkeypatch, statistic, kwargs, n_classes):
+        # the fixed-metric k-NN distance block and the batched IRLS score
+        # every "loo" removal without making it
         d = _awkward_set(n_classes, 2, 2)
         edits = self._edits(monkeypatch, d, PermutationMethod(statistic, "exact-swap", **kwargs))
-        expected = []
-        for i in range(d.n):
-            expected.append(("Remove", i))
-            expected += [("Augment", tuple(d.features[i]), theta) for theta in range(1, n_classes + 1)]
-        assert self._kinds(edits) == expected
+        classes = range(1, n_classes + 1)
+        assert edits == [
+            Relabel(i, theta) for theta in classes for y in classes if y != theta for i in d.group(y)
+        ]
+
+
+@pytest.mark.parametrize("mode", ("exact-swap", "valid-shortcut", "naive"))
+@pytest.mark.parametrize("statistic, kwargs", [
+    ("plugin", {}),
+    ("knn", {"k": 1}),
+    ("knn", {"k": 3}),
+    ("knn", {}),
+    ("knn", {"k": 2, "scale_features": True}),
+    ("logistic", {}),
+    ("typicality", {}),
+])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(2, 3), q=st.integers(1, 3))
+def test_crossval_rows_follow_a_shuffle_and_sit_on_their_grid(statistic, kwargs, mode, seed, n_classes, q):
+    """On half-integer lattice rows, a fifth of them copies: shuffling the
+    rows of D permutes the matrix's rows and moves no bit, and every rank
+    p-value is j times its ``grid_step`` for an integer j from 1 to
+    1/``grid_step``. (Typicality is an exact pivot, on no grid.)"""
+    n_classes = 2 if statistic == "logistic" else n_classes
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, 8, size=n_classes)
+    labels = rng.permutation(np.repeat(np.arange(1, n_classes + 1), sizes))
+    feats = rng.integers(-2, 3, size=(labels.size, q)) / 2.0
+    copies = rng.choice(labels.size, size=labels.size // 5, replace=False)
+    feats[copies] = feats[rng.choice(labels.size, size=copies.size)]
+    d = TrainingSet(feats, labels, n_classes, tuple(f"c{b}" for b in range(1, n_classes + 1)))
+    order = rng.permutation(d.n)
+    shuffled = TrainingSet(feats[order], labels[order], n_classes, d.label_names)
+    method = PermutationMethod(statistic, mode, **kwargs)
+    try:
+        cv = crossval_pvalues(d, method)
+    except DegenerateFitError:
+        with pytest.raises(DegenerateFitError):
+            crossval_pvalues(shuffled, method)
+        return
+    assert np.array_equal(crossval_pvalues(shuffled, method).pvalues.view(np.uint64), cv.pvalues[order].view(np.uint64))
+    if statistic == "typicality":
+        assert np.all((cv.pvalues >= 0.0) & (cv.pvalues <= 1.0))
+        return
+    for i in range(d.n):
+        for theta in range(1, n_classes + 1):
+            points = round(1.0 / cv.grid_step(i, theta))
+            j = round(cv.pvalues[i, theta - 1] * points)
+            assert 1 <= j <= points and cv.pvalues[i, theta - 1] == j / points, (i, theta, cv.pvalues[i])
 
 
 class TestInclusionAndPatterns:
