@@ -4,11 +4,11 @@ scores an (m, q) batch through one ``evaluate(theta, pts)``, and returns the
 edited statistic from one ``edit`` method, for a single-point ``Remove``,
 ``Augment`` or ``Relabel``. The pooled Gaussian statistic applies every edit
 in O(q^2) as at most one add step followed by at most one remove step
-(``gaussian_update``); the logistic and k-NN statistics refit on the edited
-data. Typicality is its own type, the pooled Gaussian fit read as
-exact-pivot p-values. Identical rows of one ``evaluate`` call get identical
-bits, because the rank count scores the query together with its class and
-needs their ties exact.
+(``gaussian_update``); the k-NN statistic refits on the edited data, and
+the logistic statistic fits it when first read. Typicality is its own type,
+the pooled Gaussian fit read as exact-pivot p-values. Identical rows of one
+``evaluate`` call get identical bits, because the rank count scores the
+query together with its class and needs their ties exact.
 
 A statistic needs only ``data``, ``edit`` and ``evaluate``. Every p-value
 path scores single-point edits through the module-level ``edited_values``:
@@ -24,7 +24,8 @@ refit. The plug-in statistic has a closed form for every kind (a whitened
 rank-two Woodbury solve, its query-free terms made once per call), the
 fixed-metric k-NN statistic for augment, relabel and loo (one block of
 distances), and the logistic statistic fits every kind's edited sets in one
-batched IRLS, which ``fit_logistic`` runs on a batch of one.
+batched IRLS, which ``fit_logistic`` runs on a batch of one to fit a
+statistic's own data.
 
 Every fit computes its sums over a canonical row ordering, so the fitted
 statistic is exactly symmetric in each class's training rows: shuffling the
@@ -39,6 +40,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -549,11 +551,24 @@ def knn_augmented_counts(caches: KnnCaches, x: np.ndarray, theta: int) -> np.nda
 # ---------------------------------------------------------------------------
 
 
+class _LogisticFit(NamedTuple):
+    intercept: float
+    coefficients: np.ndarray   # (q,), read-only
+    iterations: int
+    gradient_norm: float
+    separated: bool
+
+
 @dataclass(frozen=True, eq=False)
 class LogisticStatistic:
     """Maximum-likelihood logistic fit for two classes, with separation
     handling, as the signed logistic score: the class-2 logit tests class 1
     and vice versa.
+
+    The fit is made when first read, by ``evaluate`` or one of its fields,
+    through the module-level ``fit_logistic``; ``edit`` and ``edited_values``
+    read only ``data``, so a statistic that is only edited is never fitted.
+    A data set without exactly two classes is rejected at construction.
 
     On convergence the log-likelihood gradient norm is at most 1e-8. When the
     classes are (nearly) separable the coefficients are the capped-iteration
@@ -561,14 +576,21 @@ class LogisticStatistic:
     """
 
     data: TrainingSet
-    intercept: float
-    coefficients: np.ndarray   # (q,)
-    iterations: int
-    gradient_norm: float
-    separated: bool
 
     def __post_init__(self):
-        self.coefficients.setflags(write=False)
+        if self.data.n_classes != 2:
+            raise ValueError(f"logistic statistic requires exactly 2 classes, got {self.data.n_classes}")
+
+    @cached_property
+    def _fit(self) -> _LogisticFit:
+        # through the module binding, which bench/tracing.py replaces to count fits
+        return fit_logistic(self.data)._fit
+
+    intercept = property(lambda self: self._fit.intercept)
+    coefficients = property(lambda self: self._fit.coefficients)
+    iterations = property(lambda self: self._fit.iterations)
+    gradient_norm = property(lambda self: self._fit.gradient_norm)
+    separated = property(lambda self: self._fit.separated)
 
     def evaluate(self, theta: int, pts: np.ndarray) -> np.ndarray:
         check_label(theta, 2)
@@ -578,8 +600,7 @@ class LogisticStatistic:
         return scores if theta == 1 else -scores
 
     def edit(self, edit: Remove | Augment | Relabel) -> "LogisticStatistic":
-        # through the module binding, which bench/tracing.py replaces to count fits
-        return fit_logistic(self.data.edit(edit))
+        return LogisticStatistic(self.data.edit(edit))
 
     def edited_values(self, theta: int, kind: str, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The module-level ``edited_values`` from one batched IRLS over the
@@ -617,19 +638,17 @@ _LOGISTIC_COEF_CAP = 30.0
 
 def fit_logistic(d: TrainingSet) -> LogisticStatistic:
     """Fit log-odds of class 2 as an affine function of the features by IRLS:
-    ``_logistic_fits`` on a batch of one."""
-    if d.n_classes != 2:
-        raise ValueError(f"logistic statistic requires exactly 2 classes, got {d.n_classes}")
+    ``_logistic_fits`` on a batch of one. The statistic comes back fitted,
+    so a singular design warns of its ridge here."""
+    stat = LogisticStatistic(d)
     order = _canonical_order(d.features, np.zeros(d.n))
     beta, iterations, grad_norm, separated = _logistic_fits(d.features, order[None, :], d.labels[order][None, :])
-    return LogisticStatistic(
-        data=d,
-        intercept=float(beta[0, 0]),
-        coefficients=beta[0, 1:].copy(),
-        iterations=int(iterations[0]),
-        gradient_norm=float(grad_norm[0]),
-        separated=bool(separated[0]),
-    )
+    coefficients = beta[0, 1:].copy()
+    coefficients.setflags(write=False)
+    # the cached property's value, so that reading it fits nothing more
+    vars(stat)["_fit"] = _LogisticFit(
+        float(beta[0, 0]), coefficients, int(iterations[0]), float(grad_norm[0]), bool(separated[0]))
+    return stat
 
 
 def _logistic_fits(features: np.ndarray, rows: np.ndarray, labels: np.ndarray):

@@ -31,10 +31,10 @@ from .core import Augment, PValueVector, TrainingSet, check_label, check_point, 
 from .estimators import (
     _BLOCK_ELEMENTS,
     KnnStatistic,
+    LogisticStatistic,
     TypicalityStatistic,
     default_k,
     edited_values,
-    fit_logistic,
     fit_pooled_gaussian,
     typicality_index,
 )
@@ -74,12 +74,13 @@ class PermutationMethod:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
 
     def fit(self, d: TrainingSet):
-        """Fit the configured statistic on d."""
+        """Fit the configured statistic on d. The k-NN caches and the
+        logistic fit are made when first read."""
         if self.statistic == "knn":
             k = self.k if self.k is not None else default_k(d.n)
             return KnnStatistic(d, k, self.scale_features)
         if self.statistic == "logistic":
-            return fit_logistic(d)
+            return LogisticStatistic(d)
         fit = fit_pooled_gaussian(d)
         return TypicalityStatistic(d, fit.means, fit.sigma) if self.statistic == "typicality" else fit
 
@@ -97,6 +98,9 @@ def pvalues(fitted, mode: str, theta: int, X: np.ndarray) -> np.ndarray:
     ``edited_values`` on each chunk of the batch or class: the statistic's
     closed form where it has one (the plug-in and fixed-metric k-NN, or one
     batched IRLS for the logistic), a refit for each edit that form flags.
+    A logistic statistic fits when first read, and these two modes read only
+    its ``data``, so neither fits ``fitted`` or the augmented set: the
+    batched IRLS fits the edited sets whose values it returns, and no more.
     A degenerate removal aborts the p-value (skipping a member would break
     exchangeability) with the member's row as ``swap_index``. ``naive``
     scores against the unedited fit. A ``TypicalityStatistic`` is an exact

@@ -60,9 +60,11 @@ def test_read_attributes_resolve():
 def test_tracer_counters_read_results_and_see_every_edit():
     """``COUNTERS`` read ``.iterations`` and ``.separated`` off
     ``fit_logistic``'s result, ``.n`` off edited training sets, and the edit's
-    kind off ``gaussian_update``'s arguments. The statistics' ``edit`` methods
-    must call the module-level ``gaussian_update`` and ``fit_logistic``, or
-    the tracer's replacements would not see them."""
+    kind off ``gaussian_update``'s arguments. The plug-in's ``edit`` must
+    call the module-level ``gaussian_update``, and every logistic fit that is
+    made must go through the module-level ``fit_logistic``, or the tracer's
+    replacements would not see them. A logistic statistic fits when first
+    read, so an edit that nobody reads fits nothing."""
     rng = np.random.default_rng(5)
     d = TrainingSet(rng.normal(size=(12, 2)) + np.repeat([[0.0, 0.0], [1.0, 1.0]], 6, axis=0),
                     np.repeat([1, 2], 6), 2, ("1", "2"))
@@ -74,6 +76,8 @@ def test_tracer_counters_read_results_and_see_every_edit():
         logistic = PermutationMethod("logistic").fit(d)
         edited = logistic.edit(Remove(0))
         PermutationMethod("plugin").fit(d).edit(Remove(0)).edit(Augment(x, 1))
+        assert tracer.calls["estimators.fit_logistic"] == 0
+        logistic.iterations, edited.iterations
     finally:
         tracer.active = False
         tracer.uninstall()

@@ -455,6 +455,9 @@ class TestLogistic:
         d = sample_gaussian_mixture(model22, [5, 5, 5], seed=2)
         with pytest.raises(ValueError):
             fit_logistic(d)
+        # at construction, so before any fit is read
+        with pytest.raises(ValueError, match="exactly 2 classes"):
+            PermutationMethod("logistic").fit(d)
 
     def test_antisymmetry_exact(self, train2):
         stat = PermutationMethod("logistic").fit(train2)
@@ -479,6 +482,12 @@ class TestLogistic:
         with pytest.warns(UserWarning, match="ridge"):
             fit = fit_logistic(d)
         assert np.all(np.isfinite(fit.coefficients))
+        # a lazy statistic warns when its fit is first read, and not before
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lazy = PermutationMethod("logistic").fit(d)
+        with pytest.warns(UserWarning, match="ridge"):
+            assert lazy.coefficients.tobytes() == fit.coefficients.tobytes()
 
     def test_fit_bits_do_not_depend_on_its_batch(self):
         """``fit_logistic`` is the batched IRLS on a batch of one. Every set
@@ -598,6 +607,48 @@ class TestLogistic:
         res = minimize(nll, np.zeros(3), method="BFGS")
         ours = np.concatenate([[fit.intercept], fit.coefficients])
         assert np.allclose(ours, res.x, atol=1e-4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["plain", "separated", "collinear"]),
+           q=st.integers(1, 3))
+    def test_lazy_edit_has_the_bits_of_an_eager_fit(self, seed, kind, q):
+        """``PermutationMethod("logistic").fit(d).edit(e)`` fits nothing
+        until it is read; then it makes one fit through the module-level
+        ``fit_logistic``, with every bit of ``fit_logistic(d.edit(e))`` and as
+        many ridge warnings, for a ``Remove``, an ``Augment`` and a
+        ``Relabel``, on random 2-class sets, separable and collinear ones
+        among them."""
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(np.repeat([1, 2], rng.integers(3, 12, size=2)))
+        feats = rng.normal(size=(labels.size, q)) + (labels == 2)[:, None] * rng.uniform(0, 2)
+        if kind == "separated":
+            feats[:, 0] = np.where(labels == 2, 1.0, -1.0) * (np.abs(feats[:, 0]) + 0.05)
+        elif kind == "collinear":
+            feats = np.hstack([feats, feats[:, :1]])
+        d = TrainingSet(feats, labels, 2, ("1", "2"))
+        i = int(rng.integers(d.n))
+        x = feats[rng.integers(d.n)] if rng.random() < 0.5 else rng.normal(size=d.q)
+        pts = np.vstack([x, feats])
+
+        def ridge_warnings(fn):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", UserWarning)
+                result = fn()
+            return result, sum("ridge" in str(w.message) for w in caught)
+
+        def bits(stat):
+            floats = np.r_[stat.intercept, stat.coefficients, stat.gradient_norm,
+                           stat.evaluate(1, pts), stat.evaluate(2, pts)]
+            return floats.view(np.uint64).tolist(), stat.iterations, stat.separated
+
+        for edit in (Remove(i), Augment(x, int(rng.integers(1, 3))), Relabel(i, 3 - int(labels[i]))):
+            with mock.patch.object(estimators, "fit_logistic", wraps=estimators.fit_logistic) as fits:
+                lazy = PermutationMethod("logistic").fit(d).edit(edit)
+                assert fits.call_count == 0, edit
+                lazy_bits = ridge_warnings(lambda: bits(lazy))
+                assert fits.call_count == 1, edit
+            eager, warned = ridge_warnings(lambda: fit_logistic(d.edit(edit)))
+            assert lazy_bits == (bits(eager), warned), edit
 
 
 class TestKnnStatisticSymmetry:

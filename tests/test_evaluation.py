@@ -240,6 +240,17 @@ class TestEditLoop:
         d = _awkward_set(2, 2, 0)
         assert self._edits(monkeypatch, d, PermutationMethod("logistic", mode)) == []
 
+    @pytest.mark.parametrize("mode, fits", (("valid-shortcut", 1), ("naive", 0)))
+    def test_logistic_fits_only_what_it_reads(self, monkeypatch, mode, fits):
+        # valid-shortcut ranks the own class by the base fit's values; every
+        # relabel or removal is fitted in the batched IRLS, which does not go
+        # through fit_logistic, so naive reads no single fit
+        calls = []
+        fit = estimators.fit_logistic
+        monkeypatch.setattr(estimators, "fit_logistic", lambda d: calls.append(d) or fit(d))
+        crossval_pvalues(_awkward_set(2, 2, 0), PermutationMethod("logistic", mode))
+        assert len(calls) == fits
+
     @pytest.mark.parametrize("kwargs", [
         pytest.param({"k": 3}, id="knn"),
         pytest.param({"k": 3, "scale_features": True}, id="scaled-knn"),

@@ -1,19 +1,24 @@
 import math
 from dataclasses import dataclass, field
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from classpv import estimators
 from classpv import (
     Augment,
     DegenerateFitError,
+    ExperimentConfig,
     PermutationMethod,
     Remove,
     fit_pooled_gaussian,
     pvalue,
     pvalue_vector,
+    pvalues,
     sample_gaussian_mixture,
     validate_training_set,
+    validity_experiment,
 )
 from classpv.core import TrainingSet
 from classpv.estimators import KnnStatistic
@@ -281,6 +286,29 @@ def test_pvalue_reuses_fit_and_checks_arguments(train2):
         pvalue(fitted, "fast", 1, x)
     with pytest.raises(ValueError):
         pvalue(fitted, method.mode, 3, x)
+
+
+class TestLogisticFits:
+    """Fits counted at the module-level ``fit_logistic``, through which every
+    logistic fit of one data set goes. Both exchangeable modes read only the
+    statistic's ``data``: their edited sets are fitted in one batched IRLS
+    per chunk, so neither fits D or an augmented set on its own."""
+
+    @pytest.mark.parametrize("mode", ("exact-swap", "valid-shortcut"))
+    def test_pvalues_make_no_fit(self, train2, mode):
+        queries = np.random.default_rng(3).normal(size=(4, 2))
+        with mock.patch.object(estimators, "fit_logistic", wraps=estimators.fit_logistic) as fits:
+            fitted = PermutationMethod("logistic", mode).fit(train2)
+            for theta in (1, 2):
+                pvalues(fitted, mode, theta, queries)
+        assert fits.call_count == 0
+
+    def test_validity_experiment_makes_no_fit(self, model2):
+        methods = tuple(PermutationMethod("logistic", mode) for mode in ("exact-swap", "valid-shortcut"))
+        cfg = ExperimentConfig(model=model2, sizes=(8, 8), methods=methods, replications=3, master_seed=4)
+        with mock.patch.object(estimators, "fit_logistic", wraps=estimators.fit_logistic) as fits:
+            validity_experiment(cfg)
+        assert fits.call_count == 0
 
 
 def test_method_validation():
