@@ -373,6 +373,11 @@ def cmd_simulate(args) -> int:
         lo, hi, points = args.grid_min, args.grid_max, args.grid_points
         if points < 0:
             raise ValueError(f"--grid-points must be non-negative, got {points}")
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"--grid-min and --grid-max must be finite, got {lo} and {hi}")
+        if points > 1 and lo >= hi:
+            # the lattice ascends: row 0 of the map and of its SVG is the smallest y
+            raise ValueError(f"--grid-min must be below --grid-max, got {lo} and {hi}")
         xs = np.linspace(lo, hi, points)
         ys = np.linspace(lo, hi, points)
         if args.train:

@@ -168,6 +168,13 @@ def check_point(x: np.ndarray, q: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (q,):
         raise ValueError(f"feature vector has shape {x.shape}, expected ({q},)")
+    return check_finite(x)
+
+
+def check_finite(x: np.ndarray) -> np.ndarray:
+    """x, a point or a batch of points, as a float array; ValueError on a NaN
+    or infinite component, which no p-value could rank."""
+    x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("feature vector contains non-finite values")
     return x

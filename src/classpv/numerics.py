@@ -5,12 +5,16 @@ gamma/beta functions (series vs. continued-fraction switching) so the
 package carries no dependency beyond numpy and produces bit-reproducible
 values across platforms.
 
-There is one forward substitution, ``solve_lower``. It works elementwise
-across the columns of its right-hand side and adds each row's terms in a
-fixed order; ``whiten_rows`` is its row-major view and ``mahalanobis_sq``
-sums its squared components one at a time. A point therefore gets the same
-bits alone as in a batch of any width, which the rank p-values need: a
-training row equal to a query must tie with it exactly.
+There is one order of forward substitution: row j adds its terms
+L[j, k] y[k] for k = 0, 1, ..., j - 1, then subtracts and divides,
+elementwise across the points. ``solve_lower`` runs it on the columns of its
+right-hand side and ``whiten_rows`` is its row-major view.
+``mahalanobis_sq_columns`` runs it on component columns, ``x[:, j] - mu[j]``
+with no (m, q) difference or transposed copy, and sums the squared
+components one at a time; ``mahalanobis_sq`` is its one-class case. A point
+therefore gets the same bits alone as in a batch of any width, which the
+rank p-values need: a training row equal to a query must tie with it
+exactly.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ __all__ = [
     "f_cdf",
     "log_sum_exp",
     "mahalanobis_sq",
+    "mahalanobis_sq_columns",
     "solve_lower",
     "std_normal_cdf",
     "whiten_rows",
@@ -283,20 +288,41 @@ class SpdMatrix:
 
 
 def mahalanobis_sq(x: np.ndarray, mu: np.ndarray, sigma: SpdMatrix) -> np.ndarray | float:
-    """Squared Mahalanobis norm of x - mu, via triangular solve against the cached factor.
+    """Squared Mahalanobis norm of x - mu against the cached factor.
 
     x may be a single vector (q,) or a batch (m, q); batches return an (m,)
     array, whose entry for a point has the bits that point gets alone.
     """
     x = np.asarray(x, dtype=float)
-    mu = np.asarray(mu, dtype=float)
     single = x.ndim == 1
-    diff = (x[None, :] if single else x) - mu[None, :]
-    if diff.shape[1] != sigma.dim:
-        raise ValueError(f"dimension mismatch: points have {diff.shape[1]} components, matrix is {sigma.dim}x{sigma.dim}")
-    y = solve_lower(sigma.chol_lower, diff.T)
-    # one component at a time, so a point's bits do not depend on the batch
-    out = np.zeros(y.shape[1])
-    for component in y:
-        out += component * component
+    pts = x[None, :] if single else x
+    out = mahalanobis_sq_columns(pts.T, np.asarray(mu, dtype=float), sigma)
     return float(out[0]) if single else out
+
+
+def mahalanobis_sq_columns(columns: np.ndarray, mu: np.ndarray, sigma: SpdMatrix) -> np.ndarray:
+    """Squared Mahalanobis norms of m points given as a (q, m) array of
+    component columns, which a caller scoring several classes splits once.
+
+    The substitution and the sum of squares go in ``solve_lower``'s order of
+    operations, so a point gets the bits of ``solve_lower`` on its difference,
+    alone or in any batch.
+    """
+    lower = sigma.chol_lower
+    if columns.shape[0] != sigma.dim:
+        raise ValueError(f"dimension mismatch: points have {columns.shape[0]} components, matrix is {sigma.dim}x{sigma.dim}")
+    whitened = []
+    for j in range(sigma.dim):
+        y = columns[j] - mu[j]
+        if j > 0:
+            terms = lower[j, 0] * whitened[0]
+            for k in range(1, j):
+                terms += lower[j, k] * whitened[k]
+            y -= terms
+        y /= lower[j, j]
+        whitened.append(y)
+    out = np.zeros(columns.shape[1])
+    for y in whitened:
+        y *= y
+        out += y
+    return out

@@ -21,12 +21,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import check_alpha, check_label
+from .core import check_alpha, check_finite, check_label
 from .numerics import (
     SpdMatrix,
     chisq_sf,
     log_sum_exp,
     mahalanobis_sq,
+    mahalanobis_sq_columns,
     solve_lower,
     std_normal_cdf,
 )
@@ -111,7 +112,9 @@ class GaussianMixtureModel:
         """
         check_label(theta, self.n_classes)
         z = rng.standard_normal((size, self.q))
-        return self.means[theta - 1] + z @ self.covariances[theta - 1].chol_lower.T
+        out = z @ self.covariances[theta - 1].chol_lower.T
+        out += self.means[theta - 1]
+        return out
 
 
 def log_weighted_lr(
@@ -127,34 +130,45 @@ def log_weighted_lr(
     on ratios among the non-theta weights. Shared kernel for the known-model
     statistic and the plug-in statistic, so the two agree exactly when handed
     the same parameters. x may be (q,) or (m, q).
+
+    Every class is scored from one split of x into component columns, and
+    the L - 1 terms and their shift go into buffers made once per call, with
+    the operations of ``log_sum_exp`` over the stacked terms: a row gets the
+    same bits alone and in any batch.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x[None, :] if single else x
-    n_classes = len(covariances)
-    log_dens = np.empty((n_classes, pts.shape[0]))
+    columns = np.ascontiguousarray(pts.T)
     q = pts.shape[1]
-    for b in range(n_classes):
-        cov = covariances[b]
-        log_dens[b] = -0.5 * (q * _LOG_2PI + cov.log_det + mahalanobis_sq(pts, means[b], cov))
-    others = [b for b in range(n_classes) if b != theta - 1]
+    log_dens = []
+    for mu, cov in zip(means, covariances):
+        msq = mahalanobis_sq_columns(columns, mu, cov)
+        msq += q * _LOG_2PI + cov.log_det
+        msq *= -0.5
+        log_dens.append(msq)
+    others = [b for b in range(len(covariances)) if b != theta - 1]
     log_norm = math.log(float(np.sum(weights[others])))
-    terms = (
-        np.log(weights[others])[:, None]
-        - log_norm
-        + log_dens[others]
-        - log_dens[theta - 1][None, :]
-    )
-    out = log_sum_exp(terms, axis=0)
+    terms = np.empty((len(others), pts.shape[0]))
+    for row, b, log_w in zip(terms, others, np.log(weights[others]) - log_norm):
+        np.add(log_dens[b], log_w, out=row)
+        row -= log_dens[theta - 1]
+    if len(others) == 1:
+        out = terms[0]
+    else:
+        shift = np.max(terms, axis=0)
+        shift[~np.isfinite(shift)] = 0.0
+        terms -= shift
+        out = np.sum(np.exp(terms, out=terms), axis=0)
+        np.log(out, out=out)
+        out += shift
     return float(out[0]) if single else out
 
 
 def optimal_statistic(model: GaussianMixtureModel, theta: int, x: np.ndarray) -> float:
     """Weighted likelihood-ratio statistic against class theta; small means plausible."""
     check_label(theta, model.n_classes)
-    return math.exp(
-        log_weighted_lr(model.weights, model.means, model.covariances, theta, np.asarray(x, dtype=float))
-    )
+    return math.exp(log_weighted_lr(model.weights, model.means, model.covariances, theta, check_finite(x)))
 
 
 def optimal_pvalue_mc(
@@ -185,10 +199,12 @@ class OptimalMonteCarlo:
     later evaluations (region maps, risk estimates, ROC curves) at O(log M)
     per point. ``log_stat(theta, pts)`` maps an
     (m, q) batch to m values, larger meaning class theta is less plausible;
-    the default, the log weighted likelihood ratio, gives the optimal
-    p-values. It is called on blocks of at most about ``_BLOCK`` rows, so it
-    must give a row the same bits in any batch, as ``mahalanobis_sq`` does;
-    the class then holds M statistics and one block's temporaries.
+    the default, ``log_weighted_lr``, gives the optimal p-values and splits
+    each block into component columns once for all classes. It is called on
+    blocks of at most about ``_BLOCK`` rows, so it must give a row the same
+    bits in any batch, as ``mahalanobis_sq_columns`` does; the class then
+    holds M statistics and one block's temporaries. A query with a NaN or
+    infinite component raises ``ValueError`` before any draw.
     """
 
     def __init__(
@@ -212,9 +228,9 @@ class OptimalMonteCarlo:
 
     def pvalues(self, theta: int, x: np.ndarray) -> np.ndarray | float:
         """P-values for class theta at x, a single point (q,) or each row of
-        a batch (m, q)."""
+        a batch (m, q); ValueError on a non-finite component."""
         check_label(theta, self.model.n_classes)
-        x = np.asarray(x, dtype=float)
+        x = check_finite(x)
         stats = self._sorted_stats.get(theta)
         if stats is None:
             # each block is drawn and scored before the next is drawn, so the
@@ -264,7 +280,7 @@ def optimal_pvalue_2class_closed(model: GaussianMixtureModel, theta: int, x: np.
     if delta_sq <= 0.0:
         raise ValueError("class means coincide; the discriminant direction is undefined")
     delta = math.sqrt(delta_sq)
-    x = np.asarray(x, dtype=float)
+    x = check_finite(x)
     pts = np.atleast_2d(x)
     midpoint = 0.5 * (mu1 + mu2)
     # z(x) = (x - midpoint)^T Sigma^{-1} (mu2 - mu1) / delta via two triangular solves
@@ -279,7 +295,7 @@ def optimal_pvalue_2class_closed(model: GaussianMixtureModel, theta: int, x: np.
 def typicality_known(model: GaussianMixtureModel, theta: int, x: np.ndarray) -> float:
     """Outlyingness p-value of x with respect to the class-theta distribution alone."""
     check_label(theta, model.n_classes)
-    msq = mahalanobis_sq(np.asarray(x, dtype=float), model.means[theta - 1], model.covariances[theta - 1])
+    msq = mahalanobis_sq(check_finite(x), model.means[theta - 1], model.covariances[theta - 1])
     return chisq_sf(float(msq), model.q)
 
 

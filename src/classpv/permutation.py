@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Augment, PValueVector, TrainingSet, check_label, check_point, rank_pvalue
+from .core import Augment, PValueVector, TrainingSet, check_finite, check_label, check_point, rank_pvalue
 from .estimators import (
     _BLOCK_ELEMENTS,
     KnnStatistic,
@@ -122,8 +122,7 @@ def pvalues(fitted, mode: str, theta: int, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != d.q:
         raise ValueError(f"query batch has shape {X.shape}, expected (m, {d.q})")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("feature vector contains non-finite values")
+    check_finite(X)
     if isinstance(fitted, TypicalityStatistic):
         return typicality_index(fitted, theta, X)
     out = np.empty(X.shape[0])

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from types import SimpleNamespace
@@ -354,6 +355,36 @@ class TestSimulateAndDeterminism:
         assert rc == 2
         assert "--grid-points must be non-negative, got -1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("bounds", "message"),
+        [
+            (["--grid-min", "nan"], "must be finite"),
+            (["--grid-max", "inf"], "must be finite"),
+            (["--grid-min=-inf"], "must be finite"),
+            (["--grid-min", "2", "--grid-max", "1"], "must be below --grid-max, got 2.0 and 1.0"),
+            (["--grid-min", "1", "--grid-max", "1"], "must be below --grid-max, got 1.0 and 1.0"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ("model", "train"))
+    def test_region_map_bad_lattice_exit_2(self, tmp_path, train_csv, capsys, bounds, message, source):
+        train_path, _ = train_csv
+        given = ["--model", "example22"] if source == "model" else ["--train", str(train_path), "--label", "label"]
+        out = tmp_path / "bad"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["simulate", "region-map", *given, *bounds, "--grid-points", "5", "--mc-samples", "100",
+                       "--seed", "5", "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_region_map_of_one_lattice_point_takes_any_bounds(self, tmp_path):
+        out = tmp_path / "one"
+        rc = main(["simulate", "region-map", "--model", "example22", "--grid-min", "1", "--grid-max", "1",
+                   "--grid-points", "1", "--mc-samples", "100", "--seed", "5", "--out", str(out)])
+        assert rc == 0
+        assert [(r["x"], r["y"]) for r in _read_csv(out / "region_map_alpha0.05.csv")] == [("1", "1")]
 
     def test_convergence_without_queries_exit_2(self, tmp_path, capsys):
         rc = main([

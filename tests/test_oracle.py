@@ -22,7 +22,7 @@ from classpv import (
     std_normal_cdf,
     typicality_known,
 )
-from classpv.numerics import log_sum_exp, mahalanobis_sq
+from classpv.numerics import log_sum_exp, mahalanobis_sq, solve_lower
 from classpv.oracle import log_inflated_statistic, log_weighted_lr
 
 
@@ -440,9 +440,9 @@ class TestBlocks:
         assert peak < 5 * 8 * m, peak / (8 * m)
 
 
-def _random_model(seed: int, q: int, common: bool) -> GaussianMixtureModel:
+def _random_model(seed: int, q: int, common: bool, n_classes: int | None = None) -> GaussianMixtureModel:
     rng = np.random.default_rng(seed)
-    n_classes = 2 + seed % 2
+    n_classes = n_classes or 2 + seed % 2
     weights = rng.uniform(0.2, 1.0, size=n_classes)
     covs = []
     for _ in range(n_classes):
@@ -477,6 +477,100 @@ def test_blocks_rest_on_row_bits_that_do_not_depend_on_the_batch(seed, q, m, dat
     rng = np.random.default_rng(seed)
     parts = np.vstack([model.sample(theta, split, rng), model.sample(theta, m - split, rng)])
     assert np.array_equal(whole, parts)
+
+
+class TestNonFinitePoints:
+    """A NaN or infinite point has no place among the draws: every known-model
+    entry point raises, as the permutation p-values do, rather than count it
+    as the least plausible point (p = 1/(M + 1)) or return NaN."""
+
+    BAD = [np.array([np.nan, 0.0]), np.array([0.0, np.inf]), np.array([[0.0, 0.0], [-np.inf, 1.0]])]
+
+    @pytest.mark.parametrize("x", BAD, ids=["nan", "inf", "batch"])
+    def test_every_entry_point_raises(self, model2, model22, x):
+        calls = [
+            lambda: optimal_pvalue_mc(model22, 1, x, mc_samples=100),
+            lambda: compromise_pvalue(model22, 0.1, 2, x, mc_samples=100),
+            lambda: inflated_pvalue(model2, 2.0, 1, x, mc_samples=100),
+            lambda: optimal_pvalue_2class_closed(model2, 2, x),
+        ]
+        if x.ndim == 1:
+            calls += [lambda: typicality_known(model22, 3, x), lambda: optimal_statistic(model22, 1, x)]
+        for call in calls:
+            with pytest.raises(ValueError, match="non-finite"):
+                call()
+
+    def test_engine_raises_before_it_draws(self, model22):
+        engine = OptimalMonteCarlo(model22, mc_samples=100, seed=1)
+        with pytest.raises(ValueError, match="non-finite"):
+            engine.pvalues(1, np.array([[0.0, 0.0], [np.nan, 0.0]]))
+        assert engine._sorted_stats == {}
+
+
+def _bits(values) -> np.ndarray:
+    return np.atleast_1d(np.asarray(values, dtype=float)).view(np.uint64)
+
+
+def _reference_mahalanobis_sq(pts: np.ndarray, mu: np.ndarray, sigma: SpdMatrix) -> np.ndarray:
+    """The row formula the column kernel replaced: ``solve_lower`` on the
+    transposed difference, squares summed one component at a time."""
+    y = solve_lower(sigma.chol_lower, (pts - mu[None, :]).T)
+    out = np.zeros(pts.shape[0])
+    for component in y:
+        out += component * component
+    return out
+
+
+def _reference_log_weighted_lr(model: GaussianMixtureModel, theta: int, pts: np.ndarray) -> np.ndarray:
+    """The stacked formula the column kernel replaced: every class's log
+    density in one array, then ``log_sum_exp`` over the competitor terms."""
+    q = pts.shape[1]
+    log_dens = np.stack([
+        -0.5 * (q * math.log(2.0 * math.pi) + cov.log_det + _reference_mahalanobis_sq(pts, mu, cov))
+        for mu, cov in zip(model.means, model.covariances)
+    ])
+    others = [b for b in range(model.n_classes) if b != theta - 1]
+    log_norm = math.log(float(np.sum(model.weights[others])))
+    terms = np.log(model.weights[others])[:, None] - log_norm + log_dens[others] - log_dens[theta - 1][None, :]
+    return np.atleast_1d(log_sum_exp(terms, axis=0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    q=st.integers(1, 6),
+    n_classes=st.integers(2, 4),
+    m=st.integers(2, 120),
+    data=st.data(),
+)
+def test_column_kernel_keeps_the_bits_of_the_row_formula(seed, q, n_classes, m, data):
+    """``mahalanobis_sq`` and ``log_weighted_lr`` score from component
+    columns; a row gets the bits of the row formula they replaced, and the
+    same bits alone, in the whole batch and in blocks. The batch holds
+    copied rows and rows 10^3 away."""
+    model = _random_model(seed, q, common=data.draw(st.booleans()), n_classes=n_classes)
+    rng = np.random.default_rng(seed + 1)
+    pts = rng.normal(size=(m, q)) * 4.0
+    pts[rng.random(m) < 0.2] *= 1e3
+    copies = rng.integers(0, m, size=m // 4)
+    pts[rng.integers(0, m, size=copies.size)] = pts[copies]
+    theta = data.draw(st.integers(1, n_classes))
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, m - 1), max_size=4))))
+    kernels = [
+        (lambda p: mahalanobis_sq(p, model.means[theta - 1], model.covariances[theta - 1]),
+         lambda p: _reference_mahalanobis_sq(p, model.means[theta - 1], model.covariances[theta - 1])),
+        (lambda p: log_weighted_lr(model.weights, model.means, model.covariances, theta, p),
+         lambda p: _reference_log_weighted_lr(model, theta, p)),
+    ]
+    for kernel, reference in kernels:
+        whole = _bits(kernel(pts))
+        assert np.array_equal(whole, _bits(reference(pts)))
+        assert np.array_equal(whole, _bits(np.concatenate([kernel(block) for block in np.split(pts, cuts)])))
+        assert np.array_equal(whole, _bits([kernel(row) for row in pts]))
+        # copied rows tie
+        _, group = np.unique(pts, axis=0, return_inverse=True)
+        first = np.unique(group, return_index=True)[1]
+        assert np.array_equal(whole, whole[first][group])
 
 
 def test_model_validation():
