@@ -24,8 +24,10 @@ refit. The plug-in statistic has a closed form for every kind (a whitened
 rank-two Woodbury solve, its query-free terms made once per call), the
 fixed-metric k-NN statistic for augment, relabel and loo (one block of
 distances), and the logistic statistic fits every kind's edited sets in one
-batched IRLS, which ``fit_logistic`` runs on a batch of one to fit a
-statistic's own data.
+batched IRLS. ``_logistic_edited_values`` runs that IRLS over the edited
+sets of many logistic statistics at once, which the method runs on one and
+``permutation`` on a chunk of them, and ``fit_logistic`` runs it on a batch
+of one to fit a statistic's own data.
 
 Every fit computes its sums over a canonical row ordering, so the fitted
 statistic is exactly symmetric in each class's training rows: shuffling the
@@ -603,32 +605,55 @@ class LogisticStatistic:
         return LogisticStatistic(self.data.edit(edit))
 
     def edited_values(self, theta: int, kind: str, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The module-level ``edited_values`` from one batched IRLS over the
-        m edited sets, none flagged. Each set's rows are those of ``data``
-        (and the query, for ``"augment"``) in the order of their features
-        alone, the order that ``fit_logistic`` sorts by label, so every fit
-        has the bits of ``fit_logistic`` on the edited data."""
-        d, m = self.data, len(X)
-        features, labels = d.features, d.labels
+        """The module-level ``edited_values``: ``_logistic_edited_values``
+        on this one statistic, none flagged."""
+        return _logistic_edited_values([self], theta, kind, [X])[0], np.zeros(len(X), dtype=bool)
+
+
+def _logistic_edited_values(stats, theta: int, kind: str, Xs) -> list[np.ndarray]:
+    """The module-level ``edited_values`` of each logistic statistic
+    ``stats[s]`` at the edits ``Xs[s]``, from one batched IRLS over all their
+    edited sets, which must have one size. Each set's rows are those of its
+    statistic's ``data`` (and the query, for ``"augment"``) in the order of
+    their features alone, the order that ``fit_logistic`` sorts by label, so
+    every fit has the bits of ``fit_logistic`` on the edited data. The
+    statistics' features are stacked, each set's rows offset by the rows
+    before its statistic's, and the points are scored once the fits are
+    made, so their arrays do not add to the IRLS's."""
+    width = stats[0].data.n + {"augment": 1, "relabel": 0}.get(kind, -1)
+    rows = np.empty((sum(map(len, Xs)), width), dtype=np.intp)
+    labels = np.empty(rows.shape, dtype=np.int64)
+    features, start, offset = [], 0, 0
+    for stat, X in zip(stats, Xs):
+        d, m = stat.data, len(X)
+        stat_features, stat_labels = d.features, d.labels
         if kind == "augment":
-            features = np.vstack([features, X])
-            labels = np.append(labels, np.full(m, theta))
-        order = _canonical_order(features, np.zeros(len(features)))
-        rows = np.broadcast_to(order, (m, order.size))
+            stat_features = np.vstack([stat_features, X])
+            stat_labels = np.append(stat_labels, np.full(m, theta))
+        order = _canonical_order(stat_features, np.zeros(len(stat_features)))
+        set_rows = np.broadcast_to(order, (m, order.size))
         if kind == "augment":
-            rows = rows[(rows < d.n) | (rows == d.n + np.arange(m)[:, None])].reshape(m, d.n + 1)
+            set_rows = set_rows[(set_rows < d.n) | (set_rows == d.n + np.arange(m)[:, None])].reshape(m, d.n + 1)
         elif kind != "relabel":
-            rows = rows[rows != X[:, None]].reshape(m, d.n - 1)
-        set_labels = labels[rows]
+            set_rows = set_rows[set_rows != X[:, None]].reshape(m, d.n - 1)
+        np.take(stat_labels, set_rows, out=labels[start : start + m])
         if kind == "relabel":
-            set_labels[rows == X[:, None]] = theta
-        beta = _logistic_fits(features, rows, set_labels)[0]
-        pts = (X if kind == "augment" else features[X])[:, None, :]
+            labels[start : start + m][set_rows == X[:, None]] = theta
+        np.add(set_rows, offset, out=rows[start : start + m])
+        features.append(stat_features)
+        start, offset = start + m, offset + len(stat_features)
+    beta = _logistic_fits(np.vstack(features), rows, labels)[0]
+    out, start = [], 0
+    for stat, X in zip(stats, Xs):
+        d, stat_beta = stat.data, beta[start : start + len(X)]
+        start += len(X)
+        pts = (X if kind == "augment" else d.features[X])[:, None, :]
         if kind != "loo":
             group = d.features[d.group(theta)]
-            pts = np.concatenate([pts, np.broadcast_to(group, (m,) + group.shape)], axis=1)
-        scores = beta[:, :1] + np.sum(pts * beta[:, None, 1:], axis=2)
-        return (scores if theta == 1 else -scores), np.zeros(m, dtype=bool)
+            pts = np.concatenate([pts, np.broadcast_to(group, (len(X),) + group.shape)], axis=1)
+        scores = stat_beta[:, :1] + np.sum(pts * stat_beta[:, None, 1:], axis=2)
+        out.append(scores if theta == 1 else -scores)
+    return out
 
 
 _LOGISTIC_MAX_ITER = 100
@@ -666,7 +691,9 @@ def _logistic_fits(features: np.ndarray, rows: np.ndarray, labels: np.ndarray):
     """
     sets, by_label = np.arange(len(rows))[:, None], np.argsort(labels, axis=1, kind="stable")
     rows, labels = rows[sets, by_label], labels[sets, by_label]
-    design = np.concatenate([np.ones(rows.shape + (1,)), features[rows]], axis=2)
+    design = np.empty(rows.shape + (features.shape[1] + 1,))
+    design[:, :, 0] = 1.0
+    design[:, :, 1:] = features[rows]
     y = (labels == 2).astype(float)[:, :, None]
     count, _, width = design.shape
     # column vectors throughout, (B, n, 1) and (B, q + 1, 1); ``b`` holds

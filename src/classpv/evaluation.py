@@ -102,13 +102,13 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
         if method.mode == "valid-shortcut":
             out[group, theta - 1] = _rank_in_group(base.evaluate(theta, d.features[group]))
         elif method.mode == "exact-swap":
-            out[group, theta - 1] = _swap_pvalues(base, theta, group)
+            out[group, theta - 1] = _swap_pvalues([base], theta, [group])
         for y in classes:
             rows = d.group(y)
             if y == theta and method.mode != "naive":
                 continue
             if method.mode == "exact-swap":
-                out[rows, theta - 1] = [_swap_pvalues(base.edit(Relabel(i, theta)), theta, [i])[0] for i in rows]
+                out[rows, theta - 1] = _swap_pvalues((base.edit(Relabel(i, theta)) for i in rows), theta, rows)
                 continue
             kind = "remove" if method.mode == "naive" else "relabel"
             for chunk in _chunks(d, theta, rows.size):

@@ -22,8 +22,8 @@ from .oracle import (
     OptimalMonteCarlo,
     optimal_pvalue_2class_closed,
 )
-from .permutation import PermutationMethod, pvalue, pvalues
-from .estimators import default_k
+from .estimators import _BLOCK_ELEMENTS, default_k
+from .permutation import PermutationMethod, _pvalues_each, pvalues
 
 __all__ = [
     "ConvergenceRow",
@@ -139,28 +139,41 @@ def validity_experiment(cfg: ExperimentConfig) -> ValidityResult:
     configured method. A cell passes when its exceedance rate stays below
     alpha + 3 binomial standard errors. The raw p-value samples are kept for
     rank-uniformity checks.
+
+    Replication r draws from generator r of the master seed's spawned
+    sequence. The replications are scored in blocks of about
+    ``_BLOCK_ELEMENTS`` elements of exact-swap design, (n + L) sets of n rows
+    and q + 1 columns each: one call scores a block for each (method,
+    class), so a block's logistic edited sets share one batched IRLS.
+    A p-value keeps its bits in any block, so the results do not depend on
+    how the blocks are cut, and a shorter run is a prefix of a longer one.
     """
     n_reps = cfg.replications
     model = cfg.model
+    classes = range(1, model.n_classes + 1)
     children = np.random.SeedSequence(cfg.master_seed).spawn(n_reps)
     samples = {
         (m.statistic, m.mode, theta): np.empty(n_reps)
         for m in cfg.methods
-        for theta in range(1, model.n_classes + 1)
+        for theta in classes
     }
-    for r in range(n_reps):
-        rng = np.random.default_rng(children[r])
-        d = _sample_training(model, cfg.sizes, rng)
-        queries = [model.sample(theta, 1, rng)[0] for theta in range(1, model.n_classes + 1)]
+    n = sum(cfg.sizes)
+    per_block = max(1, _BLOCK_ELEMENTS // ((n + model.n_classes) * n * (model.q + 1)))
+    for block in np.array_split(np.arange(n_reps), -(-n_reps // per_block)):
+        draws = []
+        for r in block:
+            rng = np.random.default_rng(children[r])
+            d = _sample_training(model, cfg.sizes, rng)
+            draws.append((d, np.vstack([model.sample(theta, 1, rng) for theta in classes])))
         for method in cfg.methods:
-            fitted = method.fit(d)
-            for theta in range(1, model.n_classes + 1):
-                samples[(method.statistic, method.mode, theta)][r] = pvalue(
-                    fitted, method.mode, theta, queries[theta - 1]
-                )
+            fitted = [method.fit(d) for d, _ in draws]
+            for theta in classes:
+                queries = [x[theta - 1 : theta] for _, x in draws]
+                samples[(method.statistic, method.mode, theta)][block] = np.concatenate(
+                    _pvalues_each(fitted, method.mode, theta, queries))
     cells = []
     for method in cfg.methods:
-        for theta in range(1, model.n_classes + 1):
+        for theta in classes:
             pv = samples[(method.statistic, method.mode, theta)]
             for alpha in cfg.alphas:
                 rate = float(np.count_nonzero(pv <= alpha)) / n_reps
@@ -331,7 +344,8 @@ def region_map(
     mc_samples: int = 20_000,
     seed: int = 0,
 ) -> RegionMap:
-    """Evaluate a p-value family on the grid xs x ys (2-D feature space only).
+    """Evaluate a p-value family on the grid xs x ys (2-D feature space only),
+    each axis strictly ascending.
 
     Exactly one of ``model`` (known-model p-values: closed form for two
     homoscedastic classes, otherwise one shared Monte Carlo sample per class)
@@ -342,6 +356,9 @@ def region_map(
     for name, axis in (("xs", xs), ("ys", ys)):
         if axis.size == 0:
             raise ValueError(f"{name} is empty; a region map needs at least one lattice point per axis")
+        if not np.all(np.diff(axis) > 0):
+            # row 0 of the map and of its SVG is the smallest y
+            raise ValueError(f"{name} must be strictly ascending")
     if (model is None) == (training is None):
         raise ValueError("give either a model or training data with a method")
     grid = np.column_stack([np.tile(xs, ys.size), np.repeat(ys, xs.size)])

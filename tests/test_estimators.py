@@ -27,6 +27,7 @@ from classpv.core import TrainingSet
 from classpv.estimators import (
     GaussianStatistic,
     KnnStatistic,
+    LogisticStatistic,
     default_k,
     gaussian_update,
     knn_augmented_counts,
@@ -572,6 +573,44 @@ class TestLogistic:
         for s, f in enumerate(lone):
             assert beta[s].view(np.uint64).tolist() == np.r_[f.intercept, f.coefficients].view(np.uint64).tolist()
             assert (iterations[s], grad_norm[s], separated[s]) == (f.iterations, f.gradient_norm, f.separated), s
+
+    def test_singular_set_in_a_mixed_block_keeps_every_bit(self):
+        """Edited sets of five statistics, stacked as the validity battery
+        stacks its replications, in one ``_logistic_edited_values`` call. One
+        statistic has a constant feature column, so each Newton step of its
+        sets is singular and takes the ridge in ``_newton_steps``. For every
+        kind of edit, each statistic's values have the bits of its lone call,
+        and the block warns of the ridge as often as the lone calls do."""
+        rng = np.random.default_rng(29)
+        labels = np.repeat([1, 2], [9, 10])
+
+        def draw(constant):
+            feats = rng.normal(size=(labels.size, 2)) + (labels == 2)[:, None] * 0.8
+            if constant:
+                feats[:, 1] = 1.0
+            return LogisticStatistic(TrainingSet(feats, labels, 2, ("1", "2")))
+
+        def ridge_warnings(fn):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = fn()
+            return result, sum("ridge" in str(w.message) for w in caught)
+
+        stats = [draw(constant=s == 2) for s in range(5)]
+        for kind in ("augment", "relabel", "remove", "loo"):
+            for theta in (1, 2):
+                if kind == "augment":
+                    # the query keeps the constant column constant
+                    Xs = [np.column_stack([rng.normal(size=3), np.ones(3)]) for _ in stats]
+                else:
+                    Xs = [stat.data.group(3 - theta if kind == "relabel" else theta)[:4] for stat in stats]
+                lone = [ridge_warnings(lambda: estimators._logistic_edited_values([stat], theta, kind, [X]))
+                        for stat, X in zip(stats, Xs)]
+                block, warned = ridge_warnings(lambda: estimators._logistic_edited_values(stats, theta, kind, Xs))
+                assert [count > 0 for _, count in lone] == [s == 2 for s in range(5)], kind
+                assert warned == sum(count for _, count in lone), (kind, theta)
+                for s, ((values,), _) in enumerate(lone):
+                    assert block[s].tobytes() == values.tobytes(), (kind, theta, s)
 
     def test_iteration_cap_separates_by_the_gradient_norm_alone(self, monkeypatch):
         """With the cap at 4, a set still iterating there reads separated,

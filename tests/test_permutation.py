@@ -5,13 +5,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from classpv import estimators
+from classpv import estimators, simulation
 from classpv import (
     Augment,
     DegenerateFitError,
     ExperimentConfig,
     PermutationMethod,
+    Relabel,
     Remove,
+    crossval_pvalues,
     fit_pooled_gaussian,
     pvalue,
     pvalue_vector,
@@ -23,7 +25,7 @@ from classpv import (
 from classpv.core import TrainingSet
 from classpv.estimators import KnnStatistic
 from classpv.oracle import log_weighted_lr
-from classpv.permutation import warn_small_groups
+from classpv.permutation import _swap_pvalues, warn_small_groups
 
 
 @dataclass(eq=False)
@@ -309,6 +311,47 @@ class TestLogisticFits:
         with mock.patch.object(estimators, "fit_logistic", wraps=estimators.fit_logistic) as fits:
             validity_experiment(cfg)
         assert fits.call_count == 0
+
+
+class TestLogisticBatches:
+    """Counts of ``_logistic_fits``, the batched IRLS that every edited
+    logistic set goes through: the validity battery fits a block of
+    replications' sets per class in one call, and exact-swap holds the
+    edited fits of several queries or rows for one call, with every p-value
+    bit of one edit at a time."""
+
+    @pytest.mark.parametrize("mode", ("exact-swap", "valid-shortcut"))
+    def test_battery_makes_one_call_per_class_and_block(self, model2, mode):
+        # the benchmark's battery: 60 replications of 19 + 19 points, which a
+        # per-replication loop fitted in 120 calls
+        sizes, reps = (19, 19), 60
+        n = sum(sizes)
+        blocks = -(-reps // max(1, simulation._BLOCK_ELEMENTS // ((n + 2) * n * 3)))
+        cfg = ExperimentConfig(model=model2, sizes=sizes, methods=(PermutationMethod("logistic", mode),),
+                               alphas=(0.05,), replications=reps, master_seed=1)
+        with mock.patch.object(estimators, "_logistic_fits", wraps=estimators._logistic_fits) as fits:
+            validity_experiment(cfg)
+        assert blocks == 2 and fits.call_count == 2 * blocks
+
+    def test_exact_swap_holds_edits_without_moving_a_bit(self, train2):
+        method = PermutationMethod("logistic", "exact-swap")
+        fitted = method.fit(train2)
+        X = np.random.default_rng(8).normal(size=(9, 2))
+        X[0] = train2.features[5]
+        with mock.patch.object(estimators, "_logistic_fits", wraps=estimators._logistic_fits) as fits:
+            batch = [pvalues(fitted, "exact-swap", theta, X) for theta in (1, 2)]
+            cv = crossval_pvalues(train2, method).pvalues
+        # one call per class for the queries; per class, one for the own
+        # class's "loo" values and one for every row relabelled into it
+        assert fits.call_count == 2 + 2 * 2
+        for theta in (1, 2):
+            assert batch[theta - 1].tolist() == [pvalue(fitted, "exact-swap", theta, x) for x in X]
+            group = train2.group(theta)
+            expected = np.empty(train2.n)
+            expected[group] = _swap_pvalues([fitted], theta, [group])
+            for i in train2.group(3 - theta):
+                expected[i] = _swap_pvalues([fitted.edit(Relabel(int(i), theta))], theta, [i])[0]
+            assert cv[:, theta - 1].tolist() == expected.tolist()
 
 
 def test_method_validation():

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from classpv import estimators, simulation
 from classpv import (
     ExperimentConfig,
     PermutationMethod,
     convergence_experiment,
     example22_model,
+    pvalue,
     region_map,
     sample_gaussian_mixture,
+    standard_2class_model,
     validity_experiment,
 )
 from classpv.oracle import optimal_pvalue_2class_closed
@@ -73,11 +76,13 @@ class TestValidityExperiment:
 
     def test_substream_prefix_property(self, model2):
         # replication r depends only on its own spawned seed, so a shorter run
-        # is a prefix of a longer one
-        small = validity_experiment(self._config(model2, reps=20))
-        large = validity_experiment(self._config(model2, reps=40))
-        key = ("plugin", "valid-shortcut", 1)
-        assert np.array_equal(small.samples[key], large.samples[key][:20])
+        # is a prefix of a longer one, the logistic's batched fits included
+        methods = (PermutationMethod("plugin", "valid-shortcut"),) + tuple(
+            PermutationMethod("logistic", mode) for mode in ("exact-swap", "valid-shortcut"))
+        small = validity_experiment(self._config(model2, reps=20, methods=methods))
+        large = validity_experiment(self._config(model2, reps=40, methods=methods))
+        for key in small.samples:
+            assert np.array_equal(small.samples[key], large.samples[key][:20]), key
 
     def test_naive_mode_reported_not_asserted(self, model2):
         cfg = self._config(
@@ -100,6 +105,64 @@ class TestValidityExperiment:
         result = validity_experiment(self._config(model2, reps=200))
         for cell in result.cells:
             assert cell.rate <= cell.bound + 1e-12
+
+
+class TestBatteryBlocks:
+    """``validity_experiment`` scores a block of replications for each
+    (method, class) in one call, so a block's logistic edited sets share one
+    batched IRLS. Every sample must have the bits of ``pvalue`` on its own
+    replication, drawn as the experiment documents."""
+
+    @staticmethod
+    def _per_replication(cfg, method, theta):
+        classes = range(1, cfg.model.n_classes + 1)
+        out = []
+        for child in np.random.SeedSequence(cfg.master_seed).spawn(cfg.replications):
+            rng = np.random.default_rng(child)
+            d = simulation._sample_training(cfg.model, cfg.sizes, rng)
+            queries = [cfg.model.sample(t, 1, rng)[0] for t in classes]
+            out.append(pvalue(method.fit(d), method.mode, theta, queries[theta - 1]))
+        return out
+
+    @pytest.mark.parametrize("delta, q, sizes, reps, case", [
+        (2.0, 2, (19, 19), 9, "plain"),
+        (9.0, 1, (5, 7), 13, "separated"),
+        (0.5, 2, (8, 6), 11, "iteration-cap"),
+        (2.0, 2, (9, 10), 11, "split-blocks"),
+    ])
+    def test_logistic_samples_equal_a_per_replication_loop(self, monkeypatch, delta, q, sizes, reps, case):
+        """Exact-swap and valid-shortcut, on sets that separate, at an
+        iteration cap of 5 (as in the batch tests of ``_logistic_fits``), and
+        with blocks of 3 replications, so that blocks of 3, 3, 3 and 2 split
+        the battery; each case's fits show what it is there for."""
+        if case == "iteration-cap":
+            monkeypatch.setattr(estimators, "_LOGISTIC_MAX_ITER", 5)
+        if case == "split-blocks":
+            n = sum(sizes)
+            monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", 3 * (n + 2) * n * (q + 1))
+        fits = []
+        batched = estimators._logistic_fits
+        monkeypatch.setattr(estimators, "_logistic_fits", lambda *args: fits.append(batched(*args)) or fits[-1])
+        methods = tuple(PermutationMethod("logistic", mode) for mode in ("exact-swap", "valid-shortcut"))
+        cfg = ExperimentConfig(model=standard_2class_model(delta=delta, q=q), sizes=sizes, methods=methods,
+                               replications=reps, master_seed=31)
+        result = validity_experiment(cfg)
+        battery_fits = list(fits)
+        for method in methods:
+            for theta in (1, 2):
+                expected = self._per_replication(cfg, method, theta)
+                assert result.samples[(method.statistic, method.mode, theta)].tolist() == expected, (method, theta)
+        sets = np.concatenate([f[0].shape[:1] for f in battery_fits])
+        iterations = np.concatenate([f[1] for f in battery_fits])
+        separated = np.concatenate([f[3] for f in battery_fits])
+        if case == "separated":
+            assert separated.any()
+        if case == "iteration-cap":
+            assert (iterations == 5).any() and (iterations < 5).any()
+        # one call per class and mode for each block, which fits each class's
+        # N + 1 exact-swap sets and its valid-shortcut set of every replication
+        assert len(battery_fits) == 4 * (4 if case == "split-blocks" else 1)
+        assert sets.sum() == reps * (sum(sizes) + 2 + 2)
 
 
 class TestRankUniformity:
@@ -173,6 +236,16 @@ class TestRegionMap:
         )
         with pytest.raises(ValueError, match="2-D"):
             region_map(np.linspace(0, 1, 3), np.linspace(0, 1, 3), model=model3d)
+
+    @pytest.mark.parametrize("axis", ("xs", "ys"))
+    def test_axes_must_ascend(self, model22, axis):
+        # row 0 of the map and of its SVG is the smallest y, so a reversed
+        # or repeated axis would come out upside down or doubled
+        xs = np.linspace(-1.0, 1.0, 3)
+        for bad in (xs[::-1], np.array([-1.0, 0.0, 0.0])):
+            axes = {"xs": xs, "ys": xs, axis: bad}
+            with pytest.raises(ValueError, match=f"{axis} must be strictly ascending"):
+                region_map(axes["xs"], axes["ys"], model=model22, mc_samples=100)
 
     def test_source_exclusivity(self, model22):
         xs = np.linspace(0, 1, 3)
