@@ -387,19 +387,16 @@ def cmd_simulate(args) -> int:
             model = _model_from(args.model or "example22")
             rmap = region_map(xs, ys, model=model, mc_samples=args.mc_samples, seed=args.seed)
         patterns_present = {}
-        # each coordinate and region code is formatted once, then joined by index
-        x_text = [_num(x) for x in xs]
+        # each coordinate and region code is formatted once, then joined a row at a time
+        x_text = [_num(x) for x in rmap.xs]
+        y_text = [f",{_num(y)}," for y in rmap.ys]
         code_text = [_code_text(code, rmap.n_classes) for code in range(1 << rmap.n_classes)]
         for alpha in args.alpha:
             tag = _alpha_tag(alpha)
             codes = rmap.subsets(alpha)
-            rows = [
-                [x, y, code_text[code]]
-                for y, row_codes in zip(map(_num, ys), codes.tolist())
-                for x, code in zip(x_text, row_codes)
-            ]
-            _write_csv(out / f"region_map_alpha{tag}.csv", ["x", "y", "region"], rows)
-            patterns_present[tag] = sorted(_code_text(code, rmap.n_classes) for code in rmap.codes_present(alpha))
+            lines = svgmod._lattice_lines(x_text, y_text, code_text, codes)
+            _write_text(out / f"region_map_alpha{tag}.csv", "x,y,region\n" + lines + "\n")
+            patterns_present[tag] = sorted(code_text[code] for code in np.unique(codes).tolist())
             if "svg" in args.format:
                 _write_text(out / f"region_map_alpha{tag}.svg", svgmod.region_map_svg(rmap, alpha))
         if "json" in args.format:

@@ -728,18 +728,22 @@ def _logistic_fits(features: np.ndarray, rows: np.ndarray, labels: np.ndarray):
 
 
 def _newton_steps(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Each set's Newton step; a singular weighted Hessian takes a ridge."""
+    """Each set's Newton step; a singular weighted Hessian takes a ridge.
+
+    ``solve`` factors each set on its own, so a set's step has the same bits
+    in any batch. It raises on an exact zero pivot of the LU factorization,
+    which ``slogdet``'s factorization reports as sign 0; only those sets take
+    the ridge, and the batch is solved again in one call.
+    """
     try:
         return np.linalg.solve(hessian, grad)
     except np.linalg.LinAlgError:
-        steps = np.empty_like(grad)
-        for s, (h, g) in enumerate(zip(hessian, grad)):
-            try:
-                steps[s] = np.linalg.solve(h, g)
-            except np.linalg.LinAlgError:
-                warnings.warn("singular weighted normal equations; adding ridge 1e-8", stacklevel=4)
-                steps[s] = np.linalg.solve(h + 1e-8 * np.eye(h.shape[0]), g)
-        return steps
+        singular = np.linalg.slogdet(hessian)[0] == 0
+        for _ in range(np.count_nonzero(singular)):
+            warnings.warn("singular weighted normal equations; adding ridge 1e-8", stacklevel=4)
+        hessian = hessian.copy()
+        hessian[singular] += 1e-8 * np.eye(hessian.shape[1])
+        return np.linalg.solve(hessian, grad)
 
 
 # ---------------------------------------------------------------------------

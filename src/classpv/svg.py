@@ -161,27 +161,43 @@ def _code_color(code: int, n_classes: int) -> str:
     return _FALLBACK_COLORS[code % len(_FALLBACK_COLORS)]
 
 
+def _lattice_lines(starts: list[str], row_texts: list[str], ends: list[str], codes: np.ndarray) -> str:
+    """The lines of a (ny, nx) lattice of codes, row 0 first, joined by
+    newlines: cell (iy, ix) reads ``starts[ix] + row_texts[iy] +
+    ends[codes[iy, ix]]``.
+
+    A row is one ``row_texts[iy].join`` of nx + 1 pieces: ``starts[0]``, then
+    ``ends[code] + "\\n" + starts[ix]`` for each next cell, gathered for the
+    whole lattice from one (len(ends), nx) table, and the last cell's end.
+    So no Python step runs per cell.
+    """
+    ny, nx = codes.shape
+    ends = np.array(ends, dtype=object)
+    table = ends[:, None] + np.array(["\n" + start for start in starts], dtype=object)
+    pieces = np.empty((ny, nx + 1), dtype=object)
+    pieces[:, 0] = starts[0]
+    pieces[:, 1:nx] = table[codes[:, :-1], np.arange(1, nx)]
+    pieces[:, nx] = ends[codes[:, -1]]
+    return "\n".join(text.join(row) for text, row in zip(row_texts, pieces.tolist()))
+
+
 def region_map_svg(rmap: RegionMap, alpha: float) -> str:
     """Color-coded lattice of the level-alpha regions (three-class legend colors)."""
     codes = rmap.subsets(alpha)
     ny, nx = codes.shape
     cell = max(2.0, math.floor(640.0 / max(nx, ny)))
-    legend_h = 18.0 * (1 << rmap.n_classes) / 2 + 10
+    # the legend's last box ends 16 * 2^L + 20 px down
+    legend_h = 16.0 * (1 << rmap.n_classes) + 20
     width = nx * cell + 160.0
     height = max(ny * cell, legend_h) + 10
-    # each column's x, row's y and code's colour is formatted once, then
-    # joined by index; the vertical axis points up, so row 0 of the lattice
-    # is the smallest y
+    # each column's x, row's y and code's colour is formatted once; the
+    # vertical axis points up, so row 0 of the lattice is the smallest y
     starts = [f'<rect x="{_fmt(ix * cell)}" y="' for ix in range(nx)]
     ends = [
         f'" width="{_fmt(cell)}" height="{_fmt(cell)}" fill="{_code_color(code, rmap.n_classes)}"/>'
         for code in range(1 << rmap.n_classes)
     ]
-    body = [
-        start + y + ends[code]
-        for y, row_codes in zip((_fmt((ny - 1 - iy) * cell) for iy in range(ny)), codes.tolist())
-        for start, code in zip(starts, row_codes)
-    ]
+    body = [_lattice_lines(starts, [_fmt((ny - 1 - iy) * cell) for iy in range(ny)], ends, codes)]
     lx = nx * cell + 12.0
     body.append(f'<text x="{_fmt(lx)}" y="14" font-size="11">alpha={_fmt(alpha)}</text>')
     for row, code in enumerate(range(1 << rmap.n_classes)):

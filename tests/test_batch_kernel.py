@@ -19,6 +19,8 @@ from classpv.numerics import SpdMatrix, mahalanobis_sq, solve_lower, whiten_rows
 
 from reference_pvalues import refit_pvalue
 
+pytestmark = pytest.mark.bits
+
 MODES = ("exact-swap", "valid-shortcut", "naive")
 STATISTICS = {
     "plugin": {},

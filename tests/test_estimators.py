@@ -257,6 +257,7 @@ def test_sq_dists_bits_equal_the_sum_from_zero(q):
 
 
 class TestKnnFit:
+    @pytest.mark.bits
     @pytest.mark.parametrize("seed", range(6))
     def test_blocked_fit_equals_one_block_reference(self, monkeypatch, seed):
         rng = np.random.default_rng([41, seed])
@@ -369,6 +370,7 @@ class TestKnnEvaluate:
 
 
 class TestKnnAugmentedCounts:
+    @pytest.mark.bits
     @pytest.mark.parametrize("seed", range(6))
     def test_two_count_rule_equals_the_class_count_rule(self, seed):
         """The augment values, read through the own-class and total counts,
@@ -490,6 +492,7 @@ class TestLogistic:
         with pytest.warns(UserWarning, match="ridge"):
             assert lazy.coefficients.tobytes() == fit.coefficients.tobytes()
 
+    @pytest.mark.bits
     def test_fit_bits_do_not_depend_on_its_batch(self):
         """``fit_logistic`` is the batched IRLS on a batch of one. Every set
         of a batch of 2 to 40 gets the intercept, coefficient, iteration,
@@ -574,6 +577,7 @@ class TestLogistic:
             assert beta[s].view(np.uint64).tolist() == np.r_[f.intercept, f.coefficients].view(np.uint64).tolist()
             assert (iterations[s], grad_norm[s], separated[s]) == (f.iterations, f.gradient_norm, f.separated), s
 
+    @pytest.mark.bits
     def test_singular_set_in_a_mixed_block_keeps_every_bit(self):
         """Edited sets of five statistics, stacked as the validity battery
         stacks its replications, in one ``_logistic_edited_values`` call. One
@@ -647,6 +651,7 @@ class TestLogistic:
         ours = np.concatenate([[fit.intercept], fit.coefficients])
         assert np.allclose(ours, res.x, atol=1e-4)
 
+    @pytest.mark.bits
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["plain", "separated", "collinear"]),
            q=st.integers(1, 3))
@@ -779,6 +784,7 @@ def _edited_reference(stat, theta: int, kind: str, x) -> np.ndarray:
     return stat.edit(edit).evaluate(theta, d.features[np.append(x, d.group(theta))])
 
 
+@pytest.mark.bits
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -35,6 +35,7 @@ def _matrix(pvalues, labels, sizes, method=None):
     )
 
 
+@pytest.mark.bits
 class TestCrossval:
     def test_matches_per_row_scratch(self, model2):
         d = sample_gaussian_mixture(model2, [4, 4], seed=31)
@@ -146,6 +147,7 @@ def _singular_on_one_row():
     return TrainingSet(features, labels, 2, ("c1", "c2"))
 
 
+@pytest.mark.bits
 class TestClosedFormCrossval:
     @pytest.mark.parametrize("mode", ("exact-swap", "valid-shortcut", "naive"))
     @pytest.mark.parametrize("n_classes", (2, 3, 4))
@@ -205,6 +207,7 @@ def _high_leverage_rows(d, theta):
     return [int(j) for j in group[leverage > estimators._HIGH_LEVERAGE]]
 
 
+@pytest.mark.bits
 class TestEditLoop:
     """The edits ``crossval_pvalues`` makes, counted at ``TrainingSet.edit``,
     in its loop order: class theta, then the rows' class, then row."""
@@ -318,6 +321,7 @@ class TestEditLoop:
     ("logistic", {}),
     ("typicality", {}),
 ])
+@pytest.mark.bits
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(2, 3), q=st.integers(1, 3))
 def test_crossval_rows_follow_a_shuffle_and_sit_on_their_grid(statistic, kwargs, mode, seed, n_classes, q):

@@ -364,6 +364,7 @@ class TestOneEngine:
         assert len(draws) == 1
 
 
+@pytest.mark.bits
 class TestBlocks:
     """``OptimalMonteCarlo`` draws and scores _BLOCK rows at a time. Small
     blocks must give every bit that one block of all the rows gives, at a
@@ -453,6 +454,7 @@ def _random_model(seed: int, q: int, common: bool, n_classes: int | None = None)
     return GaussianMixtureModel(weights / weights.sum(), rng.normal(size=(n_classes, q)) * 3.0, tuple(covs))
 
 
+@pytest.mark.bits
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 6), m=st.integers(4, 300), data=st.data())
 def test_blocks_rest_on_row_bits_that_do_not_depend_on_the_batch(seed, q, m, data):
@@ -535,6 +537,7 @@ def _reference_log_weighted_lr(model: GaussianMixtureModel, theta: int, pts: np.
     return np.atleast_1d(log_sum_exp(terms, axis=0))
 
 
+@pytest.mark.bits
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

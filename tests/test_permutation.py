@@ -313,6 +313,7 @@ class TestLogisticFits:
         assert fits.call_count == 0
 
 
+@pytest.mark.bits
 class TestLogisticBatches:
     """Counts of ``_logistic_fits``, the batched IRLS that every edited
     logistic set goes through: the validity battery fits a block of

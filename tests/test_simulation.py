@@ -74,6 +74,7 @@ class TestValidityExperiment:
         b = validity_experiment(self._config(model2))
         assert a.cells == b.cells
 
+    @pytest.mark.bits
     def test_substream_prefix_property(self, model2):
         # replication r depends only on its own spawned seed, so a shorter run
         # is a prefix of a longer one, the logistic's batched fits included
@@ -107,6 +108,7 @@ class TestValidityExperiment:
             assert cell.rate <= cell.bound + 1e-12
 
 
+@pytest.mark.bits
 class TestBatteryBlocks:
     """``validity_experiment`` scores a block of replications for each
     (method, class) in one call, so a block's logistic edited sets share one
