@@ -180,17 +180,23 @@ def check_finite(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def rank_pvalue(values: np.ndarray, reference: float | np.ndarray) -> float | np.ndarray:
+def rank_pvalue(values: np.ndarray, reference: float | np.ndarray, own: bool = False) -> float | np.ndarray:
     """(#{values >= reference} + 1) / (len(values) + 1): the rank p-value of
-    every permutation and Monte Carlo path.
+    every permutation path, the one tie rule of them all.
 
-    A batch of m references takes (N,) values shared by all of them or (m, N)
-    values, one row each, and gives m p-values.
+    A batch of m references takes (N,) values shared by all of them, counted
+    by one sort, or (m, N) values, one row each, and gives m p-values. With
+    ``own`` the values hold the reference's own entry, which ties with it
+    exactly and stands for its +1: #{values >= reference} / len(values).
     """
+    own = int(own)
     if np.ndim(reference) == 0:
-        return (int(np.count_nonzero(values >= reference)) + 1) / (values.size + 1)
-    count = np.sum(values >= reference[:, None], axis=-1)
-    return (count + 1) / (values.shape[-1] + 1)
+        count = int(np.count_nonzero(values >= reference))
+    elif np.ndim(values) == 1:
+        count = values.size - np.searchsorted(np.sort(values), reference, side="left")
+    else:
+        count = np.sum(values >= reference[:, None], axis=-1)
+    return (count + 1 - own) / (values.shape[-1] + 1 - own)
 
 
 def check_alpha(alpha: float) -> float:

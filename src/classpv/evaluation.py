@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Relabel, Remove, StructuralError, TrainingSet, check_label
+from .core import Relabel, Remove, StructuralError, TrainingSet, check_label, rank_pvalue
 from .estimators import TypicalityStatistic, edited_values, typicality_index
-from .permutation import PermutationMethod, _chunks, _rank_in_group, _swap_pvalues
+from .permutation import PermutationMethod, _chunks, _swap_pvalues
 
 __all__ = [
     "CrossValMatrix",
@@ -100,7 +100,8 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
     for theta in classes:
         group = d.group(theta)
         if method.mode == "valid-shortcut":
-            out[group, theta - 1] = _rank_in_group(base.evaluate(theta, d.features[group]))
+            values = base.evaluate(theta, d.features[group])
+            out[group, theta - 1] = rank_pvalue(values, values, own=True)
         elif method.mode == "exact-swap":
             out[group, theta - 1] = _swap_pvalues([base], theta, [group])
         for y in classes:
@@ -112,17 +113,9 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
                 continue
             kind = "remove" if method.mode == "naive" else "relabel"
             for chunk in _chunks(d, theta, rows.size):
-                out[rows[chunk], theta - 1] = _rank_query(edited_values(base, theta, kind, rows[chunk]), own=y == theta)
+                values = edited_values(base, theta, kind, rows[chunk])
+                out[rows[chunk], theta - 1] = rank_pvalue(values[:, 1:], values[:, 0], own=y == theta)
     return CrossValMatrix(pvalues=out, labels=np.array(d.labels), group_sizes=d.group_sizes, method=method)
-
-
-def _rank_query(values: np.ndarray, own: bool) -> np.ndarray:
-    """Rank p-values of column 0, the query X_i, against the class rows in
-    the other columns. With ``own`` those rows include row i itself, which
-    ties with the query exactly and stands for its +1."""
-    own = int(own)
-    count = np.sum(values[:, 1:] >= values[:, :1], axis=1)
-    return (count + 1 - own) / (values.shape[1] - own)
 
 
 def empirical_inclusion(cv: CrossValMatrix, alpha: float, b: int, theta: int) -> float:

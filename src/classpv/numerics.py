@@ -5,16 +5,16 @@ gamma/beta functions (series vs. continued-fraction switching) so the
 package carries no dependency beyond numpy and produces bit-reproducible
 values across platforms.
 
-There is one order of forward substitution: row j adds its terms
-L[j, k] y[k] for k = 0, 1, ..., j - 1, then subtracts and divides,
-elementwise across the points. ``solve_lower`` runs it on the columns of its
-right-hand side and ``whiten_rows`` is its row-major view.
-``mahalanobis_sq_columns`` runs it on component columns, ``x[:, j] - mu[j]``
-with no (m, q) difference or transposed copy, and sums the squared
-components one at a time; ``mahalanobis_sq`` is its one-class case. A point
-therefore gets the same bits alone as in a batch of any width, which the
-rank p-values need: a training row equal to a query must tie with it
-exactly.
+There is one forward substitution, ``_forward_substitute``: row j adds its
+terms L[j, k] y[k] for k = 0, 1, ..., j - 1, then subtracts and divides,
+elementwise across the points, on component columns less mu,
+``x[:, j] - mu[j]`` with no (m, q) difference or transposed copy.
+``solve_lower`` runs it on the columns of its right-hand side with mu = 0,
+and ``whiten_rows`` is its row-major view; ``mahalanobis_sq_columns`` runs
+it and sums the squared components one at a time, and ``mahalanobis_sq``
+is its one-class case. A point therefore gets the same bits alone as in a
+batch of any width, which the rank p-values need: a training row equal to a
+query must tie with it exactly.
 """
 
 from __future__ import annotations
@@ -241,20 +241,28 @@ def solve_lower(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     hold and however many there are.
     """
     q = lower.shape[0]
-    y = np.array(rhs, dtype=float, order="C")
-    vec = y.ndim == 1
-    if vec:
-        y = y[:, None]
-    if y.shape[0] != q:
-        raise ValueError(f"dimension mismatch: factor is {q}x{q}, rhs has {y.shape[0]} rows")
-    for j in range(q):
+    rhs = np.asarray(rhs, dtype=float)
+    vec = rhs.ndim == 1
+    columns = rhs[:, None] if vec else rhs
+    if columns.shape[0] != q:
+        raise ValueError(f"dimension mismatch: factor is {q}x{q}, rhs has {columns.shape[0]} rows")
+    y = _forward_substitute(lower, columns, np.zeros(q))
+    return y[:, 0] if vec else y
+
+
+def _forward_substitute(lower: np.ndarray, columns: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The (q, m) solution y of L y = columns - mu, each component
+    ``columns[j] - mu[j]`` made in its row of y, with no difference array."""
+    y = np.empty((lower.shape[0], columns.shape[1]))
+    for j in range(lower.shape[0]):
+        np.subtract(columns[j], mu[j], out=y[j])
         if j > 0:
             terms = lower[j, 0] * y[0]
             for k in range(1, j):
                 terms += lower[j, k] * y[k]
             y[j] -= terms
         y[j] /= lower[j, j]
-    return y[:, 0] if vec else y
+    return y
 
 
 def whiten_rows(lower: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -308,21 +316,10 @@ def mahalanobis_sq_columns(columns: np.ndarray, mu: np.ndarray, sigma: SpdMatrix
     operations, so a point gets the bits of ``solve_lower`` on its difference,
     alone or in any batch.
     """
-    lower = sigma.chol_lower
     if columns.shape[0] != sigma.dim:
         raise ValueError(f"dimension mismatch: points have {columns.shape[0]} components, matrix is {sigma.dim}x{sigma.dim}")
-    whitened = []
-    for j in range(sigma.dim):
-        y = columns[j] - mu[j]
-        if j > 0:
-            terms = lower[j, 0] * whitened[0]
-            for k in range(1, j):
-                terms += lower[j, k] * whitened[k]
-            y -= terms
-        y /= lower[j, j]
-        whitened.append(y)
     out = np.zeros(columns.shape[1])
-    for y in whitened:
+    for y in _forward_substitute(sigma.chol_lower, columns, mu):
         y *= y
         out += y
     return out

@@ -98,25 +98,28 @@ def pvalues(fitted, mode: str, theta: int, X: np.ndarray) -> np.ndarray:
     members, each under the fit with x swapped in for it, the augmented fit
     less that member: one ``Augment`` per query, all through one
     ``_swap_pvalues``. Both take their values from ``edited_values`` on each
-    chunk of the batch or class: the statistic's closed form where it has
-    one (the plug-in and fixed-metric k-NN, or the logistic's batched IRLS,
-    which fits every edited set of a chunk at once, and in exact-swap mode
-    the ``"loo"`` sets of several queries, up to half ``_BLOCK_ELEMENTS``
-    design elements), a refit for each edit that form flags, made in query
-    order. A logistic statistic fits
-    when first read, and these two modes read only its ``data``, so neither
-    fits ``fitted`` or the augmented set: the batched IRLS fits the edited
-    sets whose values it returns, and no more. A degenerate removal aborts the p-value (skipping a member would break
-    exchangeability) with the member's row as ``swap_index``. ``naive``
-    scores against the unedited fit. A ``TypicalityStatistic`` is an exact
-    pivot, evaluated directly in every mode. Pass one fitted statistic
+    chunk of the batch or class: the statistic's closed form where it has one
+    (the plug-in and fixed-metric k-NN, or the logistic's batched IRLS, which
+    fits every edited set of a chunk at once, and in exact-swap mode the
+    ``"loo"`` sets of several queries, up to half ``_BLOCK_ELEMENTS`` design
+    elements), a refit for each edit that form flags, made in query order. A
+    logistic statistic fits when first read, and these two modes read only its
+    ``data``, so neither fits ``fitted`` or the augmented set: the batched
+    IRLS fits the edited sets whose values it returns, and no more. A
+    degenerate removal aborts the p-value (skipping a member would break
+    exchangeability) with the member's row as ``swap_index``. ``naive`` scores
+    the class once under the unedited fit and ranks each chunk of queries
+    against those values. Every mode counts by ``rank_pvalue``, so all share
+    one tie rule. A ``TypicalityStatistic`` is an exact pivot, evaluated
+    directly in every mode. Pass one fitted statistic
     (``PermutationMethod.fit``) to many calls to reuse it.
 
     The statistic owes ``data``, ``edit`` and ``evaluate(theta, pts)``: m
     values for an (m, q) batch, larger meaning class theta is less plausible,
     symmetric in the class's rows, equal bits for equal rows of one call (a
     member equal to a query must tie with it) and a row's bits in any call
-    (a p-value must not depend on its batch). ``edit(Augment(x, theta))`` and
+    (a p-value must not depend on its batch, and naive mode scores the
+    class and the queries in separate calls). ``edit(Augment(x, theta))`` and
     ``edit(Remove(i))`` return the statistic on ``data.augment(x, theta)``,
     x last, and on ``data.remove(i)``, as ``TrainingSet.edit`` gives them.
     """
@@ -148,11 +151,9 @@ def _pvalues_each(fitted: Sequence, mode: str, theta: int, Xs: Sequence[np.ndarr
         return np.split(swapped, np.cumsum([len(X) for X in Xs])[:-1])
     out = [np.empty(len(X)) for X in Xs]
     for f, X, pv in zip(fitted, Xs, out):
-        group = f.data.features[f.data.group(theta)]
+        members = f.evaluate(theta, f.data.features[f.data.group(theta)])
         for chunk in _chunks(f.data, theta, len(X)):
-            queries = X[chunk]
-            values = f.evaluate(theta, np.vstack([queries, group]))
-            pv[chunk] = rank_pvalue(values[len(queries) :], values[: len(queries)])
+            pv[chunk] = rank_pvalue(members, f.evaluate(theta, X[chunk]))
     return out
 
 
@@ -180,7 +181,7 @@ def _swap_pvalues(edited: Iterable, theta: int, rows: Iterable) -> np.ndarray:
         members = [stat.data.group(theta) for stat, _ in held]
         loo = _values_each([stat for stat, _ in held], theta, "loo", members, lambda values: values[:, 0])
         for values, group, (_, row) in zip(loo, members, held):
-            out.append(_rank_in_group(values)[np.searchsorted(group, np.atleast_1d(row))])
+            out.append(rank_pvalue(values, values[np.searchsorted(group, np.atleast_1d(row))], own=True))
         held.clear()
 
     for stat, row in zip(edited, rows):
@@ -214,14 +215,6 @@ def _values_each(stats: Sequence, theta: int, kind: str, Xs: Sequence[np.ndarray
             values = [edited_values(stats[s], theta, kind, part) for s, part in zip(spanned, parts)]
         out[start:stop] = np.concatenate([reduce(v) for v in values])
     return [out[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _rank_in_group(values: np.ndarray) -> np.ndarray:
-    """Rank p-value of each entry against the other entries of its class,
-    #{values >= entry} / len(values) (the entry stands for its +1), from one
-    sort."""
-    ranked = np.sort(values)
-    return (values.size - np.searchsorted(ranked, values, side="left")) / values.size
 
 
 def _chunks(d: TrainingSet, theta: int, m: int) -> list[slice]:

@@ -7,13 +7,14 @@ numbers; the acceptance suite diffs reruns byte for byte.
 
 from __future__ import annotations
 
+import colorsys
 import math
 from typing import Callable
 
 import numpy as np
 
 from .evaluation import CrossValMatrix, RocCurve
-from .simulation import REGION_COLORS_3, RegionMap
+from .simulation import REGION_COLORS_3, RegionMap, code_members
 
 __all__ = [
     "pvalue_rectangles_svg",
@@ -152,13 +153,19 @@ _FALLBACK_COLORS = (
 
 
 def _code_color(code: int, n_classes: int) -> str:
+    """The fill of region ``code``: ``REGION_COLORS_3`` at L = 3; else black,
+    white for every class, and for any other code a colour of the code alone,
+    ``_FALLBACK_COLORS`` below 8 and a golden-angle hue above (distinct to L = 8)."""
     if n_classes == 3:
         return REGION_COLORS_3[code]
     if code == 0:
         return "black"
     if code == (1 << n_classes) - 1:
         return "white"
-    return _FALLBACK_COLORS[code % len(_FALLBACK_COLORS)]
+    if code < len(_FALLBACK_COLORS):
+        return _FALLBACK_COLORS[code]
+    rgb = colorsys.hsv_to_rgb(code * 0.6180339887498949 % 1.0, 0.75, (0.9, 0.7, 0.5)[code % 3])
+    return "#" + "".join(format(round(c * 255), "02x") for c in rgb)
 
 
 def _lattice_lines(starts: list[str], row_texts: list[str], ends: list[str], codes: np.ndarray) -> str:
@@ -182,7 +189,7 @@ def _lattice_lines(starts: list[str], row_texts: list[str], ends: list[str], cod
 
 
 def region_map_svg(rmap: RegionMap, alpha: float) -> str:
-    """Color-coded lattice of the level-alpha regions (three-class legend colors)."""
+    """Color-coded lattice of the level-alpha regions, one fill per region."""
     codes = rmap.subsets(alpha)
     ny, nx = codes.shape
     cell = max(2.0, math.floor(640.0 / max(nx, ny)))
@@ -201,8 +208,8 @@ def region_map_svg(rmap: RegionMap, alpha: float) -> str:
     lx = nx * cell + 12.0
     body.append(f'<text x="{_fmt(lx)}" y="14" font-size="11">alpha={_fmt(alpha)}</text>')
     for row, code in enumerate(range(1 << rmap.n_classes)):
-        members = [str(t) for t in range(1, rmap.n_classes + 1) if code & (1 << (t - 1))]
-        label = "{" + ",".join(members) + "}" if members else "empty"
+        members = code_members(code, rmap.n_classes)
+        label = "{" + ",".join(map(str, members)) + "}" if members else "empty"
         y0 = 24.0 + row * 16.0
         body.append(
             f'<rect x="{_fmt(lx)}" y="{_fmt(y0)}" width="12" height="12" '

@@ -20,7 +20,6 @@ import math
 import numpy as np
 
 from classpv import Augment, GaussianMixtureModel, Remove
-from classpv.core import rank_pvalue
 from classpv.estimators import TypicalityStatistic
 from classpv.numerics import f_cdf, mahalanobis_sq
 from classpv.oracle import log_weighted_lr
@@ -119,8 +118,14 @@ def refit_pvalue(fitted, mode: str, theta: int, x: np.ndarray) -> float:
             .evaluate(theta, d.features[i][None, :])[0]
             for i in group
         ]
-        return rank_pvalue(np.array(values), reference)
+        return _rank(np.array(values), reference)
     if mode == "valid-shortcut":
         fitted = fitted.edit(Augment(x, theta))
     values = fitted.evaluate(theta, np.vstack([x, d.features[group]]))
-    return rank_pvalue(values[1:], values[0])
+    return _rank(values[1:], values[0])
+
+
+def _rank(values: np.ndarray, reference: float) -> float:
+    """The rank p-value (#{values >= reference} + 1) / (N + 1), counted here
+    rather than by the package's ``rank_pvalue``, which it checks."""
+    return (int(np.sum(values >= reference)) + 1) / (values.size + 1)

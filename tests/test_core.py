@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classpv.core import (
     Augment,
@@ -7,9 +9,11 @@ from classpv.core import (
     Relabel,
     Remove,
     StructuralError,
+    rank_pvalue,
     region_from_pvalues,
     validate_training_set,
 )
+from classpv.oracle import OptimalMonteCarlo
 
 
 class TestRegionFromPvalues:
@@ -162,3 +166,55 @@ class TestPValueVector:
     def test_from_mapping_requires_all(self):
         with pytest.raises(ValueError):
             PValueVector.from_mapping({1: 0.5, 3: 0.5})
+
+
+def _plain_count_pvalue(values, reference) -> float:
+    """(#{v >= reference} + 1) / (N + 1), counted one entry at a time."""
+    return (sum(1 for v in values if v >= reference) + 1) / (len(values) + 1)
+
+
+_half_integers = st.integers(-6, 6).map(lambda k: k / 2.0)
+
+
+@pytest.mark.bits
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(_half_integers, min_size=1, max_size=25),
+    references=st.lists(_half_integers, min_size=1, max_size=12),
+)
+def test_rank_pvalue_is_the_plain_count(values, references):
+    """On half-integer lattice values with many ties, the shared (N,) path,
+    the per-row (m, N) path and the scalar path all give the plain ``>=``
+    count; ``own`` drops the reference's own entry; every p-value lies on
+    its grid {j / (N + 1)}."""
+    values_arr, refs = np.array(values), np.array(references)
+    n = len(values)
+    plain = np.array([_plain_count_pvalue(values, r) for r in references])
+    shared = rank_pvalue(values_arr, refs)
+    per_row = rank_pvalue(np.tile(values_arr, (len(refs), 1)), refs)
+    assert np.array_equal(shared, plain) and np.array_equal(per_row, plain)
+    assert [rank_pvalue(values_arr, r) for r in references] == list(plain)
+    assert np.all(np.isin(shared, np.arange(1, n + 2) / (n + 1)))
+    if n > 1:
+        own = rank_pvalue(values_arr, values_arr, own=True)
+        dropped = [_plain_count_pvalue(values[:i] + values[i + 1 :], values[i]) for i in range(n)]
+        assert np.array_equal(own, dropped)
+        assert np.array_equal(rank_pvalue(np.tile(values_arr, (n, 1)), values_arr, own=True), own)
+        assert [rank_pvalue(values_arr, v, own=True) for v in values] == dropped
+        assert np.all(np.isin(own, np.arange(1, n + 1) / n))
+
+
+@pytest.mark.bits
+def test_monte_carlo_count_is_the_rank_pvalue(model22):
+    """The known-model engine's count on its presorted statistics is
+    ``rank_pvalue`` over the class's statistics, ties included: a statistic
+    on a half-integer lattice ties many draws with each other and with the
+    queries."""
+    engine = OptimalMonteCarlo(model22, mc_samples=300, seed=3, log_stat=lambda theta, pts: np.round(2.0 * pts[:, 0]) / 2.0)
+    pts = np.random.default_rng(4).normal(size=(40, 2)) * 2.0
+    for theta in (1, 2, 3):
+        got = engine.pvalues(theta, pts)
+        stats = engine._sorted_stats[theta]
+        scores = engine.log_stat(theta, pts)
+        assert np.array_equal(got, rank_pvalue(stats, scores))
+        assert np.array_equal(got, [_plain_count_pvalue(stats, s) for s in scores])

@@ -22,7 +22,7 @@ from classpv import (
     std_normal_cdf,
     typicality_known,
 )
-from classpv.numerics import log_sum_exp, mahalanobis_sq, solve_lower
+from classpv.numerics import log_sum_exp, mahalanobis_sq
 from classpv.oracle import log_inflated_statistic, log_weighted_lr
 
 
@@ -514,9 +514,20 @@ def _bits(values) -> np.ndarray:
 
 
 def _reference_mahalanobis_sq(pts: np.ndarray, mu: np.ndarray, sigma: SpdMatrix) -> np.ndarray:
-    """The row formula the column kernel replaced: ``solve_lower`` on the
-    transposed difference, squares summed one component at a time."""
-    y = solve_lower(sigma.chol_lower, (pts - mu[None, :]).T)
+    """The row formula the column kernel replaced: forward substitution on
+    the transposed difference, in the package's order (row j adds its terms
+    for k = 0, 1, ..., j - 1, then subtracts and divides), written out here
+    rather than taken from ``solve_lower``; squares summed one component at
+    a time."""
+    lower = sigma.chol_lower
+    y = (pts - mu[None, :]).T.copy()
+    for j in range(y.shape[0]):
+        if j > 0:
+            terms = lower[j, 0] * y[0]
+            for k in range(1, j):
+                terms = terms + lower[j, k] * y[k]
+            y[j] = y[j] - terms
+        y[j] = y[j] / lower[j, j]
     out = np.zeros(pts.shape[0])
     for component in y:
         out += component * component

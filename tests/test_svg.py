@@ -140,3 +140,21 @@ def test_every_rect_lies_inside_the_svg(n_classes, shape):
     for rect in rects:
         x, y, w, h = (float(rect.get(a)) for a in ("x", "y", "width", "height"))
         assert 0 <= x and x + w <= width and 0 <= y and y + h <= height, rect.attrib
+
+
+@pytest.mark.parametrize("n_classes", (4, 5, 6))
+def test_every_region_has_its_own_fill(n_classes):
+    """The legend gives each of the 2^L regions its own fill and its members
+    as its label, and each lattice cell takes its region's legend fill."""
+    n_codes = 1 << n_classes
+    codes = np.arange(n_codes).reshape(1, n_codes)
+    root = ET.fromstring(svg.region_map_svg(_map_of(codes, n_classes), 0.5))
+    rects = root.findall("{http://www.w3.org/2000/svg}rect")
+    cells, legend = rects[:n_codes], rects[n_codes:]
+    fills = [rect.get("fill") for rect in legend]
+    assert len(set(fills)) == n_codes
+    assert [rect.get("fill") for rect in cells] == fills
+    labels = [text.text for text in root.findall("{http://www.w3.org/2000/svg}text")[1:]]
+    assert labels[0] == "empty" and labels[-1] == "{" + ",".join(str(t) for t in range(1, n_classes + 1)) + "}"
+    assert labels[9] == "{1,4}" and fills[9] != fills[1]
+
