@@ -56,7 +56,7 @@ from .oracle import (
     risk_alpha,
     typicality_known,
 )
-from .permutation import PermutationMethod, pvalue, pvalue_vector, pvalues
+from .permutation import PermutationMethod, pvalue, pvalue_table, pvalue_vector, pvalues
 from .simulation import (
     ExperimentConfig,
     RegionMap,

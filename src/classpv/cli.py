@@ -27,7 +27,7 @@ from .evaluation import (
     roc_curve,
 )
 from .numerics import SingularMatrixError
-from .permutation import MODES, STATISTICS, PermutationMethod, pvalues, warn_small_groups
+from .permutation import MODES, STATISTICS, PermutationMethod, pvalue_table, warn_small_groups
 from .simulation import (
     ExperimentConfig,
     code_members,
@@ -179,7 +179,7 @@ def cmd_classify(args) -> int:
         + [f"p_{name}" for name in d.label_names]
         + [f"region_{_alpha_tag(a)}" for a in alphas]
     )
-    table = np.column_stack([pvalues(fitted, method.mode, theta, query) for theta in range(1, d.n_classes + 1)])
+    table = pvalue_table(fitted, method.mode, query)
     in_range = np.all((table >= 0.0) & (table <= 1.0), axis=1)  # NaN fails too
     if not in_range.all():
         PValueVector(table[np.argmin(in_range)])  # raises its error for the first bad row

@@ -38,6 +38,7 @@ approximately.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -47,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Augment, Relabel, Remove, TrainingSet, check_label
-from .numerics import SingularMatrixError, SpdMatrix, f_cdf, log_sum_exp, mahalanobis_sq, whiten_rows
+from .numerics import SingularMatrixError, SpdMatrix, _f_cdf_each, _log_sum_exp_rows, mahalanobis_sq, whiten_rows
 from .oracle import log_weighted_lr
 
 __all__ = [
@@ -280,7 +281,7 @@ class GaussianStatistic:
                 out -= own
                 out *= 0.5
                 np.subtract(np.log(sizes[b] / (sizes.sum() - sizes[theta - 1])), out, out=out)
-        return log_sum_exp(terms, axis=0), refit
+        return _log_sum_exp_rows(terms), refit
 
 
 def _sum_products(total: np.ndarray, pairs, spare: np.ndarray) -> None:
@@ -381,7 +382,8 @@ def typicality_index(stat: GaussianStatistic, theta: int, x: np.ndarray) -> np.n
 
     The scaling constant turns the distance into an F-distributed pivot, so the
     index is an exact p-value under a homoscedastic Gaussian model. x may be
-    (q,) or (m, q); each row gets the same bits in any batch.
+    (q,) or (m, q); each row gets the same bits in any batch, since every
+    row's F tail goes through one elementwise ``_f_cdf_each``.
     """
     n_classes = stat.data.n_classes
     check_label(theta, n_classes)
@@ -392,7 +394,7 @@ def typicality_index(stat: GaussianStatistic, theta: int, x: np.ndarray) -> np.n
     c_theta = d2 / (q * (n - n_classes) * (1.0 + 1.0 / stat.group_sizes[theta - 1]))
     x = np.asarray(x, dtype=float)
     msq = mahalanobis_sq(np.atleast_2d(x), stat.means[theta - 1], stat.sigma)
-    out = np.array([1.0 - f_cdf(c_theta * float(v), q, d2) for v in msq])
+    out = 1.0 - _f_cdf_each(c_theta * msq, q, d2)
     return float(out[0]) if x.ndim == 1 else out
 
 
@@ -406,7 +408,7 @@ def default_k(n: int) -> int:
     return max(1, math.ceil(n ** (2.0 / 3.0)))
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _sq_dists(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, diff: np.ndarray | None = None) -> np.ndarray:
     """Squared euclidean distances between rows of a and rows of b.
 
     The squared component differences are added one at a time, in order, so
@@ -416,13 +418,18 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``knn_fit`` on blocks of rows against reordered columns. The first
     square is the sum's first term (0 + d^2 is d^2, bit for bit), and one
     buffer takes each later one: two (len(a), len(b)) arrays in all, so
-    callers bound that product.
+    callers bound that product. A caller scoring many blocks may pass both,
+    as ``out`` and ``diff``.
     """
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[0]))
     if a.shape[1] == 0:
-        return np.zeros((a.shape[0], b.shape[0]))
-    out = np.subtract.outer(a[:, 0], b[:, 0])
+        out[:] = 0.0
+        return out
+    np.subtract.outer(a[:, 0], b[:, 0], out=out)
     out *= out
-    diff = np.empty_like(out)
+    if a.shape[1] > 1 and diff is None:
+        diff = np.empty_like(out)
     for k in range(1, a.shape[1]):
         np.subtract.outer(a[:, k], b[:, k], out=diff)
         diff *= diff
@@ -480,8 +487,11 @@ def knn_fit(d: TrainingSet, k: int) -> KnnCaches:
 
     The rows go in blocks, each against all n points with the columns sorted
     by label, so no n x n array is made and each class count is one
-    contiguous slice. A block builds about four (rows, n) temporaries, so it
-    takes a quarter of ``_BLOCK_ELEMENTS``: timed interleaved in one process
+    contiguous slice. A block's distances go into one (rows, n) buffer and
+    its component difference, then its partition copy, into another, both
+    made once per fit, since glibc would map and fault in fresh arrays this
+    size block after block; with the in-ball masks a block holds about four
+    (rows, n) arrays, so it takes a quarter of ``_BLOCK_ELEMENTS``: timed interleaved in one process
     on 2 cores, that took 54 ms against 90 ms for blocks of the whole budget
     at n = 2,000, and 0.62 s against 1.21 s at n = 8,000. The time stays
     O(n^2 q).
@@ -502,10 +512,13 @@ def knn_fit(d: TrainingSet, k: int) -> KnnCaches:
     counts_km1 = np.empty((d.n, d.n_classes), dtype=np.int64)
     counts_k = np.empty((d.n, d.n_classes), dtype=np.int64)
     step = max(1, _BLOCK_ELEMENTS // (4 * d.n))
+    buffers = np.empty((2, min(step, d.n), d.n))
     for start in range(0, d.n, step):
         rows = slice(start, start + step)
-        dsq = _sq_dists(d.features[rows], columns)
-        part = np.partition(dsq, k - 1, axis=1)
+        dsq, part = buffers[:, : min(step, d.n - start)]
+        _sq_dists(d.features[rows], columns, dsq, part)
+        np.copyto(part, dsq)
+        part.partition(k - 1, axis=1)
         radius_sq[rows] = part[:, k - 1]
         if k >= 2:
             radius_km1_sq[rows] = part[:, : k - 1].max(axis=1)
@@ -791,12 +804,10 @@ class KnnStatistic:
         """The closed form of the module-level ``edited_values``, as in
         ``GaussianStatistic.edited_values``, for a fixed metric.
 
-        An augment reads the cached counts through one (m, n) block of
-        distances: the query's own ball reaches its (k-1)-th nearest training
-        point, since x itself sits at distance 0, and the rows take
-        ``knn_augmented_counts``' case split. A relabel moves no distance, so
-        no radius moves and no ball total changes: a class-theta row j gains
-        one theta-count exactly when its ball holds X_i,
+        An augment is the one-class case of ``_augment_values``, which reads
+        the cached counts through one (m, n) block of distances. A relabel
+        moves no distance, so no radius moves and no ball total changes: a
+        class-theta row j gains one theta-count exactly when its ball holds X_i,
         d^2(X_i, X_j) <= radius_sq[j], and X_i, which its own ball holds,
         gains one. That takes one (m, N) block of distances. A ``"loo"``
         removal takes one (m, n) block: X_i's radius in the data without it
@@ -815,30 +826,70 @@ class KnnStatistic:
             counts = _ball_counts(dsq, radius_sq, self.data.labels, self.data.n_classes)
             counts[np.arange(len(X)), self.data.labels[X] - 1] -= 1
             return -(counts[:, theta - 1 : theta] / counts.sum(axis=1, keepdims=True)), np.zeros(len(X), dtype=bool)
-        caches = self.caches
-        if kind == "relabel":
-            values = np.empty((len(X), group.size + 1))
-            totals = caches.counts_k.sum(axis=1)
-            values[:, 0] = -((caches.counts_k[X, theta - 1] + 1) / totals[X])
-            holds_i = _sq_dists(self.data.features[X], self.data.features[group]) <= caches.radius_sq[group]
-            values[:, 1:] = -((caches.counts_k[group, theta - 1] + holds_i) / totals[group])
+        if kind == "augment":
+            (query, members), = self._augment_values(X, range(theta, theta + 1))
+            values = np.empty((len(X), members.shape[1] + 1))
+            values[:, 0] = query
+            values[:, 1:] = members
             return values, np.zeros(len(X), dtype=bool)
-        dsq = _sq_dists(X, self.data.features)
-        radius_sq = np.partition(dsq, self.k - 2, axis=1)[:, self.k - 2] if self.k >= 2 else np.zeros(len(X))
-        in_ball = dsq <= radius_sq[:, None]
-        # allocated once the partition's copy is freed, so it can reuse that memory
+        caches = self.caches
         values = np.empty((len(X), group.size + 1))
-        # the added point counts in its own ball and class
-        values[:, 0] = -((in_ball[:, group].sum(axis=1) + 1) / (in_ball.sum(axis=1) + 1))
-        # knn_augmented_counts' case split, read through two (m, N) counts: a
-        # row that x falls strictly inside takes its (k-1)-ball, and x joins
-        # the ball of every row whose k-ball holds it
-        dsq, radius_sq = dsq[:, group], caches.radius_sq[group]
-        inside, holds_x = dsq < radius_sq, dsq <= radius_sq
-        own = np.where(inside, caches.counts_km1[group, theta - 1], caches.counts_k[group, theta - 1]) + holds_x
-        total = np.where(inside, caches.counts_km1[group].sum(axis=1), caches.counts_k[group].sum(axis=1)) + holds_x
-        values[:, 1:] = -(own / total)
+        totals = caches.counts_k.sum(axis=1)
+        values[:, 0] = -((caches.counts_k[X, theta - 1] + 1) / totals[X])
+        holds_i = _sq_dists(self.data.features[X], self.data.features[group]) <= caches.radius_sq[group]
+        values[:, 1:] = -((caches.counts_k[group, theta - 1] + holds_i) / totals[group])
         return values, np.zeros(len(X), dtype=bool)
+
+    @cached_property
+    def _by_label(self) -> tuple[np.ndarray, ...]:
+        """In the order of the rows sorted by label (stable): their features,
+        and per row its squared k-radius and the own-class and total counts
+        of its (k-1)- and k-balls."""
+        d, caches = self.data, self.caches
+        order = np.argsort(d.labels, kind="stable")
+        rows, own = np.arange(d.n), d.labels[order] - 1
+        km1, k = caches.counts_km1[order], caches.counts_k[order]
+        return d.features[order], caches.radius_sq[order], km1[rows, own], k[rows, own], km1.sum(axis=1), k.sum(axis=1)
+
+    def _augment_values(self, X: np.ndarray, classes: range) -> list[tuple[np.ndarray, np.ndarray]]:
+        """For each class theta of ``classes``, consecutive labels, the
+        values under the fit augmented with (x, theta) at each query x of X
+        and at the class-theta rows: an (m,) column and an (m, N_theta)
+        block, the two parts of ``edited_values(theta, "augment", X)``.
+
+        One (m, n) block of distances against the rows in label order, one
+        partition at k - 2 and one in-ball mask serve every class. The
+        query's own ball reaches its (k-1)-th nearest training point, since x
+        itself sits at distance 0. A member j's value,
+        -(own_j + holds_x) / (total_j + holds_x), depends on theta only
+        through j's own class, so the members of all the classes are scored
+        in one pass, and each class takes its slice: ``knn_augmented_counts``'
+        case split, read through the own-class and total counts, where a row
+        that x falls strictly inside takes its (k-1)-ball and x joins the
+        ball of every row whose k-ball holds it.
+        """
+        columns, radius_sq, own_km1, own_k, total_km1, total_k = self._by_label
+        dsq = _sq_dists(X, columns)
+        radius_x = np.partition(dsq, self.k - 2, axis=1)[:, self.k - 2] if self.k >= 2 else np.zeros(len(X))
+        in_ball = dsq <= radius_x[:, None]
+        ball = in_ball.sum(axis=1) + 1
+        bounds = [0, *itertools.accumulate(self.data.group(theta).size for theta in range(1, classes[-1] + 1))]
+        span = slice(bounds[classes[0] - 1], bounds[-1])
+        members, radius_sq = dsq[:, span], radius_sq[span]
+        inside, holds_x = members < radius_sq, members <= radius_sq
+        own_x = np.where(inside, own_km1[span], own_k[span])
+        own_x += holds_x
+        total_x = np.where(inside, total_km1[span], total_k[span])
+        total_x += holds_x
+        # the distances are read: the values take their memory
+        values = np.divide(own_x, total_x, out=members)
+        np.negative(values, out=values)
+        out = []
+        for theta in classes:
+            lo, hi = bounds[theta - 1], bounds[theta]
+            query = -((in_ball[:, lo:hi].sum(axis=1) + 1) / ball)
+            out.append((query, values[:, lo - span.start : hi - span.start]))
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,16 @@
 The distribution functions are computed from the regularized incomplete
 gamma/beta functions (series vs. continued-fraction switching) so the
 package carries no dependency beyond numpy and produces bit-reproducible
-values across platforms.
+values across platforms. There is one continued fraction for the
+incomplete beta, ``_beta_cf``, elementwise over a batch: each element goes
+through the scalar recurrence's IEEE operations and leaves the batch when it
+converges, and its log prefactor comes from ``math``. ``_f_cdf_each`` runs
+a batch of F-distribution CDFs through it, and ``f_cdf`` is its
+one-element case, so a value has the same bits alone as in a batch.
+
+``log_sum_exp`` is max-shifted; ``_log_sum_exp_rows`` does its operations
+in the caller's buffer of stacked terms, for the plug-in closed form and
+``oracle.log_weighted_lr``.
 
 There is one forward substitution, ``_forward_substitute``: row j adds its
 terms L[j, k] y[k] for k = 0, 1, ..., j - 1, then subtracts and divides,
@@ -101,60 +110,71 @@ def _gamma_reg(a: float, x: float, upper: bool) -> float:
     return tail if upper else max(0.0, 1.0 - tail)
 
 
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
+def _beta_cf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Continued fraction for the incomplete beta (modified Lentz), elementwise.
+
+    Each element goes through the IEEE operations of the scalar recurrence
+    and leaves the active set on the step at which it converges, so it gets
+    the same bits alone as in any batch.
+    """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = 1.0
+    c = np.ones_like(x)
     d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
+    d[np.abs(d) < _TINY] = _TINY
     d = 1.0 / d
-    h = d
+    h = d.copy()
+    out = np.empty_like(x)
+    active = np.arange(x.size)
     for m in range(1, _MAX_ITER):
+        if not active.size:
+            break
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
+        d[np.abs(d) < _TINY] = _TINY
         c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
+        c[np.abs(c) < _TINY] = _TINY
         d = 1.0 / d
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
+        d[np.abs(d) < _TINY] = _TINY
         c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
+        c[np.abs(c) < _TINY] = _TINY
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h
+        done = np.abs(delta - 1.0) < _EPS
+        if done.any():
+            out[active[done]] = h[done]
+            going = ~done
+            active, a, b, x, qab, qap, qam, c, d, h = (
+                v[going] for v in (active, a, b, x, qab, qap, qam, c, d, h)
+            )
+    out[active] = h
+    return out
 
 
-def _beta_inc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for a, b > 0, 0 <= x <= 1."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    log_bt = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    bt = math.exp(log_bt)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return bt * _beta_cf(a, b, x) / a
-    return 1.0 - bt * _beta_cf(b, a, 1.0 - x) / b
+def _f_cdf_each(x: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """``f_cdf`` at each element of the array x >= 0, the arguments unchecked:
+    the regularized incomplete beta I_z(d1/2, d2/2) at z = d1 x/(d1 x + d2),
+    every element through one ``_beta_cf``. Each element's log prefactor
+    comes from ``math``, whose exp and log may round otherwise than numpy's."""
+    a, b = 0.5 * d1, 0.5 * d2
+    z = d1 * x / (d1 * x + d2)
+    out = np.where(z <= 0.0, 0.0, 1.0)
+    inner = np.flatnonzero(~((z <= 0.0) | (z >= 1.0)))
+    z = z[inner]
+    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    bt = np.array([math.exp(log_norm + a * math.log(v) + b * math.log1p(-v)) for v in z.tolist()])
+    front = z < (a + 1.0) / (a + b + 2.0)
+    # the back of the range takes I_z(a, b) = 1 - I_{1-z}(b, a)
+    cf = _beta_cf(np.where(front, a, b), np.where(front, b, a), np.where(front, z, 1.0 - z))
+    cf *= bt
+    out[inner] = np.where(front, cf / a, 1.0 - cf / b)
+    return out
 
 
 def _chisq_gamma(x: float, q: int, upper: bool) -> float:
@@ -178,14 +198,13 @@ def chisq_sf(x: float, q: int) -> float:
 
 
 def f_cdf(x: float, d1: int, d2: int) -> float:
-    """F-distribution CDF with (d1, d2) degrees of freedom; absolute error below 1e-10."""
+    """F-distribution CDF with (d1, d2) degrees of freedom; absolute error
+    below 1e-10. The one-element case of ``_f_cdf_each``."""
     if d1 < 1 or d2 < 1:
         raise ValueError(f"degrees of freedom must be positive, got ({d1}, {d2})")
     if x < 0.0:
         raise ValueError(f"F argument must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    return _beta_inc_reg(0.5 * d1, 0.5 * d2, d1 * x / (d1 * x + d2))
+    return float(_f_cdf_each(np.array([x], dtype=float), d1, d2)[0])
 
 
 def log_sum_exp(values: np.ndarray, axis: int | None = None) -> np.ndarray | float:
@@ -200,6 +219,22 @@ def log_sum_exp(values: np.ndarray, axis: int | None = None) -> np.ndarray | flo
     if axis is None:
         return out.reshape(()).item()
     return np.squeeze(out, axis=axis)
+
+
+def _log_sum_exp_rows(terms: np.ndarray) -> np.ndarray:
+    """``log_sum_exp(terms, axis=0)`` of a C-ordered float array, computed
+    in the caller's buffer ``terms``, which it overwrites: one term is
+    returned as a view, and more are shifted, exponentiated, summed and
+    logged in ``log_sum_exp``'s order of operations, with its bits."""
+    if terms.shape[0] == 1:
+        return terms[0]
+    shift = np.max(terms, axis=0)
+    shift[~np.isfinite(shift)] = 0.0
+    terms -= shift
+    out = np.sum(np.exp(terms, out=terms), axis=0)
+    np.log(out, out=out)
+    out += shift
+    return out
 
 
 def cholesky(matrix: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ import numpy as np
 from .core import check_alpha, check_finite, check_label
 from .numerics import (
     SpdMatrix,
+    _log_sum_exp_rows,
     chisq_sf,
     log_sum_exp,
     mahalanobis_sq,
@@ -113,7 +114,9 @@ class GaussianMixtureModel:
         check_label(theta, self.n_classes)
         z = rng.standard_normal((size, self.q))
         out = z @ self.covariances[theta - 1].chol_lower.T
-        out += self.means[theta - 1]
+        # a column at a time: a row broadcast over a (size, q) block is slower
+        for column, mu in zip(out.T, self.means[theta - 1]):
+            column += mu
         return out
 
 
@@ -132,9 +135,9 @@ def log_weighted_lr(
     the same parameters. x may be (q,) or (m, q).
 
     Every class is scored from one split of x into component columns, and
-    the L - 1 terms and their shift go into buffers made once per call, with
-    the operations of ``log_sum_exp`` over the stacked terms: a row gets the
-    same bits alone and in any batch.
+    the L - 1 terms go into one buffer made once per call, which
+    ``numerics._log_sum_exp_rows`` sums in place with the operations of
+    ``log_sum_exp``: a row gets the same bits alone and in any batch.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -153,15 +156,7 @@ def log_weighted_lr(
     for row, b, log_w in zip(terms, others, np.log(weights[others]) - log_norm):
         np.add(log_dens[b], log_w, out=row)
         row -= log_dens[theta - 1]
-    if len(others) == 1:
-        out = terms[0]
-    else:
-        shift = np.max(terms, axis=0)
-        shift[~np.isfinite(shift)] = 0.0
-        terms -= shift
-        out = np.sum(np.exp(terms, out=terms), axis=0)
-        np.log(out, out=out)
-        out += shift
+    out = _log_sum_exp_rows(terms)
     return float(out[0]) if single else out
 
 
@@ -242,9 +237,17 @@ class OptimalMonteCarlo:
             stats.sort()
             self._sorted_stats[theta] = stats
         pts = np.atleast_2d(x)
-        scores = _in_blocks(pts.shape[0], lambda lo, hi: self.log_stat(theta, pts[lo:hi]))
-        below = np.searchsorted(stats, scores, side="left")
-        out = (stats.size - below + 1.0) / (stats.size + 1.0)
+
+        def below(lo: int, hi: int) -> np.ndarray:
+            # a block's scores are searched in sorted order, whose searches
+            # walk the statistics in order, and their counts scattered back
+            scores = self.log_stat(theta, pts[lo:hi])
+            order = np.argsort(scores)
+            counts = np.empty(scores.size, dtype=np.intp)
+            counts[order] = np.searchsorted(stats, scores[order], side="left")
+            return counts
+
+        out = (stats.size - _in_blocks(pts.shape[0], below) + 1.0) / (stats.size + 1.0)
         return float(out[0]) if x.ndim == 1 else out
 
 

@@ -46,6 +46,7 @@ __all__ = [
     "PermutationMethod",
     "STATISTICS",
     "pvalue",
+    "pvalue_table",
     "pvalue_vector",
     "pvalues",
 ]
@@ -89,7 +90,8 @@ class PermutationMethod:
 
 def pvalues(fitted, mode: str, theta: int, X: np.ndarray) -> np.ndarray:
     """P-values for class theta at each row of the (m, q) batch X, from a
-    statistic fitted on the training set; returns (m,).
+    statistic fitted on the training set; returns (m,). The one-class entry
+    point: ``pvalue_table`` gives every class's column at once.
 
     ``valid-shortcut`` scores each query x and the class under the fit
     augmented with (x, theta). ``exact-swap`` edits the fit by
@@ -123,15 +125,46 @@ def pvalues(fitted, mode: str, theta: int, X: np.ndarray) -> np.ndarray:
     ``edit(Remove(i))`` return the statistic on ``data.augment(x, theta)``,
     x last, and on ``data.remove(i)``, as ``TrainingSet.edit`` gives them.
     """
-    d = fitted.data
-    check_label(theta, d.n_classes)
+    check_label(theta, fitted.data.n_classes)
+    return _pvalues_each([fitted], mode, theta, [_checked_batch(fitted, mode, X)])[0]
+
+
+def pvalue_table(fitted, mode: str, X: np.ndarray) -> np.ndarray:
+    """P-values for every class at each row of the (m, q) batch X: (m, L),
+    column theta - 1 holding the bits of ``pvalues(fitted, mode, theta, X)``.
+
+    Valid-shortcut fixed-metric k-NN scores every class of a chunk of
+    queries from one (m, n) block of distances, one partition and one
+    in-ball mask (``KnnStatistic._augment_values``). A chunk holds about
+    four (m, n) arrays at a time, so it takes ``_BLOCK_ELEMENTS // (4 n)``
+    queries, as a ``knn_fit`` block takes rows. In a process running the
+    benchmark's ``classify`` rounds (n = 2,000, q = 2, 600 queries, 2-core
+    Xeon), 131-query chunks of ``_BLOCK_ELEMENTS`` elements per array took
+    8,116 minor page faults per call, since glibc mapped and faulted in
+    their arrays afresh, and 32-query chunks took 45. Every other statistic
+    and mode takes each column from ``pvalues``' kernel.
+    """
+    X = _checked_batch(fitted, mode, X)
+    classes = range(1, fitted.data.n_classes + 1)
+    if mode == "valid-shortcut" and isinstance(fitted, KnnStatistic) and not fitted.scale_features:
+        table = np.empty((len(X), len(classes)))
+        step = max(1, _BLOCK_ELEMENTS // (4 * fitted.data.n))
+        for start in range(0, len(X), step):
+            rows = slice(start, start + step)
+            for theta, (query, members) in zip(classes, fitted._augment_values(X[rows], classes)):
+                table[rows, theta - 1] = rank_pvalue(members, query)
+        return table
+    return np.column_stack([_pvalues_each([fitted], mode, theta, [X])[0] for theta in classes])
+
+
+def _checked_batch(fitted, mode: str, X: np.ndarray) -> np.ndarray:
+    """The query batch X as a finite (m, q) float array, for a known mode."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != d.q:
-        raise ValueError(f"query batch has shape {X.shape}, expected (m, {d.q})")
-    check_finite(X)
-    return _pvalues_each([fitted], mode, theta, [X])[0]
+    if X.ndim != 2 or X.shape[1] != fitted.data.q:
+        raise ValueError(f"query batch has shape {X.shape}, expected (m, {fitted.data.q})")
+    return check_finite(X)
 
 
 def _pvalues_each(fitted: Sequence, mode: str, theta: int, Xs: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -253,7 +286,7 @@ def warn_small_groups(d: TrainingSet, alphas: Sequence[float], left_out: int = 0
 
 
 def pvalue_vector(method: PermutationMethod, d: TrainingSet, x: np.ndarray) -> PValueVector:
-    """P-values for every class at the query point x, per the method's mode."""
+    """P-values for every class at the query point x, per the method's mode:
+    the one row of ``pvalue_table`` on a fit of d."""
     x = check_point(x, d.q)
-    fitted = method.fit(d)
-    return PValueVector(np.array([pvalue(fitted, method.mode, theta, x) for theta in range(1, d.n_classes + 1)]))
+    return PValueVector(pvalue_table(method.fit(d), method.mode, x[None, :])[0])

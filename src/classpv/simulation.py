@@ -23,7 +23,7 @@ from .oracle import (
     optimal_pvalue_2class_closed,
 )
 from .estimators import _BLOCK_ELEMENTS, default_k
-from .permutation import PermutationMethod, _pvalues_each, pvalues
+from .permutation import PermutationMethod, _pvalues_each, pvalue_table, pvalues
 
 __all__ = [
     "ConvergenceRow",
@@ -375,5 +375,5 @@ def region_map(
     if training.q != 2:
         raise ValueError(f"region maps need 2-D features, data has q={training.q}")
     fitted = method.fit(training)
-    cube = np.column_stack([pvalues(fitted, method.mode, theta, grid) for theta in range(1, training.n_classes + 1)])
+    cube = pvalue_table(fitted, method.mode, grid)
     return RegionMap(xs=xs, ys=ys, pvalues=cube.reshape(ys.size, xs.size, training.n_classes))

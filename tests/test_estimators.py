@@ -267,7 +267,7 @@ class TestKnnFit:
         monkeypatch.setattr(estimators, "_BLOCK_ELEMENTS", 4 * d.n * step)
         blocks = []
         sq_dists = estimators._sq_dists
-        monkeypatch.setattr(estimators, "_sq_dists", lambda a, b: blocks.append(len(a)) or sq_dists(a, b))
+        monkeypatch.setattr(estimators, "_sq_dists", lambda a, b, *out: blocks.append(len(a)) or sq_dists(a, b, *out))
         for k in (1, 2, default_k(d.n), d.n - 1, d.n):
             blocks.clear()
             caches = knn_fit(d, k)
