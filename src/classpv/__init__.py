@@ -42,6 +42,7 @@ from .numerics import (
     chisq_cdf,
     chisq_sf,
     f_cdf,
+    f_sf,
     mahalanobis_sq,
     std_normal_cdf,
 )

@@ -20,9 +20,10 @@ the fit without it). An optional method of the same name gives the values
 without the edit and flags the edits it cannot score; ``edited_values``
 makes each flagged edit and evaluates it, raising DegenerateFitError as the
 edit would, so its callers get finished values of every kind and make no
-refit. The plug-in statistic has a closed form for every kind (a whitened
-rank-two Woodbury solve, its query-free terms made once per call), the
-fixed-metric k-NN statistic for augment, relabel and loo (one block of
+refit. The plug-in statistic has a closed form for every kind (Fisher's
+linear discriminant under each edit: one small solve per edit, then q
+multiply-adds per point and competitor class), the fixed-metric k-NN
+statistic for augment, relabel and loo (one block of
 distances), and the logistic statistic fits every kind's edited sets in one
 batched IRLS. ``_logistic_edited_values`` runs that IRLS over the edited
 sets of many logistic statistics at once, which the method runs on one and
@@ -89,12 +90,12 @@ def _canonical_order(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# Sherman-Morrison turns the augmented Mahalanobis form into a difference of
-# two terms; beyond this value of a'|w_u|^2 that difference cancels badly, so
-# the query takes the refit.
+# Adding a query x makes the whitened scatter I + a' w_u w_u^T, of condition
+# number 1 + a'|w_u|^2; beyond this value the affine terms of a point as far
+# out as x cancel badly, so the query takes the refit.
 _FAR_QUERY = 1e4
-# Removing a point divides by about 1 - h, h its leverage beta|w_v|^2; beyond
-# this h that pivot cancels, so the row takes the refit.
+# Removing a point leaves a pivot of about 1 - h, h its leverage beta|w_v|^2;
+# beyond this h that pivot cancels, so the row takes the refit.
 _HIGH_LEVERAGE = 0.5
 
 
@@ -135,6 +136,15 @@ class GaussianStatistic:
         return whiten_rows(lower, self.data.features), whiten_rows(lower, self.means)
 
     @cached_property
+    def _sums(self) -> np.ndarray:
+        """(L, q): each class's row sum, in canonical row order for a fit and
+        carried through each edit by ``gaussian_update``; exact on a lattice,
+        where edited means that are equal fractions are then equal floats."""
+        d = self.data
+        starts = np.concatenate([[0], np.cumsum(d.group_sizes)[:-1]])
+        return np.add.reduceat(d.features[_canonical_order(d.features, d.labels)], starts, axis=0)
+
+    @cached_property
     def _pivot_floor(self) -> float:
         """The smallest Cholesky pivot of the pooled covariance. Augmenting
         adds a positive semidefinite term to the scatter, which lowers no
@@ -163,22 +173,22 @@ class GaussianStatistic:
         of one class y (theta != y for ``"relabel"``).
 
         Adding x adds (N_theta/(N_theta+1)) u u^T to the scatter,
-        u = x - mu_theta, and moves mu_theta by u/(N_theta+1). Removing it
-        subtracts (N_y/(N_y-1)) v v^T, v = x - mu_y, and moves mu_y by
-        -v/(N_y-1). In coordinates whitened by the pooled Cholesky factor the
-        edited covariance is a multiple of I + a w_u w_u^T - beta w_v w_v^T,
-        with a and beta the two coefficients over n - L. So by Woodbury every
-        edited Mahalanobis form is c (|y|^2 - p^T M^-1 p), p = (y.w_u, y.w_v)
-        and M 2x2, solved as one Sherman-Morrison step per term; c is the
-        ratio of the old to the new divisor n - L. The competitor weights
-        come from the edited group sizes, and the log determinant cancels from
-        the statistic's ordering, so no edit, Cholesky factorization or row
-        copy is needed. The members' offsets y from each class mean are
-        query-free, made once per call, and where the mean stays so are their
-        |y|^2, an (N,) row; each projection is an outer product with w_u or
-        w_v. Buffers of about ``_BLOCK_ELEMENTS`` elements take the passes, a
-        block of rows at a time, the query in column 0. Whitened row by row, a
-        row equal to a query shares every operation and gets its bits.
+        u = x - mu_theta, and removing it subtracts (N_y/(N_y-1)) v v^T,
+        v = x - mu_y. In coordinates whitened by the pooled Cholesky factor
+        the inverse edited covariance is c A^-1, A = I + a w_u w_u^T - beta
+        w_v w_v^T, with a and beta the two coefficients over n - L and c the
+        ratio of the new to the old divisor n - L. One covariance serves
+        every class, so the statistic is Fisher's linear discriminant: each
+        competitor b adds the term y . G_b + tau_b at the whitened point y,
+        G_b = c A^-1 (m'_b - m'_theta) and tau_b = log w'_b - G_b . (m'_b +
+        m'_theta)/2, from the edited whitened means m' (the class sums over
+        the sizes) and group sizes; the log determinant cancels. So each edit
+        solves its own (q, q) system for its L - 1 slopes, with no edit,
+        Cholesky factorization or row copy, and each (point, competitor)
+        entry takes q multiply-adds on whitened rows, which do not depend on
+        the edit. Buffers of about ``_BLOCK_ELEMENTS`` elements take a block
+        of edits at a time, the edited point in column 0 and scored by the
+        same operations, so a member equal to it gets its bits.
 
         The refit checks its Cholesky pivots against 1e-12 times the largest
         diagonal entry of the edited covariance, which is read off the pooled
@@ -186,15 +196,15 @@ class GaussianStatistic:
         is at least (1 - h) times the old one, h = beta |w_v|^2, so every
         pivot is at least (1 - h) times the pivot floor, rescaled to the new
         divisor. A query is flagged where that tolerance comes within a
-        factor 2 of the bound, where a |w_u|^2 exceeds ``_FAR_QUERY`` (the add
-        step cancels) or where h exceeds ``_HIGH_LEVERAGE`` (the remove step
-        cancels).
+        factor 2 of the bound, where a |w_u|^2 exceeds ``_FAR_QUERY`` (A grows
+        ill-conditioned) or where h exceeds ``_HIGH_LEVERAGE`` (A nears
+        singular).
         """
         n, n_classes = self.n, self.data.n_classes
         features_w, means_w = self._whitened
         # "loo" scores the removed row alone
         group_w = features_w[self.data.group(theta) if kind != "loo" else []]
-        parts = -(-len(X) // max(1, _BLOCK_ELEMENTS // ((self.q + n_classes + 4) * (group_w.shape[0] + 1))))
+        parts = -(-len(X) // max(1, _BLOCK_ELEMENTS // ((self.q + n_classes) * (group_w.shape[0] + 1))))
         if parts > 1:
             values = [self.edited_values(theta, kind, part) for part in np.array_split(X, parts)]
             return tuple(np.concatenate(v) for v in zip(*values))
@@ -206,7 +216,8 @@ class GaussianStatistic:
             X, wx = self.data.features[X], features_w[X]
         m, q = wx.shape
         sizes, new_n = self.group_sizes, n
-        shifts = {}  # class index -> (m, q) whitened mean shift
+        sums = np.repeat(self._sums[None], m, axis=0)  # (m, L, q), the edited class sums
+        scatter = np.repeat(np.eye(q)[None], m, axis=0)  # (m, q, q), A
         scatter_diag = (n - n_classes) * np.diag(self.sigma.matrix)
         refit = np.zeros(m, dtype=bool)
         leverage = 0.0
@@ -214,10 +225,9 @@ class GaussianStatistic:
             big_n = int(sizes[theta - 1])
             a = big_n / (big_n + 1.0) / (n - n_classes)
             wu = wx - means_w[theta - 1]
-            shifts[theta - 1] = wu / (big_n + 1.0)
-            spread = _row_dot(wu, wu)
-            spread *= a
-            refit |= spread > _FAR_QUERY
+            sums[:, theta - 1] += X
+            refit |= a * _row_dot(wu, wu) > _FAR_QUERY
+            scatter += a * wu[:, :, None] * wu[:, None, :]
             u = X - self.means[theta - 1]
             scatter_diag = scatter_diag + u * u / (1.0 + 1.0 / big_n)
             sizes[theta - 1] += 1
@@ -226,75 +236,42 @@ class GaussianStatistic:
             big_n = int(sizes[removed - 1])
             beta = big_n / (big_n - 1.0) / (n - n_classes)
             wv = wx - means_w[removed - 1]
-            shifts[removed - 1] = -wv / (big_n - 1.0)
+            sums[:, removed - 1] -= X
             leverage = beta * _row_dot(wv, wv)
             refit |= leverage > _HIGH_LEVERAGE
+            scatter -= beta * wv[:, :, None] * wv[:, None, :]
             v = X - self.means[removed - 1]
             scatter_diag = scatter_diag - (big_n / (big_n - 1.0)) * v * v
             sizes[removed - 1] -= 1
             new_n -= 1
-            if add:
-                # the remove step's pivot 1 - beta v^T (I + a u u^T)^-1 v
-                uv = _row_dot(wu, wv)
-                cross = uv / (1.0 + spread)
-                pivot = 1.0 - (leverage - beta * a * cross * uv)
-            else:
-                pivot = 1.0 - leverage
         tol = 1e-12 * np.max(scatter_diag, axis=1) / (new_n - n_classes)
         floor = self._pivot_floor * (n - n_classes) / (new_n - n_classes) * (1.0 - leverage)
         refit |= 2.0 * tol >= floor
-        if removed is not None:
-            # flagged rows are not used; keep their arithmetic finite
-            pivot = np.where(refit, 1.0, pivot)
-        c = (new_n - n_classes) / (n - n_classes)
-        y, (sq, proj_u, proj_v, spare, own) = np.split(np.empty((q + 5, m, group_w.shape[0] + 1)), [q])
-        terms = np.empty((n_classes - 1, m, group_w.shape[0] + 1))
-        sums = ([(proj_u, wu.T[:, :, None])] if add else []) + ([(proj_v, wv.T[:, :, None])] if removed is not None else [])
-        for b, out in zip(sorted(range(n_classes), key=lambda b: b != theta - 1), [own, *terms]):
-            query, members = (wx - means_w[b]).T[:, :, None], (group_w - means_w[b]).T
-            if b in shifts:
-                np.subtract(query, shifts[b].T[:, :, None], out=y[:, :, :1])
-                np.subtract(members[:, None], shifts[b].T[:, :, None], out=y[:, :, 1:])
-                blocks = [(slice(None), y, sq)]
-            else:  # the members' squared norms are one (N,) row
-                blocks = [(slice(0, 1), query, sq[:, :1]), (slice(1, None), members, sq[:1, 1:])]
-            for part, offsets, norm in blocks:
-                _sum_products(norm, zip(offsets, offsets), spare[:, part])
-                for total, right in sums:
-                    _sum_products(total[:, part], zip(offsets, right), spare[:, part])
-            if add:
-                np.multiply(a, proj_u, out=spare)
-                if removed is not None:
-                    proj_v -= np.multiply(spare, cross[:, None], out=out)
-                spare *= proj_u
-                spare /= (1.0 + spread)[:, None]
-                for part, _, norm in blocks:
-                    np.subtract(norm, spare[:, part], out=out[:, part])
-            if removed is not None:
-                np.multiply(beta, proj_v, out=spare)
-                spare *= proj_v
-                spare /= pivot[:, None]
-                for part, _, norm in blocks:
-                    np.add(out[:, part] if add else norm, spare[:, part], out=out[:, part])
-            out *= c
-            if b != theta - 1:  # log w_b - (maha_b - maha_theta) / 2
-                out -= own
-                out *= 0.5
-                np.subtract(np.log(sizes[b] / (sizes.sum() - sizes[theta - 1])), out, out=out)
+        if refit.any():  # flagged rows are not used; keep their systems regular
+            scatter[refit] = np.eye(q)
+        sums /= sizes[:, None]
+        means = whiten_rows(self.sigma.chol_lower, sums.reshape(-1, q)).reshape(sums.shape)
+        others = [b for b in range(n_classes) if b != theta - 1]
+        own, rivals = means[:, theta - 1 : theta], means[:, others]
+        slopes = np.linalg.solve(scatter, np.swapaxes(rivals - own, 1, 2))  # (m, q, L - 1)
+        slopes *= (new_n - n_classes) / (n - n_classes)
+        mids = 0.5 * np.swapaxes(rivals + own, 1, 2)
+        offsets = np.log(sizes[others] / (sizes.sum() - sizes[theta - 1])) - _row_dot(slopes, mids)
+        points, terms, (spare,) = np.split(np.empty((q + n_classes, m, group_w.shape[0] + 1)), [q, q + n_classes - 1])
+        points[:, :, 0] = wx.T
+        points[:, :, 1:] = group_w.T[:, None, :]
+        for b, out in enumerate(terms):
+            np.multiply(points[0], slopes[:, 0, b, None], out=out)
+            for k in range(1, q):
+                out += np.multiply(points[k], slopes[:, k, b, None], out=spare)
+            out += offsets[:, b, None]
         return _log_sum_exp_rows(terms), refit
 
 
-def _sum_products(total: np.ndarray, pairs, spare: np.ndarray) -> None:
-    """total = the sum of left * right over the (left, right) pairs, in order."""
-    for k, (left, right) in enumerate(pairs):
-        product = np.multiply(left, right, out=spare[: total.shape[0]] if k else total)
-        if k:
-            total += product
-
-
 def _row_dot(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (m, q) arrays, components added in order."""
-    out = np.zeros(left.shape[0])
+    """Dot products along axis 1 of two arrays of one shape, components
+    added in order."""
+    out = np.zeros_like(left[:, 0])
     for k in range(left.shape[1]):
         out += left[:, k] * right[:, k]
     return out
@@ -351,6 +328,7 @@ def gaussian_update(stat: GaussianStatistic, edit: Remove | Augment | Relabel) -
     removed = None if isinstance(edit, Augment) else edit.index
     scatter = (d.n - d.n_classes) * stat.sigma.matrix
     means = np.array(stat.means, copy=True)
+    sums = stat._sums.copy()
     sizes = d.group_sizes
     if added is not None:
         x, theta = np.asarray(added[0], dtype=float), int(added[1])
@@ -358,6 +336,7 @@ def gaussian_update(stat: GaussianStatistic, edit: Remove | Augment | Relabel) -
         dev = x - means[theta - 1]
         scatter = scatter + np.outer(dev, dev) / (1.0 + 1.0 / big_n)
         means[theta - 1] = means[theta - 1] + dev / (big_n + 1.0)
+        sums[theta - 1] += x
         sizes[theta - 1] += 1
     if removed is not None:
         theta = int(d.labels[removed])
@@ -365,6 +344,7 @@ def gaussian_update(stat: GaussianStatistic, edit: Remove | Augment | Relabel) -
         dev = d.features[removed] - means[theta - 1]
         scatter = scatter - (big_n / (big_n - 1.0)) * np.outer(dev, dev)
         means[theta - 1] = means[theta - 1] - dev / (big_n - 1.0)
+        sums[theta - 1] -= d.features[removed]
     n, n_classes = new_data.n, new_data.n_classes
     if n <= n_classes:
         raise ValueError(f"edit leaves n={n} <= L={n_classes}")
@@ -374,7 +354,9 @@ def gaussian_update(stat: GaussianStatistic, edit: Remove | Augment | Relabel) -
         raise DegenerateFitError(
             f"edited covariance is singular ({err})", pivot_index=err.pivot_index
         ) from err
-    return replace(stat, data=new_data, means=means, sigma=sigma)
+    edited = replace(stat, data=new_data, means=means, sigma=sigma)
+    vars(edited)["_sums"] = sums  # the cached property's value, carried by the edit
+    return edited
 
 
 def typicality_index(stat: GaussianStatistic, theta: int, x: np.ndarray) -> np.ndarray | float:
@@ -383,7 +365,8 @@ def typicality_index(stat: GaussianStatistic, theta: int, x: np.ndarray) -> np.n
     The scaling constant turns the distance into an F-distributed pivot, so the
     index is an exact p-value under a homoscedastic Gaussian model. x may be
     (q,) or (m, q); each row gets the same bits in any batch, since every
-    row's F tail goes through one elementwise ``_f_cdf_each``.
+    row's F upper tail goes through one elementwise ``_f_cdf_each``, which
+    sums it directly, so far points keep their order down to 1e-300.
     """
     n_classes = stat.data.n_classes
     check_label(theta, n_classes)
@@ -394,7 +377,7 @@ def typicality_index(stat: GaussianStatistic, theta: int, x: np.ndarray) -> np.n
     c_theta = d2 / (q * (n - n_classes) * (1.0 + 1.0 / stat.group_sizes[theta - 1]))
     x = np.asarray(x, dtype=float)
     msq = mahalanobis_sq(np.atleast_2d(x), stat.means[theta - 1], stat.sigma)
-    out = 1.0 - _f_cdf_each(c_theta * msq, q, d2)
+    out = _f_cdf_each(c_theta * msq, q, d2, upper=True)
     return float(out[0]) if x.ndim == 1 else out
 
 
@@ -474,10 +457,8 @@ class KnnCaches:
 
 # elements of the temporaries that one chunk of queries (``permutation._chunks``),
 # one k-NN fit block or one block of plug-in closed-form rows may build: 2**18
-# float64 are 2 MiB, the per-core L2 cache of the Xeon this was tuned on. Of
-# 2**16 to 2**20, 2**18 was the fastest for k-NN valid-shortcut ``classify`` at
-# n = 2,000, q = 2 (53 against 79 ms at 2**20); the plug-in closed form took
-# 118 ms there in blocks of 65 rows (3 MiB of buffers) and 61 ms in 43
+# float64 are 2 MiB, the size of a per-core L2 cache, so that a block's
+# working arrays stay in cache; the timings that chose it are in CHANGES.md
 _BLOCK_ELEMENTS = 2**18
 
 

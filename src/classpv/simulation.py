@@ -23,7 +23,7 @@ from .oracle import (
     optimal_pvalue_2class_closed,
 )
 from .estimators import _BLOCK_ELEMENTS, default_k
-from .permutation import PermutationMethod, _pvalues_each, pvalue_table, pvalues
+from .permutation import PermutationMethod, _pvalues_each, pvalue_table
 
 __all__ = [
     "ConvergenceRow",
@@ -242,7 +242,8 @@ def convergence_experiment(
     fresh mixture queries are drawn; the k-NN (k = ``default_k(n)``) and
     plug-in p-values (default valid-shortcut mode) at the queries are
     compared against the known-model p-values, evaluated in closed form where
-    available and by shared-sample Monte Carlo otherwise.
+    available and by shared-sample Monte Carlo otherwise. Each fitted
+    statistic scores every class at once through one ``pvalue_table``.
     """
     if list(n_schedule) != sorted(set(int(n) for n in n_schedule)):
         raise ValueError("n_schedule must be strictly increasing")
@@ -263,12 +264,10 @@ def convergence_experiment(
         plugin_method = PermutationMethod(statistic="plugin", mode="valid-shortcut")
         knn_fitted = knn_method.fit(d)
         plugin_fitted = plugin_method.fit(d)
-        gaps_knn = []
-        gaps_plugin = []
-        for theta in range(1, model.n_classes + 1):
-            star = np.asarray(oracle(theta, queries))
-            gaps_knn.extend(np.abs(pvalues(knn_fitted, "valid-shortcut", theta, queries) - star))
-            gaps_plugin.extend(np.abs(pvalues(plugin_fitted, "valid-shortcut", theta, queries) - star))
+        # (L, m), class-major as the gaps are averaged
+        stars = np.array([oracle(theta, queries) for theta in range(1, model.n_classes + 1)])
+        gaps_knn = np.abs(pvalue_table(knn_fitted, "valid-shortcut", queries).T - stars).ravel()
+        gaps_plugin = np.abs(pvalue_table(plugin_fitted, "valid-shortcut", queries).T - stars).ravel()
         rows.append(
             ConvergenceRow(
                 n=int(n_total),

@@ -21,7 +21,7 @@ import numpy as np
 
 from classpv import Augment, GaussianMixtureModel, Remove
 from classpv.estimators import TypicalityStatistic
-from classpv.numerics import f_cdf, mahalanobis_sq
+from classpv.numerics import f_sf, mahalanobis_sq
 from classpv.oracle import log_weighted_lr
 
 _CHUNK_POINTS = 250_000
@@ -98,8 +98,8 @@ def refit_pvalue(fitted, mode: str, theta: int, x: np.ndarray) -> float:
     the same on the unedited fit; ``exact-swap`` swaps x in for each member
     by ``Augment(x, theta)`` and then ``Remove`` of the member, except at a
     member equal to x, which that swap leaves as it is: there the unedited
-    fit scores it. Typicality is the F tail of the
-    scaled squared Mahalanobis distance, one point at a time through
+    fit scores it. Typicality is the F upper tail (``f_sf``) of the scaled
+    squared Mahalanobis distance, one point at a time through
     ``mahalanobis_sq``.
     """
     d = fitted.data
@@ -109,7 +109,7 @@ def refit_pvalue(fitted, mode: str, theta: int, x: np.ndarray) -> float:
         n, n_classes, q = fitted.n, d.n_classes, fitted.q
         d2 = n - n_classes - q + 1
         c_theta = d2 / (q * (n - n_classes) * (1.0 + 1.0 / fitted.group_sizes[theta - 1]))
-        return 1.0 - f_cdf(c_theta * mahalanobis_sq(x, fitted.means[theta - 1], fitted.sigma), q, d2)
+        return f_sf(c_theta * mahalanobis_sq(x, fitted.means[theta - 1], fitted.sigma), q, d2)
     if mode == "exact-swap":
         reference = fitted.evaluate(theta, x[None, :])[0]
         augmented = fitted.edit(Augment(x, theta))

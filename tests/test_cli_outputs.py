@@ -112,15 +112,15 @@ PINS = {
     'crossval/logistic/valid-shortcut': {'crossval_pvalues.csv': '526c8f3f39305723187f204589fb7d318b4471b85ffdd534c39b728c6d667ca5', 'crossval_summary.json': '5cc1fa0fab03b223a2270f1c7842ed9607f79f9a733c71c6f0ef40b1f1662308', 'inclusion_alpha0.05.csv': '85bee4cf9fce2219dd98ced4ecc61c777d33ff36c87eef898107413129f7236a', 'inclusion_alpha0.2.csv': '2c7338e304eb56dbc9f834f7a9a389fae595e728d6fed635473caa5c6030ef10', 'pattern_alpha0.05.csv': 'e089a6359414654a48ae873b390ea4635061a49c19c31aa79f4ba791a4984f98', 'pattern_alpha0.2.csv': '6455dc8254b0ee1d8c0ac19d946e910eb18c2958a47953bf6bd1eecc2c827b31', 'pvalue_chart.svg': '9e5ab56748b5c2d92903dab2a870fd3296a128702481170ce6738132e7a67db6', 'region_chart_alpha0.05.svg': '4c3d680040607967ecd1f75f697415bdbd93217e600412b6b6fe1fba1313aa78', 'region_chart_alpha0.2.svg': 'b81623f96c5abef94a6be85da6900ccf258bc96a677547c54fc24ad32ae06d5c', 'roc_curves.csv': '95900f421e125f4d816bca9d994b995db722b153bbe65ab998b4dda72c362650', 'roc_curves.svg': '11632cd09c784e81b0d21dfdce03817bc8fb294b940a1ccdf99e46caabfab8f3'},
     'classify/logistic/naive': {'classify.csv': '4e7cea4fec7b749ca73df491fb23ee09843773bb44466c552c6e3d229fb6e8e7', 'classify.json': '9cb2ffa743bb6ccab8170ec36006e1313320677fc752fc97633f2cf53e92bac9'},
     'crossval/logistic/naive': {'crossval_pvalues.csv': 'ff69de13360bd9e79ea5fd01963e0f71ad32b4ec412f9842b46b7ffcd6765b59', 'crossval_summary.json': '7c4e46c0209feb0f7f6a685761b275dd7f4374ac9a43394ec9aaea9f7f20a227', 'inclusion_alpha0.05.csv': 'ba1b843f0d3fa33c6a165e90fd06b728e52a8de551b7ff97cf2a883c05aa92f0', 'inclusion_alpha0.2.csv': 'a4e11e5b5cfe805e791a45388b9b33ff438cc498c8d249381771984b9a27eacd', 'pattern_alpha0.05.csv': 'c2fae31e090d5b0d97968c60ec521d4891f08924b5bfa202bb9baececa4646f0', 'pattern_alpha0.2.csv': 'ec44035f97a6e68ea9cb3c45ac5b2873d3fde4db57e6672c7d7844c637990e15', 'pvalue_chart.svg': '777c7c38c472854b436269dc08bae7bdccdf93e2e24a05621b2dc3b602ad65bf', 'region_chart_alpha0.05.svg': 'd7e1425a75d85a5eedd112a15da783c72fbb55c8c2f3272f1a6d1daf82056d03', 'region_chart_alpha0.2.svg': '03a351825e1e6caa1088235ac66f6310d32325f3189f84b531c757601252cdf8', 'roc_curves.csv': 'b10a0a45414054e7447e55df51a9cf279f59487c362de9d579a4aaaec6ef5e78', 'roc_curves.svg': '5a618b36047d3abd4fc7510ea0af4ba493af879057905e29f1cc2f6e2c495649'},
-    'classify/typicality/exact-swap': {'classify.csv': 'b04a4aacf896cba389bf51158401a8a969e556454e8050c46c9ab5a31bc24ffd', 'classify.json': '0465d5d7f6a82ceadd485efdfaea82fc0e59081abbb77f543b5f354726786bfb'},
-    'crossval/typicality/exact-swap': {'crossval_pvalues.csv': 'a1b07a87b0960e62a0cc1498d4fb68c94b1fb6201c8622c1b07d0eee32a7b18d', 'crossval_summary.json': 'b41eb914e2b372764da3a98eb771c0e0f2d35e16bc4957518c6c26a28141ca76', 'inclusion_alpha0.05.csv': '94a7d871421ba4c946d01ef59f22b74ac17b2d5987372b225f4203cb13bd4754', 'inclusion_alpha0.2.csv': '2cee810f2b41c0ee52d158b107dd3c37a238c291d6be3d00caa301d0874ac9eb', 'pattern_alpha0.05.csv': 'c0d697fe875b2dc9fbca2c95075791f55aa626db44ee2136d937b7d7cfa7ece7', 'pattern_alpha0.2.csv': 'b1463165ea414ab76b201482ca9a6f79b0ba820c5aba0e22b68dfa4053491e0b', 'pvalue_chart.svg': 'cdfd802d3f504078e6c63b49d8d7b3b32fccc49b7956490f7c09ae0372797905', 'region_chart_alpha0.05.svg': '8f401ca902e9c0de31c2d51ede9e789ecc7a051fe0adb2e8b8b3bfeadb2cdf02', 'region_chart_alpha0.2.svg': 'afb5e1448e8f306cb90359ec467518fe9bfc0897371b44b1fe5c864a54fce392', 'roc_curves.csv': 'a573d2902bea325eeeaa21e7cb2e29df0c783683f685d9aef649856a27e14708', 'roc_curves.svg': '53b3968867489bcaac58914f88bb567c39925ea6070f27159ae87b53687bf4d4'},
-    'crossval3/typicality/exact-swap': {'crossval_pvalues.csv': 'f438e6af686d23bf216d7436f3b0cbbc8b14c474a33cf751a5f0be0c8c1c84ae', 'inclusion_alpha0.05.csv': '04b5a06beaa5cf26d2c314d588ad6e13829dc06f7ee81c4f383e185f382d4d91', 'inclusion_alpha0.2.csv': 'e024db7665e03528ebde22e7aac7f3f2d09239ced516359a760ea3ab5bdec555', 'pattern_alpha0.05.csv': 'dff0f2c6d191eee6e72791bde2c28cb0f5182e243b6e07256e75661122f6fc67', 'pattern_alpha0.2.csv': '70ec61f59209efca840d16fb627818375778f2a303257e37d21f5401380be12e', 'roc_curves.csv': '90ae21cc9103eef2605ef8830725ef3db9b793fd00498715488e2a0fc81b8a62'},
-    'classify/typicality/valid-shortcut': {'classify.csv': 'b04a4aacf896cba389bf51158401a8a969e556454e8050c46c9ab5a31bc24ffd', 'classify.json': '0465d5d7f6a82ceadd485efdfaea82fc0e59081abbb77f543b5f354726786bfb'},
-    'crossval/typicality/valid-shortcut': {'crossval_pvalues.csv': 'a1b07a87b0960e62a0cc1498d4fb68c94b1fb6201c8622c1b07d0eee32a7b18d', 'crossval_summary.json': 'f7163ae7cc21633a7352df19263d9523ebe912edec66ffc8b0ece71f0d28a1e4', 'inclusion_alpha0.05.csv': '94a7d871421ba4c946d01ef59f22b74ac17b2d5987372b225f4203cb13bd4754', 'inclusion_alpha0.2.csv': '2cee810f2b41c0ee52d158b107dd3c37a238c291d6be3d00caa301d0874ac9eb', 'pattern_alpha0.05.csv': 'c0d697fe875b2dc9fbca2c95075791f55aa626db44ee2136d937b7d7cfa7ece7', 'pattern_alpha0.2.csv': 'b1463165ea414ab76b201482ca9a6f79b0ba820c5aba0e22b68dfa4053491e0b', 'pvalue_chart.svg': 'cdfd802d3f504078e6c63b49d8d7b3b32fccc49b7956490f7c09ae0372797905', 'region_chart_alpha0.05.svg': '8f401ca902e9c0de31c2d51ede9e789ecc7a051fe0adb2e8b8b3bfeadb2cdf02', 'region_chart_alpha0.2.svg': 'afb5e1448e8f306cb90359ec467518fe9bfc0897371b44b1fe5c864a54fce392', 'roc_curves.csv': 'a573d2902bea325eeeaa21e7cb2e29df0c783683f685d9aef649856a27e14708', 'roc_curves.svg': '53b3968867489bcaac58914f88bb567c39925ea6070f27159ae87b53687bf4d4'},
-    'crossval3/typicality/valid-shortcut': {'crossval_pvalues.csv': 'f438e6af686d23bf216d7436f3b0cbbc8b14c474a33cf751a5f0be0c8c1c84ae', 'inclusion_alpha0.05.csv': '04b5a06beaa5cf26d2c314d588ad6e13829dc06f7ee81c4f383e185f382d4d91', 'inclusion_alpha0.2.csv': 'e024db7665e03528ebde22e7aac7f3f2d09239ced516359a760ea3ab5bdec555', 'pattern_alpha0.05.csv': 'dff0f2c6d191eee6e72791bde2c28cb0f5182e243b6e07256e75661122f6fc67', 'pattern_alpha0.2.csv': '70ec61f59209efca840d16fb627818375778f2a303257e37d21f5401380be12e', 'roc_curves.csv': '90ae21cc9103eef2605ef8830725ef3db9b793fd00498715488e2a0fc81b8a62'},
-    'classify/typicality/naive': {'classify.csv': 'b04a4aacf896cba389bf51158401a8a969e556454e8050c46c9ab5a31bc24ffd', 'classify.json': '0465d5d7f6a82ceadd485efdfaea82fc0e59081abbb77f543b5f354726786bfb'},
-    'crossval/typicality/naive': {'crossval_pvalues.csv': 'a1b07a87b0960e62a0cc1498d4fb68c94b1fb6201c8622c1b07d0eee32a7b18d', 'crossval_summary.json': '7093b0420216026f276e34ae4cd56fe25dc64d51ba30a02b2f4d922d815db394', 'inclusion_alpha0.05.csv': '94a7d871421ba4c946d01ef59f22b74ac17b2d5987372b225f4203cb13bd4754', 'inclusion_alpha0.2.csv': '2cee810f2b41c0ee52d158b107dd3c37a238c291d6be3d00caa301d0874ac9eb', 'pattern_alpha0.05.csv': 'c0d697fe875b2dc9fbca2c95075791f55aa626db44ee2136d937b7d7cfa7ece7', 'pattern_alpha0.2.csv': 'b1463165ea414ab76b201482ca9a6f79b0ba820c5aba0e22b68dfa4053491e0b', 'pvalue_chart.svg': 'cdfd802d3f504078e6c63b49d8d7b3b32fccc49b7956490f7c09ae0372797905', 'region_chart_alpha0.05.svg': '8f401ca902e9c0de31c2d51ede9e789ecc7a051fe0adb2e8b8b3bfeadb2cdf02', 'region_chart_alpha0.2.svg': 'afb5e1448e8f306cb90359ec467518fe9bfc0897371b44b1fe5c864a54fce392', 'roc_curves.csv': 'a573d2902bea325eeeaa21e7cb2e29df0c783683f685d9aef649856a27e14708', 'roc_curves.svg': '53b3968867489bcaac58914f88bb567c39925ea6070f27159ae87b53687bf4d4'},
-    'crossval3/typicality/naive': {'crossval_pvalues.csv': 'f438e6af686d23bf216d7436f3b0cbbc8b14c474a33cf751a5f0be0c8c1c84ae', 'inclusion_alpha0.05.csv': '04b5a06beaa5cf26d2c314d588ad6e13829dc06f7ee81c4f383e185f382d4d91', 'inclusion_alpha0.2.csv': 'e024db7665e03528ebde22e7aac7f3f2d09239ced516359a760ea3ab5bdec555', 'pattern_alpha0.05.csv': 'dff0f2c6d191eee6e72791bde2c28cb0f5182e243b6e07256e75661122f6fc67', 'pattern_alpha0.2.csv': '70ec61f59209efca840d16fb627818375778f2a303257e37d21f5401380be12e', 'roc_curves.csv': '90ae21cc9103eef2605ef8830725ef3db9b793fd00498715488e2a0fc81b8a62'},
+    'classify/typicality/exact-swap': {'classify.csv': 'b04a4aacf896cba389bf51158401a8a969e556454e8050c46c9ab5a31bc24ffd', 'classify.json': '029247ad2e0121c428fd1104e409ab41b1988649b2bf0195c02c1abc085af6df'},
+    'crossval/typicality/exact-swap': {'crossval_pvalues.csv': 'af001c8434f78763e6008f5f80c5e021ee59b630a501167961703c84b89ca4bd', 'crossval_summary.json': 'b41eb914e2b372764da3a98eb771c0e0f2d35e16bc4957518c6c26a28141ca76', 'inclusion_alpha0.05.csv': '94a7d871421ba4c946d01ef59f22b74ac17b2d5987372b225f4203cb13bd4754', 'inclusion_alpha0.2.csv': '2cee810f2b41c0ee52d158b107dd3c37a238c291d6be3d00caa301d0874ac9eb', 'pattern_alpha0.05.csv': 'c0d697fe875b2dc9fbca2c95075791f55aa626db44ee2136d937b7d7cfa7ece7', 'pattern_alpha0.2.csv': 'b1463165ea414ab76b201482ca9a6f79b0ba820c5aba0e22b68dfa4053491e0b', 'pvalue_chart.svg': 'cdfd802d3f504078e6c63b49d8d7b3b32fccc49b7956490f7c09ae0372797905', 'region_chart_alpha0.05.svg': '8f401ca902e9c0de31c2d51ede9e789ecc7a051fe0adb2e8b8b3bfeadb2cdf02', 'region_chart_alpha0.2.svg': 'afb5e1448e8f306cb90359ec467518fe9bfc0897371b44b1fe5c864a54fce392', 'roc_curves.csv': 'f8befdecdc8d3888faa6da2c9d9bae9cc5c697cbf122cc178379338a9f98a032', 'roc_curves.svg': '53b3968867489bcaac58914f88bb567c39925ea6070f27159ae87b53687bf4d4'},
+    'crossval3/typicality/exact-swap': {'crossval_pvalues.csv': '2fe2b2f2313571c54d9ba8e1fc66de0e92cc81ac3bd37a0a6d319b931640a8c1', 'inclusion_alpha0.05.csv': '04b5a06beaa5cf26d2c314d588ad6e13829dc06f7ee81c4f383e185f382d4d91', 'inclusion_alpha0.2.csv': 'e024db7665e03528ebde22e7aac7f3f2d09239ced516359a760ea3ab5bdec555', 'pattern_alpha0.05.csv': 'dff0f2c6d191eee6e72791bde2c28cb0f5182e243b6e07256e75661122f6fc67', 'pattern_alpha0.2.csv': '70ec61f59209efca840d16fb627818375778f2a303257e37d21f5401380be12e', 'roc_curves.csv': '8690c863e2f93dd299d9dc1ca6cd9a9efc18a045857eabe8512788d0e09315c9'},
+    'classify/typicality/valid-shortcut': {'classify.csv': 'b04a4aacf896cba389bf51158401a8a969e556454e8050c46c9ab5a31bc24ffd', 'classify.json': '029247ad2e0121c428fd1104e409ab41b1988649b2bf0195c02c1abc085af6df'},
+    'crossval/typicality/valid-shortcut': {'crossval_pvalues.csv': 'af001c8434f78763e6008f5f80c5e021ee59b630a501167961703c84b89ca4bd', 'crossval_summary.json': 'f7163ae7cc21633a7352df19263d9523ebe912edec66ffc8b0ece71f0d28a1e4', 'inclusion_alpha0.05.csv': '94a7d871421ba4c946d01ef59f22b74ac17b2d5987372b225f4203cb13bd4754', 'inclusion_alpha0.2.csv': '2cee810f2b41c0ee52d158b107dd3c37a238c291d6be3d00caa301d0874ac9eb', 'pattern_alpha0.05.csv': 'c0d697fe875b2dc9fbca2c95075791f55aa626db44ee2136d937b7d7cfa7ece7', 'pattern_alpha0.2.csv': 'b1463165ea414ab76b201482ca9a6f79b0ba820c5aba0e22b68dfa4053491e0b', 'pvalue_chart.svg': 'cdfd802d3f504078e6c63b49d8d7b3b32fccc49b7956490f7c09ae0372797905', 'region_chart_alpha0.05.svg': '8f401ca902e9c0de31c2d51ede9e789ecc7a051fe0adb2e8b8b3bfeadb2cdf02', 'region_chart_alpha0.2.svg': 'afb5e1448e8f306cb90359ec467518fe9bfc0897371b44b1fe5c864a54fce392', 'roc_curves.csv': 'f8befdecdc8d3888faa6da2c9d9bae9cc5c697cbf122cc178379338a9f98a032', 'roc_curves.svg': '53b3968867489bcaac58914f88bb567c39925ea6070f27159ae87b53687bf4d4'},
+    'crossval3/typicality/valid-shortcut': {'crossval_pvalues.csv': '2fe2b2f2313571c54d9ba8e1fc66de0e92cc81ac3bd37a0a6d319b931640a8c1', 'inclusion_alpha0.05.csv': '04b5a06beaa5cf26d2c314d588ad6e13829dc06f7ee81c4f383e185f382d4d91', 'inclusion_alpha0.2.csv': 'e024db7665e03528ebde22e7aac7f3f2d09239ced516359a760ea3ab5bdec555', 'pattern_alpha0.05.csv': 'dff0f2c6d191eee6e72791bde2c28cb0f5182e243b6e07256e75661122f6fc67', 'pattern_alpha0.2.csv': '70ec61f59209efca840d16fb627818375778f2a303257e37d21f5401380be12e', 'roc_curves.csv': '8690c863e2f93dd299d9dc1ca6cd9a9efc18a045857eabe8512788d0e09315c9'},
+    'classify/typicality/naive': {'classify.csv': 'b04a4aacf896cba389bf51158401a8a969e556454e8050c46c9ab5a31bc24ffd', 'classify.json': '029247ad2e0121c428fd1104e409ab41b1988649b2bf0195c02c1abc085af6df'},
+    'crossval/typicality/naive': {'crossval_pvalues.csv': 'af001c8434f78763e6008f5f80c5e021ee59b630a501167961703c84b89ca4bd', 'crossval_summary.json': '7093b0420216026f276e34ae4cd56fe25dc64d51ba30a02b2f4d922d815db394', 'inclusion_alpha0.05.csv': '94a7d871421ba4c946d01ef59f22b74ac17b2d5987372b225f4203cb13bd4754', 'inclusion_alpha0.2.csv': '2cee810f2b41c0ee52d158b107dd3c37a238c291d6be3d00caa301d0874ac9eb', 'pattern_alpha0.05.csv': 'c0d697fe875b2dc9fbca2c95075791f55aa626db44ee2136d937b7d7cfa7ece7', 'pattern_alpha0.2.csv': 'b1463165ea414ab76b201482ca9a6f79b0ba820c5aba0e22b68dfa4053491e0b', 'pvalue_chart.svg': 'cdfd802d3f504078e6c63b49d8d7b3b32fccc49b7956490f7c09ae0372797905', 'region_chart_alpha0.05.svg': '8f401ca902e9c0de31c2d51ede9e789ecc7a051fe0adb2e8b8b3bfeadb2cdf02', 'region_chart_alpha0.2.svg': 'afb5e1448e8f306cb90359ec467518fe9bfc0897371b44b1fe5c864a54fce392', 'roc_curves.csv': 'f8befdecdc8d3888faa6da2c9d9bae9cc5c697cbf122cc178379338a9f98a032', 'roc_curves.svg': '53b3968867489bcaac58914f88bb567c39925ea6070f27159ae87b53687bf4d4'},
+    'crossval3/typicality/naive': {'crossval_pvalues.csv': '2fe2b2f2313571c54d9ba8e1fc66de0e92cc81ac3bd37a0a6d319b931640a8c1', 'inclusion_alpha0.05.csv': '04b5a06beaa5cf26d2c314d588ad6e13829dc06f7ee81c4f383e185f382d4d91', 'inclusion_alpha0.2.csv': 'e024db7665e03528ebde22e7aac7f3f2d09239ced516359a760ea3ab5bdec555', 'pattern_alpha0.05.csv': 'dff0f2c6d191eee6e72791bde2c28cb0f5182e243b6e07256e75661122f6fc67', 'pattern_alpha0.2.csv': '70ec61f59209efca840d16fb627818375778f2a303257e37d21f5401380be12e', 'roc_curves.csv': '8690c863e2f93dd299d9dc1ca6cd9a9efc18a045857eabe8512788d0e09315c9'},
     'region-map/model': {'region_map.json': '348f6387d580ac71010508f4320d515fa7a9ee33a550f5698490b827343255de', 'region_map_alpha0.05.csv': '94137703f19b56f00024bab2ca9989ef16e4837180576843da357f638875a345', 'region_map_alpha0.05.svg': 'a73c2b8b5236a389edcc7b93a789dbe308a3110f71299162e6262f5d45a13860', 'region_map_alpha0.2.csv': '99b077beb9e9e1caa663c78ac11e29ff6edbbe8ac5010ab087a86e899cb9452e', 'region_map_alpha0.2.svg': 'a1ade10707dd075018310c52b261c672bfafaf2fda3e7e48cb03316e2a1fb348'},
     'region-map/train': {'region_map.json': '46d26a021242a6a018ecf07ef936bec45369eeaad52659ed66b91f84c029b45d', 'region_map_alpha0.05.csv': '0d19087b79220c041e871df34c84f5c16146cae4e72eeec4df051e7df73aeb56', 'region_map_alpha0.05.svg': 'be3dbe7cde9dfdff1138fe6d15651a2ac9d19a83c7bc2ba5707a3dd1d935d009', 'region_map_alpha0.2.csv': '0471663857b0b9c73fbdd7ea730e07650ad29cf861d8e23163e47905012f2886', 'region_map_alpha0.2.svg': '218b098183862a10ec7520a8755469fdcebc1ecacfc4b0ab4e084890698a9eef'},
     'convergence/example22': {'convergence.csv': 'df4881c617a1a7afbbfba00ffe0320e4056a6a11518d44cd341314db3f613382', 'convergence.json': '1143331b89245979bab622a575df4aebc0620c698c69e670587387926c353f23'},

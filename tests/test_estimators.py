@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -16,9 +17,11 @@ from classpv import (
     Relabel,
     Remove,
     SpdMatrix,
+    crossval_pvalues,
     fit_logistic,
     fit_pooled_gaussian,
     optimal_statistic,
+    pvalue_table,
     sample_gaussian_mixture,
     typicality_index,
     validate_training_set,
@@ -828,7 +831,7 @@ def test_plugin_closed_form_keeps_row_bits_ties_and_the_refit(seed, n_classes, q
         assert alone.tobytes() == values[j : j + 1].tobytes() and alone_refit[0] == refit[j]
     # the closed form's blocks of rows, down to one row each
     rows = data.draw(st.integers(1, len(X)))
-    with mock.patch.object(estimators, "_BLOCK_ELEMENTS", rows * (q + n_classes + 4) * values.shape[1]):
+    with mock.patch.object(estimators, "_BLOCK_ELEMENTS", rows * (q + n_classes) * values.shape[1]):
         blocked, blocked_refit = stat.edited_values(theta, kind, X)
     assert blocked.tobytes() == values.tobytes() and np.array_equal(blocked_refit, refit)
     if kind == "augment":
@@ -837,3 +840,56 @@ def test_plugin_closed_form_keeps_row_bits_ties_and_the_refit(seed, n_classes, q
             assert values[j, 0].tobytes() == values[j, column].tobytes()
     for j in np.flatnonzero(~refit):
         np.testing.assert_allclose(values[j], _edited_reference(stat, theta, kind, X[j]), rtol=1e-9, atol=1e-9)
+
+
+# q = 1, L = 2 on the half-integer lattice: class means -1/10 and -1/4.
+# Relabelling the row at -0.5 gives both classes the mean -1/6, and adding
+# the query 0.5 to class 2 gives it the mean -1/10 of class 1.
+_TIE_FEATURES = (-1.5, -1.0, -1.0, 1.5, 1.5, -1.0, -0.5, 0.0, 0.5)
+_TIE_LABELS = (1, 1, 1, 1, 1, 2, 2, 2, 2)
+
+
+def _exact_key(z: float, rows: list, theta: int) -> Fraction:
+    """(maha_theta - maha_other)(z) under the pooled fit of ``rows``, as a
+    fraction: with L = 2 the plug-in statistic is log w plus half of it."""
+    groups = {b: [Fraction(v) for v, label in rows if label == b] for b in (1, 2)}
+    means = {b: sum(g) / len(g) for b, g in groups.items()}
+    var = sum((v - means[b]) ** 2 for b, g in groups.items() for v in g) / (len(rows) - 2)
+    return ((Fraction(z) - means[theta]) ** 2 - (Fraction(z) - means[3 - theta]) ** 2) / var
+
+
+def _exact_pvalue(mode: str, x: float, theta: int) -> Fraction:
+    rows = list(zip(_TIE_FEATURES, _TIE_LABELS))
+    members = [v for v, label in rows if label == theta]
+    if mode == "exact-swap":
+        # every class-theta row of the augmented set, the query last, by the fit without it
+        augmented = rows + [(x, theta)]
+        loo = [_exact_key(v, augmented[:j] + augmented[j + 1:], theta)
+               for j, (v, label) in enumerate(augmented) if label == theta]
+        return Fraction(sum(v >= loo[-1] for v in loo), len(loo))
+    fit_rows = rows + [(x, theta)] if mode == "valid-shortcut" else rows
+    reference = _exact_key(x, fit_rows, theta)
+    return Fraction(sum(_exact_key(v, fit_rows, theta) >= reference for v in members) + 1, len(members) + 1)
+
+
+@pytest.mark.bits
+def test_plugin_equal_edited_means_tie_every_value():
+    """Where an edit leaves the two class means equal, the plug-in
+    statistic is one constant, so every value ties and the p-value is 1.
+    The closed form takes each edited mean from the class sums, which are
+    exact on the lattice, so the two means are equal floats and the slope is
+    exactly zero. ``pvalue_table`` equals the exact p-values of
+    ``Fraction`` arithmetic in every mode, at lattice queries that include
+    the one (0.5, class 2) whose augmented means are equal."""
+    d = TrainingSet(np.array(_TIE_FEATURES)[:, None], np.array(_TIE_LABELS), 2, ("1", "2"))
+    fit = fit_pooled_gaussian(d)
+    rows = np.flatnonzero(d.features[:, 0] == -0.5)
+    values, refit = fit.edited_values(1, "relabel", rows)
+    assert not refit.any() and np.all(values == values[:, :1])
+    cv = crossval_pvalues(d, PermutationMethod("plugin", "valid-shortcut"))
+    assert np.all(cv.pvalues[rows, 0] == 1.0)
+    X = np.arange(-2.0, 2.01, 0.5)[:, None]
+    for mode in ("valid-shortcut", "naive", "exact-swap"):
+        table = pvalue_table(PermutationMethod("plugin", mode).fit(d), mode, X)
+        want = [[float(_exact_pvalue(mode, float(x), theta)) for theta in (1, 2)] for x in X[:, 0]]
+        assert table.tolist() == want, mode

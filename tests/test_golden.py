@@ -72,8 +72,8 @@ GRID = {'plugin/exact-swap': [[1, 8], [13, 1], [1, 8], [2, 5]],
  '3class/knn/valid-shortcut': [[5, 1, 1], [1, 9, 1], [1, 9, 1]],
  '3class/knn/naive': [[2, 1, 1], [1, 9, 1], [1, 9, 1]]}
 
-TYPICALITY = [[0.01081115764194529, 0.03298492444553913], [0.0014094942727337356, 2.5431022705357798e-05],
- [0.03212959607510579, 0.10718420410793172], [0.0462172325323682, 0.06490700581801001]]
+TYPICALITY = [[0.010811157641945294, 0.032984924445539104], [0.001409494272733686, 2.5431022705316974e-05],
+ [0.03212959607510572, 0.10718420410793185], [0.04621723253236816, 0.06490700581801002]]
 
 CROSSVAL = {'plugin/exact-swap': [10, 1, 7, 1, 1, 8, 8, 1, 2, 7, 4, 3, 12, 1, 3, 3, 5, 2, 9, 1, 11, 1, 6, 2, 1,
                        11, 5, 2, 2, 7, 3, 3, 1, 8, 3, 6, 3, 5, 1, 10, 1, 12, 7, 1, 2, 4, 1, 9],
@@ -98,18 +98,16 @@ CROSSVAL = {'plugin/exact-swap': [10, 1, 7, 1, 1, 8, 8, 1, 2, 7, 4, 3, 12, 1, 3,
  'logistic/naive': [10, 1, 7, 1, 1, 8, 8, 1, 1, 8, 3, 3, 12, 1, 2, 3, 5, 2, 9, 1, 11, 1, 6, 1, 1,
                     11, 3, 2, 2, 7, 2, 3, 1, 8, 2, 5, 2, 5, 1, 10, 1, 12, 7, 1, 2, 4, 1, 9]}
 
-CROSSVAL_TYPICALITY = [0.3933200394480195, 0.044240602019641306, 0.7826769602123352, 0.16191825307441265,
- 0.25552437121977245, 0.8844927957721898, 0.7643790492238254, 0.10648974565206692,
- 0.06908134394770027, 0.13986710700404892, 0.5148398429736118, 0.34359332237574647,
- 0.07115069103404781, 0.006619530320541189, 0.2668818125982445, 0.1965043214000718,
- 0.6426842984808208, 0.2151295998329228, 0.81380353848131, 0.09563751143354637, 0.5401150983736971,
- 0.05522775119985868, 0.9370173583444871, 0.278716366207172, 0.015460281065452608,
- 0.2208791873560636, 0.8431749930540278, 0.43190745860703017, 0.43565460439927806,
- 0.8914469416690411, 0.6143802479071285, 0.6569187985186667, 0.07849737811794855,
- 0.7778100019329686, 0.46857028690592284, 0.8635660843252636, 0.30003333741774096,
- 0.4774450179375508, 0.027994896514110357, 0.3961535968597424, 0.0009468250665350952,
- 0.03468812461551796, 0.8801201443128326, 0.16362770259455572, 0.4977230365731835,
- 0.7777832419912878, 0.014849041195596269, 0.13471692962546622]
+CROSSVAL_TYPICALITY = [0.3933200394480195, 0.044240602019641403, 0.7826769602123352, 0.16191825307441252, 0.25552437121977245,
+ 0.8844927957721898, 0.7643790492238254, 0.10648974565206695, 0.06908134394770023, 0.13986710700404897,
+ 0.5148398429736118, 0.34359332237574647, 0.07115069103404784, 0.006619530320541189, 0.2668818125982445,
+ 0.1965043214000718, 0.6426842984808208, 0.2151295998329228, 0.81380353848131, 0.09563751143354664,
+ 0.5401150983736971, 0.055227751199858545, 0.9370173583444871, 0.278716366207172, 0.015460281065452577,
+ 0.2208791873560636, 0.8431749930540278, 0.43190745860703017, 0.43565460439927806, 0.8914469416690411,
+ 0.6143802479071285, 0.6569187985186667, 0.07849737811794857, 0.7778100019329686, 0.46857028690592284,
+ 0.8635660843252636, 0.30003333741774096, 0.4774450179375508, 0.027994896514110384, 0.3961535968597424,
+ 0.0009468250665351138, 0.03468812461551809, 0.8801201443128326, 0.16362770259455556, 0.4977230365731835,
+ 0.7777832419912878, 0.014849041195596296, 0.13471692962546616]
 
 ORACLE = {'optimal': [0.047317560813062313, 0.3138953682105965, 0.0026657780739753416, 0.0003332222592469177,
              0.008330556481172943, 0.2655781406197934, 0.30756414528490506, 0.056981006331222925,

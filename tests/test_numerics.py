@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from classpv import fit_pooled_gaussian, sample_gaussian_mixture, standard_2class_model, typicality_index
 from classpv.numerics import (
     SingularMatrixError,
     SpdMatrix,
@@ -12,6 +13,7 @@ from classpv.numerics import (
     chisq_cdf,
     chisq_sf,
     f_cdf,
+    f_sf,
     log_sum_exp,
     mahalanobis_sq,
     solve_lower,
@@ -124,6 +126,48 @@ class TestFCdf:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             f_cdf(-1e-9, 2, 2)
+
+
+class TestFSf:
+    def test_typicality_tail_points_against_scipy(self):
+        # the F(2, 57) pivots of typicality_index on the seeded 30 + 30
+        # standard set at (12, 0), (15, 0) and (20, 0), where 1 - F is 0.0
+        d = sample_gaussian_mixture(standard_2class_model(), [30, 30], seed=0)
+        fit = fit_pooled_gaussian(d)
+        c_theta = 57 / (2 * 58 * (1.0 + 1.0 / 30))
+        for x, want in (((12.0, 0.0), 3.1e-17), ((15.0, 0.0), 1.8e-21), ((20.0, 0.0), 1.7e-27)):
+            pivot = c_theta * mahalanobis_sq(np.array(x), fit.means[0], fit.sigma)
+            assert 1.0 - f_cdf(pivot, 2, 57) == 0.0
+            exact = stats.f.sf(pivot, 2, 57)
+            assert abs(exact - want) <= 0.05 * want
+            assert abs(f_sf(pivot, 2, 57) - exact) <= 1e-12 * exact, x
+            assert typicality_index(fit, 1, np.array(x)) == f_sf(pivot, 2, 57)
+
+    def test_against_scipy_down_to_1e_300(self):
+        # both sides of the continued fraction's switch, to a relative
+        # error of 1e-12, up to f.sf = 1e-300
+        for d1 in (1, 2, 3, 6):
+            for d2 in (3, 20, 57):
+                for x in np.geomspace(1e-3, 1e14, 300):
+                    want = stats.f.sf(x, d1, d2)
+                    if want < 1e-300:
+                        continue
+                    assert abs(f_sf(float(x), d1, d2) - want) <= 1e-12 * want, (d1, d2, x)
+
+    def test_complements_the_cdf(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            d1, d2 = int(rng.integers(1, 40)), int(rng.integers(1, 200))
+            x = float(rng.uniform(0.0, 6.0))
+            assert abs(f_sf(x, d1, d2) + f_cdf(x, d1, d2) - 1.0) < 1e-12
+
+    def test_boundary_and_validation(self):
+        assert f_sf(0.0, 3, 7) == 1.0
+        assert f_sf(1e300, 3, 7) == 0.0
+        with pytest.raises(ValueError, match="nonnegative"):
+            f_sf(-1e-9, 2, 2)
+        with pytest.raises(ValueError, match="positive"):
+            f_sf(1.0, 2, 0)
 
 
 class TestCholesky:

@@ -3,9 +3,10 @@
 ``pvalue_table`` must give, bit for bit, the column stack of the one-class
 ``pvalues``: for valid-shortcut fixed-metric k-NN it scores every class from
 one block of distances, and every other path takes ``pvalues``' kernel.
-``numerics._f_cdf_each`` runs the F-distribution CDF of a whole batch through
-one elementwise continued fraction, which must give each element the bits
-of the scalar modified-Lentz recurrence, kept here as the reference.
+``numerics._f_cdf_each`` runs the F-distribution CDF or upper tail of a whole
+batch through one elementwise continued fraction, which must give each
+element the bits of the scalar modified-Lentz recurrence, kept here as the
+reference.
 """
 
 import math
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from classpv import DegenerateFitError, PermutationMethod, TrainingSet, permutation, pvalue_table, pvalues
 from classpv.estimators import fit_pooled_gaussian, typicality_index
-from classpv.numerics import _f_cdf_each, f_cdf
+from classpv.numerics import _f_cdf_each, f_cdf, f_sf
 
 from reference_pvalues import refit_pvalue
 
@@ -68,18 +69,21 @@ def _beta_cf_scalar(a: float, b: float, x: float) -> float:
     return h
 
 
-def _f_cdf_scalar(x: float, d1: int, d2: int) -> float:
-    """The F CDF through the regularized incomplete beta, on Python floats."""
+def _f_tail_scalar(x: float, d1: int, d2: int, upper: bool) -> float:
+    """The F CDF, or with ``upper`` its upper tail, through the regularized
+    incomplete beta, on Python floats."""
     a, b = 0.5 * d1, 0.5 * d2
-    z = d1 * x / (d1 * x + d2)
+    z, w = d1 * x / (d1 * x + d2), d2 / (d1 * x + d2)
     if z <= 0.0:
-        return 0.0
-    if z >= 1.0:
-        return 1.0
-    bt = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(z) + b * math.log1p(-z))
+        return float(upper)
+    if w <= 0.0:
+        return float(not upper)
+    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
     if z < (a + 1.0) / (a + b + 2.0):
-        return bt * _beta_cf_scalar(a, b, z) / a
-    return 1.0 - bt * _beta_cf_scalar(b, a, 1.0 - z) / b
+        cf = math.exp(log_norm + a * math.log(z) + b * math.log1p(-z)) * _beta_cf_scalar(a, b, z) / a
+        return 1.0 - cf if upper else cf
+    cf = math.exp(log_norm + a * math.log(z) + b * math.log(w)) * _beta_cf_scalar(b, a, w) / b
+    return cf if upper else 1.0 - cf
 
 
 @settings(max_examples=150, deadline=None)
@@ -89,19 +93,20 @@ def _f_cdf_scalar(x: float, d1: int, d2: int) -> float:
     scaled=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=40),
 )
 def test_f_tail_of_a_batch_equals_the_scalar_recurrence(d1, d2, scaled):
-    """Each element of ``1 - _f_cdf_each`` has the bits of ``1 - f_cdf`` and
-    of the scalar recurrence, at 0, 1e-300 and 1e300 and on both sides of
-    the point where the continued fraction switches to I_{1-z}(b, a)."""
+    """Each element of ``_f_cdf_each`` has the bits of ``f_cdf`` and of the
+    scalar recurrence, and with ``upper`` those of ``f_sf``, at 0, 1e-300
+    and 1e300 and on both sides of the point where the continued fraction
+    switches to I_{1-z}(b, a)."""
     a, b = 0.5 * d1, 0.5 * d2
     z_switch = (a + 1.0) / (a + b + 2.0)
     x_switch = d2 * z_switch / (d1 * (1.0 - z_switch))
     x = np.array([0.0, 1e-300, 1e300, x_switch / 2, x_switch, 2 * x_switch, *(x_switch * s for s in scaled)])
-    tail = 1.0 - _f_cdf_each(x, d1, d2)
     z = d1 * x / (d1 * x + d2)
     assert np.any((z > 0.0) & (z < z_switch)) and np.any((z >= z_switch) & (z < 1.0))
-    for v, got in zip(x.tolist(), tail.tolist()):
-        want = 1.0 - _f_cdf_scalar(v, d1, d2)
-        assert got.hex() == want.hex() == (1.0 - f_cdf(v, d1, d2)).hex(), (v, d1, d2)
+    for upper, scalar in ((False, f_cdf), (True, f_sf)):
+        for v, got in zip(x.tolist(), _f_cdf_each(x, d1, d2, upper).tolist()):
+            want = _f_tail_scalar(v, d1, d2, upper)
+            assert got.hex() == want.hex() == scalar(v, d1, d2).hex(), (v, d1, d2, upper)
 
 
 def test_f_cdf_keeps_its_checks_and_endpoints():
