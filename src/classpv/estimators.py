@@ -141,8 +141,7 @@ class GaussianStatistic:
         carried through each edit by ``gaussian_update``; exact on a lattice,
         where edited means that are equal fractions are then equal floats."""
         d = self.data
-        starts = np.concatenate([[0], np.cumsum(d.group_sizes)[:-1]])
-        return np.add.reduceat(d.features[_canonical_order(d.features, d.labels)], starts, axis=0)
+        return np.add.reduceat(d.features[_canonical_order(d.features, d.labels)], np.cumsum(d.group_sizes) - d.group_sizes)
 
     @cached_property
     def _pivot_floor(self) -> float:
@@ -217,7 +216,7 @@ class GaussianStatistic:
         m, q = wx.shape
         sizes, new_n = self.group_sizes, n
         sums = np.repeat(self._sums[None], m, axis=0)  # (m, L, q), the edited class sums
-        scatter = np.repeat(np.eye(q)[None], m, axis=0)  # (m, q, q), A
+        scatter = np.eye(q)  # A, (m, q, q) from the first edit term on
         scatter_diag = (n - n_classes) * np.diag(self.sigma.matrix)
         refit = np.zeros(m, dtype=bool)
         leverage = 0.0
@@ -227,7 +226,7 @@ class GaussianStatistic:
             wu = wx - means_w[theta - 1]
             sums[:, theta - 1] += X
             refit |= a * _row_dot(wu, wu) > _FAR_QUERY
-            scatter += a * wu[:, :, None] * wu[:, None, :]
+            scatter = scatter + a * wu[:, :, None] * wu[:, None, :]
             u = X - self.means[theta - 1]
             scatter_diag = scatter_diag + u * u / (1.0 + 1.0 / big_n)
             sizes[theta - 1] += 1
@@ -239,7 +238,7 @@ class GaussianStatistic:
             sums[:, removed - 1] -= X
             leverage = beta * _row_dot(wv, wv)
             refit |= leverage > _HIGH_LEVERAGE
-            scatter -= beta * wv[:, :, None] * wv[:, None, :]
+            scatter = scatter - beta * wv[:, :, None] * wv[:, None, :]
             v = X - self.means[removed - 1]
             scatter_diag = scatter_diag - (big_n / (big_n - 1.0)) * v * v
             sizes[removed - 1] -= 1
@@ -255,9 +254,10 @@ class GaussianStatistic:
         own, rivals = means[:, theta - 1 : theta], means[:, others]
         slopes = np.linalg.solve(scatter, np.swapaxes(rivals - own, 1, 2))  # (m, q, L - 1)
         slopes *= (new_n - n_classes) / (n - n_classes)
-        mids = 0.5 * np.swapaxes(rivals + own, 1, 2)
-        offsets = np.log(sizes[others] / (sizes.sum() - sizes[theta - 1])) - _row_dot(slopes, mids)
-        points, terms, (spare,) = np.split(np.empty((q + n_classes, m, group_w.shape[0] + 1)), [q, q + n_classes - 1])
+        mids = _row_dot(slopes, np.swapaxes(rivals + own, 1, 2))  # G_b . (m'_b + m'_theta)
+        offsets = np.log(sizes[others] / (sizes.sum() - sizes[theta - 1])) - 0.5 * mids
+        buffer = np.empty((q + n_classes, m, group_w.shape[0] + 1))
+        points, terms, spare = buffer[:q], buffer[q:-1], buffer[-1]
         points[:, :, 0] = wx.T
         points[:, :, 1:] = group_w.T[:, None, :]
         for b, out in enumerate(terms):
@@ -269,10 +269,9 @@ class GaussianStatistic:
 
 
 def _row_dot(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Dot products along axis 1 of two arrays of one shape, components
-    added in order."""
-    out = np.zeros_like(left[:, 0])
-    for k in range(left.shape[1]):
+    """Dot products along axis 1 of two same-shape arrays, added in order: a row's bits are its own."""
+    out = left[:, 0] * right[:, 0]
+    for k in range(1, left.shape[1]):
         out += left[:, k] * right[:, k]
     return out
 
@@ -302,7 +301,9 @@ def fit_pooled_gaussian(d: TrainingSet) -> GaussianStatistic:
         raise DegenerateFitError(
             f"pooled covariance is singular ({err})", pivot_index=err.pivot_index
         ) from err
-    return GaussianStatistic(data=d, means=means, sigma=sigma)
+    stat = GaussianStatistic(data=d, means=means, sigma=sigma)
+    vars(stat)["_sums"] = np.add.reduceat(feats, np.cumsum(d.group_sizes) - d.group_sizes)  # rows already in order
+    return stat
 
 
 def gaussian_update(stat: GaussianStatistic, edit: Remove | Augment | Relabel) -> GaussianStatistic:
