@@ -23,9 +23,8 @@ edit would, so its callers get finished values of every kind and make no
 refit. The plug-in statistic has a closed form for every kind (Fisher's
 linear discriminant under each edit: one small solve per edit, then q
 multiply-adds per point and competitor class), the fixed-metric k-NN
-statistic for augment, relabel and loo (one block of
-distances), and the logistic statistic fits every kind's edited sets in one
-batched IRLS. ``_logistic_edited_values`` runs that IRLS over the edited
+statistic for augment, relabel and loo (one block of distances), and the
+logistic statistic fits every kind's edited sets in one batched IRLS. ``_logistic_edited_values`` runs that IRLS over the edited
 sets of many logistic statistics at once, which the method runs on one and
 ``permutation`` on a chunk of them, and ``fit_logistic`` runs it on a batch
 of one to fit a statistic's own data.
