@@ -171,7 +171,8 @@ def cmd_classify(args) -> int:
         )
     method = _method_from(args)
     alphas = args.alpha
-    warn_small_groups(d, alphas)
+    if method.statistic != "typicality":  # an exact pivot: no 1/(N+1) floor
+        warn_small_groups(d, alphas)
     fitted = method.fit(d)
     out = Path(args.out)
     header = (
@@ -215,7 +216,8 @@ def cmd_crossval(args) -> int:
     d, _ = _load_training(args)
     method = _method_from(args)
     alphas = args.alpha
-    warn_small_groups(d, alphas, left_out=1)
+    if method.statistic != "typicality":
+        warn_small_groups(d, alphas, left_out=1)
     cv = crossval_pvalues(d, method)
     out = Path(args.out)
 

@@ -184,9 +184,10 @@ class GaussianStatistic:
         solves its own (q, q) system for its L - 1 slopes, with no edit,
         Cholesky factorization or row copy, and each (point, competitor)
         entry takes q multiply-adds on whitened rows, which do not depend on
-        the edit. Buffers of about ``_BLOCK_ELEMENTS`` elements take a block
-        of edits at a time, the edited point in column 0 and scored by the
-        same operations, so a member equal to it gets its bits.
+        the edit. One buffer holds the (q + L) rows of every edit, the edited
+        point in column 0 and scored by the same operations, so a member
+        equal to it gets its bits; callers bound the batch
+        (``permutation._chunks``).
 
         The refit checks its Cholesky pivots against 1e-12 times the largest
         diagonal entry of the edited covariance, which is read off the pooled
@@ -202,10 +203,6 @@ class GaussianStatistic:
         features_w, means_w = self._whitened
         # "loo" scores the removed row alone
         group_w = features_w[self.data.group(theta) if kind != "loo" else []]
-        parts = -(-len(X) // max(1, _BLOCK_ELEMENTS // ((self.q + n_classes) * (group_w.shape[0] + 1))))
-        if parts > 1:
-            values = [self.edited_values(theta, kind, part) for part in np.array_split(X, parts)]
-            return tuple(np.concatenate(v) for v in zip(*values))
         add = kind in ("augment", "relabel")
         removed = None if kind == "augment" else int(self.data.labels[X[0]])
         if kind == "augment":
@@ -455,10 +452,9 @@ class KnnCaches:
             getattr(self, name).setflags(write=False)
 
 
-# elements of the temporaries that one chunk of queries (``permutation._chunks``),
-# one k-NN fit block or one block of plug-in closed-form rows may build: 2**18
-# float64 are 2 MiB, the size of a per-core L2 cache, so that a block's
-# working arrays stay in cache; the timings that chose it are in CHANGES.md
+# elements of each temporary that one chunk of queries (``permutation._chunks``)
+# or one k-NN fit block may build: 2**18 float64 are 2 MiB, a per-core L2
+# cache; the timings that chose it are in CHANGES.md
 _BLOCK_ELEMENTS = 2**18
 
 
@@ -470,12 +466,9 @@ def knn_fit(d: TrainingSet, k: int) -> KnnCaches:
     by label, so no n x n array is made and each class count is one
     contiguous slice. A block's distances go into one (rows, n) buffer and
     its component difference, then its partition copy, into another, both
-    made once per fit, since glibc would map and fault in fresh arrays this
-    size block after block; with the in-ball masks a block holds about four
-    (rows, n) arrays, so it takes a quarter of ``_BLOCK_ELEMENTS``: timed interleaved in one process
-    on 2 cores, that took 54 ms against 90 ms for blocks of the whole budget
-    at n = 2,000, and 0.62 s against 1.21 s at n = 8,000. The time stays
-    O(n^2 q).
+    made once per fit rather than afresh for each block. With the in-ball
+    masks a block holds about four (rows, n) arrays, so it takes a quarter
+    of ``_BLOCK_ELEMENTS`` (timings in CHANGES.md). The time stays O(n^2 q).
 
     A row's radii and counts do not depend on its block or on the column
     order: ``_sq_dists`` gives each pair the same bits anywhere, and one
@@ -809,10 +802,7 @@ class KnnStatistic:
             return -(counts[:, theta - 1 : theta] / counts.sum(axis=1, keepdims=True)), np.zeros(len(X), dtype=bool)
         if kind == "augment":
             (query, members), = self._augment_values(X, range(theta, theta + 1))
-            values = np.empty((len(X), members.shape[1] + 1))
-            values[:, 0] = query
-            values[:, 1:] = members
-            return values, np.zeros(len(X), dtype=bool)
+            return np.column_stack([query, members]), np.zeros(len(X), dtype=bool)
         caches = self.caches
         values = np.empty((len(X), group.size + 1))
         totals = caches.counts_k.sum(axis=1)

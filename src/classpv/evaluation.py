@@ -8,9 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Relabel, Remove, StructuralError, TrainingSet, check_label, rank_pvalue
-from .estimators import TypicalityStatistic, edited_values, typicality_index
-from .permutation import PermutationMethod, _chunks, _swap_pvalues
+from .core import Remove, StructuralError, TrainingSet, check_label
+from .permutation import PermutationMethod, _pvalues_each, pvalue_table
 
 __all__ = [
     "CrossValMatrix",
@@ -63,26 +62,14 @@ class CrossValMatrix:
 def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatrix:
     """Treat each training row in turn as a future observation.
 
-    Row i of the result holds the p-values of X_i computed on the training set
-    without row i. Requires every class to keep at least one member after
-    removal.
-
-    Each entry (i, theta) is a rank on the data set its mode defines, taken
-    class by class. In ``valid-shortcut`` and ``exact-swap`` mode that set is
-    the data without row i, augmented with (X_i, theta): D with
-    y_i := theta. For theta = y_i it is D itself, so the class is ranked once
-    within itself, by the full fit's values (valid-shortcut) or by its
-    ``"loo"`` values (exact-swap). For every other theta it is D edited by
-    ``Relabel(i, theta)``: valid-shortcut scores a chunk of one class's rows
-    by ``edited_values`` of kind ``"relabel"``, and exact-swap ranks row i's
-    ``"loo"`` value in the relabelled fit (``_swap_pvalues``). In naive mode
-    the set is D without row i, scored by ``edited_values`` of kind
-    ``"remove"``. ``edited_values`` uses the statistic's method where it has
-    one (a closed form, or the logistic statistic's batched IRLS) and refits
-    each edit that method flags, in loop order (class theta, then the rows'
-    class, then row), so a degenerate edit raises DegenerateFitError there.
-    Typicality, an exact pivot, scores X_i on the fit without row i, one
-    ``Remove(i)`` per row serving all its classes.
+    Row i of the result holds the p-values of X_i on the training set without
+    row i, each class theta scored on the leave-one-out set of its mode: D
+    with y_i := theta in ``valid-shortcut`` and ``exact-swap`` (D itself for
+    theta = y_i), D without row i in ``naive``, through
+    ``_pvalues_each(..., rows=True)``, one class of rows at a time, the class
+    theta first except in naive mode. Typicality, an exact pivot, scores X_i
+    by ``pvalue_table`` on the fit without row i. Requires every class to
+    keep at least one member after removal.
     """
     if np.any(d.group_sizes < 2):
         bad = int(np.argmin(d.group_sizes))
@@ -92,29 +79,16 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
     base = method.fit(d)
     out = np.empty((d.n, d.n_classes))
     classes = range(1, d.n_classes + 1)
-    if isinstance(base, TypicalityStatistic):
+    if method.statistic == "typicality":
         for i in range(d.n):
-            reduced = base.edit(Remove(i))
-            out[i] = [typicality_index(reduced, theta, d.features[i]) for theta in classes]
-        return CrossValMatrix(pvalues=out, labels=np.array(d.labels), group_sizes=d.group_sizes, method=method)
-    for theta in classes:
-        group = d.group(theta)
-        if method.mode == "valid-shortcut":
-            values = base.evaluate(theta, d.features[group])
-            out[group, theta - 1] = rank_pvalue(values, values, own=True)
-        elif method.mode == "exact-swap":
-            out[group, theta - 1] = _swap_pvalues([base], theta, [group])
-        for y in classes:
-            rows = d.group(y)
-            if y == theta and method.mode != "naive":
-                continue
-            if method.mode == "exact-swap":
-                out[rows, theta - 1] = _swap_pvalues((base.edit(Relabel(i, theta)) for i in rows), theta, rows)
-                continue
-            kind = "remove" if method.mode == "naive" else "relabel"
-            for chunk in _chunks(d, theta, rows.size):
-                values = edited_values(base, theta, kind, rows[chunk])
-                out[rows[chunk], theta - 1] = rank_pvalue(values[:, 1:], values[:, 0], own=y == theta)
+            out[i] = pvalue_table(base.edit(Remove(i)), method.mode, d.features[i : i + 1])[0]
+    else:
+        for theta in classes:
+            # the exchangeable modes score class theta first, on D itself
+            order = classes if method.mode == "naive" else [theta, *(y for y in classes if y != theta)]
+            for y in order:
+                rows = d.group(y)
+                out[rows, theta - 1] = _pvalues_each([base], method.mode, theta, [rows], rows=True)[0]
     return CrossValMatrix(pvalues=out, labels=np.array(d.labels), group_sizes=d.group_sizes, method=method)
 
 

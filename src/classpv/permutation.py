@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Augment, PValueVector, TrainingSet, check_finite, check_label, check_point, rank_pvalue
+from .core import Augment, PValueVector, Relabel, TrainingSet, check_finite, check_label, check_point, rank_pvalue
 from .estimators import (
     _BLOCK_ELEMENTS,
     KnnStatistic,
@@ -75,12 +75,17 @@ class PermutationMethod:
             raise ValueError(f"unknown statistic {self.statistic!r}; expected one of {STATISTICS}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        if self.k is not None and self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
 
     def fit(self, d: TrainingSet):
         """Fit the configured statistic on d. The k-NN caches and the
-        logistic fit are made when first read."""
+        logistic fit are made when first read, so a k above n is rejected
+        here, as ``knn_fit`` would reject it."""
         if self.statistic == "knn":
             k = self.k if self.k is not None else default_k(d.n)
+            if k > d.n:
+                raise ValueError(f"k must lie in 1..n={d.n}, got {k}")
             return KnnStatistic(d, k, self.scale_features)
         if self.statistic == "logistic":
             return LogisticStatistic(d)
@@ -137,12 +142,9 @@ def pvalue_table(fitted, mode: str, X: np.ndarray) -> np.ndarray:
     queries from one (m, n) block of distances, one partition and one
     in-ball mask (``KnnStatistic._augment_values``). A chunk holds about
     four (m, n) arrays at a time, so it takes ``_BLOCK_ELEMENTS // (4 n)``
-    queries, as a ``knn_fit`` block takes rows. In a process running the
-    benchmark's ``classify`` rounds (n = 2,000, q = 2, 600 queries, 2-core
-    Xeon), 131-query chunks of ``_BLOCK_ELEMENTS`` elements per array took
-    8,116 minor page faults per call, since glibc mapped and faulted in
-    their arrays afresh, and 32-query chunks took 45. Every other statistic
-    and mode takes each column from ``pvalues``' kernel.
+    queries, as a ``knn_fit`` block takes rows (page-fault counts in
+    CHANGES.md). Every other statistic and mode takes each column from
+    ``pvalues``' kernel.
     """
     X = _checked_batch(fitted, mode, X)
     classes = range(1, fitted.data.n_classes + 1)
@@ -167,21 +169,41 @@ def _checked_batch(fitted, mode: str, X: np.ndarray) -> np.ndarray:
     return check_finite(X)
 
 
-def _pvalues_each(fitted: Sequence, mode: str, theta: int, Xs: Sequence[np.ndarray]) -> list[np.ndarray]:
+def _pvalues_each(fitted: Sequence, mode: str, theta: int, Xs: Sequence[np.ndarray], rows: bool = False) -> list[np.ndarray]:
     """``pvalues(fitted[s], mode, theta, Xs[s])`` for each s, the arguments
     unchecked, the statistics of one kind with data of one size. The two
     exchangeable modes score the edits of all the statistics together:
     valid-shortcut through ``_values_each``, and exact-swap through one
     ``_swap_pvalues``, so the edited sets of a block of logistic statistics
-    share their batched IRLS."""
+    share their batched IRLS.
+
+    With ``rows``, each ``Xs[s]`` holds training rows of ``fitted[s]``, all
+    of one class y, the same for every s, and each row i is scored as a
+    future observation: in the exchangeable modes on D with y_i := theta
+    (``Relabel(i, theta)``; D itself for y = theta, whose class values are
+    ranked within the class), and in naive mode on D without row i
+    (``"remove"``). That is the leave-one-out p-value of ``crossval_pvalues``.
+    Typicality takes no rows."""
     if isinstance(fitted[0], TypicalityStatistic):
         return [typicality_index(f, theta, X) for f, X in zip(fitted, Xs)]
+    own = rows and theta in fitted[0].data.labels[Xs[0]]
+    if own and mode == "valid-shortcut":
+        groups = [f.data.group(theta) for f in fitted]
+        values = [f.evaluate(theta, f.data.features[group]) for f, group in zip(fitted, groups)]
+        return [rank_pvalue(v, v[np.searchsorted(group, X)], own=True) for v, group, X in zip(values, groups, Xs)]
     if mode == "valid-shortcut":
-        return _values_each(fitted, theta, "augment", Xs, lambda values: rank_pvalue(values[:, 1:], values[:, 0]))
+        kind = "relabel" if rows else "augment"
+        return _values_each(fitted, theta, kind, Xs, lambda values: rank_pvalue(values[:, 1:], values[:, 0]))
     if mode == "exact-swap":
-        edits = [(f, x) for f, X in zip(fitted, Xs) for x in X]
-        swapped = _swap_pvalues((f.edit(Augment(x, theta)) for f, x in edits), theta, [f.data.n for f, _ in edits])
+        if own:
+            swapped = _swap_pvalues(fitted, theta, Xs)
+        else:  # a relabelled row keeps its index; a query is the augmented data's last row
+            edits = [(f, x) for f, X in zip(fitted, Xs) for x in X]
+            edited = (f.edit(Relabel(x, theta) if rows else Augment(x, theta)) for f, x in edits)
+            swapped = _swap_pvalues(edited, theta, [x if rows else f.data.n for f, x in edits])
         return np.split(swapped, np.cumsum([len(X) for X in Xs])[:-1])
+    if rows:
+        return _values_each(fitted, theta, "remove", Xs, lambda values: rank_pvalue(values[:, 1:], values[:, 0], own=own))
     out = [np.empty(len(X)) for X in Xs]
     for f, X, pv in zip(fitted, Xs, out):
         members = f.evaluate(theta, f.data.features[f.data.group(theta)])
@@ -202,12 +224,9 @@ def _swap_pvalues(edited: Iterable, theta: int, rows: Iterable) -> np.ndarray:
     whose values can refit (any but the logistic) is scored as soon as it
     is drawn, so edits and refits keep the loop order. Logistic fits are
     held while their ``"loo"`` sets hold at most half ``_BLOCK_ELEMENTS``
-    design elements; then every such set of the held fits goes through one
-    batched IRLS, a chunk of ``_chunks`` at a time. Per set, the IRLS ran
-    fastest at about that size on a 2-core Xeon: at n = 200, q = 6, 61 us in
-    batches of 101 sets (1.1 x 2**17 elements) against 75 us in batches of
-    202; at n = 38, q = 2, 8.4 us in batches of 600 against 11.7 us in
-    batches of 100 and 9.7 us in batches of 3,420."""
+    design elements, the batch size at which the IRLS ran fastest per set
+    (timings in CHANGES.md); then every such set of the held fits goes
+    through one batched IRLS, a chunk of ``_chunks`` at a time."""
     out, held = [], []
 
     def score():

@@ -231,6 +231,30 @@ class TestCrossval:
         rows = _read_csv(out / "crossval_pvalues.csv")
         assert all(float(r[f"p_{r['label']}"]) >= 1.0 / 19 > 0.05 for r in rows)
 
+    @pytest.mark.parametrize("command", ["classify", "crossval"])
+    def test_typicality_does_not_warn_of_a_rank_floor(self, tmp_path, command):
+        # 8 + 8 rows: a rank p-value never falls below 1/9 > 0.05, so the
+        # plug-in warns for both classes; typicality, an exact pivot, has no
+        # such floor and excludes both classes at a far point
+        rng = np.random.default_rng(8)
+        path = tmp_path / "train8.csv"
+        path.write_text("f1,f2,label\n" + "".join(
+            f"{x!r},{y!r},c{1 + i // 8}\n" for i, (x, y) in enumerate(rng.normal(size=(16, 2)).tolist())
+        ))
+        query = str(_query_csv(tmp_path, [(20.0, 20.0)]))
+        extra = ["--query", query] if command == "classify" else []
+        for method, warned in (("plugin", 2), ("typicality", 0)):
+            out = tmp_path / method
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                rc = main([command, "--train", str(path), "--label", "label", *extra, "--method", method,
+                           "--alpha", "0.05", "--seed", "1", "--out", str(out)])
+            assert rc == 0
+            assert len([w for w in record if "can never be excluded" in str(w.message)]) == warned
+        if command == "classify":
+            row, = _read_csv(tmp_path / "typicality" / "classify.csv")
+            assert float(row["p_c1"]) < 0.05 and float(row["p_c2"]) < 0.05 and row["region_0.05"] == "-"
+
     def test_relabel_to_singular_covariance_exit_4(self, tmp_path):
         path = tmp_path / "move.csv"
         path.write_text("f1,f2,label\n0.0,0.0,a\n1.0,0.0,a\n2.0,3.0,a\n5.0,3.0,b\n6.0,3.0,b\n")
@@ -462,6 +486,24 @@ class TestInputErrors:
         rc = main([command, *args, "--alpha", "0.05", "--alpha", alpha, "--seed", "1", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == f"error: alpha must lie in (0, 1), got {float(alpha)}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mode", ["exact-swap", "valid-shortcut", "naive"])
+    @pytest.mark.parametrize("command", ["classify", "crossval", "region-map"])
+    @pytest.mark.parametrize("k, message", [
+        ("0", "k must be at least 1, got 0"),
+        ("-2", "k must be at least 1, got -2"),
+        ("41", "k must lie in 1..n=40, got 41"),
+    ])
+    def test_k_outside_1_to_n_exit_2_in_every_mode(self, tmp_path, train_csv, capsys, mode, command, k, message):
+        train_path, _ = train_csv
+        args = {"classify": ["classify", "--query", str(_query_csv(tmp_path, [(0.5, 0.5)]))],
+                "crossval": ["crossval"],
+                "region-map": ["simulate", "region-map", "--grid-points", "3"]}[command]
+        rc = main([*args, "--train", str(train_path), "--label", "label", "--method", "knn", "--mode", mode,
+                   "--k", k, "--seed", "1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
 
     def test_module_entry_point_runs(self):

@@ -801,8 +801,7 @@ def test_plugin_closed_form_keeps_row_bits_ties_and_the_refit(seed, n_classes, q
     """The plug-in closed form on lattice rows and copied rows, for every
     kind: a row's values have the same bits alone as in its batch, an augment
     query equal to a class-theta member ties with it exactly, and every
-    unflagged row matches the edited fit's ``evaluate`` to 1e-9. The blocks
-    the closed form cuts a batch into give it the same bits."""
+    unflagged row matches the edited fit's ``evaluate`` to 1e-9."""
     rng = np.random.default_rng(seed)
     sizes = rng.integers(q + 2, q + 9, size=n_classes)
     if lattice:
@@ -829,11 +828,6 @@ def test_plugin_closed_form_keeps_row_bits_ties_and_the_refit(seed, n_classes, q
     for j in range(len(X)):
         alone, alone_refit = stat.edited_values(theta, kind, X[j : j + 1])
         assert alone.tobytes() == values[j : j + 1].tobytes() and alone_refit[0] == refit[j]
-    # the closed form's blocks of rows, down to one row each
-    rows = data.draw(st.integers(1, len(X)))
-    with mock.patch.object(estimators, "_BLOCK_ELEMENTS", rows * (q + n_classes) * values.shape[1]):
-        blocked, blocked_refit = stat.edited_values(theta, kind, X)
-    assert blocked.tobytes() == values.tobytes() and np.array_equal(blocked_refit, refit)
     if kind == "augment":
         for j, i in enumerate(members, start=len(X) - 3):
             column = 1 + int(np.flatnonzero(d.group(theta) == i)[0])
