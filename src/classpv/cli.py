@@ -398,7 +398,9 @@ def cmd_simulate(args) -> int:
             codes = rmap.subsets(alpha)
             lines = svgmod._lattice_lines(x_text, y_text, code_text, codes)
             _write_text(out / f"region_map_alpha{tag}.csv", "x,y,region\n" + lines + "\n")
-            patterns_present[tag] = sorted(code_text[code] for code in np.unique(codes).tolist())
+            if "json" in args.format:
+                present = np.flatnonzero(np.bincount(codes.ravel(), minlength=1 << rmap.n_classes))
+                patterns_present[tag] = sorted(code_text[code] for code in present.tolist())
             if "svg" in args.format:
                 _write_text(out / f"region_map_alpha{tag}.svg", svgmod.region_map_svg(rmap, alpha))
         if "json" in args.format:

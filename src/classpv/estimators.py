@@ -11,23 +11,27 @@ the pooled Gaussian fit read as exact-pivot p-values. Identical rows of one
 query together with its class and needs their ties exact.
 
 A statistic needs only ``data``, ``edit`` and ``evaluate``. Every p-value
-path scores single-point edits through the module-level ``edited_values``:
-the statistic at the edited point and at the class-theta rows under each
+path scores single-point edits through the module-level ``edited_values``,
+on a block of statistics with one n and one set of group sizes: the
+statistic at the edited point and at the class-theta rows under each
 edited fit. The edit adds a query to class theta (valid shortcut), or
 relabels or removes a training row (leave-one-out), or removes a row and
 scores it alone (``"loo"``: exact swap ranks each class row's value under
-the fit without it). An optional method of the same name gives the values
-without the edit and flags the edits it cannot score; ``edited_values``
-makes each flagged edit and evaluates it, raising DegenerateFitError as the
-edit would, so its callers get finished values of every kind and make no
-refit. The plug-in statistic has a closed form for every kind (Fisher's
+the fit without it). An optional static ``edited_values_each`` of the
+statistic's type gives the whole block's values in one call without the
+edits and flags the edits it cannot score; ``edited_values`` makes each
+flagged edit and evaluates it, raising DegenerateFitError as a loop over
+the block's edits would, so its callers get finished values of every kind
+and make no refit. A statistic's ``edited_values`` method is the one-fit
+case. The plug-in statistic has a closed form for every kind (Fisher's
 linear discriminant under each edit: one small solve per edit, then q
 multiply-adds per point and competitor class), the fixed-metric k-NN
 statistic for augment, relabel and loo (one block of distances), and the
-logistic statistic fits every kind's edited sets in one batched IRLS. ``_logistic_edited_values`` runs that IRLS over the edited
-sets of many logistic statistics at once, which the method runs on one and
-``permutation`` on a chunk of them, and ``fit_logistic`` runs it on a batch
-of one to fit a statistic's own data.
+logistic statistic fits every kind's edited sets in one batched IRLS
+(``_logistic_edited_values``). Each runs one fit's arithmetic elementwise
+along the block's edits, so an edit's values have the bits of its fit
+alone. ``knn_fit`` and ``fit_logistic`` are the one-fit cases of the block
+fits ``_knn_fits`` and ``_fit_logistic_each``.
 
 Every fit computes its sums over a canonical row ordering, so the fitted
 statistic is exactly symmetric in each class's training rows: shuffling the
@@ -40,6 +44,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -78,6 +84,28 @@ class DegenerateFitError(RuntimeError):
         self.swap_index = swap_index
 
 
+_PACKAGE_DIR = os.path.dirname(__file__)
+_STDLIB_DIR = os.path.dirname(os.__file__)
+
+
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` at which a warning issued by this function's
+    caller names the code that called into classpv: the first frame beyond
+    the outermost frame of this package that is not in the standard library
+    (a ``cached_property`` read runs the package through ``functools``),
+    else the frame just beyond. Python 3.11's ``warnings.warn`` has no
+    ``skip_file_prefixes``, so the frames are walked."""
+    frame, level, last, outside = sys._getframe(1), 1, 1, None
+    while frame is not None:
+        where = os.path.dirname(frame.f_code.co_filename)
+        if where == _PACKAGE_DIR:
+            last, outside = level, None
+        elif outside is None and where != _STDLIB_DIR:
+            outside = level
+        frame, level = frame.f_back, level + 1
+    return outside or last + 1
+
+
 def _canonical_order(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Row permutation sorting by (label, features); used so sums are order-free."""
     keys = tuple(features[:, c] for c in reversed(range(features.shape[1]))) + (labels,)
@@ -98,8 +126,17 @@ _FAR_QUERY = 1e4
 _HIGH_LEVERAGE = 0.5
 
 
+class _BlockClosedForm:
+    """A family whose closed form scores a block of fits at once, as the
+    static ``edited_values_each(stats, theta, kind, Xs)``."""
+
+    def edited_values(self, theta: int, kind: str, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``edited_values_each`` on this fit alone: its values and flags."""
+        return self.edited_values_each([self], theta, kind, [X])
+
+
 @dataclass(frozen=True, eq=False)
-class GaussianStatistic:
+class GaussianStatistic(_BlockClosedForm):
     """Per-class means with the pooled covariance (divisor n - L) of ``data``,
     as the plug-in statistic: the log weighted likelihood ratio at the fitted
     parameters, larger meaning class theta is less plausible."""
@@ -160,15 +197,19 @@ class GaussianStatistic:
         # through the module binding, which bench/tracing.py replaces to count edits
         return gaussian_update(self, edit)
 
-    def edited_values(self, theta: int, kind: str, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The closed form of the module-level ``edited_values``: (m, N + 1),
-        for each point x, the statistic at x and at the class-theta rows under
-        the fit that adds (x, theta), unless ``kind`` is ``"remove"``, and then
-        removes x from its class y, unless ``kind`` is ``"augment"``; (m, 1)
-        for ``"loo"``, which removes x and scores x alone; and the (m,) mask
-        of the points flagged for the refit, whose values are not to be used.
-        X holds the queries for ``"augment"``, else training row indices, all
-        of one class y (theta != y for ``"relabel"``).
+    @staticmethod
+    def edited_values_each(stats, theta: int, kind: str, Xs) -> tuple[np.ndarray, np.ndarray]:
+        """The closed form of the module-level ``edited_values`` on a block
+        of fits with one n and one set of group sizes: (m, N + 1), for each
+        point x of ``Xs[0]``, then of ``Xs[1]``, ..., the statistic at x and
+        at the class-theta rows under its fit ``stats[s]`` edited to add
+        (x, theta), unless ``kind`` is ``"remove"``, and then to remove x
+        from its class y, unless ``kind`` is ``"augment"``; (m, 1) for
+        ``"loo"``, which removes x and scores x alone; and the (m,) mask of
+        the points flagged for the refit, whose values are not to be used.
+        Each ``Xs[s]`` holds queries for ``"augment"``, else training row
+        indices, all of one class y, the same for every fit (theta != y for
+        ``"relabel"``).
 
         Adding x adds (N_theta/(N_theta+1)) u u^T to the scatter,
         u = x - mu_theta, and removing it subtracts (N_y/(N_y-1)) v v^T,
@@ -198,64 +239,97 @@ class GaussianStatistic:
         factor 2 of the bound, where a |w_u|^2 exceeds ``_FAR_QUERY`` (A grows
         ill-conditioned) or where h exceeds ``_HIGH_LEVERAGE`` (A nears
         singular).
+
+        A block runs one fit's arithmetic elementwise along its edits, each
+        edit reading its own fit's factor, means, sums and pivot floor: one
+        forward substitution per whitening, each column by its own factor in
+        ``_forward_substitute``'s order (the rows and means of every fit not
+        yet whitened among them), one stacked ``solve`` and one
+        ``_log_sum_exp_rows``, so every value has the bits of its fit alone.
         """
-        n, n_classes = self.n, self.data.n_classes
-        features_w, means_w = self._whitened
-        # "loo" scores the removed row alone
-        group_w = features_w[self.data.group(theta) if kind != "loo" else []]
+        first = stats[0]
+        n, n_classes = first.n, first.data.n_classes
+        owner = np.repeat(np.arange(len(stats)), [len(X) for X in Xs]) if len(stats) > 1 else None
+
+        def each(per_fit):  # each edit's entry of a per-fit quantity; a lone fit's broadcasts
+            return np.stack(per_fit)[owner] if len(stats) > 1 else per_fit[0]
+
+        def joined(parts):
+            return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
+        missing = [s for s in stats if "_whitened" not in vars(s)]
+        if len(missing) > 1:  # every fit's rows and means in one substitution, each by its own factor
+            rows = np.concatenate([np.vstack([s.data.features, s.means]) for s in missing])
+            factors = np.repeat(np.stack([s.sigma.chol_lower for s in missing]), n + n_classes, axis=0)
+            for s, white in zip(missing, np.split(whiten_rows(factors.transpose(1, 2, 0), rows), len(missing))):
+                vars(s)["_whitened"] = (white[:n], white[n:])  # the cached property's value
+        # each edit's whitening factor, (q, q, m); a lone fit's (q, q) factor scales by scalars
+        lower = np.stack([s.sigma.chol_lower for s in stats])[owner].transpose(1, 2, 0) if len(stats) > 1 else first.sigma.chol_lower
+        means_w, means = each([s._whitened[1] for s in stats]), each([s.means for s in stats])
         add = kind in ("augment", "relabel")
-        removed = None if kind == "augment" else int(self.data.labels[X[0]])
+        removed = None if kind == "augment" else int(first.data.labels[Xs[0][0]])
         if kind == "augment":
-            wx = whiten_rows(self.sigma.chol_lower, X)
+            X = joined(Xs)
+            wx = whiten_rows(lower, X)
         else:
-            X, wx = self.data.features[X], features_w[X]
+            X = joined([s.data.features[x] for s, x in zip(stats, Xs)])
+            wx = joined([s._whitened[0][x] for s, x in zip(stats, Xs)])
         m, q = wx.shape
-        sizes, new_n = self.group_sizes, n
-        sums = np.repeat(self._sums[None], m, axis=0)  # (m, L, q), the edited class sums
+        sizes, new_n = first.group_sizes, n
+        sums = np.empty((m, n_classes, q))  # the edited class sums
+        sums[...] = each([s._sums for s in stats])
         scatter = np.eye(q)  # A, (m, q, q) from the first edit term on
-        scatter_diag = (n - n_classes) * np.diag(self.sigma.matrix)
+        scatter_diag = (n - n_classes) * each([np.diag(s.sigma.matrix) for s in stats])
         refit = np.zeros(m, dtype=bool)
         leverage = 0.0
         if add:
             big_n = int(sizes[theta - 1])
             a = big_n / (big_n + 1.0) / (n - n_classes)
-            wu = wx - means_w[theta - 1]
+            wu = wx - means_w[..., theta - 1, :]
             sums[:, theta - 1] += X
             refit |= a * _row_dot(wu, wu) > _FAR_QUERY
             scatter = scatter + a * wu[:, :, None] * wu[:, None, :]
-            u = X - self.means[theta - 1]
+            u = X - means[..., theta - 1, :]
             scatter_diag = scatter_diag + u * u / (1.0 + 1.0 / big_n)
             sizes[theta - 1] += 1
             new_n += 1
         if removed is not None:
             big_n = int(sizes[removed - 1])
             beta = big_n / (big_n - 1.0) / (n - n_classes)
-            wv = wx - means_w[removed - 1]
+            wv = wx - means_w[..., removed - 1, :]
             sums[:, removed - 1] -= X
             leverage = beta * _row_dot(wv, wv)
             refit |= leverage > _HIGH_LEVERAGE
             scatter = scatter - beta * wv[:, :, None] * wv[:, None, :]
-            v = X - self.means[removed - 1]
+            v = X - means[..., removed - 1, :]
             scatter_diag = scatter_diag - (big_n / (big_n - 1.0)) * v * v
             sizes[removed - 1] -= 1
             new_n -= 1
         tol = 1e-12 * np.max(scatter_diag, axis=1) / (new_n - n_classes)
-        floor = self._pivot_floor * (n - n_classes) / (new_n - n_classes) * (1.0 - leverage)
+        floor = each([s._pivot_floor for s in stats]) * (n - n_classes) / (new_n - n_classes) * (1.0 - leverage)
         refit |= 2.0 * tol >= floor
         if refit.any():  # flagged rows are not used; keep their systems regular
             scatter[refit] = np.eye(q)
         sums /= sizes[:, None]
-        means = whiten_rows(self.sigma.chol_lower, sums.reshape(-1, q)).reshape(sums.shape)
+        if len(stats) > 1:  # a factor for each of an edit's L sums
+            lower = np.repeat(lower, n_classes, axis=2)
+        means = whiten_rows(lower, sums.reshape(-1, q)).reshape(sums.shape)
         others = [b for b in range(n_classes) if b != theta - 1]
         own, rivals = means[:, theta - 1 : theta], means[:, others]
         slopes = np.linalg.solve(scatter, np.swapaxes(rivals - own, 1, 2))  # (m, q, L - 1)
         slopes *= (new_n - n_classes) / (n - n_classes)
         mids = _row_dot(slopes, np.swapaxes(rivals + own, 1, 2))  # G_b . (m'_b + m'_theta)
         offsets = np.log(sizes[others] / (sizes.sum() - sizes[theta - 1])) - 0.5 * mids
-        buffer = np.empty((q + n_classes, m, group_w.shape[0] + 1))
+        # "loo" scores the removed row alone
+        group_size = 0 if kind == "loo" else first.data.group(theta).size
+        buffer = np.empty((q + n_classes, m, group_size + 1))
         points, terms, spare = buffer[:q], buffer[q:-1], buffer[-1]
         points[:, :, 0] = wx.T
-        points[:, :, 1:] = group_w.T[:, None, :]
+        start = 0
+        for s, X in zip(stats, Xs):
+            group_w = s._whitened[0][s.data.group(theta)[:group_size]]
+            points[:, start : start + len(X), 1:] = group_w.T[:, None, :]
+            start += len(X)
         for b, out in enumerate(terms):
             np.multiply(points[0], slopes[:, 0, b, None], out=out)
             for k in range(1, q):
@@ -389,7 +463,9 @@ def default_k(n: int) -> int:
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, diff: np.ndarray | None = None) -> np.ndarray:
-    """Squared euclidean distances between rows of a and rows of b.
+    """Squared euclidean distances between rows of a and rows of b: b is
+    (n, q), or (len(a), n, q), each row of a against its own n rows, or
+    (1, n, q).
 
     The squared component differences are added one at a time, in order, so
     that distances between the same pair of points are bit-identical no
@@ -397,21 +473,21 @@ def _sq_dists(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, diff:
     tie cases in the augmented-count rule rely on exact comparisons, and
     ``knn_fit`` on blocks of rows against reordered columns. The first
     square is the sum's first term (0 + d^2 is d^2, bit for bit), and one
-    buffer takes each later one: two (len(a), len(b)) arrays in all, so
-    callers bound that product. A caller scoring many blocks may pass both,
-    as ``out`` and ``diff``.
+    buffer takes each later one: two (len(a), n) arrays in all, so callers
+    bound that product. A caller scoring many blocks may pass both, as
+    ``out`` and ``diff``.
     """
     if out is None:
-        out = np.empty((a.shape[0], b.shape[0]))
+        out = np.empty((a.shape[0], b.shape[-2]))
     if a.shape[1] == 0:
         out[:] = 0.0
         return out
-    np.subtract.outer(a[:, 0], b[:, 0], out=out)
+    np.subtract(a[:, :1], b[..., 0], out=out)
     out *= out
     if a.shape[1] > 1 and diff is None:
         diff = np.empty_like(out)
     for k in range(1, a.shape[1]):
-        np.subtract.outer(a[:, k], b[:, k], out=diff)
+        np.subtract(a[:, k : k + 1], b[..., k], out=diff)
         diff *= diff
         out += diff
     return out
@@ -424,7 +500,7 @@ def _feature_scales(d: TrainingSet) -> np.ndarray:
     if np.any(zero):
         warnings.warn(
             f"feature(s) {np.flatnonzero(zero).tolist()} have zero variance; scale set to 1",
-            stacklevel=3,
+            stacklevel=_caller_stacklevel(),
         )
         scales = np.where(zero, 1.0, scales)
     return scales
@@ -460,37 +536,49 @@ _BLOCK_ELEMENTS = 2**18
 
 def knn_fit(d: TrainingSet, k: int) -> KnnCaches:
     """Build the cached radii and counts driving the O(n) augmented-data
-    rule, in the unscaled metric.
+    rule, in the unscaled metric: ``_knn_fits`` on a block of one."""
+    return _knn_fits([d], k)[0]
 
-    The rows go in blocks, each against all n points with the columns sorted
-    by label, so no n x n array is made and each class count is one
-    contiguous slice. A block's distances go into one (rows, n) buffer and
-    its component difference, then its partition copy, into another, both
-    made once per fit rather than afresh for each block. With the in-ball
-    masks a block holds about four (rows, n) arrays, so it takes a quarter
-    of ``_BLOCK_ELEMENTS`` (timings in CHANGES.md). The time stays O(n^2 q).
 
-    A row's radii and counts do not depend on its block or on the column
-    order: ``_sq_dists`` gives each pair the same bits anywhere, and one
-    partition at k - 1 puts the k - 1 smallest distances first, in no
-    particular order, so their maximum is the (k-1)-th radius. (A partition
-    at both k - 2 and k - 1 would place that radius too, but took 5x as
-    long on a (32, 2000) block.)
+def _knn_fits(datas, k: int) -> list[KnnCaches]:
+    """``knn_fit`` of each training set of a block with one n and one set of
+    group sizes.
+
+    The block's rows go in blocks, each row against the n points of its own
+    set with the columns sorted by label, so no n x n array is made and each
+    class count is one contiguous slice. A block's distances go into one
+    (rows, n) buffer and its component difference, then its partition copy,
+    into another, both made once per call rather than afresh for each block.
+    With the in-ball masks a block holds about four (rows, n) arrays, so it
+    takes a quarter of ``_BLOCK_ELEMENTS`` (timings in CHANGES.md). The time
+    stays O(n^2 q) per set.
+
+    A row's radii and counts do not depend on its block, its set's place in
+    the block or the column order: ``_sq_dists`` gives each pair the same
+    bits anywhere, and one partition at k - 1 puts the k - 1 smallest
+    distances first, in no particular order, so their maximum is the
+    (k-1)-th radius. (A partition at both k - 2 and k - 1 would place that
+    radius too, but took 5x as long on a (32, 2000) block.)
     """
-    if not 1 <= k <= d.n:
-        raise ValueError(f"k must lie in 1..n={d.n}, got {k}")
-    columns = d.features[np.argsort(d.labels, kind="stable")]
-    bounds = np.concatenate([[0], np.cumsum(d.group_sizes)])
-    radius_sq = np.empty(d.n)
-    radius_km1_sq = np.zeros(d.n)
-    counts_km1 = np.empty((d.n, d.n_classes), dtype=np.int64)
-    counts_k = np.empty((d.n, d.n_classes), dtype=np.int64)
-    step = max(1, _BLOCK_ELEMENTS // (4 * d.n))
-    buffers = np.empty((2, min(step, d.n), d.n))
-    for start in range(0, d.n, step):
+    first = datas[0]
+    n, n_classes = first.n, first.n_classes
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in 1..n={n}, got {k}")
+    columns = np.stack([d.features[np.argsort(d.labels, kind="stable")] for d in datas])
+    features = np.concatenate([d.features for d in datas])
+    bounds = np.concatenate([[0], np.cumsum(first.group_sizes)])
+    total = len(features)
+    radius_sq = np.empty(total)
+    radius_km1_sq = np.zeros(total)
+    counts_km1 = np.empty((total, n_classes), dtype=np.int64)
+    counts_k = np.empty((total, n_classes), dtype=np.int64)
+    step = max(1, _BLOCK_ELEMENTS // (4 * n))
+    buffers = np.empty((2, min(step, total), n))
+    for start in range(0, total, step):
         rows = slice(start, start + step)
-        dsq, part = buffers[:, : min(step, d.n - start)]
-        _sq_dists(d.features[rows], columns, dsq, part)
+        dsq, part = buffers[:, : min(step, total - start)]
+        against = columns if len(datas) == 1 else columns[np.arange(start, start + len(dsq)) // n]
+        _sq_dists(features[rows], against, dsq, part)
         np.copyto(part, dsq)
         part.partition(k - 1, axis=1)
         radius_sq[rows] = part[:, k - 1]
@@ -498,16 +586,19 @@ def knn_fit(d: TrainingSet, k: int) -> KnnCaches:
             radius_km1_sq[rows] = part[:, : k - 1].max(axis=1)
         for radius, counts in ((radius_km1_sq, counts_km1), (radius_sq, counts_k)):
             in_ball = dsq <= radius[rows, None]
-            for b in range(d.n_classes):
+            for b in range(n_classes):
                 counts[rows, b] = np.count_nonzero(in_ball[:, bounds[b] : bounds[b + 1]], axis=1)
-    return KnnCaches(
-        data=d,
-        k=k,
-        radius_sq=radius_sq,
-        radius_km1_sq=radius_km1_sq,
-        counts_km1=counts_km1,
-        counts_k=counts_k,
-    )
+    return [
+        KnnCaches(
+            data=d,
+            k=k,
+            radius_sq=radius_sq[rows],
+            radius_km1_sq=radius_km1_sq[rows],
+            counts_km1=counts_km1[rows],
+            counts_k=counts_k[rows],
+        )
+        for d, rows in zip(datas, (slice(start, start + n) for start in range(0, total, n)))
+    ]
 
 
 def _ball_counts(dsq: np.ndarray, radius_sq: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -549,7 +640,7 @@ class _LogisticFit(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class LogisticStatistic:
+class LogisticStatistic(_BlockClosedForm):
     """Maximum-likelihood logistic fit for two classes, with separation
     handling, as the signed logistic score: the class-2 logit tests class 1
     and vice versa.
@@ -591,10 +682,12 @@ class LogisticStatistic:
     def edit(self, edit: Remove | Augment | Relabel) -> "LogisticStatistic":
         return LogisticStatistic(self.data.edit(edit))
 
-    def edited_values(self, theta: int, kind: str, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The module-level ``edited_values``: ``_logistic_edited_values``
-        on this one statistic, none flagged."""
-        return _logistic_edited_values([self], theta, kind, [X])[0], np.zeros(len(X), dtype=bool)
+    @staticmethod
+    def edited_values_each(stats, theta: int, kind: str, Xs) -> tuple[np.ndarray, np.ndarray]:
+        """The module-level ``edited_values``: ``_logistic_edited_values``,
+        none flagged."""
+        values = np.concatenate(_logistic_edited_values(stats, theta, kind, Xs))
+        return values, np.zeros(len(values), dtype=bool)
 
 
 def _logistic_edited_values(stats, theta: int, kind: str, Xs) -> list[np.ndarray]:
@@ -653,14 +746,30 @@ def fit_logistic(d: TrainingSet) -> LogisticStatistic:
     ``_logistic_fits`` on a batch of one. The statistic comes back fitted,
     so a singular design warns of its ridge here."""
     stat = LogisticStatistic(d)
-    order = _canonical_order(d.features, np.zeros(d.n))
-    beta, iterations, grad_norm, separated = _logistic_fits(d.features, order[None, :], d.labels[order][None, :])
-    coefficients = beta[0, 1:].copy()
-    coefficients.setflags(write=False)
-    # the cached property's value, so that reading it fits nothing more
-    vars(stat)["_fit"] = _LogisticFit(
-        float(beta[0, 0]), coefficients, int(iterations[0]), float(grad_norm[0]), bool(separated[0]))
+    _fit_logistic_each([stat])
     return stat
+
+
+def _fit_logistic_each(stats) -> None:
+    """Fit each statistic of ``stats``, of data with one n, not yet fitted,
+    in one ``_logistic_fits`` call: each set's rows in the order of their
+    features alone, offset by the rows of the sets before it, so each fit
+    has the bits of ``fit_logistic`` on its data."""
+    missing = [s for s in stats if "_fit" not in vars(s)]
+    if not missing:
+        return
+    orders = [_canonical_order(s.data.features, np.zeros(s.data.n)) for s in missing]
+    offsets = np.cumsum([0] + [s.data.n for s in missing[:-1]])
+    beta, iterations, grad_norm, separated = _logistic_fits(
+        np.vstack([s.data.features for s in missing]),
+        np.stack(orders) + offsets[:, None],
+        np.stack([s.data.labels[order] for s, order in zip(missing, orders)]))
+    for b, stat in enumerate(missing):
+        coefficients = beta[b, 1:].copy()
+        coefficients.setflags(write=False)
+        # the cached property's value, so that reading it fits nothing more
+        vars(stat)["_fit"] = _LogisticFit(
+            float(beta[b, 0]), coefficients, int(iterations[b]), float(grad_norm[b]), bool(separated[b]))
 
 
 def _logistic_fits(features: np.ndarray, rows: np.ndarray, labels: np.ndarray):
@@ -727,7 +836,7 @@ def _newton_steps(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         singular = np.linalg.slogdet(hessian)[0] == 0
         for _ in range(np.count_nonzero(singular)):
-            warnings.warn("singular weighted normal equations; adding ridge 1e-8", stacklevel=4)
+            warnings.warn("singular weighted normal equations; adding ridge 1e-8", stacklevel=_caller_stacklevel())
         hessian = hessian.copy()
         hessian[singular] += 1e-8 * np.eye(hessian.shape[1])
         return np.linalg.solve(hessian, grad)
@@ -739,7 +848,7 @@ def _newton_steps(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class KnnStatistic:
+class KnnStatistic(_BlockClosedForm):
     """Negative k-NN posterior weight of the hypothesized class.
 
     With ``scale_features`` each feature is divided by its sample standard
@@ -774,93 +883,134 @@ class KnnStatistic:
     def edit(self, edit: Remove | Augment | Relabel) -> "KnnStatistic":
         return KnnStatistic(self.data.edit(edit), self.k, self.scale_features)
 
-    def edited_values(self, theta: int, kind: str, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def edited_values_each(stats, theta: int, kind: str, Xs) -> tuple[np.ndarray, np.ndarray]:
         """The closed form of the module-level ``edited_values``, as in
-        ``GaussianStatistic.edited_values``, for a fixed metric.
+        ``GaussianStatistic.edited_values_each``, for a fixed metric and a
+        block of fits with one n, one set of group sizes and one k.
 
-        An augment is the one-class case of ``_augment_values``, which reads
-        the cached counts through one (m, n) block of distances. A relabel
-        moves no distance, so no radius moves and no ball total changes: a
-        class-theta row j gains one theta-count exactly when its ball holds X_i,
-        d^2(X_i, X_j) <= radius_sq[j], and X_i, which its own ball holds,
-        gains one. That takes one (m, N) block of distances. A ``"loo"``
-        removal takes one (m, n) block: X_i's radius in the data without it
-        is its (k+1)-th smallest distance, as its own 0 is in the block, and
-        its ball's counts lose X_i itself. A removal that scores the class
-        rows moves their radii, and with feature scaling the scales move with
-        the edited data, so those edits are all flagged.
+        An augment is the one-class case of ``_knn_augment_values``, which
+        reads the cached counts through one (m, n) block of distances. A
+        relabel moves no distance, so no radius moves and no ball total
+        changes: a class-theta row j gains one theta-count exactly when its
+        ball holds X_i, d^2(X_i, X_j) <= radius_sq[j], and X_i, which its own
+        ball holds, gains one. That takes one (m, N) block of distances per
+        fit. A ``"loo"`` removal takes one (m, n) block, each row against its
+        own fit's rows in label order: X_i's radius in the data without it is
+        its (k+1)-th smallest distance, as its own 0 is in the block, and its
+        ball's counts lose X_i itself. A removal that scores the class rows
+        moves their radii, and with feature scaling the scales move with the
+        edited data, so those edits are all flagged.
         """
-        group = self.data.group(theta)
-        if self.scale_features or kind == "remove":
-            return np.zeros((len(X), 1 if kind == "loo" else group.size + 1)), np.ones(len(X), dtype=bool)
-        if kind == "loo":
-            dsq = _sq_dists(self.data.features[X], self.data.features)
-            # the (k+1)-th smallest distance, as the row's own 0 is in the block
-            radius_sq = np.partition(dsq, self.k, axis=1)[:, self.k]
-            counts = _ball_counts(dsq, radius_sq, self.data.labels, self.data.n_classes)
-            counts[np.arange(len(X)), self.data.labels[X] - 1] -= 1
-            return -(counts[:, theta - 1 : theta] / counts.sum(axis=1, keepdims=True)), np.zeros(len(X), dtype=bool)
+        first = stats[0]
+        m, k, group_size = sum(len(X) for X in Xs), first.k, first.data.group(theta).size
+        if first.scale_features or kind == "remove":
+            return np.zeros((m, 1 if kind == "loo" else group_size + 1)), np.ones(m, dtype=bool)
+        unflagged = np.zeros(m, dtype=bool)
         if kind == "augment":
-            (query, members), = self._augment_values(X, range(theta, theta + 1))
-            return np.column_stack([query, members]), np.zeros(len(X), dtype=bool)
-        caches = self.caches
-        values = np.empty((len(X), group.size + 1))
-        totals = caches.counts_k.sum(axis=1)
-        values[:, 0] = -((caches.counts_k[X, theta - 1] + 1) / totals[X])
-        holds_i = _sq_dists(self.data.features[X], self.data.features[group]) <= caches.radius_sq[group]
-        values[:, 1:] = -((caches.counts_k[group, theta - 1] + holds_i) / totals[group])
-        return values, np.zeros(len(X), dtype=bool)
+            (query, members), = _knn_augment_values(stats, Xs, range(theta, theta + 1))
+            return np.column_stack([query, members]), unflagged
+        if kind == "loo":
+            columns = np.stack([s.data.features[np.argsort(s.data.labels, kind="stable")] for s in stats])
+            if len(stats) > 1:
+                columns = columns[np.repeat(np.arange(len(stats)), [len(X) for X in Xs])]
+            dsq = _sq_dists(np.concatenate([s.data.features[X] for s, X in zip(stats, Xs)]), columns)
+            # the (k+1)-th smallest distance, as the row's own 0 is in the block
+            in_ball = dsq <= np.partition(dsq, k, axis=1)[:, k, None]
+            bounds = np.concatenate([[0], np.cumsum(first.data.group_sizes)])
+            counts = np.column_stack([np.count_nonzero(in_ball[:, lo:hi], axis=1) for lo, hi in zip(bounds, bounds[1:])])
+            counts[np.arange(m), np.concatenate([s.data.labels[X] for s, X in zip(stats, Xs)]) - 1] -= 1
+            return -(counts[:, theta - 1 : theta] / counts.sum(axis=1, keepdims=True)), unflagged
+        values = np.empty((m, group_size + 1))
+        start = 0
+        for stat, X in zip(stats, Xs):
+            caches, group, rows = stat.caches, stat.data.group(theta), slice(start, start + len(X))
+            totals = caches.counts_k.sum(axis=1)
+            values[rows, 0] = -((caches.counts_k[X, theta - 1] + 1) / totals[X])
+            holds_i = _sq_dists(stat.data.features[X], stat.data.features[group]) <= caches.radius_sq[group]
+            values[rows, 1:] = -((caches.counts_k[group, theta - 1] + holds_i) / totals[group])
+            start += len(X)
+        return values, unflagged
 
     @cached_property
     def _by_label(self) -> tuple[np.ndarray, ...]:
-        """In the order of the rows sorted by label (stable): their features,
-        and per row its squared k-radius and the own-class and total counts
-        of its (k-1)- and k-balls."""
-        d, caches = self.data, self.caches
-        order = np.argsort(d.labels, kind="stable")
-        rows, own = np.arange(d.n), d.labels[order] - 1
-        km1, k = caches.counts_km1[order], caches.counts_k[order]
-        return d.features[order], caches.radius_sq[order], km1[rows, own], k[rows, own], km1.sum(axis=1), k.sum(axis=1)
+        """``_knn_by_label`` of this fit alone, kept for every chunk of a
+        batch of queries."""
+        return _knn_by_label([self])
 
-    def _augment_values(self, X: np.ndarray, classes: range) -> list[tuple[np.ndarray, np.ndarray]]:
-        """For each class theta of ``classes``, consecutive labels, the
-        values under the fit augmented with (x, theta) at each query x of X
-        and at the class-theta rows: an (m,) column and an (m, N_theta)
-        block, the two parts of ``edited_values(theta, "augment", X)``.
 
-        One (m, n) block of distances against the rows in label order, one
-        partition at k - 2 and one in-ball mask serve every class. The
-        query's own ball reaches its (k-1)-th nearest training point, since x
-        itself sits at distance 0. A member j's value,
-        -(own_j + holds_x) / (total_j + holds_x), depends on theta only
-        through j's own class, so the members of all the classes are scored
-        in one pass, and each class takes its slice: ``knn_augmented_counts``'
-        case split, read through the own-class and total counts, where a row
-        that x falls strictly inside takes its (k-1)-ball and x joins the
-        ball of every row whose k-ball holds it.
-        """
-        columns, radius_sq, own_km1, own_k, total_km1, total_k = self._by_label
-        dsq = _sq_dists(X, columns)
-        radius_x = np.partition(dsq, self.k - 2, axis=1)[:, self.k - 2] if self.k >= 2 else np.zeros(len(X))
-        in_ball = dsq <= radius_x[:, None]
-        ball = in_ball.sum(axis=1) + 1
-        bounds = [0, *itertools.accumulate(self.data.group(theta).size for theta in range(1, classes[-1] + 1))]
-        span = slice(bounds[classes[0] - 1], bounds[-1])
-        members, radius_sq = dsq[:, span], radius_sq[span]
-        inside, holds_x = members < radius_sq, members <= radius_sq
-        own_x = np.where(inside, own_km1[span], own_k[span])
-        own_x += holds_x
-        total_x = np.where(inside, total_km1[span], total_k[span])
-        total_x += holds_x
-        # the distances are read: the values take their memory
-        values = np.divide(own_x, total_x, out=members)
-        np.negative(values, out=values)
-        out = []
-        for theta in classes:
-            lo, hi = bounds[theta - 1], bounds[theta]
-            query = -((in_ball[:, lo:hi].sum(axis=1) + 1) / ball)
-            out.append((query, values[:, lo - span.start : hi - span.start]))
-        return out
+def _knn_by_label(stats) -> tuple[np.ndarray, ...]:
+    """For each fit of a block with one n, in the order of its rows sorted
+    by label (stable): their features, and per row its squared k-radius and
+    the own-class and total counts of its (k-1)- and k-balls, each stacked
+    over the fits, (B, n) or (B, n, q)."""
+    fits = np.arange(len(stats))[:, None]
+    labels = np.stack([s.data.labels for s in stats])
+    order = np.argsort(labels, axis=1, kind="stable")
+    own = labels[fits, order, None] - 1
+
+    def by_label(per_fit):
+        return np.stack(per_fit)[fits, order]
+
+    km1, k = by_label([s.caches.counts_km1 for s in stats]), by_label([s.caches.counts_k for s in stats])
+    return (by_label([s.data.features for s in stats]), by_label([s.caches.radius_sq for s in stats]),
+            np.take_along_axis(km1, own, 2)[..., 0], np.take_along_axis(k, own, 2)[..., 0], km1.sum(axis=2), k.sum(axis=2))
+
+
+def _knn_augment_values(stats, Xs, classes: range) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each class theta of ``classes``, consecutive labels, the values
+    under each fit ``stats[s]`` augmented with (x, theta) at each query x of
+    ``Xs[s]`` and at the class-theta rows: an (m,) column and an
+    (m, N_theta) block over the queries of every fit in turn, the two parts
+    of ``edited_values`` of kind ``"augment"``. The fits share n, group sizes
+    and k, and the caches of all those that lack them are built in one
+    ``_knn_fits`` (a lone fit builds its own through ``knn_fit``).
+
+    One (m, n) block of distances against each query's fit's rows in label
+    order, one partition at k - 2 and one in-ball mask serve every class.
+    The query's own ball reaches its (k-1)-th nearest training point, since
+    x itself sits at distance 0. A member j's value,
+    -(own_j + holds_x) / (total_j + holds_x), depends on theta only through
+    j's own class, so the members of all the classes are scored in one
+    pass, and each class takes its slice: ``knn_augmented_counts``' case
+    split, read through the own-class and total counts, where a row that x
+    falls strictly inside takes its (k-1)-ball and x joins the ball of every
+    row whose k-ball holds it.
+    """
+    first = stats[0]
+    missing = [s for s in stats if "caches" not in vars(s)]
+    if len(missing) > 1:
+        for stat, caches in zip(missing, _knn_fits([s.data for s in missing], first.k)):
+            vars(stat)["caches"] = caches  # the cached property's value
+    # each query's row of every per-fit array; a lone fit's broadcasts
+    if len(stats) == 1:
+        by_label = first._by_label
+    else:
+        owner = np.repeat(np.arange(len(stats)), [len(X) for X in Xs])
+        by_label = [per_fit[owner] for per_fit in _knn_by_label(stats)]
+    columns, radius_sq, own_km1, own_k, total_km1, total_k = by_label
+    X, k = np.concatenate(Xs), first.k
+    dsq = _sq_dists(X, columns)
+    radius_x = np.partition(dsq, k - 2, axis=1)[:, k - 2] if k >= 2 else np.zeros(len(X))
+    in_ball = dsq <= radius_x[:, None]
+    ball = in_ball.sum(axis=1) + 1
+    bounds = [0, *itertools.accumulate(first.data.group(theta).size for theta in range(1, classes[-1] + 1))]
+    span = slice(bounds[classes[0] - 1], bounds[-1])
+    members, radius_sq = dsq[:, span], radius_sq[:, span]
+    inside, holds_x = members < radius_sq, members <= radius_sq
+    own_x = np.where(inside, own_km1[:, span], own_k[:, span])
+    own_x += holds_x
+    total_x = np.where(inside, total_km1[:, span], total_k[:, span])
+    total_x += holds_x
+    # the distances are read: the values take their memory
+    values = np.divide(own_x, total_x, out=members)
+    np.negative(values, out=values)
+    out = []
+    for theta in classes:
+        lo, hi = bounds[theta - 1], bounds[theta]
+        query = -((in_ball[:, lo:hi].sum(axis=1) + 1) / ball)
+        out.append((query, values[:, lo - span.start : hi - span.start]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -871,41 +1021,49 @@ class KnnStatistic:
 _EDIT_KINDS = ("augment", "relabel", "remove", "loo")
 
 
-def edited_values(stat, theta: int, kind: str, X: np.ndarray) -> np.ndarray:
-    """(m, N + 1): for each of m single-point edits, the statistic at the
-    edited point and at the class-theta rows under the edited fit. ``kind``
-    names the edit of each row of X: ``"augment"`` adds the query x to class
-    theta, ``"relabel"`` moves training row i (X holds row indices, all of
-    one class) to class theta, and ``"remove"`` removes it; ``"loo"``
-    removes it and scores it alone, (m, 1).
+def edited_values(stats, theta: int, kind: str, Xs) -> np.ndarray:
+    """(m, N + 1): for each single-point edit ``Xs[s]`` of each statistic
+    ``stats[s]``, in order, the statistic at the edited point and at the
+    class-theta rows under the edited fit. The statistics are of one type,
+    with one n and one set of group sizes (and one k for k-NN). ``kind``
+    names the edit of each row of ``Xs[s]``: ``"augment"`` adds the query x
+    to class theta, ``"relabel"`` moves training row i (``Xs[s]`` holds row
+    indices, all of one class, the same for every s) to class theta, and
+    ``"remove"`` removes it; ``"loo"`` removes it and scores it alone,
+    (m, 1). The one-fit case is ``edited_values([stat], theta, kind, [X])``.
 
-    The statistic's own ``edited_values`` method, where it has one, gives the
-    values without making the edits and flags those it cannot score;
-    without one every edit is flagged. Each flagged edit is then made in
-    order by ``stat.edit`` and scored by ``evaluate``, so every value comes
-    back finished. A degenerate edit raises DegenerateFitError, with the
-    removed row as ``swap_index`` for ``"loo"``.
+    The type's static ``edited_values_each``, where it has one, gives the
+    whole block's values in one call without making the edits and flags
+    those it cannot score; without one every edit is flagged. Each flagged
+    edit is then made by ``stat.edit`` and scored by ``evaluate``, statistic
+    by statistic and edit by edit, so every value comes back finished, and
+    a degenerate edit raises DegenerateFitError where a loop over the
+    statistics would, with the removed row as ``swap_index`` for ``"loo"``.
     """
     if kind not in _EDIT_KINDS:
         raise ValueError(f"unknown edit kind {kind!r}; expected one of {_EDIT_KINDS}")
-    d = stat.data
-    group = d.group(theta)
-    closed_form = getattr(stat, "edited_values", None)
+    closed_form = getattr(type(stats[0]), "edited_values_each", None)
     if closed_form is not None:
-        values, refit = closed_form(theta, kind, X)
+        values, refit = closed_form(stats, theta, kind, Xs)
     else:
-        values, refit = np.zeros((len(X), 1 if kind == "loo" else group.size + 1)), np.ones(len(X), dtype=bool)
-    for j in np.flatnonzero(refit):
-        x = X[j]
-        if kind == "augment":
-            edit, pts = Augment(x, theta), np.vstack([x, d.features[group]])
-        else:
-            edit = Relabel(x, theta) if kind == "relabel" else Remove(x)
-            pts = d.features[[x] if kind == "loo" else np.append(x, group)]
-        try:
-            values[j] = stat.edit(edit).evaluate(theta, pts)
-        except DegenerateFitError as err:
-            if kind == "loo":
-                err.swap_index = int(x)
-            raise
+        m = sum(len(X) for X in Xs)
+        values = np.zeros((m, 1 if kind == "loo" else stats[0].data.group(theta).size + 1))
+        refit = np.ones(m, dtype=bool)
+    start = 0
+    for stat, X in zip(stats, Xs):
+        d, group = stat.data, stat.data.group(theta)
+        for j in np.flatnonzero(refit[start : start + len(X)]):
+            x = X[j]
+            if kind == "augment":
+                edit, pts = Augment(x, theta), np.vstack([x, d.features[group]])
+            else:
+                edit = Relabel(x, theta) if kind == "relabel" else Remove(x)
+                pts = d.features[[x] if kind == "loo" else np.append(x, group)]
+            try:
+                values[start + j] = stat.edit(edit).evaluate(theta, pts)
+            except DegenerateFitError as err:
+                if kind == "loo":
+                    err.swap_index = int(x)
+                raise
+        start += len(X)
     return values

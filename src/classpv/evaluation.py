@@ -69,7 +69,8 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
     ``_pvalues_each(..., rows=True)``, one class of rows at a time, the class
     theta first except in naive mode. Typicality, an exact pivot, scores X_i
     by ``pvalue_table`` on the fit without row i. Requires every class to
-    keep at least one member after removal.
+    keep at least one member after removal, and a k-NN k of at most n - 1,
+    the rows of a leave-one-out set.
     """
     if np.any(d.group_sizes < 2):
         bad = int(np.argmin(d.group_sizes))
@@ -77,6 +78,8 @@ def crossval_pvalues(d: TrainingSet, method: PermutationMethod) -> CrossValMatri
             f"class {d.label_names[bad]!r} has a single member; leave-one-out would empty it"
         )
     base = method.fit(d)
+    if method.statistic == "knn" and base.k > d.n - 1:
+        raise ValueError(f"k must lie in 1..n-1={d.n - 1} on leave-one-out sets, got {base.k}")
     out = np.empty((d.n, d.n_classes))
     classes = range(1, d.n_classes + 1)
     if method.statistic == "typicality":

@@ -31,10 +31,12 @@ import numpy as np
 from .core import Augment, PValueVector, Relabel, TrainingSet, check_finite, check_label, check_point, rank_pvalue
 from .estimators import (
     _BLOCK_ELEMENTS,
+    DegenerateFitError,
     KnnStatistic,
     LogisticStatistic,
     TypicalityStatistic,
-    _logistic_edited_values,
+    _fit_logistic_each,
+    _knn_augment_values,
     default_k,
     edited_values,
     fit_pooled_gaussian,
@@ -106,10 +108,11 @@ def pvalues(fitted, mode: str, theta: int, X: np.ndarray) -> np.ndarray:
     less that member: one ``Augment`` per query, all through one
     ``_swap_pvalues``. Both take their values from ``edited_values`` on each
     chunk of the batch or class: the statistic's closed form where it has one
-    (the plug-in and fixed-metric k-NN, or the logistic's batched IRLS, which
-    fits every edited set of a chunk at once, and in exact-swap mode the
-    ``"loo"`` sets of several queries, up to half ``_BLOCK_ELEMENTS`` design
-    elements), a refit for each edit that form flags, made in query order. A
+    (the plug-in and fixed-metric k-NN, or the logistic's batched IRLS), one
+    call for every edit of the chunk, which in exact-swap mode spans the
+    ``"loo"`` sets of several queries' fits, held up to half
+    ``_BLOCK_ELEMENTS`` design elements; then a refit for each edit that
+    form flags, made in query order. A
     logistic statistic fits when first read, and these two modes read only its
     ``data``, so neither fits ``fitted`` or the augmented set: the batched
     IRLS fits the edited sets whose values it returns, and no more. A
@@ -153,7 +156,7 @@ def pvalue_table(fitted, mode: str, X: np.ndarray) -> np.ndarray:
         step = max(1, _BLOCK_ELEMENTS // (4 * fitted.data.n))
         for start in range(0, len(X), step):
             rows = slice(start, start + step)
-            for theta, (query, members) in zip(classes, fitted._augment_values(X[rows], classes)):
+            for theta, (query, members) in zip(classes, _knn_augment_values([fitted], [X[rows]], classes)):
                 table[rows, theta - 1] = rank_pvalue(members, query)
         return table
     return np.column_stack([_pvalues_each([fitted], mode, theta, [X])[0] for theta in classes])
@@ -171,11 +174,15 @@ def _checked_batch(fitted, mode: str, X: np.ndarray) -> np.ndarray:
 
 def _pvalues_each(fitted: Sequence, mode: str, theta: int, Xs: Sequence[np.ndarray], rows: bool = False) -> list[np.ndarray]:
     """``pvalues(fitted[s], mode, theta, Xs[s])`` for each s, the arguments
-    unchecked, the statistics of one kind with data of one size. The two
+    unchecked, the statistics of one kind with data of one size and one set
+    of group sizes, as the replications of a validity battery. The two
     exchangeable modes score the edits of all the statistics together:
     valid-shortcut through ``_values_each``, and exact-swap through one
-    ``_swap_pvalues``, so the edited sets of a block of logistic statistics
-    share their batched IRLS.
+    ``_swap_pvalues``, so every family scores a chunk of the block's edits
+    in one closed-form call (the logistic in one batched IRLS). Naive mode
+    fits a block of logistic statistics in one batched IRLS, then scores
+    each statistic's class and queries under its fit. Each p-value keeps
+    the bits of a call on its statistic alone.
 
     With ``rows``, each ``Xs[s]`` holds training rows of ``fitted[s]``, all
     of one class y, the same for every s, and each row i is scored as a
@@ -204,6 +211,8 @@ def _pvalues_each(fitted: Sequence, mode: str, theta: int, Xs: Sequence[np.ndarr
         return np.split(swapped, np.cumsum([len(X) for X in Xs])[:-1])
     if rows:
         return _values_each(fitted, theta, "remove", Xs, lambda values: rank_pvalue(values[:, 1:], values[:, 0], own=own))
+    if isinstance(fitted[0], LogisticStatistic):
+        _fit_logistic_each(fitted)  # one batched IRLS for the block
     out = [np.empty(len(X)) for X in Xs]
     for f, X, pv in zip(fitted, Xs, out):
         members = f.evaluate(theta, f.data.features[f.data.group(theta)])
@@ -220,13 +229,16 @@ def _swap_pvalues(edited: Iterable, theta: int, rows: Iterable) -> np.ndarray:
     and the row's own is its value under the fit without it, so a member
     equal to the row ties with it.
 
-    ``edited`` may be a generator that makes each edit when drawn. A fit
-    whose values can refit (any but the logistic) is scored as soon as it
-    is drawn, so edits and refits keep the loop order. Logistic fits are
-    held while their ``"loo"`` sets hold at most half ``_BLOCK_ELEMENTS``
-    design elements, the batch size at which the IRLS ran fastest per set
-    (timings in CHANGES.md); then every such set of the held fits goes
-    through one batched IRLS, a chunk of ``_chunks`` at a time."""
+    ``edited`` may be a generator that makes each edit when drawn. The
+    drawn fits are held while their ``"loo"`` sets hold at most half
+    ``_BLOCK_ELEMENTS`` logistic design elements, the batch size at which
+    the IRLS ran fastest per set (timings in CHANGES.md); then every such
+    set of the held fits goes through ``_values_each``, one closed-form call
+    (or batched IRLS) a chunk of ``_chunks`` at a time. ``edited_values``
+    refits the flagged sets fit by fit, and an edit that fails to draw
+    scores the fits held before it first, so the error raised, with its
+    ``swap_index``, is the first that a loop scoring each fit as it is
+    drawn would meet."""
     out, held = [], []
 
     def score():
@@ -236,12 +248,21 @@ def _swap_pvalues(edited: Iterable, theta: int, rows: Iterable) -> np.ndarray:
             out.append(rank_pvalue(values, values[np.searchsorted(group, np.atleast_1d(row))], own=True))
         held.clear()
 
-    for stat, row in zip(edited, rows):
-        held.append((stat, row))
-        d = stat.data
+    pairs = zip(edited, rows)
+    while True:
+        try:
+            pair = next(pairs, None)
+        except (DegenerateFitError, ValueError):  # a degenerate or invalid edit
+            if held:
+                score()
+            raise
+        if pair is None:
+            break
+        held.append(pair)
+        d = pair[0].data
         # a fit's "loo" sets: one per member, of n - 1 rows and q + 1 columns
         design = d.group(theta).size * (d.n - 1) * (d.q + 1)
-        if not isinstance(stat, LogisticStatistic) or (len(held) + 1) * design > _BLOCK_ELEMENTS // 2:
+        if (len(held) + 1) * design > _BLOCK_ELEMENTS // 2:
             score()
     if held:
         score()
@@ -252,20 +273,16 @@ def _values_each(stats: Sequence, theta: int, kind: str, Xs: Sequence[np.ndarray
     """For each statistic ``stats[s]``, ``reduce`` of its ``edited_values``
     at the edits ``Xs[s]``, a 1-D array of one entry per edit. The edits of
     all the statistics go in order, in chunks of ``_chunks`` on the first
-    statistic's data, so one chunk may span statistics: a chunk of logistic
-    statistics takes one ``_logistic_edited_values``, and any other
-    statistic's part of it one ``edited_values``."""
+    statistic's data, so one chunk may span statistics, and each chunk takes
+    one ``edited_values`` call over the statistics it spans: one closed-form
+    call for the chunk, whatever the family."""
     bounds = [0, *itertools.accumulate(len(X) for X in Xs)]
     out = np.empty(bounds[-1])
     for chunk in _chunks(stats[0].data, theta, bounds[-1]):
         start, stop = chunk.start, min(chunk.stop, bounds[-1])
         spanned = [s for s, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if lo < stop and hi > start]
         parts = [Xs[s][max(start - bounds[s], 0) : stop - bounds[s]] for s in spanned]
-        if isinstance(stats[spanned[0]], LogisticStatistic):
-            values = _logistic_edited_values([stats[s] for s in spanned], theta, kind, parts)
-        else:
-            values = [edited_values(stats[s], theta, kind, part) for s, part in zip(spanned, parts)]
-        out[start:stop] = np.concatenate([reduce(v) for v in values])
+        out[start:stop] = reduce(edited_values([stats[s] for s in spanned], theta, kind, parts))
     return [out[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 

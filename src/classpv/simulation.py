@@ -143,10 +143,12 @@ def validity_experiment(cfg: ExperimentConfig) -> ValidityResult:
     Replication r draws from generator r of the master seed's spawned
     sequence. The replications are scored in blocks of about
     ``_BLOCK_ELEMENTS`` elements of exact-swap design, (n + L) sets of n rows
-    and q + 1 columns each: one call scores a block for each (method,
-    class), so a block's logistic edited sets share one batched IRLS.
-    A p-value keeps its bits in any block, so the results do not depend on
-    how the blocks are cut, and a shorter run is a prefix of a longer one.
+    and q + 1 columns each: one ``_pvalues_each`` call scores a block for
+    each (method, class), so every family scores a chunk of the block's
+    edited sets in one closed-form call, the logistic in one batched IRLS
+    (naive logistic fits the block's sets in one). A p-value keeps its bits
+    in any block, so the results do not depend on how the blocks are cut,
+    and a shorter run is a prefix of a longer one.
     """
     n_reps = cfg.replications
     model = cfg.model

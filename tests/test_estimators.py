@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from classpv import estimators
+from classpv import ExperimentConfig, estimators, pvalue_vector, simulation, standard_2class_model, validity_experiment
 from classpv import (
     Augment,
     DegenerateFitError,
@@ -343,9 +343,11 @@ class TestKnnFit:
     def test_zero_variance_feature_scale_warning(self):
         feats = np.column_stack([np.arange(6.0), np.full(6, 3.0)])
         d = TrainingSet(feats, np.array([1, 1, 1, 2, 2, 2]), 2, ("1", "2"))
-        with pytest.warns(UserWarning, match="zero variance"):
+        with pytest.warns(UserWarning, match="zero variance") as caught:
             scales = KnnStatistic(d, 2, scale_features=True).scales
         assert scales[1] == 1.0
+        # the warning names the line that read the scales, not functools'
+        assert [w.filename for w in caught] == [__file__]
 
     def test_default_k_rule(self):
         assert default_k(1000) == math.ceil(1000 ** (2 / 3))
@@ -760,7 +762,7 @@ def test_edited_values_rejects_an_unknown_kind(train2, statistic):
     else:
         stat = PermutationMethod(statistic, k=3).fit(train2)
     with pytest.raises(ValueError, match="'swap'"):
-        estimators.edited_values(stat, 1, "swap", train2.group(2)[:2])
+        estimators.edited_values([stat], 1, "swap", [train2.group(2)[:2]])
 
 
 @pytest.mark.parametrize("kind", ["augment", "relabel", "loo", "remove"])
@@ -769,7 +771,7 @@ def test_edited_values_of_a_statistic_without_the_method_are_refits(train2, kind
     # closed form
     closed = fit_pooled_gaussian(train2)
     X = np.array([[0.3, -0.2], [2.0, 1.0]]) if kind == "augment" else train2.group(2)[:2]
-    values = estimators.edited_values(_RefitOnly(closed), 1, kind, X)
+    values = estimators.edited_values([_RefitOnly(closed)], 1, kind, [X])
     expected, flagged = closed.edited_values(1, kind, X)
     assert not flagged.any()
     assert np.allclose(values, expected, rtol=1e-9, atol=1e-12)
@@ -887,3 +889,37 @@ def test_plugin_equal_edited_means_tie_every_value():
         table = pvalue_table(PermutationMethod("plugin", mode).fit(d), mode, X)
         want = [[float(_exact_pvalue(mode, float(x), theta)) for theta in (1, 2)] for x in X[:, 0]]
         assert table.tolist() == want, mode
+
+
+@pytest.mark.parametrize("mode", ("exact-swap", "valid-shortcut", "naive"))
+def test_ridge_warning_names_the_callers_line(monkeypatch, mode):
+    """A set with a constant column makes every weighted Hessian singular,
+    and the ridge warning names the line of this file that called into
+    classpv, whichever entry point and mode."""
+    rng = np.random.default_rng(4)
+    labels = np.repeat([1, 2], 8)
+    feats = np.column_stack([rng.normal(size=16) + labels, np.ones(16)])
+    d = validate_training_set(feats, labels)
+    method = PermutationMethod("logistic", mode)
+    sample = simulation._sample_training
+
+    def constant_column(*args):
+        d = sample(*args)
+        return TrainingSet(np.column_stack([d.features[:, 0], np.ones(d.n)]), d.labels, 2, d.label_names)
+
+    monkeypatch.setattr(simulation, "_sample_training", constant_column)
+    cfg = ExperimentConfig(model=standard_2class_model(), sizes=(6, 6), methods=(method,), replications=3)
+    calls = {
+        "crossval_pvalues": lambda: crossval_pvalues(d, method),
+        # the queries keep the column constant, so the augmented sets are singular too
+        "pvalue_vector": lambda: pvalue_vector(method, d, np.array([0.5, 1.0])),
+    }
+    if mode != "valid-shortcut":  # there every set holds a drawn query, whose column is not constant
+        calls["validity_experiment"] = lambda: validity_experiment(cfg)
+    for name, call in calls.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        ridge = [w for w in caught if "ridge" in str(w.message)]
+        assert ridge, name
+        assert {w.filename for w in ridge} == {__file__}, name

@@ -280,7 +280,9 @@ class TestEditLoop:
         # closed form; every other class relabels the row, and the closed
         # form scores the relabelled class. Only a removal of high leverage
         # takes the refit: here row 1 of the two-member class 1, three
-        # times, when a row relabelled into class 1 lands near row 0
+        # times, when a row relabelled into class 1 lands near row 0. The
+        # relabelled fits of a class are held and scored as one block, whose
+        # refits follow its relabels, row by row
         d = _awkward_set(3, 2, 2)
         edits = self._edits(monkeypatch, d, PermutationMethod("plugin", "exact-swap"))
         expected = []
@@ -289,8 +291,8 @@ class TestEditLoop:
             expected += [("Remove", j) for j in _high_leverage_rows(d, theta)]
             for y in classes:
                 if y != theta:
+                    expected += [("Relabel", i) for i in d.group(y)]
                     for i in d.group(y):
-                        expected.append(("Relabel", i))
                         expected += [("Remove", j) for j in _high_leverage_rows(d.relabel(i, theta), theta)]
         assert self._kinds(edits) == expected
         assert sum(kind == "Relabel" for kind, *_ in expected) == d.n * (d.n_classes - 1)
@@ -479,3 +481,22 @@ class TestRisk:
         total = empirical_risk(cv, alpha)
         per_theta = sum(float(np.mean(cv.pvalues[:, t] > alpha)) for t in range(3))
         assert total == pytest.approx(per_theta)
+
+
+@pytest.mark.parametrize("scale_features", (False, True))
+@pytest.mark.parametrize("mode", ("exact-swap", "valid-shortcut", "naive"))
+def test_crossval_rejects_k_of_n_in_every_mode(tmp_path, capsys, mode, scale_features):
+    """Each leave-one-out set has n - 1 rows, so k = n is rejected with one
+    message in every mode, by the library and by the CLI with exit code 2."""
+    d = sample_gaussian_mixture(standard_2class_model(), [10, 10], seed=3)
+    message = "k must lie in 1..n-1=19 on leave-one-out sets, got 20"
+    with pytest.raises(ValueError) as raised:
+        crossval_pvalues(d, PermutationMethod("knn", mode, k=20, scale_features=scale_features))
+    assert str(raised.value) == message
+    path = tmp_path / "train.csv"
+    path.write_text("f1,f2,label\n" + "".join(f"{x!r},{y!r},c{b}\n" for (x, y), b in zip(d.features.tolist(), d.labels)))
+    rc = main(["crossval", "--train", str(path), "--label", "label", "--method", "knn", "--mode", mode, "--k", "20",
+               *(["--scale-features"] if scale_features else []), "--seed", "1", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert crossval_pvalues(d, PermutationMethod("knn", mode, k=19, scale_features=scale_features)).pvalues.shape == (20, 2)
