@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -57,19 +59,20 @@ def _nums(values: np.ndarray) -> np.ndarray:
     return np.array([_num(v) for v in distinct], dtype=object)[index.reshape(values.shape)]
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, pieces: Iterable[str]) -> None:
+    """Write the pieces of text to path in order, each as it comes."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     lines = [",".join(header)] + [",".join(row) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, ["\n".join(lines) + "\n"])
 
 
 def _write_json(path: Path, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def read_table(path: str, label_column: str | None):
@@ -284,13 +287,13 @@ def cmd_crossval(args) -> int:
     if "json" in args.format:
         _write_json(out / "crossval_summary.json", summary)
     if "svg" in args.format:
-        _write_text(out / "pvalue_chart.svg", svgmod.pvalue_rectangles_svg(cv, d.label_names))
+        _write_text(out / "pvalue_chart.svg", [svgmod.pvalue_rectangles_svg(cv, d.label_names)])
         for alpha in alphas:
             _write_text(
                 out / f"region_chart_alpha{_alpha_tag(alpha)}.svg",
-                svgmod.region_rectangles_svg(cv, alpha, d.label_names),
+                [svgmod.region_rectangles_svg(cv, alpha, d.label_names)],
             )
-        _write_text(out / "roc_curves.svg", svgmod.roc_grid_svg(curves, d.n_classes))
+        _write_text(out / "roc_curves.svg", [svgmod.roc_grid_svg(curves, d.n_classes)])
     print(f"wrote cross-validation report for n={cv.n}, L={cv.n_classes} to {out}")
     return 0
 
@@ -389,7 +392,8 @@ def cmd_simulate(args) -> int:
             model = _model_from(args.model or "example22")
             rmap = region_map(xs, ys, model=model, mc_samples=args.mc_samples, seed=args.seed)
         patterns_present = {}
-        # each coordinate and region code is formatted once, then joined a row at a time
+        # each coordinate and region code is formatted once, then joined a
+        # row at a time and written a block of rows at a time
         x_text = [_num(x) for x in rmap.xs]
         y_text = [f",{_num(y)}," for y in rmap.ys]
         code_text = [_code_text(code, rmap.n_classes) for code in range(1 << rmap.n_classes)]
@@ -397,7 +401,7 @@ def cmd_simulate(args) -> int:
             tag = _alpha_tag(alpha)
             codes = rmap.subsets(alpha)
             lines = svgmod._lattice_lines(x_text, y_text, code_text, codes)
-            _write_text(out / f"region_map_alpha{tag}.csv", "x,y,region\n" + lines + "\n")
+            _write_text(out / f"region_map_alpha{tag}.csv", itertools.chain(["x,y,region\n"], lines))
             if "json" in args.format:
                 present = np.flatnonzero(np.bincount(codes.ravel(), minlength=1 << rmap.n_classes))
                 patterns_present[tag] = sorted(code_text[code] for code in present.tolist())

@@ -198,7 +198,10 @@ class OptimalMonteCarlo:
     each block into component columns once for all classes. It is called on
     blocks of at most about ``_BLOCK`` rows, so it must give a row the same
     bits in any batch, as ``mahalanobis_sq_columns`` does; the class then
-    holds M statistics and one block's temporaries. A query with a NaN or
+    holds M statistics and one block's temporaries. ``pvalues`` caches each
+    class's sorted statistics for later calls; ``pvalue_table`` scores every
+    class and drops each sample it drew itself before it draws the next, so
+    it holds one class's M statistics at a time. A query with a NaN or
     infinite component raises ``ValueError`` before any draw.
     """
 
@@ -249,6 +252,24 @@ class OptimalMonteCarlo:
 
         out = (stats.size - _in_blocks(pts.shape[0], below) + 1.0) / (stats.size + 1.0)
         return float(out[0]) if x.ndim == 1 else out
+
+    def pvalue_table(self, x: np.ndarray) -> np.ndarray:
+        """(m, L) p-values of every class at each row of an (m, q) batch x:
+        column theta - 1 has the bits of ``pvalues(theta, x)``.
+
+        The classes are scored in turn through ``pvalues``. A class whose
+        sample an earlier call cached is reused and kept; a sample drawn here
+        is dropped before the next class is drawn, so the call holds one
+        class's M statistics at a time and leaves the cache as it found it.
+        """
+        pts = np.atleast_2d(check_finite(x))
+        out = np.empty((pts.shape[0], self.model.n_classes))
+        for theta in range(1, self.model.n_classes + 1):
+            cached = theta in self._sorted_stats
+            out[:, theta - 1] = self.pvalues(theta, pts)
+            if not cached:
+                del self._sorted_stats[theta]
+        return out
 
 
 def _in_blocks(size: int, block_values: Callable[[int, int], np.ndarray]) -> np.ndarray:

@@ -35,6 +35,7 @@ from .estimators import (
     KnnStatistic,
     LogisticStatistic,
     TypicalityStatistic,
+    _caller_stacklevel,
     _fit_logistic_each,
     _knn_augment_values,
     default_k,
@@ -303,7 +304,8 @@ def warn_small_groups(d: TrainingSet, alphas: Sequence[float], left_out: int = 0
     """Warn when some group is too small for its p-value ever to drop below alpha.
 
     ``left_out`` rows of a group are set aside before its p-value is computed:
-    1 for ``crossval``, where a row's own-class p-value lies on {j/N}.
+    1 for ``crossval``, where a row's own-class p-value lies on {j/N}. Each
+    warning names the line of the code that called into classpv.
     """
     sizes = d.group_sizes - left_out
     for alpha in alphas:
@@ -317,7 +319,7 @@ def warn_small_groups(d: TrainingSet, alphas: Sequence[float], left_out: int = 0
                 f"permutation p-value is never below 1/{int(sizes[idx]) + 1} and the class can "
                 f"never be excluded at level alpha={alpha} "
                 f"(need group size >= {int(np.ceil(1.0 / alpha)) - 1 + left_out})",
-                stacklevel=3,
+                stacklevel=_caller_stacklevel(),
             )
 
 

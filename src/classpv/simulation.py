@@ -349,8 +349,11 @@ def region_map(
     each axis strictly ascending.
 
     Exactly one of ``model`` (known-model p-values: closed form for two
-    homoscedastic classes, otherwise one shared Monte Carlo sample per class)
-    or ``training`` + ``method`` (data-driven p-values) must be given.
+    homoscedastic classes, otherwise one seeded Monte Carlo sample per class)
+    or ``training`` + ``method`` (data-driven p-values) must be given. The
+    Monte Carlo map is one ``OptimalMonteCarlo.pvalue_table`` call, which
+    drops each class's sample once the lattice is scored, so the map holds
+    one class's M statistics at a time and caches none.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -366,10 +369,10 @@ def region_map(
     if model is not None:
         if model.q != 2:
             raise ValueError(f"region maps need 2-D features, model has q={model.q}")
-        evaluator = _oracle_evaluator(model, mc_samples, seed)
-        cube = np.stack(
-            [np.asarray(evaluator(theta, grid)) for theta in range(1, model.n_classes + 1)], axis=-1
-        )
+        if model.n_classes == 2 and model.has_common_covariance():
+            cube = np.column_stack([optimal_pvalue_2class_closed(model, theta, grid) for theta in (1, 2)])
+        else:
+            cube = OptimalMonteCarlo(model, mc_samples=mc_samples, seed=seed).pvalue_table(grid)
         return RegionMap(xs=xs, ys=ys, pvalues=cube.reshape(ys.size, xs.size, model.n_classes))
     if method is None:
         raise ValueError("a method is required with training data")

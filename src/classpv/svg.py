@@ -8,12 +8,14 @@ numbers; the acceptance suite diffs reruns byte for byte.
 from __future__ import annotations
 
 import colorsys
+import itertools
 import math
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .evaluation import CrossValMatrix, RocCurve
+from .oracle import _BLOCK
 from .simulation import REGION_COLORS_3, RegionMap, code_members
 
 __all__ = [
@@ -33,12 +35,20 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def _chart_frame(width: float, height: float, body: list[str]) -> str:
-    head = (
+def _chart_frame(width: float, height: float, pieces: Iterable[str]) -> Iterator[str]:
+    """An SVG document as pieces of text in order: its head line, the body
+    ``pieces`` (each ending in a newline) as they come, then its close."""
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
+        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n'
     )
-    return "\n".join([head, *body, "</svg>"]) + "\n"
+    yield from pieces
+    yield "</svg>\n"
+
+
+def _lines(body: list[str]) -> list[str]:
+    """The lines of body as one piece, each line ending in a newline."""
+    return ["\n".join([*body, ""])]
 
 
 def _row_chart(cv: CrossValMatrix, label_names: tuple[str, ...] | None, cell: Callable[[float, float], tuple]) -> str:
@@ -82,7 +92,7 @@ def _row_chart(cv: CrossValMatrix, label_names: tuple[str, ...] | None, cell: Ca
                 before, half, after = mark
                 body.append(before + _fmt(y0 + _CELL / 2 - half) + after)
             body.append(frame_start + frame_y + frame_end)
-    return _chart_frame(_LEFT + cv.n_classes * _CELL + _PAD, _TOP + cv.n * _CELL + _PAD, body)
+    return "".join(_chart_frame(_LEFT + cv.n_classes * _CELL + _PAD, _TOP + cv.n * _CELL + _PAD, _lines(body)))
 
 
 def pvalue_rectangles_svg(cv: CrossValMatrix, label_names: tuple[str, ...] | None = None) -> str:
@@ -144,7 +154,7 @@ def roc_grid_svg(curves: dict[tuple[int, int], RocCurve], n_classes: int) -> str
             pts.append((1.0, level))
             path = " ".join(f"{_fmt(x0 + panel * u)},{_fmt(y0 + panel * (1.0 - v))}" for u, v in pts)
             body.append(f'<polyline points="{path}" fill="none" stroke="black" stroke-width="1.2"/>')
-    return _chart_frame(width, height, body)
+    return "".join(_chart_frame(width, height, _lines(body)))
 
 
 _FALLBACK_COLORS = (
@@ -168,28 +178,39 @@ def _code_color(code: int, n_classes: int) -> str:
     return "#" + "".join(format(round(c * 255), "02x") for c in rgb)
 
 
-def _lattice_lines(starts: list[str], row_texts: list[str], ends: list[str], codes: np.ndarray) -> str:
-    """The lines of a (ny, nx) lattice of codes, row 0 first, joined by
-    newlines: cell (iy, ix) reads ``starts[ix] + row_texts[iy] +
-    ends[codes[iy, ix]]``.
+def _lattice_lines(starts: list[str], row_texts: list[str], ends: list[str], codes: np.ndarray) -> Iterator[str]:
+    """The lines of a (ny, nx) lattice of codes, row 0 first, each ending in
+    a newline: cell (iy, ix) reads ``starts[ix] + row_texts[iy] +
+    ends[codes[iy, ix]]``. They come as one piece per block of
+    ``_BLOCK // nx`` rows (at least one), made when it is asked for, so a
+    writer that takes the pieces in turn holds about ``_BLOCK`` cells' text.
 
     A row is one ``row_texts[iy].join`` of nx + 1 pieces: ``starts[0]``, then
-    ``ends[code] + "\\n" + starts[ix]`` for each next cell, gathered for the
-    whole lattice from one (len(ends), nx) table, and the last cell's end.
-    So no Python step runs per cell.
+    ``ends[code] + "\\n" + starts[ix]`` for each next cell, gathered for a
+    block from one (len(ends), nx) table, and the last cell's end. So no
+    Python step runs per cell.
     """
     ny, nx = codes.shape
     ends = np.array(ends, dtype=object)
     table = ends[:, None] + np.array(["\n" + start for start in starts], dtype=object)
-    pieces = np.empty((ny, nx + 1), dtype=object)
-    pieces[:, 0] = starts[0]
-    pieces[:, 1:nx] = table[codes[:, :-1], np.arange(1, nx)]
-    pieces[:, nx] = ends[codes[:, -1]]
-    return "\n".join(text.join(row) for text, row in zip(row_texts, pieces.tolist()))
+    step = max(1, _BLOCK // nx)
+    for lo in range(0, ny, step):
+        block = codes[lo:lo + step]
+        pieces = np.empty((block.shape[0], nx + 1), dtype=object)
+        pieces[:, 0] = starts[0]
+        pieces[:, 1:nx] = table[block[:, :-1], np.arange(1, nx)]
+        pieces[:, nx] = ends[block[:, -1]]
+        yield "\n".join([*(text.join(row) for text, row in zip(row_texts[lo:lo + step], pieces.tolist())), ""])
 
 
-def region_map_svg(rmap: RegionMap, alpha: float) -> str:
-    """Color-coded lattice of the level-alpha regions, one fill per region."""
+def region_map_svg(rmap: RegionMap, alpha: float) -> Iterator[str]:
+    """Color-coded lattice of the level-alpha regions, one fill per region,
+    as pieces of text in order: the head, the lattice a block of rows at a
+    time (``_lattice_lines``), then the legend and the close. A lattice
+    block is made only when it is asked for, so a writer that takes the
+    pieces in turn holds one block's text, not the file's; a caller that
+    wants one string joins them. It reads the map's p-values and draws
+    nothing."""
     codes = rmap.subsets(alpha)
     ny, nx = codes.shape
     cell = max(2.0, math.floor(640.0 / max(nx, ny)))
@@ -204,16 +225,16 @@ def region_map_svg(rmap: RegionMap, alpha: float) -> str:
         f'" width="{_fmt(cell)}" height="{_fmt(cell)}" fill="{_code_color(code, rmap.n_classes)}"/>'
         for code in range(1 << rmap.n_classes)
     ]
-    body = [_lattice_lines(starts, [_fmt((ny - 1 - iy) * cell) for iy in range(ny)], ends, codes)]
+    lattice = _lattice_lines(starts, [_fmt((ny - 1 - iy) * cell) for iy in range(ny)], ends, codes)
     lx = nx * cell + 12.0
-    body.append(f'<text x="{_fmt(lx)}" y="14" font-size="11">alpha={_fmt(alpha)}</text>')
+    legend = [f'<text x="{_fmt(lx)}" y="14" font-size="11">alpha={_fmt(alpha)}</text>']
     for row, code in enumerate(range(1 << rmap.n_classes)):
         members = code_members(code, rmap.n_classes)
         label = "{" + ",".join(map(str, members)) + "}" if members else "empty"
         y0 = 24.0 + row * 16.0
-        body.append(
+        legend.append(
             f'<rect x="{_fmt(lx)}" y="{_fmt(y0)}" width="12" height="12" '
             f'fill="{_code_color(code, rmap.n_classes)}" stroke="#999999" stroke-width="0.5"/>'
         )
-        body.append(f'<text x="{_fmt(lx + 18)}" y="{_fmt(y0 + 10)}" font-size="10">{label}</text>')
-    return _chart_frame(width, height, body)
+        legend.append(f'<text x="{_fmt(lx + 18)}" y="{_fmt(y0 + 10)}" font-size="10">{label}</text>')
+    return _chart_frame(width, height, itertools.chain(lattice, _lines(legend)))

@@ -228,6 +228,8 @@ class TestCrossval:
             ])
         assert rc == 0
         assert len([w for w in record if "never below" in str(w.message)]) == 2
+        # the warnings name the line that called main, not cli.main's dispatch
+        assert {w.filename for w in record if "never below" in str(w.message)} == {__file__}
         rows = _read_csv(out / "crossval_pvalues.csv")
         assert all(float(r[f"p_{r['label']}"]) >= 1.0 / 19 > 0.05 for r in rows)
 

@@ -441,6 +441,69 @@ class TestBlocks:
         assert peak < 5 * 8 * m, peak / (8 * m)
 
 
+@pytest.mark.bits
+class TestPvalueTable:
+    """``OptimalMonteCarlo.pvalue_table`` scores every class through
+    ``pvalues`` and drops each sample it drew itself before it draws the
+    next; a sample an earlier call cached is reused and kept."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_columns_have_the_bits_of_pvalues(self, model22, seed):
+        pts = np.random.default_rng(seed).normal(size=(57, 2)) * 2.5
+        fresh = OptimalMonteCarlo(model22, mc_samples=3_001, seed=seed)
+        reference = np.column_stack([fresh.pvalues(theta, pts) for theta in (1, 2, 3)])
+        table = OptimalMonteCarlo(model22, mc_samples=3_001, seed=seed).pvalue_table(pts)
+        assert table.shape == (57, 3)
+        assert np.array_equal(_bits(table), _bits(reference))
+
+    def test_leaves_no_sample_it_drew(self, model22):
+        engine = OptimalMonteCarlo(model22, mc_samples=500, seed=2)
+        engine.pvalue_table(np.zeros((4, 2)))
+        assert engine._sorted_stats == {}
+
+    def test_reuses_a_cached_sample_without_drawing_again(self, model22, monkeypatch):
+        drawn = []
+        sample = GaussianMixtureModel.sample
+        monkeypatch.setattr(GaussianMixtureModel, "sample",
+                            lambda self, theta, *args: drawn.append(theta) or sample(self, theta, *args))
+        engine = OptimalMonteCarlo(model22, mc_samples=500, seed=2)
+        pts = np.ones((3, 2))
+        cached = engine.pvalues(2, pts)
+        stats = engine._sorted_stats[2]
+        table = engine.pvalue_table(pts)
+        assert drawn == [2, 1, 3]
+        assert list(engine._sorted_stats) == [2] and engine._sorted_stats[2] is stats
+        assert np.array_equal(table[:, 1], cached)
+
+    def test_region_map_holds_one_class_sample_at_a_time(self, model22, monkeypatch):
+        # each class is drawn in three blocks; at every draw no class's
+        # sorted statistics are alive, and none outlive the map
+        sorted_stats = {}
+        alive_at_draw = []
+        pvalues, sample = OptimalMonteCarlo.pvalues, GaussianMixtureModel.sample
+
+        def spy_pvalues(self, theta, x):
+            out = pvalues(self, theta, x)
+            sorted_stats[theta] = weakref.ref(self._sorted_stats[theta])
+            return out
+
+        def spy_sample(self, theta, size, rng):
+            alive_at_draw.append(sorted(t for t, ref in sorted_stats.items() if ref() is not None))
+            return sample(self, theta, size, rng)
+
+        monkeypatch.setattr(OptimalMonteCarlo, "pvalues", spy_pvalues)
+        monkeypatch.setattr(GaussianMixtureModel, "sample", spy_sample)
+        monkeypatch.setattr(oracle, "_BLOCK", 1_000)
+        xs, ys = np.linspace(-4, 4, 23), np.linspace(-3, 5, 19)
+        rmap = region_map(xs, ys, model=model22, mc_samples=3_000, seed=5)
+        assert alive_at_draw == [[]] * 9
+        assert sorted(sorted_stats) == [1, 2, 3] and all(ref() is None for ref in sorted_stats.values())
+        grid = np.column_stack([np.tile(xs, ys.size), np.repeat(ys, xs.size)])
+        fresh = OptimalMonteCarlo(model22, mc_samples=3_000, seed=5)
+        for theta in (1, 2, 3):
+            assert np.array_equal(_bits(rmap.pvalues[:, :, theta - 1].ravel()), _bits(fresh.pvalues(theta, grid)))
+
+
 def _random_model(seed: int, q: int, common: bool, n_classes: int | None = None) -> GaussianMixtureModel:
     rng = np.random.default_rng(seed)
     n_classes = n_classes or 2 + seed % 2

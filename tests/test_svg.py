@@ -1,7 +1,9 @@
 """The region-map writers: the CLI's ``region_map_alpha<α>.csv`` and
-``svg.region_map_svg`` write a lattice row at a time through one helper.
-Their text is checked against the per-cell formulas they replaced, kept here
-as the reference, and the SVG's legend against its height."""
+``svg.region_map_svg`` write a lattice row at a time, and a block of
+``_BLOCK // nx`` rows at a time, through one helper. Their text is checked
+against the per-cell formulas they replaced, kept here as the reference, on
+lattices that end before, at and after a block join, and the SVG's legend
+against its height."""
 
 import contextlib
 import io
@@ -78,17 +80,10 @@ def _axis(draw, size: int) -> np.ndarray:
     return start + np.cumsum(steps)
 
 
-@settings(max_examples=120, deadline=None)
-@given(nx=st.integers(1, 12), ny=st.integers(1, 12), n_classes=st.integers(2, 4), data=st.data())
-def test_lattice_text_equals_the_per_cell_formula(nx, ny, n_classes, data):
-    """On random code lattices, 1 x 1, 1 x n and n x 1 among them, the CLI's
-    CSV, JSON patterns and SVG cells equal the per-cell formulas. The CLI's
-    ``region_map`` is replaced by one returning the drawn lattice."""
-    codes = np.array(
-        data.draw(st.lists(st.integers(0, (1 << n_classes) - 1), min_size=nx * ny, max_size=nx * ny))
-    ).reshape(ny, nx)
-    xs, ys = _axis(data.draw, nx), _axis(data.draw, ny)
-    rmap = _map_of(codes, n_classes, xs, ys)
+def _assert_cli_writes_the_per_cell_formula(rmap: RegionMap) -> None:
+    """The CLI's CSV, JSON patterns and SVG cells for rmap equal the per-cell
+    formulas. The CLI's ``region_map`` is replaced by one returning rmap."""
+    codes, n_classes = rmap.subsets(0.5), rmap.n_classes
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "region_map", lambda *a, **k: rmap):
         out = Path(tmp)
         with contextlib.redirect_stdout(io.StringIO()):
@@ -97,15 +92,55 @@ def test_lattice_text_equals_the_per_cell_formula(nx, ny, n_classes, data):
         assert (out / "region_map_alpha0.5.csv").read_text() == _csv_reference(rmap, 0.5)
         svg_text = (out / "region_map_alpha0.5.svg").read_text()
         patterns = json.loads((out / "region_map.json").read_text())["patterns"]["0.5"]
-    assert svg_text == svg.region_map_svg(rmap, 0.5)
+    assert svg_text == "".join(svg.region_map_svg(rmap, 0.5))
     _assert_svg_cells(svg_text, rmap, 0.5)
     assert patterns == sorted(cli._code_text(int(c), n_classes) for c in np.unique(codes))
 
 
+@settings(max_examples=120, deadline=None)
+@given(nx=st.integers(1, 12), ny=st.integers(1, 12), n_classes=st.integers(2, 4), rows=st.integers(1, 5),
+       data=st.data())
+def test_lattice_text_equals_the_per_cell_formula(nx, ny, n_classes, rows, data):
+    """On random code lattices, 1 x 1, 1 x n and n x 1 among them, in blocks
+    of 1 to 5 rows, the CLI writes the per-cell formulas: so a lattice ends
+    just before, at or after a block join, or after several."""
+    codes = np.array(
+        data.draw(st.lists(st.integers(0, (1 << n_classes) - 1), min_size=nx * ny, max_size=nx * ny))
+    ).reshape(ny, nx)
+    xs, ys = _axis(data.draw, nx), _axis(data.draw, ny)
+    # any _BLOCK from rows * nx to rows * nx + nx - 1 cells gives rows rows
+    with mock.patch.object(svg, "_BLOCK", rows * nx + data.draw(st.integers(0, nx - 1))):
+        _assert_cli_writes_the_per_cell_formula(_map_of(codes, n_classes, xs, ys))
+
+
+@pytest.mark.parametrize("ny", (101, 102, 103, 321))
+def test_lattice_text_crosses_the_block_joins(ny):
+    """At the real ``_BLOCK``, a 321-wide lattice comes in blocks of 102
+    rows: its text equals the per-cell formulas on heights just below, at
+    and above one block, and over four blocks with a ragged last one."""
+    assert svg._BLOCK // 321 == 102
+    codes = np.random.default_rng(ny).integers(0, 8, size=(ny, 321))
+    _assert_cli_writes_the_per_cell_formula(_map_of(codes, 3, np.linspace(-4, 4, 321), np.linspace(-4, 4, ny)))
+
+
+def test_svg_pieces_are_the_head_the_row_blocks_and_the_legend():
+    """``region_map_svg`` gives its head, one piece per block of rows and its
+    legend, so no piece holds more than one block's rows."""
+    codes = np.random.default_rng(5).integers(0, 8, size=(321, 321))
+    head, *blocks, legend, close = svg.region_map_svg(_map_of(codes, 3), 0.5)
+    assert head.startswith("<svg ") and head.count("\n") == 1
+    assert [block.count("\n") for block in blocks] == [102 * 321] * 3 + [15 * 321]
+    assert legend.startswith("<text ") and close == "</svg>\n"
+
+
+@pytest.mark.parametrize("rows", (14, 13, 12, 4))
 @pytest.mark.parametrize("n_classes", (2, 3, 4))
-def test_train_path_writes_the_per_cell_formula(tmp_path, monkeypatch, n_classes):
+def test_train_path_writes_the_per_cell_formula(tmp_path, monkeypatch, n_classes, rows):
     """``simulate region-map --train`` goes through the same writers: its CSV
-    and SVG cells equal the per-cell formulas on the map it computed."""
+    and SVG cells equal the per-cell formulas on the map it computed, with
+    its 13 lattice rows in blocks of 14 (one block, short of a join), 13 (one
+    full block), 12 (one row past a join) and 4 rows (four blocks)."""
+    monkeypatch.setattr(svg, "_BLOCK", rows * 13)
     angles = 2 * np.pi * np.arange(n_classes) / n_classes
     cov = SpdMatrix(np.eye(2))
     model = GaussianMixtureModel(
@@ -133,7 +168,7 @@ def test_every_rect_lies_inside_the_svg(n_classes, shape):
     """Every legend box and lattice cell lies inside the SVG's width and
     height, on maps shorter than their legend too."""
     codes = np.arange(shape[0] * shape[1]).reshape(shape) % (1 << n_classes)
-    root = ET.fromstring(svg.region_map_svg(_map_of(codes, n_classes), 0.5))
+    root = ET.fromstring("".join(svg.region_map_svg(_map_of(codes, n_classes), 0.5)))
     width, height = float(root.get("width")), float(root.get("height"))
     rects = root.findall("{http://www.w3.org/2000/svg}rect")
     assert len(rects) == codes.size + (1 << n_classes)
@@ -148,7 +183,7 @@ def test_every_region_has_its_own_fill(n_classes):
     as its label, and each lattice cell takes its region's legend fill."""
     n_codes = 1 << n_classes
     codes = np.arange(n_codes).reshape(1, n_codes)
-    root = ET.fromstring(svg.region_map_svg(_map_of(codes, n_classes), 0.5))
+    root = ET.fromstring("".join(svg.region_map_svg(_map_of(codes, n_classes), 0.5)))
     rects = root.findall("{http://www.w3.org/2000/svg}rect")
     cells, legend = rects[:n_codes], rects[n_codes:]
     fills = [rect.get("fill") for rect in legend]
