@@ -22,16 +22,15 @@ statistic's type gives the whole block's values in one call without the
 edits and flags the edits it cannot score; ``edited_values`` makes each
 flagged edit and evaluates it, raising DegenerateFitError as a loop over
 the block's edits would, so its callers get finished values of every kind
-and make no refit. A statistic's ``edited_values`` method is the one-fit
-case. The plug-in statistic has a closed form for every kind (Fisher's
-linear discriminant under each edit: one small solve per edit, then q
-multiply-adds per point and competitor class), the fixed-metric k-NN
-statistic for augment, relabel and loo (one block of distances), and the
-logistic statistic fits every kind's edited sets in one batched IRLS
-(``_logistic_edited_values``). Each runs one fit's arithmetic elementwise
-along the block's edits, so an edit's values have the bits of its fit
-alone. ``knn_fit`` and ``fit_logistic`` are the one-fit cases of the block
-fits ``_knn_fits`` and ``_fit_logistic_each``.
+and make no refit; one fit is a block of one. The plug-in statistic has a
+closed form for every kind (Fisher's linear discriminant under each edit:
+one small solve per edit, then q multiply-adds per point and competitor
+class), the fixed-metric k-NN statistic for augment, relabel and loo (one
+block of distances against its label-ordered cache), and the logistic
+statistic fits every kind's edited sets in one batched IRLS. Each runs one
+fit's arithmetic elementwise along the block's edits, so an edit's values
+have the bits of its fit alone. ``knn_fit`` and ``fit_logistic`` are the
+one-fit cases of the block fits ``_knn_fits`` and ``_fit_logistic_each``.
 
 Every fit computes its sums over a canonical row ordering, so the fitted
 statistic is exactly symmetric in each class's training rows: shuffling the
@@ -53,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Augment, Relabel, Remove, TrainingSet, check_label
+from .core import Augment, Relabel, Remove, TrainingSet, check_finite, check_label, check_point
 from .numerics import SingularMatrixError, SpdMatrix, _f_cdf_each, _log_sum_exp_rows, mahalanobis_sq, whiten_rows
 from .oracle import log_weighted_lr
 
@@ -126,17 +125,8 @@ _FAR_QUERY = 1e4
 _HIGH_LEVERAGE = 0.5
 
 
-class _BlockClosedForm:
-    """A family whose closed form scores a block of fits at once, as the
-    static ``edited_values_each(stats, theta, kind, Xs)``."""
-
-    def edited_values(self, theta: int, kind: str, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``edited_values_each`` on this fit alone: its values and flags."""
-        return self.edited_values_each([self], theta, kind, [X])
-
-
 @dataclass(frozen=True, eq=False)
-class GaussianStatistic(_BlockClosedForm):
+class GaussianStatistic:
     """Per-class means with the pooled covariance (divisor n - L) of ``data``,
     as the plug-in statistic: the log weighted likelihood ratio at the fitted
     parameters, larger meaning class theta is less plausible."""
@@ -437,7 +427,8 @@ def typicality_index(stat: GaussianStatistic, theta: int, x: np.ndarray) -> np.n
     index is an exact p-value under a homoscedastic Gaussian model. x may be
     (q,) or (m, q); each row gets the same bits in any batch, since every
     row's F upper tail goes through one elementwise ``_f_cdf_each``, which
-    sums it directly, so far points keep their order down to 1e-300.
+    sums it directly, so far points keep their order down to 1e-300. A NaN
+    or infinite component of x raises ValueError.
     """
     n_classes = stat.data.n_classes
     check_label(theta, n_classes)
@@ -446,7 +437,7 @@ def typicality_index(stat: GaussianStatistic, theta: int, x: np.ndarray) -> np.n
         raise ValueError(f"typicality needs n >= L + q, got n={n}, L={n_classes}, q={q}")
     d2 = n - n_classes - q + 1
     c_theta = d2 / (q * (n - n_classes) * (1.0 + 1.0 / stat.group_sizes[theta - 1]))
-    x = np.asarray(x, dtype=float)
+    x = check_finite(x)
     msq = mahalanobis_sq(np.atleast_2d(x), stat.means[theta - 1], stat.sigma)
     out = _f_cdf_each(c_theta * msq, q, d2, upper=True)
     return float(out[0]) if x.ndim == 1 else out
@@ -509,22 +500,24 @@ def _feature_scales(d: TrainingSet) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class KnnCaches:
     """Per-point ball radii and per-class ball counts for the k-NN statistic,
-    n(2 + 2L) numbers built by ``knn_fit`` in O(n^2 q) time and memory of
-    one row block.
+    built by ``knn_fit`` in O(n^2 q) time and memory of one row block.
 
-    Radii are stored squared; every comparison in this module is done on
-    squared distances so no square root ever enters a tie decision.
+    Every array is in label order: the training rows sorted by label
+    (stable, ``_label_order``), so class b's rows are one slice, in the
+    order of ``data.group(b)``. Radii are stored squared; every comparison
+    in this module is done on squared distances so no square root ever
+    enters a tie decision.
     """
 
     data: TrainingSet
     k: int
-    radius_sq: np.ndarray       # (n,), squared k-th-neighbor radius per point
-    radius_km1_sq: np.ndarray   # (n,), squared (k-1)-th radius, 0 for k = 1
+    features: np.ndarray        # (n, q), the training rows in label order
+    radius_sq: np.ndarray       # (n,), squared k-th-neighbor radius per row
     counts_km1: np.ndarray      # (n, L), class counts within the (k-1)-radius
     counts_k: np.ndarray        # (n, L), class counts within the k-radius
 
     def __post_init__(self):
-        for name in ("radius_sq", "radius_km1_sq", "counts_km1", "counts_k"):
+        for name in ("features", "radius_sq", "counts_km1", "counts_k"):
             getattr(self, name).setflags(write=False)
 
 
@@ -532,6 +525,18 @@ class KnnCaches:
 # or one k-NN fit block may build: 2**18 float64 are 2 MiB, a per-core L2
 # cache; the timings that chose it are in CHANGES.md
 _BLOCK_ELEMENTS = 2**18
+
+
+def _label_order(d: TrainingSet) -> np.ndarray:
+    """The rows of d sorted by label, stable: the order of a k-NN cache."""
+    return np.argsort(d.labels, kind="stable")
+
+
+def _class_counts(in_ball: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(rows, L): each row's in-ball columns counted per class, the columns
+    in label order, so that class b is the b-th run of ``sizes[b - 1]``.
+    Every class has a row, so each run is one nonempty ``reduceat`` slice."""
+    return np.add.reduceat(in_ball, np.cumsum(sizes) - sizes, axis=1, dtype=np.int64)
 
 
 def knn_fit(d: TrainingSet, k: int) -> KnnCaches:
@@ -545,13 +550,14 @@ def _knn_fits(datas, k: int) -> list[KnnCaches]:
     group sizes.
 
     The block's rows go in blocks, each row against the n points of its own
-    set with the columns sorted by label, so no n x n array is made and each
-    class count is one contiguous slice. A block's distances go into one
-    (rows, n) buffer and its component difference, then its partition copy,
-    into another, both made once per call rather than afresh for each block.
-    With the in-ball masks a block holds about four (rows, n) arrays, so it
-    takes a quarter of ``_BLOCK_ELEMENTS`` (timings in CHANGES.md). The time
-    stays O(n^2 q) per set.
+    set, rows and columns both in label order, so no n x n array is made,
+    each class count is one contiguous slice and the caches come out in
+    label order. A block's distances go into one (rows, n) buffer and its
+    component difference, then its partition copy, into another, both made
+    once per call rather than afresh for each block. With the in-ball masks
+    a block holds about four (rows, n) arrays, so it takes a quarter of
+    ``_BLOCK_ELEMENTS`` (timings in CHANGES.md). The time stays O(n^2 q) per
+    set.
 
     A row's radii and counts do not depend on its block, its set's place in
     the block or the column order: ``_sq_dists`` gives each pair the same
@@ -561,17 +567,15 @@ def _knn_fits(datas, k: int) -> list[KnnCaches]:
     radius too, but took 5x as long on a (32, 2000) block.)
     """
     first = datas[0]
-    n, n_classes = first.n, first.n_classes
+    n, sizes = first.n, first.group_sizes
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..n={n}, got {k}")
-    columns = np.stack([d.features[np.argsort(d.labels, kind="stable")] for d in datas])
-    features = np.concatenate([d.features for d in datas])
-    bounds = np.concatenate([[0], np.cumsum(first.group_sizes)])
+    columns = np.stack([d.features[_label_order(d)] for d in datas])
+    features = columns.reshape(-1, first.q)
     total = len(features)
     radius_sq = np.empty(total)
-    radius_km1_sq = np.zeros(total)
-    counts_km1 = np.empty((total, n_classes), dtype=np.int64)
-    counts_k = np.empty((total, n_classes), dtype=np.int64)
+    counts_km1 = np.empty((total, first.n_classes), dtype=np.int64)
+    counts_k = np.empty((total, first.n_classes), dtype=np.int64)
     step = max(1, _BLOCK_ELEMENTS // (4 * n))
     buffers = np.empty((2, min(step, total), n))
     for start in range(0, total, step):
@@ -582,48 +586,32 @@ def _knn_fits(datas, k: int) -> list[KnnCaches]:
         np.copyto(part, dsq)
         part.partition(k - 1, axis=1)
         radius_sq[rows] = part[:, k - 1]
-        if k >= 2:
-            radius_km1_sq[rows] = part[:, : k - 1].max(axis=1)
-        for radius, counts in ((radius_km1_sq, counts_km1), (radius_sq, counts_k)):
-            in_ball = dsq <= radius[rows, None]
-            for b in range(n_classes):
-                counts[rows, b] = np.count_nonzero(in_ball[:, bounds[b] : bounds[b + 1]], axis=1)
-    return [
-        KnnCaches(
-            data=d,
-            k=k,
-            radius_sq=radius_sq[rows],
-            radius_km1_sq=radius_km1_sq[rows],
-            counts_km1=counts_km1[rows],
-            counts_k=counts_k[rows],
-        )
-        for d, rows in zip(datas, (slice(start, start + n) for start in range(0, total, n)))
-    ]
-
-
-def _ball_counts(dsq: np.ndarray, radius_sq: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
-    in_ball = dsq <= radius_sq[:, None]
-    counts = np.empty((dsq.shape[0], n_classes), dtype=np.int64)
-    for b in range(1, n_classes + 1):
-        counts[:, b - 1] = np.count_nonzero(in_ball[:, labels == b], axis=1)
-    return counts
+        km1_radius_sq = part[:, : k - 1].max(axis=1) if k >= 2 else np.zeros(len(dsq))
+        counts_km1[rows] = _class_counts(dsq <= km1_radius_sq[:, None], sizes)
+        counts_k[rows] = _class_counts(dsq <= radius_sq[rows, None], sizes)
+    per_set = (np.split(a, len(datas)) for a in (radius_sq, counts_km1, counts_k))
+    return [KnnCaches(data=d, k=k, features=f, radius_sq=r, counts_km1=c1, counts_k=c)
+            for d, f, r, c1, c in zip(datas, columns, *per_set)]
 
 
 def knn_augmented_counts(caches: KnnCaches, x: np.ndarray, theta: int) -> np.ndarray:
-    """Class counts N_{k,b} at every training point after adding (x, theta).
+    """Class counts N_{k,b} at every training point after adding (x, theta),
+    (n, L) in the row order of ``caches.data``.
 
     Case split on the distance from each training point to x versus that
     point's cached k-th radius: strictly inside shrinks the ball to the
     (k-1)-radius, an exact tie keeps the k-radius, strictly outside leaves the
     counts untouched; the added point contributes to its own class whenever it
-    is inside. O(n) per new point. Assumes the metric is held fixed.
+    is inside. O(n) per new point. Assumes the metric is held fixed. A point
+    of the wrong length or with a NaN or infinite component raises
+    ValueError.
     """
-    check_label(theta, caches.data.n_classes)
-    dsq = _sq_dists(np.asarray(x, dtype=float)[None, :], caches.data.features)[0]
-    inside = dsq < caches.radius_sq
-    counts = np.where(inside[:, None], caches.counts_km1, caches.counts_k)
+    d = caches.data
+    check_label(theta, d.n_classes)
+    dsq = _sq_dists(check_point(x, d.q)[None, :], caches.features)[0]
+    counts = np.where((dsq < caches.radius_sq)[:, None], caches.counts_km1, caches.counts_k)
     counts[:, theta - 1] += dsq <= caches.radius_sq
-    return counts
+    return counts[np.argsort(_label_order(d))]
 
 
 # ---------------------------------------------------------------------------
@@ -640,14 +628,15 @@ class _LogisticFit(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class LogisticStatistic(_BlockClosedForm):
+class LogisticStatistic:
     """Maximum-likelihood logistic fit for two classes, with separation
     handling, as the signed logistic score: the class-2 logit tests class 1
     and vice versa.
 
     The fit is made when first read, by ``evaluate`` or one of its fields,
-    through the module-level ``fit_logistic``; ``edit`` and ``edited_values``
-    read only ``data``, so a statistic that is only edited is never fitted.
+    through the module-level ``fit_logistic``; ``edit`` and
+    ``edited_values_each`` read only ``data``, so a statistic that is only
+    edited is never fitted.
     A data set without exactly two classes is rejected at construction.
 
     On convergence the log-likelihood gradient norm is at most 1e-8. When the
@@ -684,56 +673,51 @@ class LogisticStatistic(_BlockClosedForm):
 
     @staticmethod
     def edited_values_each(stats, theta: int, kind: str, Xs) -> tuple[np.ndarray, np.ndarray]:
-        """The module-level ``edited_values``: ``_logistic_edited_values``,
-        none flagged."""
-        values = np.concatenate(_logistic_edited_values(stats, theta, kind, Xs))
+        """The module-level ``edited_values`` of each logistic statistic
+        ``stats[s]`` at the edits ``Xs[s]``, none flagged, from one batched
+        IRLS over all their edited sets, which must have one size. Each
+        set's rows are those of its statistic's ``data`` (and the query, for
+        ``"augment"``) in the order of their features alone, the order that
+        ``fit_logistic`` sorts by label, so every fit has the bits of
+        ``fit_logistic`` on the edited data. The statistics' features are
+        stacked, each set's rows offset by the rows before its statistic's,
+        and the points are scored once the fits are made, so their arrays do
+        not add to the IRLS's."""
+        width = stats[0].data.n + {"augment": 1, "relabel": 0}.get(kind, -1)
+        rows = np.empty((sum(map(len, Xs)), width), dtype=np.intp)
+        labels = np.empty(rows.shape, dtype=np.int64)
+        features, start, offset = [], 0, 0
+        for stat, X in zip(stats, Xs):
+            d, m = stat.data, len(X)
+            stat_features, stat_labels = d.features, d.labels
+            if kind == "augment":
+                stat_features = np.vstack([stat_features, X])
+                stat_labels = np.append(stat_labels, np.full(m, theta))
+            order = _canonical_order(stat_features, np.zeros(len(stat_features)))
+            set_rows = np.broadcast_to(order, (m, order.size))
+            if kind == "augment":
+                set_rows = set_rows[(set_rows < d.n) | (set_rows == d.n + np.arange(m)[:, None])].reshape(m, d.n + 1)
+            elif kind != "relabel":
+                set_rows = set_rows[set_rows != X[:, None]].reshape(m, d.n - 1)
+            np.take(stat_labels, set_rows, out=labels[start : start + m])
+            if kind == "relabel":
+                labels[start : start + m][set_rows == X[:, None]] = theta
+            np.add(set_rows, offset, out=rows[start : start + m])
+            features.append(stat_features)
+            start, offset = start + m, offset + len(stat_features)
+        beta = _logistic_fits(np.vstack(features), rows, labels)[0]
+        values = np.empty((len(rows), 1 if kind == "loo" else stats[0].data.group(theta).size + 1))
+        start = 0
+        for stat, X in zip(stats, Xs):
+            d, stat_beta = stat.data, beta[start : start + len(X)]
+            pts = (X if kind == "augment" else d.features[X])[:, None, :]
+            if kind != "loo":
+                group = d.features[d.group(theta)]
+                pts = np.concatenate([pts, np.broadcast_to(group, (len(X),) + group.shape)], axis=1)
+            scores = stat_beta[:, :1] + np.sum(pts * stat_beta[:, None, 1:], axis=2)
+            values[start : start + len(X)] = scores if theta == 1 else -scores
+            start += len(X)
         return values, np.zeros(len(values), dtype=bool)
-
-
-def _logistic_edited_values(stats, theta: int, kind: str, Xs) -> list[np.ndarray]:
-    """The module-level ``edited_values`` of each logistic statistic
-    ``stats[s]`` at the edits ``Xs[s]``, from one batched IRLS over all their
-    edited sets, which must have one size. Each set's rows are those of its
-    statistic's ``data`` (and the query, for ``"augment"``) in the order of
-    their features alone, the order that ``fit_logistic`` sorts by label, so
-    every fit has the bits of ``fit_logistic`` on the edited data. The
-    statistics' features are stacked, each set's rows offset by the rows
-    before its statistic's, and the points are scored once the fits are
-    made, so their arrays do not add to the IRLS's."""
-    width = stats[0].data.n + {"augment": 1, "relabel": 0}.get(kind, -1)
-    rows = np.empty((sum(map(len, Xs)), width), dtype=np.intp)
-    labels = np.empty(rows.shape, dtype=np.int64)
-    features, start, offset = [], 0, 0
-    for stat, X in zip(stats, Xs):
-        d, m = stat.data, len(X)
-        stat_features, stat_labels = d.features, d.labels
-        if kind == "augment":
-            stat_features = np.vstack([stat_features, X])
-            stat_labels = np.append(stat_labels, np.full(m, theta))
-        order = _canonical_order(stat_features, np.zeros(len(stat_features)))
-        set_rows = np.broadcast_to(order, (m, order.size))
-        if kind == "augment":
-            set_rows = set_rows[(set_rows < d.n) | (set_rows == d.n + np.arange(m)[:, None])].reshape(m, d.n + 1)
-        elif kind != "relabel":
-            set_rows = set_rows[set_rows != X[:, None]].reshape(m, d.n - 1)
-        np.take(stat_labels, set_rows, out=labels[start : start + m])
-        if kind == "relabel":
-            labels[start : start + m][set_rows == X[:, None]] = theta
-        np.add(set_rows, offset, out=rows[start : start + m])
-        features.append(stat_features)
-        start, offset = start + m, offset + len(stat_features)
-    beta = _logistic_fits(np.vstack(features), rows, labels)[0]
-    out, start = [], 0
-    for stat, X in zip(stats, Xs):
-        d, stat_beta = stat.data, beta[start : start + len(X)]
-        start += len(X)
-        pts = (X if kind == "augment" else d.features[X])[:, None, :]
-        if kind != "loo":
-            group = d.features[d.group(theta)]
-            pts = np.concatenate([pts, np.broadcast_to(group, (len(X),) + group.shape)], axis=1)
-        scores = stat_beta[:, :1] + np.sum(pts * stat_beta[:, None, 1:], axis=2)
-        out.append(scores if theta == 1 else -scores)
-    return out
 
 
 _LOGISTIC_MAX_ITER = 100
@@ -848,13 +832,13 @@ def _newton_steps(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class KnnStatistic(_BlockClosedForm):
+class KnnStatistic:
     """Negative k-NN posterior weight of the hypothesized class.
 
     With ``scale_features`` each feature is divided by its sample standard
     deviation over the training set. Caches are built lazily: plain
     evaluations need only distances from the query, while the fixed-metric
-    ``edited_values`` uses the cached radii and counts.
+    ``edited_values_each`` uses the cached radii and counts.
     """
 
     data: TrainingSet
@@ -874,10 +858,11 @@ class KnnStatistic(_BlockClosedForm):
         """Minus the fraction of each point's k-ball that belongs to class
         theta, O(n q) per point. The ball is closed, so distance ties at the
         boundary radius are all included and it may hold more than k points."""
-        check_label(theta, self.data.n_classes)
-        dsq = _sq_dists(np.atleast_2d(pts) / self.scales, self.data.features / self.scales)
+        d = self.data
+        check_label(theta, d.n_classes)
+        dsq = _sq_dists(np.atleast_2d(pts) / self.scales, d.features[_label_order(d)] / self.scales)
         radius_sq = np.partition(dsq, self.k - 1, axis=1)[:, self.k - 1]
-        counts = _ball_counts(dsq, radius_sq, self.data.labels, self.data.n_classes)
+        counts = _class_counts(dsq <= radius_sq[:, None], d.group_sizes)
         return -(counts[:, theta - 1] / counts.sum(axis=1))
 
     def edit(self, edit: Remove | Augment | Relabel) -> "KnnStatistic":
@@ -895,15 +880,17 @@ class KnnStatistic(_BlockClosedForm):
         changes: a class-theta row j gains one theta-count exactly when its
         ball holds X_i, d^2(X_i, X_j) <= radius_sq[j], and X_i, which its own
         ball holds, gains one. That takes one (m, N) block of distances per
-        fit. A ``"loo"`` removal takes one (m, n) block, each row against its
-        own fit's rows in label order: X_i's radius in the data without it is
-        its (k+1)-th smallest distance, as its own 0 is in the block, and its
-        ball's counts lose X_i itself. A removal that scores the class rows
-        moves their radii, and with feature scaling the scales move with the
-        edited data, so those edits are all flagged.
+        fit, read off the cache at X_i's label position and class theta's
+        slice. A ``"loo"`` removal takes one (m, n) block, each row against
+        its own fit's rows in label order: X_i's radius in the data without
+        it is its (k+1)-th smallest distance, as its own 0 is in the block,
+        and its ball's counts lose X_i itself. A removal that scores the
+        class rows moves their radii, and with feature scaling the scales
+        move with the edited data, so those edits are all flagged.
         """
         first = stats[0]
-        m, k, group_size = sum(len(X) for X in Xs), first.k, first.data.group(theta).size
+        m, k, sizes = sum(len(X) for X in Xs), first.k, first.data.group_sizes
+        group_size = int(sizes[theta - 1])
         if first.scale_features or kind == "remove":
             return np.zeros((m, 1 if kind == "loo" else group_size + 1)), np.ones(m, dtype=bool)
         unflagged = np.zeros(m, dtype=bool)
@@ -911,50 +898,26 @@ class KnnStatistic(_BlockClosedForm):
             (query, members), = _knn_augment_values(stats, Xs, range(theta, theta + 1))
             return np.column_stack([query, members]), unflagged
         if kind == "loo":
-            columns = np.stack([s.data.features[np.argsort(s.data.labels, kind="stable")] for s in stats])
+            columns = np.stack([s.data.features[_label_order(s.data)] for s in stats])
             if len(stats) > 1:
                 columns = columns[np.repeat(np.arange(len(stats)), [len(X) for X in Xs])]
             dsq = _sq_dists(np.concatenate([s.data.features[X] for s, X in zip(stats, Xs)]), columns)
             # the (k+1)-th smallest distance, as the row's own 0 is in the block
-            in_ball = dsq <= np.partition(dsq, k, axis=1)[:, k, None]
-            bounds = np.concatenate([[0], np.cumsum(first.data.group_sizes)])
-            counts = np.column_stack([np.count_nonzero(in_ball[:, lo:hi], axis=1) for lo, hi in zip(bounds, bounds[1:])])
+            counts = _class_counts(dsq <= np.partition(dsq, k, axis=1)[:, k, None], sizes)
             counts[np.arange(m), np.concatenate([s.data.labels[X] for s, X in zip(stats, Xs)]) - 1] -= 1
             return -(counts[:, theta - 1 : theta] / counts.sum(axis=1, keepdims=True)), unflagged
         values = np.empty((m, group_size + 1))
+        group = slice(int(sizes[: theta - 1].sum()), int(sizes[:theta].sum()))
         start = 0
         for stat, X in zip(stats, Xs):
-            caches, group, rows = stat.caches, stat.data.group(theta), slice(start, start + len(X))
+            caches, rows = stat.caches, slice(start, start + len(X))
+            at = np.argsort(_label_order(stat.data))[X]
             totals = caches.counts_k.sum(axis=1)
-            values[rows, 0] = -((caches.counts_k[X, theta - 1] + 1) / totals[X])
-            holds_i = _sq_dists(stat.data.features[X], stat.data.features[group]) <= caches.radius_sq[group]
+            values[rows, 0] = -((caches.counts_k[at, theta - 1] + 1) / totals[at])
+            holds_i = _sq_dists(caches.features[at], caches.features[group]) <= caches.radius_sq[group]
             values[rows, 1:] = -((caches.counts_k[group, theta - 1] + holds_i) / totals[group])
             start += len(X)
         return values, unflagged
-
-    @cached_property
-    def _by_label(self) -> tuple[np.ndarray, ...]:
-        """``_knn_by_label`` of this fit alone, kept for every chunk of a
-        batch of queries."""
-        return _knn_by_label([self])
-
-
-def _knn_by_label(stats) -> tuple[np.ndarray, ...]:
-    """For each fit of a block with one n, in the order of its rows sorted
-    by label (stable): their features, and per row its squared k-radius and
-    the own-class and total counts of its (k-1)- and k-balls, each stacked
-    over the fits, (B, n) or (B, n, q)."""
-    fits = np.arange(len(stats))[:, None]
-    labels = np.stack([s.data.labels for s in stats])
-    order = np.argsort(labels, axis=1, kind="stable")
-    own = labels[fits, order, None] - 1
-
-    def by_label(per_fit):
-        return np.stack(per_fit)[fits, order]
-
-    km1, k = by_label([s.caches.counts_km1 for s in stats]), by_label([s.caches.counts_k for s in stats])
-    return (by_label([s.data.features for s in stats]), by_label([s.caches.radius_sq for s in stats]),
-            np.take_along_axis(km1, own, 2)[..., 0], np.take_along_axis(k, own, 2)[..., 0], km1.sum(axis=2), k.sum(axis=2))
 
 
 def _knn_augment_values(stats, Xs, classes: range) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -966,35 +929,41 @@ def _knn_augment_values(stats, Xs, classes: range) -> list[tuple[np.ndarray, np.
     and k, and the caches of all those that lack them are built in one
     ``_knn_fits`` (a lone fit builds its own through ``knn_fit``).
 
-    One (m, n) block of distances against each query's fit's rows in label
-    order, one partition at k - 2 and one in-ball mask serve every class.
-    The query's own ball reaches its (k-1)-th nearest training point, since
-    x itself sits at distance 0. A member j's value,
+    One (m, n) block of distances against each query's fit's cached rows,
+    in label order, one partition at k - 2 and one in-ball mask serve every
+    class. The query's own ball reaches its (k-1)-th nearest training point,
+    since x itself sits at distance 0. A member j's value,
     -(own_j + holds_x) / (total_j + holds_x), depends on theta only through
     j's own class, so the members of all the classes are scored in one
     pass, and each class takes its slice: ``knn_augmented_counts``' case
-    split, read through the own-class and total counts, where a row that x
-    falls strictly inside takes its (k-1)-ball and x joins the ball of every
-    row whose k-ball holds it.
+    split, read through the own-class and total counts of the cache, where
+    a row that x falls strictly inside takes its (k-1)-ball and x joins the
+    ball of every row whose k-ball holds it.
     """
     first = stats[0]
     missing = [s for s in stats if "caches" not in vars(s)]
     if len(missing) > 1:
         for stat, caches in zip(missing, _knn_fits([s.data for s in missing], first.k)):
             vars(stat)["caches"] = caches  # the cached property's value
-    # each query's row of every per-fit array; a lone fit's broadcasts
-    if len(stats) == 1:
-        by_label = first._by_label
-    else:
-        owner = np.repeat(np.arange(len(stats)), [len(X) for X in Xs])
-        by_label = [per_fit[owner] for per_fit in _knn_by_label(stats)]
-    columns, radius_sq, own_km1, own_k, total_km1, total_k = by_label
+    sizes = first.data.group_sizes
+    positions, own = np.arange(first.data.n), np.repeat(np.arange(first.data.n_classes), sizes)
+    # the ball totals are row sums: einsum adds each short row in one loop,
+    # where sum(axis=1) starts a reduction per row, the larger share of a
+    # query chunk's set-up at n = 2000 (CHANGES.md)
+    per_fit = [(c.features, c.radius_sq, c.counts_km1[positions, own], c.counts_k[positions, own],
+                np.einsum("ij->i", c.counts_km1), np.einsum("ij->i", c.counts_k)) for c in (s.caches for s in stats)]
+    owner = np.repeat(np.arange(len(stats)), [len(X) for X in Xs])
+
+    def each(arrays):  # each query's row of a per-fit array; a lone fit's one row broadcasts
+        return np.stack(arrays)[owner] if len(stats) > 1 else arrays[0][None]
+
+    columns, radius_sq, own_km1, own_k, total_km1, total_k = map(each, zip(*per_fit))
     X, k = np.concatenate(Xs), first.k
     dsq = _sq_dists(X, columns)
     radius_x = np.partition(dsq, k - 2, axis=1)[:, k - 2] if k >= 2 else np.zeros(len(X))
     in_ball = dsq <= radius_x[:, None]
     ball = in_ball.sum(axis=1) + 1
-    bounds = [0, *itertools.accumulate(first.data.group(theta).size for theta in range(1, classes[-1] + 1))]
+    bounds = [0, *itertools.accumulate(sizes[: classes[-1]].tolist())]
     span = slice(bounds[classes[0] - 1], bounds[-1])
     members, radius_sq = dsq[:, span], radius_sq[:, span]
     inside, holds_x = members < radius_sq, members <= radius_sq

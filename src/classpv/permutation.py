@@ -144,7 +144,7 @@ def pvalue_table(fitted, mode: str, X: np.ndarray) -> np.ndarray:
 
     Valid-shortcut fixed-metric k-NN scores every class of a chunk of
     queries from one (m, n) block of distances, one partition and one
-    in-ball mask (``KnnStatistic._augment_values``). A chunk holds about
+    in-ball mask (``_knn_augment_values``). A chunk holds about
     four (m, n) arrays at a time, so it takes ``_BLOCK_ELEMENTS // (4 n)``
     queries, as a ``knn_fit`` block takes rows (page-fault counts in
     CHANGES.md). Every other statistic and mode takes each column from

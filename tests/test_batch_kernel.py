@@ -168,7 +168,7 @@ def test_plugin_exact_swap_scores_each_removal_in_linear_memory():
     group = augmented.data.group(1)
     column = []
     for start in range(0, group.size, 200):
-        values, refit = augmented.edited_values(1, "remove", group[start : start + 200])
+        values, refit = type(augmented).edited_values_each([augmented], 1, "remove", [group[start : start + 200]])
         assert not refit.any()
         column.append(values[:, 0])
     column = np.concatenate(column)

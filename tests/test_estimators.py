@@ -122,6 +122,16 @@ class TestTypicalityIndex:
         with pytest.raises(ValueError, match="L \\+ q"):
             typicality_index(fit, 1, np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_raises(self, train2, bad):
+        fit = fit_pooled_gaussian(train2)
+        with pytest.raises(ValueError, match="non-finite"):
+            typicality_index(fit, 1, np.array([bad, 0.0]))
+        batch = np.zeros((3, 2))
+        batch[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            typicality_index(fit, 2, batch)
+
     def test_pivot_uniform_under_true_model(self, model2):
         # quick version of the exact-pivot check; the acceptance suite runs it at scale
         draws = 400
@@ -233,8 +243,9 @@ def _lattice_set(rng: np.random.Generator) -> TrainingSet:
 
 
 def _one_block_knn_fit(d: TrainingSet, k: int):
-    """``knn_fit``'s radii and counts from one n x n block, columns in row
-    order: the fit before it went by row blocks."""
+    """``knn_fit``'s features, radii and counts from one n x n block,
+    columns in row order: the fit before it went by row blocks. The rows are
+    then put in label order, the order of the cache."""
     dsq = estimators._sq_dists(d.features, d.features)
     part = np.partition(dsq, k - 1, axis=1)
     radius_sq = part[:, k - 1]
@@ -244,7 +255,11 @@ def _one_block_knn_fit(d: TrainingSet, k: int):
         in_ball = dsq <= radius[:, None]
         return np.column_stack([np.count_nonzero(in_ball[:, d.labels == b], axis=1) for b in range(1, d.n_classes + 1)])
 
-    return radius_sq, radius_km1_sq, counts(radius_km1_sq), counts(radius_sq)
+    order = np.argsort(d.labels, kind="stable")
+    return d.features[order], radius_sq[order], counts(radius_km1_sq)[order], counts(radius_sq)[order]
+
+
+_CACHE_FIELDS = ("features", "radius_sq", "counts_km1", "counts_k")
 
 
 @pytest.mark.parametrize("q", range(5))
@@ -276,8 +291,33 @@ class TestKnnFit:
             caches = knn_fit(d, k)
             assert len(blocks) >= 3 and sum(blocks) == d.n
             expected = _one_block_knn_fit(d, k)
-            for name, want in zip(("radius_sq", "radius_km1_sq", "counts_km1", "counts_k"), expected):
+            for name, want in zip(_CACHE_FIELDS, expected):
                 assert np.array_equal(getattr(caches, name), want), (name, k)
+
+    @pytest.mark.bits
+    @pytest.mark.parametrize("seed", range(4))
+    def test_block_of_fits_equals_each_fit_alone(self, monkeypatch, seed):
+        """``_knn_fits`` on three lattice sets with one n and one set of
+        group sizes, row blocks straddling the sets, gives each set's cache
+        field by field with the bits of ``knn_fit`` on that set alone."""
+        rng = np.random.default_rng([53, seed])
+        first = _lattice_set(rng)
+        datas = [first]
+        for _ in range(2):
+            feats = rng.integers(-3, 4, size=(first.n, first.q)).astype(float)
+            copies = rng.choice(first.n, size=first.n // 5, replace=False)
+            feats[copies] = feats[rng.choice(first.n, size=copies.size)]
+            datas.append(TrainingSet(feats, rng.permutation(first.labels), first.n_classes, first.label_names))
+        for k in (1, 2, default_k(first.n), first.n - 1, first.n):
+            alone = [knn_fit(d, k) for d in datas]
+            # blocks of n / 3 + 1 rows: some hold rows of two sets
+            monkeypatch.setattr(estimators, "_BLOCK_ELEMENTS", 4 * first.n * (first.n // 3 + 1))
+            block = estimators._knn_fits(datas, k)
+            monkeypatch.undo()
+            for s, (got, want) in enumerate(zip(block, alone)):
+                assert got.data is datas[s] and got.k == k
+                for name in _CACHE_FIELDS:
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (name, k, s)
 
     def test_zero_radius_on_duplicate(self):
         d = validate_training_set([[0.0], [0.0], [1.0], [2.0]], [1, 1, 2, 2])
@@ -302,14 +342,15 @@ class TestKnnFit:
                for seed in (2, 6)]
         for d, k in ((small, 7), *((b, default_k(400)) for b in big)):
             caches = knn_fit(d, k=k)
-            for i in range(d.n):
+            # the cache's position p holds row i, in label order
+            for p, i in enumerate(np.argsort(d.labels, kind="stable")):
                 dsq = np.sum((d.features - d.features[i]) ** 2, axis=1)
                 order = np.sort(dsq)
-                assert caches.radius_sq[i] == order[k - 1]
-                assert caches.radius_km1_sq[i] == order[k - 2]
+                assert np.array_equal(caches.features[p], d.features[i])
+                assert caches.radius_sq[p] == order[k - 1]
                 for b in range(1, d.n_classes + 1):
-                    assert caches.counts_k[i, b - 1] == np.sum((dsq <= order[k - 1]) & (d.labels == b))
-                    assert caches.counts_km1[i, b - 1] == np.sum((dsq <= order[k - 2]) & (d.labels == b))
+                    assert caches.counts_k[p, b - 1] == np.sum((dsq <= order[k - 1]) & (d.labels == b))
+                    assert caches.counts_km1[p, b - 1] == np.sum((dsq <= order[k - 2]) & (d.labels == b))
             assert np.all(caches.counts_k.sum(axis=1) >= k)
 
     def test_loo_relabel_equals_a_from_scratch_statistic(self):
@@ -325,14 +366,16 @@ class TestKnnFit:
             y = int(rng.choice([b for b in range(1, big_l + 1) if d.group(b).size > 1]))
             theta = int(rng.choice([b for b in range(1, big_l + 1) if b != y]))
             rows, group = d.group(y), d.group(theta)
-            values, refit = KnnStatistic(d, k).edited_values(theta, "relabel", rows)
+            stat = KnnStatistic(d, k)
+            values, refit = type(stat).edited_values_each([stat], theta, "relabel", [rows])
             assert not refit.any()
             for i, row_values in zip(rows, values):
                 scratch = KnnStatistic(d.relabel(int(i), theta), k)
                 assert np.array_equal(row_values, scratch.evaluate(theta, feats[np.concatenate([[i], group])]))
             # a removal moves radii and scaling moves the scales: no closed form
-            assert KnnStatistic(d, k).edited_values(theta, "remove", rows)[1].all()
-            assert KnnStatistic(d, k, scale_features=True).edited_values(theta, "relabel", rows)[1].all()
+            assert type(stat).edited_values_each([stat], theta, "remove", [rows])[1].all()
+            scaled = KnnStatistic(d, k, scale_features=True)
+            assert type(scaled).edited_values_each([scaled], theta, "relabel", [rows])[1].all()
 
     def test_k_out_of_range(self, train2):
         with pytest.raises(ValueError):
@@ -387,10 +430,10 @@ class TestKnnAugmentedCounts:
         ties = 0
         for k in (1, 2, default_k(d.n), d.n - 1, d.n):
             stat = KnnStatistic(d, k)
-            ties += np.count_nonzero(estimators._sq_dists(X, d.features) == stat.caches.radius_sq)
+            ties += np.count_nonzero(estimators._sq_dists(X, stat.caches.features) == stat.caches.radius_sq)
             for theta in range(1, d.n_classes + 1):
                 group = d.group(theta)
-                values, refit = stat.edited_values(theta, "augment", X)
+                values, refit = type(stat).edited_values_each([stat], theta, "augment", [X])
                 assert not refit.any()
                 for x, row in zip(X, values):
                     counts = knn_augmented_counts(stat.caches, x, theta)[group]
@@ -411,6 +454,21 @@ class TestKnnAugmentedCounts:
         counts = knn_augmented_counts(caches, np.array([-1.0]), 2)
         assert counts[0, 0] == caches.counts_k[0, 0]
         assert counts[0, 1] == caches.counts_k[0, 1] + 1
+
+    def test_rows_come_back_in_row_order(self):
+        """The cache is in label order; the counts are in the data's row
+        order, as the rule's brute-force recount has them."""
+        d = TrainingSet(np.array([[0.0], [4.0], [1.0], [3.0]]), np.array([2, 1, 2, 1]), 2, ("1", "2"))
+        counts = knn_augmented_counts(knn_fit(d, k=2), np.array([0.5]), 1)
+        # every 2-ball has radius 1; the query falls strictly inside those of
+        # rows 0 and 2, which shrink to the row itself and gain the query
+        assert counts.tolist() == [[1, 1], [2, 0], [1, 1], [2, 0]]
+
+    @pytest.mark.parametrize("x", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0], [0.0], [0.0, 1.0, 2.0]])
+    def test_bad_point_raises(self, train2, x):
+        caches = knn_fit(train2, k=5)
+        with pytest.raises(ValueError, match="non-finite|shape"):
+            knn_augmented_counts(caches, np.array(x), 1)
 
     def test_matches_brute_force_recount(self):
         rng = np.random.default_rng(29)
@@ -433,7 +491,7 @@ class TestKnnAugmentedCounts:
                     expected = np.sum((dsq <= r) & (aug.labels == b))
                     assert counts[i, b - 1] == expected
             # the query-side statistic against the same brute force
-            query_value = stat.edited_values(theta, "augment", x[None, :])[0][0, 0]
+            query_value = type(stat).edited_values_each([stat], theta, "augment", [x[None, :]])[0][0, 0]
             dsq = np.sum((aug.features - aug.features[-1]) ** 2, axis=1)
             r = np.sort(dsq)[k - 1]
             in_ball = dsq <= r
@@ -585,7 +643,7 @@ class TestLogistic:
     @pytest.mark.bits
     def test_singular_set_in_a_mixed_block_keeps_every_bit(self):
         """Edited sets of five statistics, stacked as the validity battery
-        stacks its replications, in one ``_logistic_edited_values`` call. One
+        stacks its replications, in one ``edited_values_each`` call. One
         statistic has a constant feature column, so each Newton step of its
         sets is singular and takes the ridge in ``_newton_steps``. For every
         kind of edit, each statistic's values have the bits of its lone call,
@@ -613,13 +671,13 @@ class TestLogistic:
                     Xs = [np.column_stack([rng.normal(size=3), np.ones(3)]) for _ in stats]
                 else:
                     Xs = [stat.data.group(3 - theta if kind == "relabel" else theta)[:4] for stat in stats]
-                lone = [ridge_warnings(lambda: estimators._logistic_edited_values([stat], theta, kind, [X]))
+                lone = [ridge_warnings(lambda: LogisticStatistic.edited_values_each([stat], theta, kind, [X]))
                         for stat, X in zip(stats, Xs)]
-                block, warned = ridge_warnings(lambda: estimators._logistic_edited_values(stats, theta, kind, Xs))
+                (block, _), warned = ridge_warnings(lambda: LogisticStatistic.edited_values_each(stats, theta, kind, Xs))
                 assert [count > 0 for _, count in lone] == [s == 2 for s in range(5)], kind
                 assert warned == sum(count for _, count in lone), (kind, theta)
-                for s, ((values,), _) in enumerate(lone):
-                    assert block[s].tobytes() == values.tobytes(), (kind, theta, s)
+                for s, ((values, _), _) in enumerate(lone):
+                    assert block[s * len(Xs[0]) : (s + 1) * len(Xs[0])].tobytes() == values.tobytes(), (kind, theta, s)
 
     def test_iteration_cap_separates_by_the_gradient_norm_alone(self, monkeypatch):
         """With the cap at 4, a set still iterating there reads separated,
@@ -742,7 +800,7 @@ def test_identical_rows_in_one_call_get_identical_bits(statistic):
 
 class _RefitOnly:
     """The plug-in statistic through only ``data``, ``edit`` and
-    ``evaluate``, without the closed-form ``edited_values`` method."""
+    ``evaluate``, without the closed-form ``edited_values_each``."""
 
     def __init__(self, fit):
         self.fit = fit
@@ -772,13 +830,13 @@ def test_edited_values_of_a_statistic_without_the_method_are_refits(train2, kind
     closed = fit_pooled_gaussian(train2)
     X = np.array([[0.3, -0.2], [2.0, 1.0]]) if kind == "augment" else train2.group(2)[:2]
     values = estimators.edited_values([_RefitOnly(closed)], 1, kind, [X])
-    expected, flagged = closed.edited_values(1, kind, X)
+    expected, flagged = type(closed).edited_values_each([closed], 1, kind, [X])
     assert not flagged.any()
     assert np.allclose(values, expected, rtol=1e-9, atol=1e-12)
 
 
 def _edited_reference(stat, theta: int, kind: str, x) -> np.ndarray:
-    """One row of ``GaussianStatistic.edited_values`` by the edit it stands
+    """One row of ``GaussianStatistic.edited_values_each`` by the edit it stands
     for: the edited fit scores the edited point and the class-theta rows."""
     d = stat.data
     if kind == "augment":
@@ -826,9 +884,9 @@ def test_plugin_closed_form_keeps_row_bits_ties_and_the_refit(seed, n_classes, q
     else:
         y = data.draw(st.sampled_from([b for b in range(1, n_classes + 1) if kind != "relabel" or b != theta]))
         X = d.group(y)
-    values, refit = stat.edited_values(theta, kind, X)
+    values, refit = type(stat).edited_values_each([stat], theta, kind, [X])
     for j in range(len(X)):
-        alone, alone_refit = stat.edited_values(theta, kind, X[j : j + 1])
+        alone, alone_refit = type(stat).edited_values_each([stat], theta, kind, [X[j : j + 1]])
         assert alone.tobytes() == values[j : j + 1].tobytes() and alone_refit[0] == refit[j]
     if kind == "augment":
         for j, i in enumerate(members, start=len(X) - 3):
@@ -880,7 +938,7 @@ def test_plugin_equal_edited_means_tie_every_value():
     d = TrainingSet(np.array(_TIE_FEATURES)[:, None], np.array(_TIE_LABELS), 2, ("1", "2"))
     fit = fit_pooled_gaussian(d)
     rows = np.flatnonzero(d.features[:, 0] == -0.5)
-    values, refit = fit.edited_values(1, "relabel", rows)
+    values, refit = type(fit).edited_values_each([fit], 1, "relabel", [rows])
     assert not refit.any() and np.all(values == values[:, :1])
     cv = crossval_pvalues(d, PermutationMethod("plugin", "valid-shortcut"))
     assert np.all(cv.pvalues[rows, 0] == 1.0)

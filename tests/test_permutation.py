@@ -130,7 +130,7 @@ class TestAgainstScratchImplementations:
         for _ in range(10):
             x = rng.normal(size=2) * 1.5
             for theta in (1, 2):
-                ref, *swaps = stat.edited_values(theta, "augment", x[None, :])[0][0]
+                ref, *swaps = type(stat).edited_values_each([stat], theta, "augment", [x[None, :]])[0][0]
                 aug = train2.augment(x, theta)
                 group = train2.group(theta)
 
