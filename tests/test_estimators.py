@@ -249,14 +249,14 @@ def _one_block_knn_fit(d: TrainingSet, k: int):
     dsq = estimators._sq_dists(d.features, d.features)
     part = np.partition(dsq, k - 1, axis=1)
     radius_sq = part[:, k - 1]
-    radius_km1_sq = part[:, : k - 1].max(axis=1) if k >= 2 else np.zeros(d.n)
+    km1_radius_sq = part[:, : k - 1].max(axis=1) if k >= 2 else np.zeros(d.n)
 
     def counts(radius):
         in_ball = dsq <= radius[:, None]
         return np.column_stack([np.count_nonzero(in_ball[:, d.labels == b], axis=1) for b in range(1, d.n_classes + 1)])
 
     order = np.argsort(d.labels, kind="stable")
-    return d.features[order], radius_sq[order], counts(radius_km1_sq)[order], counts(radius_sq)[order]
+    return d.features[order], radius_sq[order], counts(km1_radius_sq)[order], counts(radius_sq)[order]
 
 
 _CACHE_FIELDS = ("features", "radius_sq", "counts_km1", "counts_k")
